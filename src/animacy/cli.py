@@ -117,6 +117,7 @@ def cmd_enrich(args) -> int:
     _write_output(dump_statuses(enriched), args.out)
     coverage = enriched.coverage()
     print(f"coverage: {coverage:.4f}", file=sys.stderr)
+    print(f"unresolved sense keys: {len(enriched.skipped)}", file=sys.stderr)
     return 0
 
 

@@ -263,13 +263,20 @@ def classify_node(
 
 
 class EnrichedTaxonomy:
-    """A taxonomy plus one animacy status per synset."""
+    """A taxonomy plus one animacy status per synset.
 
-    def __init__(self, base: Taxonomy, status: dict[str, Status]):
+    `skipped` lists the annotated records whose sense key the taxonomy did
+    not know, as (doc, sent, np, sense); their noun evidence is missing
+    from the statuses.  It is empty for statuses loaded from a file.
+    """
+
+    def __init__(self, base: Taxonomy, status: dict[str, Status],
+                 skipped: Iterable[tuple[str, int, int, str]] = ()):
         for sid in status:
             if sid not in base:
                 raise ValueError(f"status for unknown synset {sid}")
         self.base = base
+        self.skipped = tuple(skipped)
         self._status = {sid: status.get(sid, Status.UNDECIDED) for sid in base}
 
     def status(self, sid: str) -> Status:
@@ -330,13 +337,14 @@ def enrich(
     """Classify every synset from a gold- and sense-annotated corpus.
 
     The per-node decision depends only on the accumulated counts, so the
-    outcome is independent of traversal order.
+    outcome is independent of traversal order.  Records whose sense key is
+    not in the taxonomy are kept on the result as `skipped`.
     """
-    counts, _ = accumulate_counts(docs, taxonomy)
+    counts, skipped = accumulate_counts(docs, taxonomy)
     status = {
         sid: classify_node(sid, counts, taxonomy, alpha) for sid in taxonomy
     }
-    return EnrichedTaxonomy(taxonomy, status)
+    return EnrichedTaxonomy(taxonomy, status, skipped)
 
 
 def dump_statuses(enriched: EnrichedTaxonomy) -> str:

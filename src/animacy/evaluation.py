@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -165,10 +166,12 @@ def baseline(
     return out
 
 
-def as_percent(ratio: float | None, decimals: int = 2) -> float | None:
+def as_percent(ratio: float | Fraction | None, decimals: int = 2) -> float | None:
     """Percentage truncated (not rounded) to the given number of decimals.
 
-    Reported figures use truncation, so 0.882188... prints as 88.21.
+    Reported figures use truncation, so 0.882188... prints as 88.21.  A
+    Fraction truncates exactly (29/50 gives 58.0); a float carries its
+    binary round-off, which can cost the last decimal on an exact boundary.
     """
     if ratio is None:
         return None
@@ -178,11 +181,22 @@ def as_percent(ratio: float | None, decimals: int = 2) -> float | None:
 
 def format_report(report: EvalReport) -> str:
     """Two-line TSV: accuracy plus per-class precision/recall/F, as
-    truncated percentages with '-' for undefined entries."""
+    truncated percentages with '-' for undefined entries.
 
-    def cell(value: float | None) -> str:
-        pct = as_percent(value)
-        return "-" if pct is None else f"{pct:.2f}"
+    Every figure is an exact fraction of counts, so truncation never
+    loses a hundredth to float round-off.
+    """
+
+    def cell(numerator: int, denominator: int) -> str:
+        if not denominator:
+            return "-"
+        return f"{as_percent(Fraction(numerator, denominator)):.2f}"
+
+    def class_cells(scores: ClassScores) -> list[str]:
+        tp, fp, fn = scores.true_positives, scores.false_positives, scores.false_negatives
+        # F = 2pr/(p+r) = 2tp/(2tp+fp+fn), defined when p+r > 0, i.e. tp > 0
+        return [cell(tp, tp + fp), cell(tp, tp + fn),
+                cell(2 * tp, 2 * tp + fp + fn) if tp else "-"]
 
     header = [
         "accuracy",
@@ -190,12 +204,10 @@ def format_report(report: EvalReport) -> str:
         "inanimate_precision", "inanimate_recall", "inanimate_f",
         "unknown_predictions",
     ]
-    animate = report.scores(Label.ANIMATE)
-    inanimate = report.scores(Label.INANIMATE)
     row = [
-        cell(report.accuracy),
-        cell(animate.precision), cell(animate.recall), cell(animate.f_measure),
-        cell(inanimate.precision), cell(inanimate.recall), cell(inanimate.f_measure),
+        cell(report.correct, report.total or 1),  # an empty report scores 0
+        *class_cells(report.scores(Label.ANIMATE)),
+        *class_cells(report.scores(Label.INANIMATE)),
         str(report.unknown_predictions),
     ]
     return "\t".join(header) + "\n" + "\t".join(row) + "\n"

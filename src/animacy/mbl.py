@@ -6,6 +6,13 @@ distance and lets the nearest neighbours vote.  Feature weights are gain
 ratios computed from the training instances alone.  `k` counts nearest
 *distances*: every instance tied at an included distance joins the vote.
 
+The store keeps its instances as numpy columns, so one query costs a
+dozen vector operations over the whole store rather than a Python loop
+per instance; 10-fold cross-validation over 19.7k labelled NPs takes
+seconds.  The vector arithmetic follows the scalar order of operations,
+so distances and vote sums, and with them every exact tie, are the same
+bit for bit.
+
 The instance encodes the head lemma, the lemma's animate and inanimate
 sense counts under the enriched taxonomy, the same pair for the governing
 verb of subjects (zero otherwise), and the document's animate pronoun
@@ -187,7 +194,9 @@ class InstanceStore:
     """Immutable training memory: instances, weights and numeric ranges.
 
     Weights and the per-feature value ranges used for distance scaling
-    come from the stored instances only, never from queries.
+    come from the stored instances only, never from queries.  The
+    instances are also held column-wise as arrays: lemma ids, the raw
+    numeric columns and one boolean mask per label, all in store order.
     """
 
     def __init__(self, instances: Iterable[FeatureVector]):
@@ -198,22 +207,21 @@ class InstanceStore:
             if inst.label is None:
                 raise ValueError("training instances need labels")
         self.weights = gain_ratio_weights(self.instances)
-        self.ranges = []
-        for idx in range(len(_NUMERIC)):
-            column = [inst.numeric()[idx] for inst in self.instances]
-            self.ranges.append((min(column), max(column)))
-
-    def distance(self, a: FeatureVector, b: FeatureVector) -> float:
-        """Weighted overlap distance: 0/1 mismatch on the lemma, range-
-        scaled absolute difference on the numeric features."""
-        d = self.weights[0] * (0.0 if a.lemma == b.lemma else 1.0)
-        na, nb = a.numeric(), b.numeric()
-        for idx in range(len(_NUMERIC)):
-            lo, hi = self.ranges[idx]
-            span = hi - lo
-            delta = abs(na[idx] - nb[idx]) / span if span > 0 else 0.0
-            d += self.weights[idx + 1] * delta
-        return d
+        self.lemma_ids: dict[str, int] = {}
+        self.ids = np.array(
+            [self.lemma_ids.setdefault(inst.lemma, len(self.lemma_ids))
+             for inst in self.instances],
+            dtype=np.int64,
+        )
+        self.columns = np.array(
+            [inst.numeric() for inst in self.instances], dtype=np.float64
+        ).T.copy()
+        self.ranges = [(float(col.min()), float(col.max())) for col in self.columns]
+        labels = np.array([inst.label.value for inst in self.instances])
+        self.label_masks = {
+            label: labels == label.value
+            for label in sorted({inst.label for inst in self.instances})
+        }
 
 
 def knn_classify(
@@ -223,20 +231,45 @@ def knn_classify(
 ) -> Label:
     """Vote of the nearest stored instances.
 
+    The distance is a weighted overlap: 0/1 mismatch on the lemma plus the
+    range-scaled absolute difference on each numeric feature.  It is
+    accumulated column by column in feature order, so every distance
+    equals the scalar left-to-right sum bit for bit; ties below rely on
+    that exact equality.
+
     The k smallest distinct distances define the neighbourhood.  Vote ties
     go to the class with the smaller summed neighbour distance and then to
     INANIMATE, the majority-class prior.
     """
-    distances = [store.distance(query, inst) for inst in store.instances]
-    included = sorted(set(distances))[: config.k]
-    cutoff = set(included)
+    weights = store.weights
+    qid = store.lemma_ids.get(query.lemma, -1)
+    distances = weights[0] * (store.ids != qid)
+    for idx, value in enumerate(query.numeric()):
+        lo, hi = store.ranges[idx]
+        span = hi - lo
+        if span > 0:
+            distances += weights[idx + 1] * (
+                np.abs(value - store.columns[idx]) / span
+            )
+
+    # the k-th smallest distinct distance, by successive minima
+    cutoff = distances.min()
+    for _ in range(config.k - 1):
+        farther = distances[distances > cutoff]
+        if not farther.size:
+            break
+        cutoff = farther.min()
+    near = distances <= cutoff
 
     votes: dict[Label, int] = {}
     summed: dict[Label, float] = {}
-    for inst, dist in zip(store.instances, distances):
-        if dist in cutoff:
-            votes[inst.label] = votes.get(inst.label, 0) + 1
-            summed[inst.label] = summed.get(inst.label, 0.0) + dist
+    for label, mask in store.label_masks.items():
+        chosen = distances[mask & near]
+        if chosen.size:
+            votes[label] = int(chosen.size)
+            # a left-to-right sum in store order, rounded like the scalar
+            # loop; np.sum's pairwise order could break exact ties
+            summed[label] = float(np.cumsum(chosen)[-1])
 
     best = max(votes.values())
     tied = sorted(label for label, count in votes.items() if count == best)

@@ -194,7 +194,7 @@ def test_criterion_02_chi_square_decision_matches_oracle():
 
 # --- criterion 3: nearest-neighbour oracle ----------------------------------
 
-def oracle_knn(query, store, k):
+def oracle_knn(query, store, k, tie_break="distance"):
     weights = store.weights
     ranges = store.ranges
     scored = []
@@ -216,10 +216,11 @@ def oracle_knn(query, store, k):
     tied = sorted(lab for lab, v in votes.items() if v == top)
     if len(tied) == 1:
         return tied[0]
-    closest = min(sums[lab] for lab in tied)
-    tied = [lab for lab in tied if sums[lab] == closest]
-    if len(tied) == 1:
-        return tied[0]
+    if tie_break == "distance":
+        closest = min(sums[lab] for lab in tied)
+        tied = [lab for lab in tied if sums[lab] == closest]
+        if len(tied) == 1:
+            return tied[0]
     return I if I in tied else tied[0]
 
 

@@ -110,6 +110,7 @@ class TestPipeline:
                            "--corpus", CORPUS, "--out", str(statuses))
         assert code == 0
         assert "coverage" in err
+        assert "unresolved sense keys: 0" in err
 
         pred = tmp_path / "pred.tsv"
         code, _, _ = run(
@@ -143,6 +144,21 @@ class TestPipeline:
         code, out, _ = run(capsys, "xval", "--taxonomy", TAX, "--corpus", CORPUS,
                            "--seed", "7", "--wsd", "--ic", str(ic))
         assert code == 0 and out.startswith("accuracy\t")
+
+    def test_enrich_reports_unresolved_sense_keys(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text(
+            open(CORPUS, encoding="utf-8").read()
+            + "DOC\tghost\t0\t0\n"
+            + "NP\tghost\t0\t0\tghost\t0\t-\t0\t0\tA\tn-ghost\ta ghost\n"
+        )
+        code, plain, _ = run(capsys, "enrich", "--taxonomy", TAX, "--corpus", CORPUS)
+        assert code == 0
+        code, out, err = run(capsys, "enrich", "--taxonomy", TAX, "--corpus", str(corpus))
+        assert code == 0
+        assert out == plain
+        assert "coverage: " in err
+        assert "unresolved sense keys: 1" in err
 
     def test_eval_ignore_unknown_flag(self, tmp_path, capsys):
         pred = tmp_path / "pred.tsv"

@@ -233,6 +233,13 @@ class TestEnrich:
             again = classify_node(sid, counts, toy_taxonomy)
             assert again is status
 
+    def test_unknown_sense_key_is_kept_as_skipped(self, enriched, toy_taxonomy, mini_corpus):
+        ghost = doc_of([("n-ghost", Label.ANIMATE)], doc_id="ghost")
+        again = enrich(toy_taxonomy, list(mini_corpus) + [ghost])
+        assert enriched.skipped == ()
+        assert again.skipped == (("ghost", 0, 0, "n-ghost"),)
+        assert again == enriched  # the record adds no evidence
+
     def test_save_and_load_round_trip(self, enriched, toy_taxonomy, tmp_path):
         path = tmp_path / "statuses.tsv"
         save_enriched(enriched, path)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -143,6 +145,18 @@ class TestFormatting:
         assert as_percent(0.8277848) == 82.77
         assert as_percent(None) is None
 
+    def test_percent_of_a_fraction_truncates_exactly(self):
+        for d in range(1, 201):
+            for n in range(d + 1):
+                q = n * 10**4 // d
+                assert f"{as_percent(Fraction(n, d)):.2f}" == f"{q // 100}.{q % 100:02d}"
+
+    def test_report_figures_on_exact_boundaries(self):
+        # 29 of 50 correct: the float path printed 57.99
+        gold, pred = streams_from_confusion(tp=29, fp=0, fn=21, tn=0)
+        row = format_report(score(gold, pred)).split("\n")[1]
+        assert row == "58.00\t100.00\t58.00\t73.41\t0.00\t-\t-\t0"
+
     def test_report_row_is_tab_separated(self):
         gold, pred = streams_from_confusion(tp=9, fp=1, fn=3, tn=10)
         text = format_report(score(gold, pred))
@@ -163,6 +177,33 @@ def test_f_measure_between_precision_and_recall(tp, fp, fn, tn):
     if p is None or r is None or f is None:
         return
     assert min(p, r) - 1e-12 <= f <= max(p, r) + 1e-12
+
+
+def _exact_cell(ratio):
+    if ratio is None:
+        return "-"
+    q = ratio.numerator * 10**4 // ratio.denominator
+    return f"{q // 100}.{q % 100:02d}"
+
+
+@given(
+    tp=st.integers(0, 60), fp=st.integers(0, 60),
+    fn=st.integers(0, 60), tn=st.integers(0, 60),
+)
+def test_report_cells_are_exact_truncations(tp, fp, fn, tn):
+    gold, pred = streams_from_confusion(tp, fp, fn, tn)
+    row = format_report(score(gold, pred)).split("\n")[1].split("\t")
+
+    def prf(t, f_pos, f_neg):
+        p = Fraction(t, t + f_pos) if t + f_pos else None
+        r = Fraction(t, t + f_neg) if t + f_neg else None
+        f = 2 * p * r / (p + r) if p is not None and r is not None and p + r else None
+        return [p, r, f]
+
+    total = tp + fp + fn + tn
+    expected = [Fraction(tp + tn, total) if total else Fraction(0)]
+    expected += prf(tp, fp, fn) + prf(tn, fn, fp)
+    assert row[:7] == [_exact_cell(x) for x in expected]
 
 
 def _np(i):

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from animacy.corpus import Document, Label
+from animacy.corpus import Document, Label, iter_nps
 from animacy.enrichment import EnrichedTaxonomy, Status
 from animacy.evaluation import score
 from animacy.mbl import (
@@ -14,6 +15,7 @@ from animacy.mbl import (
     knn_classify,
 )
 from animacy.taxonomy import Synset, Taxonomy
+from tests.test_acceptance import oracle_knn
 from tests.test_corpus import make_np
 
 
@@ -164,6 +166,39 @@ class TestKnn:
         after = [knn_classify(q, store, MblConfig(k=3)) for q in queries]
         assert before == after
 
+    def test_large_tied_stores_match_scalar_oracle(self):
+        # ~2,000 instances over 24 numeric patterns: neighbourhoods hold
+        # tens to hundreds of exactly tied instances.  "cow" is stored as
+        # A/I pairs, so its queries tie on votes and the distance tie-break
+        # compares equal multisets of distances summed in store order.
+        rng = np.random.default_rng(2024)
+        lemmas = ("ant", "bee", "cow", "elk")  # "elk" is never stored
+
+        def draw(lemma, label=None):
+            return FeatureVector(
+                lemma, float(rng.integers(0, 2)), float(rng.integers(0, 2)),
+                float(rng.integers(0, 2)), 0.0,
+                (0.0, 0.5, 1.0)[int(rng.integers(3))], label,
+            )
+
+        for round_ in range(6):
+            instances = []
+            while len(instances) < 2000:
+                lemma = lemmas[int(rng.integers(3))]
+                if lemma == "cow":
+                    labels = (A, I)
+                else:  # ant is mostly animate, bee mostly inanimate
+                    flip = rng.random() < 0.1
+                    labels = (A if (lemma == "ant") != flip else I,)
+                fv = draw(lemma)
+                instances += [FeatureVector(lemma, *fv.numeric(), label) for label in labels]
+            store = InstanceStore(instances[i] for i in rng.permutation(len(instances)))
+            for k in range(1, 7):
+                query = draw(lemmas[(round_ + k) % 4])
+                for tie_break in ("distance", "prior"):
+                    got = knn_classify(query, store, MblConfig(k=k, tie_break=tie_break))
+                    assert got is oracle_knn(query, store, k, tie_break), (round_, k, tie_break)
+
     def test_degenerate_all_zero_weights_fall_back_to_majority(self):
         # single-class training data gives zero weights and zero distances
         store = InstanceStore([
@@ -199,6 +234,28 @@ class TestCrossValidation:
         gold = [np.gold for np, _ in detailed]
         predicted = [pred for _, pred in detailed]
         assert score(gold, predicted) == report
+
+    @pytest.mark.parametrize("seed", [1, 7, 11])
+    def test_predictions_match_oracle_fold_by_fold(self, enriched, mini_corpus, seed):
+        features = [
+            extract_features(record, doc, enriched)
+            for doc, record in iter_nps(mini_corpus) if record.gold is not None
+        ]
+        order = np.random.default_rng(seed).permutation(len(features))
+        for k in (1, 3, 5):
+            for tie_break in ("distance", "prior"):
+                config = MblConfig(k=k, tie_break=tie_break)
+                _, detailed = cross_validate(mini_corpus, enriched, folds=10,
+                                             config=config, seed=seed)
+                expected = [None] * len(features)
+                for fold in np.array_split(order, 10):
+                    held_out = set(fold.tolist())
+                    store = InstanceStore(
+                        fv for i, fv in enumerate(features) if i not in held_out
+                    )
+                    for i in held_out:
+                        expected[i] = oracle_knn(features[i], store, k, tie_break)
+                assert [pred for _, pred in detailed] == expected, (k, tie_break)
 
     def test_too_few_instances(self, enriched, mini_corpus):
         with pytest.raises(ValueError, match="folds"):
