@@ -41,9 +41,12 @@ def _load_predictions(path) -> dict[tuple[str, int, int], Label]:
             if not line or line.startswith("#"):
                 continue
             fields = line.split("\t")
-            if len(fields) != 4:
-                raise ValueError(f"{path} line {lineno}: expected 4 fields")
-            out[(fields[0], int(fields[1]), int(fields[2]))] = Label(fields[3])
+            try:
+                if len(fields) != 4:
+                    raise ValueError("expected 4 fields")
+                out[(fields[0], int(fields[1]), int(fields[2]))] = Label(fields[3])
+            except ValueError as exc:
+                raise ValueError(f"{path} line {lineno}: {exc}") from None
     return out
 
 
@@ -74,10 +77,22 @@ def _beginners(args) -> BeginnerClass:
     return BeginnerClass(**kwargs)
 
 
-def _doc_weightings(docs, taxonomy, ic_table):
-    return {
-        doc.doc_id: wsd.document_weights(doc, taxonomy, ic_table) for doc in docs
-    }
+def _wsd_weightings(args, taxonomy, ic_docs, *corpora):
+    """Per-document sense weightings for each corpus under --wsd, else Nones.
+
+    Information content comes from the --ic count file or from `ic_docs`.
+    """
+    if not args.wsd:
+        return [None] * len(corpora)
+    ic_table = (
+        wsd.load_counts(args.ic, taxonomy)
+        if args.ic
+        else wsd.information_content(ic_docs, taxonomy)
+    )
+    return [
+        {doc.doc_id: wsd.document_weights(doc, taxonomy, ic_table) for doc in docs}
+        for docs in corpora
+    ]
 
 
 class UsageError(Exception):
@@ -147,14 +162,7 @@ def cmd_classify(args) -> int:
 
     if args.method == "rule":
         docs = load_corpus(args.corpus)
-        weightings = None
-        if args.wsd:
-            ic_table = (
-                wsd.load_counts(args.ic, taxonomy)
-                if args.ic
-                else wsd.information_content(docs, taxonomy)
-            )
-            weightings = _doc_weightings(docs, taxonomy, ic_table)
+        (weightings,) = _wsd_weightings(args, taxonomy, docs, docs)
         keyed = []
         for doc in docs:
             weighting = weightings[doc.doc_id] if weightings else None
@@ -176,15 +184,9 @@ def cmd_classify(args) -> int:
         enriched = load_enriched(args.enriched, taxonomy)
     else:
         enriched = enrich(taxonomy, train_docs)
-    train_weightings = test_weightings = None
-    if args.wsd:
-        ic_table = (
-            wsd.load_counts(args.ic, taxonomy)
-            if args.ic
-            else wsd.information_content(train_docs, taxonomy)
-        )
-        train_weightings = _doc_weightings(train_docs, taxonomy, ic_table)
-        test_weightings = _doc_weightings(test_docs, taxonomy, ic_table)
+    train_weightings, test_weightings = _wsd_weightings(
+        args, taxonomy, train_docs, train_docs, test_docs
+    )
     store = mbl.build_store(train_docs, enriched, beginners, train_weightings)
     config = mbl.MblConfig(k=args.k)
     keyed = []
@@ -205,14 +207,7 @@ def cmd_xval(args) -> int:
         enriched = load_enriched(args.enriched, taxonomy)
     else:
         enriched = enrich(taxonomy, docs)
-    weightings = None
-    if args.wsd:
-        ic_table = (
-            wsd.load_counts(args.ic, taxonomy)
-            if args.ic
-            else wsd.information_content(docs, taxonomy)
-        )
-        weightings = _doc_weightings(docs, taxonomy, ic_table)
+    (weightings,) = _wsd_weightings(args, taxonomy, docs, docs)
     report, _ = mbl.cross_validate(
         docs, enriched, folds=args.folds, config=mbl.MblConfig(k=args.k),
         seed=args.seed, beginners=beginners, weightings=weightings,

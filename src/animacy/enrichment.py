@@ -374,10 +374,13 @@ def load_enriched(path, base: Taxonomy) -> EnrichedTaxonomy:
             if not line or line.startswith("#") or line.startswith("SYNSET\t"):
                 continue
             fields = line.split("\t")
-            if fields[0] != "STATUS" or len(fields) != 3:
-                raise ValueError(f"line {lineno}: expected STATUS record")
-            sid, value = fields[1], fields[2]
-            if sid not in base:
-                raise ValueError(f"line {lineno}: status for unknown synset {sid}")
-            status[sid] = Status(value)
+            try:
+                if fields[0] != "STATUS" or len(fields) != 3:
+                    raise ValueError("expected STATUS record")
+                sid, value = fields[1], fields[2]
+                if sid not in base:
+                    raise ValueError(f"status for unknown synset {sid}")
+                status[sid] = Status(value)
+            except ValueError as exc:
+                raise ValueError(f"{path} line {lineno}: {exc}") from None
     return EnrichedTaxonomy(base, status)

@@ -168,10 +168,6 @@ class Taxonomy:
         except KeyError:
             raise TaxonomyError(f"unknown synset id {sid}") from None
 
-    @property
-    def synsets(self) -> dict[str, Synset]:
-        return dict(self._synsets)
-
     def senses(self, lemma: str, pos: str) -> tuple[str, ...]:
         """All synset ids listing `lemma` under `pos`, in file order.
 

@@ -65,18 +65,24 @@ def check_index_file(path, pos: str, known_ids: set[str]) -> list[str]:
     """Cross-check an index file; returns lemmas with unresolved synsets."""
     problems = []
     with open(path, encoding="utf-8") as handle:
-        for raw in handle:
+        for lineno, raw in enumerate(handle, 1):
             if not raw.strip() or raw.startswith(" "):
                 continue
             tokens = raw.split()
             lemma = tokens[0]
-            # trailing fields of an index line are the synset offsets
-            sense_count = int(tokens[2])
-            offsets = tokens[-sense_count:]
-            for offset in offsets:
-                if f"{pos}{int(offset):08d}" not in known_ids:
-                    problems.append(lemma)
-                    break
+            # lemma pos synset_cnt p_cnt ... sense_cnt tagsense_cnt, then the
+            # synset_cnt trailing fields are the synset offsets
+            try:
+                sense_count = int(tokens[2])
+                if not 0 < sense_count <= len(tokens) - 6:
+                    raise ValueError(f"synset count {sense_count} out of range")
+                ids = [f"{pos}{int(offset):08d}" for offset in tokens[-sense_count:]]
+            except (IndexError, ValueError) as exc:
+                raise TaxonomyError(
+                    f"index.{pos} line {lineno}: unparseable record ({exc})"
+                ) from None
+            if any(sid not in known_ids for sid in ids):
+                problems.append(lemma)
     return problems
 
 

@@ -6,8 +6,13 @@ pair of nouns that co-occur in a document, the most informative synset
 subsuming any sense pair supports, with its information content, every
 sense of either noun that it subsumes.  Per-lemma support is normalized to
 a distribution; nouns with no pairwise support fall back to uniform
-weights.  This pairwise scheme is polynomial in the number of senses, so
-documents with many polysemous nouns stay tractable.
+weights.
+
+The common subsumers of all sense pairs of two nouns are the intersection
+of the nouns' closure unions, so each noun's union is ranked once per
+document by information content, and a noun pair's subsumer is the first
+synset of one ranking inside the other union: per document one ancestor
+lookup per sense and one sort per noun, per noun pair one partial scan.
 """
 
 from __future__ import annotations
@@ -126,29 +131,6 @@ class SenseWeighting:
         return cls(weights)
 
 
-def _most_informative_subsumer(
-    senses_a: tuple[str, ...],
-    senses_b: tuple[str, ...],
-    taxonomy: Taxonomy,
-    ic: ICTable,
-) -> tuple[float, str] | None:
-    """Best (ic, synset) over common subsumers of any sense pair.
-
-    Ties on information content break toward the smaller synset id so the
-    outcome never depends on iteration order.
-    """
-    best: tuple[float, str] | None = None
-    for sa in senses_a:
-        closure_a = taxonomy.ancestors(sa, include_self=True)
-        for sb in senses_b:
-            common = closure_a & taxonomy.ancestors(sb, include_self=True)
-            for sub in common:
-                value = ic.of(sub)
-                if best is None or value > best[0] or (value == best[0] and sub < best[1]):
-                    best = (value, sub)
-    return best
-
-
 def disambiguation_weights(
     nouns: Iterable[str],
     taxonomy: Taxonomy,
@@ -161,22 +143,36 @@ def disambiguation_weights(
     and a single-noun document yields uniform weights throughout.
     """
     lemmas = sorted({x for x in nouns if taxonomy.senses(x, NOUN)})
-    support: dict[str, dict[str, float]] = {
-        lemma: {sid: 0.0 for sid in taxonomy.senses(lemma, NOUN)} for lemma in lemmas
-    }
+    ic_of = ic.ic
+    # per lemma: (sense, strict ancestors) in sense order, the union U of the
+    # sense closures, U ranked by descending IC (ties by id), and the support
+    closures, unions, ranked, support = {}, {}, {}, {}
+    for lemma in lemmas:
+        senses = tuple(
+            (sid, taxonomy.ancestors(sid)) for sid in taxonomy.senses(lemma, NOUN)
+        )
+        closures[lemma] = senses
+        unions[lemma] = {sid for sid, _ in senses}.union(*(anc for _, anc in senses))
+        ranked[lemma] = sorted(unions[lemma], key=lambda sid: (-ic_of[sid], sid))
+        support[lemma] = {sid: 0.0 for sid, _ in senses}
 
     for i, lemma_a in enumerate(lemmas):
-        senses_a = taxonomy.senses(lemma_a, NOUN)
+        ranked_a = ranked[lemma_a]
         for lemma_b in lemmas[i + 1:]:
-            senses_b = taxonomy.senses(lemma_b, NOUN)
-            best = _most_informative_subsumer(senses_a, senses_b, taxonomy, ic)
-            if best is None:
+            # the common subsumers of all sense pairs are exactly U_a & U_b,
+            # so the best one is the first of ranked_a that lies in U_b
+            union_b = unions[lemma_b]
+            for subsumer in ranked_a:
+                if subsumer in union_b:
+                    break
+            else:
                 continue
-            value, subsumer = best
-            for lemma, senses in ((lemma_a, senses_a), (lemma_b, senses_b)):
-                for sid in senses:
-                    if subsumer in taxonomy.ancestors(sid, include_self=True):
-                        support[lemma][sid] += value
+            value = ic_of[subsumer]
+            for lemma in (lemma_a, lemma_b):
+                per_sense = support[lemma]
+                for sid, anc in closures[lemma]:
+                    if sid == subsumer or subsumer in anc:
+                        per_sense[sid] += value
 
     weights: dict[tuple[str, str], float] = {}
     for lemma in lemmas:

@@ -226,6 +226,48 @@ class TestPipeline:
         assert len(load_taxonomy(out_tax)) == 4
 
 
+class TestMalformedInput:
+    """Bad input exits 1 with one `error:` line naming the file and line."""
+
+    def assert_error(self, code, err, where):
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert where in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("index_line", ["entity n", "entity n 0 0 0 0"])
+    def test_short_index_line(self, tmp_path, capsys, index_line):
+        (tmp_path / "data.noun").write_text("00001740 03 n 01 entity 0 000 | x\n")
+        (tmp_path / "index.noun").write_text(index_line + "\n")
+        code, out, err = run(capsys, "import-wndb",
+                             "--noun", str(tmp_path / "data.noun"),
+                             "--index-noun", str(tmp_path / "index.noun"))
+        assert out == ""
+        self.assert_error(code, err, "index.n line 1: ")
+
+    @pytest.mark.parametrize("row, message", [
+        ("d1\t0\t2\tX", "'X' is not a valid Label"),
+        ("d1\tzero\t2\tA", "invalid literal for int()"),
+    ])
+    def test_bad_prediction_row(self, tmp_path, capsys, row, message):
+        pred = tmp_path / "pred.tsv"
+        run(capsys, "classify", "--method", "rule", "--taxonomy", TAX,
+            "--corpus", CORPUS, "--out", str(pred))
+        lines = pred.read_text().split("\n")
+        lines[2] = row
+        pred.write_text("\n".join(lines))
+        code, _, err = run(capsys, "eval", "--gold", CORPUS, "--pred", str(pred))
+        self.assert_error(code, err, f"{pred} line 3: {message}")
+
+    def test_bad_status_value(self, tmp_path, capsys):
+        statuses = tmp_path / "statuses.tsv"
+        statuses.write_text("STATUS\tn-teacher\tA\nSTATUS\tn-table\tQ\n")
+        code, _, err = run(capsys, "classify", "--method", "ml", "--taxonomy", TAX,
+                           "--enriched", str(statuses),
+                           "--train", CORPUS, "--test", CORPUS)
+        self.assert_error(code, err, f"{statuses} line 2: 'Q' is not a valid Status")
+
+
 class TestAnnotate:
     def test_keystrokes_from_stdin(self, tmp_path, capsys, monkeypatch):
         corpus = tmp_path / "todo.tsv"

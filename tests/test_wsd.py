@@ -1,12 +1,14 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from animacy.corpus import Document
 from animacy.enrichment import EnrichedTaxonomy, Status
 from animacy.rules import noun_ratios, verb_ratios
-from animacy.taxonomy import BeginnerClass, Synset, Taxonomy
+from animacy.taxonomy import NOUN, BeginnerClass, Synset, Taxonomy
 from animacy.wsd import (
+    ICTable,
     SenseWeighting,
     disambiguation_weights,
     information_content,
@@ -37,6 +39,81 @@ def occurrences(sense_times):
             nps.append(make_np(sent=0, np=i, head="x", sense_key=sense))
             i += 1
     return [Document("d", tuple(nps), 0, 0)]
+
+
+def oracle_most_informative_subsumer(senses_a, senses_b, taxonomy, ic):
+    """Best (ic, synset) over the common subsumers of every sense pair,
+    ties toward the smaller synset id."""
+    best = None
+    for sa in senses_a:
+        closure_a = taxonomy.ancestors(sa, include_self=True)
+        for sb in senses_b:
+            common = closure_a & taxonomy.ancestors(sb, include_self=True)
+            for sub in common:
+                value = ic.of(sub)
+                if best is None or value > best[0] or (value == best[0] and sub < best[1]):
+                    best = (value, sub)
+    return best
+
+
+def oracle_weights(nouns, taxonomy: Taxonomy, ic: ICTable) -> dict:
+    """Slow reference for `disambiguation_weights`: intersect the closures
+    of every sense pair of every lemma pair."""
+    lemmas = sorted({x for x in nouns if taxonomy.senses(x, NOUN)})
+    support = {
+        lemma: {sid: 0.0 for sid in taxonomy.senses(lemma, NOUN)} for lemma in lemmas
+    }
+    for i, lemma_a in enumerate(lemmas):
+        senses_a = taxonomy.senses(lemma_a, NOUN)
+        for lemma_b in lemmas[i + 1:]:
+            senses_b = taxonomy.senses(lemma_b, NOUN)
+            best = oracle_most_informative_subsumer(senses_a, senses_b, taxonomy, ic)
+            if best is None:
+                continue
+            value, subsumer = best
+            for lemma, senses in ((lemma_a, senses_a), (lemma_b, senses_b)):
+                for sid in senses:
+                    if subsumer in taxonomy.ancestors(sid, include_self=True):
+                        support[lemma][sid] += value
+    weights = {}
+    for lemma in lemmas:
+        per_sense = support[lemma]
+        total = sum(per_sense.values())
+        for sid, value in per_sense.items():
+            weights[(lemma, sid)] = value / total if total > 0.0 else 1.0 / len(per_sense)
+    return weights
+
+
+POOL = ("fox", "vat", "oak", "imp", "cog", "elm")
+
+
+@st.composite
+def sense_documents(draw):
+    """A small DAG with several roots and multi-parent nodes, lemmas with
+    one to six senses, an IC table from tiny counts (so many synsets tie
+    on IC), and a document's nouns.  Ids are shuffled against file order
+    so the id tie-break cannot coincide with iteration order."""
+    size = draw(st.integers(3, 14))
+    roots = draw(st.integers(2, min(3, size)))
+    ids = draw(st.permutations([f"s{i:02d}" for i in range(size)]))
+    chosen = {
+        lemma: set(draw(st.lists(
+            st.integers(0, size - 1), min_size=1, max_size=min(6, size), unique=True,
+        )))
+        for lemma in POOL
+    }
+    synsets = []
+    for i in range(size):
+        parents = draw(st.lists(
+            st.sampled_from(ids[:i]), max_size=3, unique=True,
+        )) if i >= roots else []
+        lemmas = tuple(lemma for lemma in POOL if i in chosen[lemma]) or (f"only{i}",)
+        synsets.append(Synset(ids[i], "n", lemmas, tuple(parents), 6))
+    taxonomy = Taxonomy(synsets)
+    direct = [(sid, draw(st.sampled_from([0, 0, 1, 2]))) for sid in ids]
+    table = information_content(occurrences(direct), taxonomy)
+    nouns = draw(st.lists(st.sampled_from(POOL + ("ghost", "only0")), max_size=8))
+    return taxonomy, table, nouns
 
 
 class TestInformationContent:
@@ -122,6 +199,47 @@ class TestDisambiguation:
         for lemma in lemmas:
             for sid in toy_taxonomy.senses(lemma, "n"):
                 assert first.weight(lemma, sid) == second.weight(lemma, sid)
+
+    def test_equal_ic_subsumers_break_toward_smaller_id(self):
+        # hub-b and hub-a carry the same counts, so the same IC; each lemma
+        # lists its hub-b sense first, but hub-a has the smaller id and wins
+        t = Taxonomy([
+            Synset("root", "n", ("top",), (), 6),
+            Synset("hub-b", "n", ("hub",), ("root",), 6),
+            Synset("hub-a", "n", ("nave",), ("root",), 6),
+            Synset("ay", "n", ("alpha",), ("hub-b",), 6),
+            Synset("ax", "n", ("alpha",), ("hub-a",), 6),
+            Synset("by", "n", ("beta",), ("hub-b",), 6),
+            Synset("bx", "n", ("beta",), ("hub-a",), 6),
+        ])
+        table = information_content(
+            occurrences([("ay", 1), ("ax", 1), ("by", 1), ("bx", 1)]), t
+        )
+        assert table.of("hub-a") == table.of("hub-b") > table.of("root")
+        w = disambiguation_weights({"alpha", "beta"}, t, table)
+        assert (w.weight("alpha", "ax"), w.weight("alpha", "ay")) == (1.0, 0.0)
+        assert (w.weight("beta", "bx"), w.weight("beta", "by")) == (1.0, 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=sense_documents())
+    def test_matches_pairwise_oracle_exactly(self, case):
+        taxonomy, table, nouns = case
+        expected = oracle_weights(nouns, taxonomy, table)
+        w = disambiguation_weights(nouns, taxonomy, table)
+        for (lemma, sid), value in expected.items():
+            assert w.weight(lemma, sid) == value, (lemma, sid)
+        for lemma in POOL:
+            if lemma not in nouns:
+                assert w.for_lemma(lemma, taxonomy.senses(lemma, NOUN)) is None
+
+    def test_toy_taxonomy_matches_oracle_exactly(self, toy_taxonomy, mini_corpus):
+        table = information_content(mini_corpus, toy_taxonomy)
+        lemmas = toy_taxonomy.lemmas("n")
+        expected = oracle_weights(lemmas, toy_taxonomy, table)
+        w = disambiguation_weights(lemmas, toy_taxonomy, table)
+        assert expected
+        for (lemma, sid), value in expected.items():
+            assert w.weight(lemma, sid) == value, (lemma, sid)
 
 
 class TestWeightedCounts:
