@@ -67,7 +67,6 @@ from .wsd import (
     disambiguation_weights,
     document_weights,
     information_content,
-    weighted_counts,
 )
 
 __version__ = "0.1.0"

@@ -120,19 +120,19 @@ def iter_nps(docs: Iterable[Document]) -> Iterator[tuple[Document, NPRecord]]:
             yield doc, np
 
 
-def _flag(value: str, lineno: int, what: str) -> bool:
+def _flag(value: str, what: str) -> bool:
     if value == "0":
         return False
     if value == "1":
         return True
-    raise CorpusError(f"line {lineno}: {what} must be 0 or 1, got {value!r}")
+    raise CorpusError(f"{what} must be 0 or 1, got {value!r}")
 
 
-def _int(value: str, lineno: int, what: str) -> int:
+def _int(value: str, what: str) -> int:
     try:
         return int(value)
     except ValueError:
-        raise CorpusError(f"line {lineno}: bad {what} {value!r}") from None
+        raise CorpusError(f"bad {what} {value!r}") from None
 
 
 def load_corpus(path) -> list[Document]:
@@ -148,86 +148,83 @@ def load_corpus(path) -> list[Document]:
             if not line or line.startswith("#"):
                 continue
             kind = line.split("\t", 1)[0]
-            if kind == "DOC":
-                fields = line.split("\t")
-                if len(fields) != 4:
-                    raise CorpusError(f"line {lineno}: DOC record needs 4 fields")
-                doc_id = fields[1]
-                if doc_id in counts:
-                    raise CorpusError(f"line {lineno}: duplicate document {doc_id}")
-                counts[doc_id] = (
-                    _int(fields[2], lineno, "pronoun count"),
-                    _int(fields[3], lineno, "pronoun count"),
-                )
-                order.append(doc_id)
-                nps[doc_id] = []
-                prons[doc_id] = []
-            elif kind == "NP":
-                fields = line.split("\t", 11)
-                if len(fields) != 12:
-                    raise CorpusError(f"line {lineno}: NP record needs 12 fields")
-                (_, doc_id, sent, npid, head, subj, verb, who, refl,
-                 gold, sense, surface) = fields
-                if doc_id not in counts:
-                    raise CorpusError(f"line {lineno}: NP before DOC {doc_id}")
-                gold_label = None if gold == "-" else Label(gold)
-                try:
-                    record = NPRecord(
+            try:
+                if kind == "DOC":
+                    fields = line.split("\t")
+                    if len(fields) != 4:
+                        raise CorpusError("DOC record needs 4 fields")
+                    doc_id = fields[1]
+                    if doc_id in counts:
+                        raise CorpusError(f"duplicate document {doc_id}")
+                    counts[doc_id] = (
+                        _int(fields[2], "pronoun count"),
+                        _int(fields[3], "pronoun count"),
+                    )
+                    order.append(doc_id)
+                    nps[doc_id] = []
+                    prons[doc_id] = []
+                elif kind == "NP":
+                    fields = line.split("\t", 11)
+                    if len(fields) != 12:
+                        raise CorpusError("NP record needs 12 fields")
+                    (_, doc_id, sent, npid, head, subj, verb, who, refl,
+                     gold, sense, surface) = fields
+                    if doc_id not in counts:
+                        raise CorpusError(f"NP before DOC {doc_id}")
+                    nps[doc_id].append(NPRecord(
                         doc_id=doc_id,
-                        sent_id=_int(sent, lineno, "sentence id"),
-                        np_id=_int(npid, lineno, "np id"),
+                        sent_id=_int(sent, "sentence id"),
+                        np_id=_int(npid, "np id"),
                         head_lemma=head,
-                        is_subject=_flag(subj, lineno, "subject flag"),
+                        is_subject=_flag(subj, "subject flag"),
                         verb_lemma=None if verb == "-" else verb,
-                        has_who=_flag(who, lineno, "who flag"),
-                        has_reflexive=_flag(refl, lineno, "reflexive flag"),
-                        gold=gold_label,
+                        has_who=_flag(who, "who flag"),
+                        has_reflexive=_flag(refl, "reflexive flag"),
+                        gold=None if gold == "-" else Label(gold),
                         sense_key=None if sense == "-" else sense,
                         surface=surface,
+                    ))
+                elif kind == "PRON":
+                    fields = line.split("\t")
+                    if len(fields) != 7:
+                        raise CorpusError("PRON record needs 7 fields")
+                    _, doc_id, sent, surface, animate, ant_sent, ant_np = fields
+                    if doc_id not in counts:
+                        raise CorpusError(f"PRON before DOC {doc_id}")
+                    if (ant_sent == "-") != (ant_np == "-"):
+                        raise CorpusError("antecedent fields must both be set or both '-'")
+                    antecedent = None
+                    if ant_sent != "-":
+                        antecedent = (
+                            _int(ant_sent, "antecedent sentence"),
+                            _int(ant_np, "antecedent np"),
+                        )
+                    prons[doc_id].append(
+                        PronounRecord(
+                            sent_id=_int(sent, "sentence id"),
+                            surface=surface,
+                            animate=_flag(animate, "animate flag"),
+                            antecedent=antecedent,
+                        )
                     )
-                except ValueError as exc:
-                    raise CorpusError(f"line {lineno}: {exc}") from None
-                nps[doc_id].append(record)
-            elif kind == "PRON":
-                fields = line.split("\t")
-                if len(fields) != 7:
-                    raise CorpusError(f"line {lineno}: PRON record needs 7 fields")
-                _, doc_id, sent, surface, animate, ant_sent, ant_np = fields
-                if doc_id not in counts:
-                    raise CorpusError(f"line {lineno}: PRON before DOC {doc_id}")
-                if (ant_sent == "-") != (ant_np == "-"):
-                    raise CorpusError(
-                        f"line {lineno}: antecedent fields must both be set or both '-'"
-                    )
-                antecedent = None
-                if ant_sent != "-":
-                    antecedent = (
-                        _int(ant_sent, lineno, "antecedent sentence"),
-                        _int(ant_np, lineno, "antecedent np"),
-                    )
-                prons[doc_id].append(
-                    PronounRecord(
-                        sent_id=_int(sent, lineno, "sentence id"),
-                        surface=surface,
-                        animate=_flag(animate, lineno, "animate flag"),
-                        antecedent=antecedent,
-                    )
-                )
-            else:
-                raise CorpusError(f"line {lineno}: unknown record kind {kind!r}")
+                else:
+                    raise CorpusError(f"unknown record kind {kind!r}")
+            except ValueError as exc:
+                raise CorpusError(f"{path} line {lineno}: {exc}") from None
 
     documents = []
     for doc_id in order:
         ani, inani = counts[doc_id]
-        documents.append(
-            Document(
+        try:
+            documents.append(Document(
                 doc_id=doc_id,
                 nps=tuple(nps[doc_id]),
                 animate_pronoun_count=ani,
                 inanimate_pronoun_count=inani,
                 pronouns=tuple(prons[doc_id]),
-            )
-        )
+            ))
+        except CorpusError as exc:
+            raise CorpusError(f"{path}: {exc}") from None
     return documents
 
 

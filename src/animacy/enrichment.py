@@ -278,6 +278,8 @@ class EnrichedTaxonomy:
         self.base = base
         self.skipped = tuple(skipped)
         self._status = {sid: status.get(sid, Status.UNDECIDED) for sid in base}
+        # resolved Undecided senses, per beginner class, filled on demand
+        self._resolved: dict[BeginnerClass, dict[str, bool]] = {}
 
     def status(self, sid: str) -> Status:
         self.base.get(sid)
@@ -296,10 +298,22 @@ class EnrichedTaxonomy:
         An Undecided sense takes the status of the nearest decided
         ancestor; when the nearest decided ancestors disagree, or when no
         ancestor is decided, the unique-beginner class has the final say.
+        Each Undecided sense is resolved once per beginner class and then
+        looked up.
         """
         status = self.status(sid)
         if status is not Status.UNDECIDED:
             return status is Status.ANIMATE
+        resolved = self._resolved.setdefault(beginners, {})
+        animate = resolved.get(sid)
+        if animate is None:
+            animate = resolved[sid] = self._walk_to_decided(sid, beginners)
+        return animate
+
+    def _walk_to_decided(self, sid: str, beginners: BeginnerClass) -> bool:
+        # The majority is taken over the deduplicated breadth-first frontier,
+        # which the answers of the parents cannot rebuild at multi-parent
+        # nodes, so each sense walks on its own (once, via the memo).
         seen = {sid}
         frontier = list(self.base.hypernyms(sid))
         while frontier:

@@ -30,7 +30,7 @@ import numpy as np
 from .corpus import Document, Label, NPRecord, iter_nps
 from .enrichment import EnrichedTaxonomy
 from .evaluation import EvalReport, score
-from .taxonomy import NOUN, VERB, BeginnerClass
+from .taxonomy import NOUN, VERB, BeginnerClass, sense_mass
 
 if TYPE_CHECKING:
     from .wsd import SenseWeighting
@@ -76,23 +76,6 @@ class MblConfig:
             raise ValueError(f"unknown tie_break {self.tie_break!r}")
 
 
-def _sense_mass(lemma: str, pos: str, enriched: EnrichedTaxonomy,
-                beginners: BeginnerClass,
-                weighting: "SenseWeighting | None") -> tuple[float, float]:
-    if weighting is not None and pos == NOUN:
-        from .wsd import weighted_counts
-
-        return weighted_counts(lemma, weighting, enriched, beginners, pos)
-    animate = 0.0
-    inanimate = 0.0
-    for sid in enriched.base.senses(lemma, pos):
-        if enriched.resolve_animate(sid, beginners):
-            animate += 1.0
-        else:
-            inanimate += 1.0
-    return animate, inanimate
-
-
 def extract_features(
     np_record: NPRecord,
     doc: Document,
@@ -107,20 +90,27 @@ def extract_features(
     """
     from .corpus import pronoun_ratio
 
+    def is_animate(sid: str) -> bool:
+        return enriched.resolve_animate(sid, beginners)
+
     senses = enriched.base.senses(np_record.head_lemma, NOUN)
     if senses:
         lemma = np_record.head_lemma
-        noun_animate, noun_inanimate = _sense_mass(
-            np_record.head_lemma, NOUN, enriched, beginners, weighting
-        )
+        weights = None
+        if weighting is not None:
+            # a lemma without stored weights takes uniform shares, so its
+            # counts stay on the scale of the weighted ones
+            weights = (weighting.for_lemma(lemma, senses)
+                       or dict.fromkeys(senses, 1.0 / len(senses)))
+        noun_animate, noun_inanimate = sense_mass(senses, is_animate, weights)
     else:
         lemma = OOV_LEMMA
         noun_animate = noun_inanimate = 0.0
 
     verb_animate = verb_inanimate = 0.0
     if np_record.is_subject and np_record.verb_lemma is not None:
-        verb_animate, verb_inanimate = _sense_mass(
-            np_record.verb_lemma, VERB, enriched, beginners, None
+        verb_animate, verb_inanimate = sense_mass(
+            enriched.base.senses(np_record.verb_lemma, VERB), is_animate
         )
 
     return FeatureVector(

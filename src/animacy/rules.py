@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .corpus import Label, NPRecord
-from .taxonomy import NOUN, VERB, BeginnerClass, Taxonomy
+from .taxonomy import NOUN, VERB, BeginnerClass, Taxonomy, sense_mass
 
 if TYPE_CHECKING:
     from .wsd import SenseWeighting
@@ -66,20 +66,16 @@ def _ratios(
     if not sense_ids:
         return RatioResult(0.0, 0.0, 0)
 
-    weights = weighting.for_lemma(lemma, sense_ids) if weighting is not None else None
-    animate_mass = 0.0
-    inanimate_mass = 0.0
-    for sid in sense_ids:
-        mass = weights[sid] if weights is not None else 1.0
-        if beginners.is_animate(taxonomy.beginner_of(sid), pos):
-            animate_mass += mass
-        else:
-            inanimate_mass += mass
+    def is_animate(sid: str) -> bool:
+        return beginners.is_animate(taxonomy.beginner_of(sid), pos)
 
+    weights = weighting.for_lemma(lemma, sense_ids) if weighting is not None else None
+    animate_mass, inanimate_mass = sense_mass(sense_ids, is_animate, weights)
     total_mass = animate_mass + inanimate_mass
     if total_mass == 0.0:
         # every sense carried weight zero; fall back to plain counts
-        return _ratios(lemma, pos, taxonomy, beginners, None)
+        animate_mass, inanimate_mass = sense_mass(sense_ids, is_animate)
+        total_mass = animate_mass + inanimate_mass
     animate = animate_mass / total_mass
     return RatioResult(animate, 1.0 - animate, len(sense_ids))
 

@@ -16,7 +16,7 @@ taxonomy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
 NOUN = "n"
 VERB = "v"
@@ -82,6 +82,28 @@ class BeginnerClass:
         if pos == VERB:
             return lexfile in self.animate_verb_lexfiles
         raise TaxonomyError(f"unknown pos {pos!r}")
+
+
+def sense_mass(
+    senses: Iterable[str],
+    is_animate: Callable[[str], bool],
+    weights: Mapping[str, float] | None = None,
+) -> tuple[float, float]:
+    """Animate and inanimate mass over a lemma's senses, in sense order.
+
+    Each sense adds its weight, or 1 without weights, to the side that
+    `is_animate` picks; both classifiers count senses this way and differ
+    only in the predicate.
+    """
+    animate = 0.0
+    inanimate = 0.0
+    for sid in senses:
+        mass = weights[sid] if weights is not None else 1.0
+        if is_animate(sid):
+            animate += mass
+        else:
+            inanimate += mass
+    return animate, inanimate
 
 
 class Taxonomy:
@@ -236,33 +258,29 @@ class Taxonomy:
         return f"Taxonomy({len(self)} synsets, {len(self.roots)} roots)"
 
 
-def _parse_synset_line(line: str, lineno: int) -> Synset:
+def _parse_synset_line(line: str) -> Synset:
     fields = line.split("\t")
     if len(fields) == 5:
         # trailing tab of an empty hypernym field is commonly lost in editing
         fields.append("")
     if len(fields) != 6:
-        raise TaxonomyError(
-            f"line {lineno}: expected 6 tab-separated fields, got {len(fields)}"
-        )
+        raise TaxonomyError(f"expected 6 tab-separated fields, got {len(fields)}")
     _, sid, pos, lexfile, lemmas, hypernyms = fields
     try:
         lex = int(lexfile)
     except ValueError:
-        raise TaxonomyError(f"line {lineno}: bad lexfile number {lexfile!r}") from None
+        raise TaxonomyError(f"bad lexfile number {lexfile!r}") from None
     lemma_tuple = tuple(x for x in lemmas.split(",") if x)
     hyper_tuple = tuple(x for x in hypernyms.split(",") if x)
-    try:
-        return Synset(sid, pos, lemma_tuple, hyper_tuple, lex)
-    except TaxonomyError as exc:
-        raise TaxonomyError(f"line {lineno}: {exc}") from None
+    return Synset(sid, pos, lemma_tuple, hyper_tuple, lex)
 
 
 def load_taxonomy(path) -> Taxonomy:
     """Load and validate a taxonomy file.
 
-    Raises TaxonomyError with a line number for format problems, and with
-    the offending ids for dangling links, duplicates or cycles.
+    Raises TaxonomyError naming the path, with the line number for format
+    problems and the offending ids for dangling links, duplicates or
+    cycles.
     """
     synsets = []
     with open(path, encoding="utf-8") as handle:
@@ -273,10 +291,16 @@ def load_taxonomy(path) -> Taxonomy:
             kind = line.split("\t", 1)[0]
             if kind == "STATUS":
                 continue
-            if kind != "SYNSET":
-                raise TaxonomyError(f"line {lineno}: unknown record kind {kind!r}")
-            synsets.append(_parse_synset_line(line, lineno))
-    return Taxonomy(synsets)
+            try:
+                if kind != "SYNSET":
+                    raise TaxonomyError(f"unknown record kind {kind!r}")
+                synsets.append(_parse_synset_line(line))
+            except TaxonomyError as exc:
+                raise TaxonomyError(f"{path} line {lineno}: {exc}") from None
+    try:
+        return Taxonomy(synsets)
+    except TaxonomyError as exc:
+        raise TaxonomyError(f"{path}: {exc}") from None
 
 
 def dump_taxonomy(taxonomy: Taxonomy) -> str:

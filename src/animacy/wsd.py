@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .corpus import Document, iter_nps
-from .enrichment import EnrichedTaxonomy
-from .taxonomy import NOUN, BeginnerClass, Taxonomy
+from .taxonomy import NOUN, Taxonomy
 
 
 @dataclass(frozen=True)
@@ -38,9 +37,15 @@ class ICTable:
         return self.ic[sid]
 
 
-def _ic_from_counts(raw: dict[str, float], taxonomy: Taxonomy) -> ICTable:
+def _ic_from_counts(direct: dict[str, float], taxonomy: Taxonomy) -> ICTable:
+    """Propagate direct occurrence counts to every ancestor, smooth, and
+    take -log p per part of speech."""
     if len(taxonomy) == 0:
         raise ValueError("cannot build an information-content table for an empty taxonomy")
+    raw: dict[str, float] = {}
+    for sid, count in direct.items():
+        for anc in taxonomy.ancestors(sid, include_self=True):
+            raw[anc] = raw.get(anc, 0.0) + count
     smoothed = {sid: raw.get(sid, 0.0) + 1.0 for sid in taxonomy}
     norm = {}
     for pos in ("n", "v"):
@@ -61,13 +66,11 @@ def information_content(docs: Iterable[Document], taxonomy: Taxonomy) -> ICTable
     synset and to each ancestor (once per occurrence).  Gold labels are not
     needed; this is a plain frequency estimate.
     """
-    raw: dict[str, float] = {}
+    direct: dict[str, float] = {}
     for _, np in iter_nps(docs):
-        if np.sense_key is None or np.sense_key not in taxonomy:
-            continue
-        for sid in taxonomy.ancestors(np.sense_key, include_self=True):
-            raw[sid] = raw.get(sid, 0.0) + 1.0
-    return _ic_from_counts(raw, taxonomy)
+        if np.sense_key is not None and np.sense_key in taxonomy:
+            direct[np.sense_key] = direct.get(np.sense_key, 0.0) + 1.0
+    return _ic_from_counts(direct, taxonomy)
 
 
 def load_counts(path, taxonomy: Taxonomy) -> ICTable:
@@ -75,6 +78,8 @@ def load_counts(path, taxonomy: Taxonomy) -> ICTable:
 
     Counts are propagated to ancestors and smoothed exactly as corpus
     counts would be, so an external frequency source slots in unchanged.
+    A value that is not a finite, non-negative number is an error naming
+    the file and line.
     """
     direct: dict[str, float] = {}
     with open(path, encoding="utf-8") as handle:
@@ -83,17 +88,18 @@ def load_counts(path, taxonomy: Taxonomy) -> ICTable:
             if not line or line.startswith("#"):
                 continue
             fields = line.split("\t")
-            if len(fields) != 3 or fields[0] != "COUNT":
-                raise ValueError(f"line {lineno}: expected COUNT<TAB>id<TAB>value")
-            sid, value = fields[1], fields[2]
-            if sid not in taxonomy:
-                raise ValueError(f"line {lineno}: unknown synset {sid}")
-            direct[sid] = direct.get(sid, 0.0) + float(value)
-    raw: dict[str, float] = {}
-    for sid, count in direct.items():
-        for anc in taxonomy.ancestors(sid, include_self=True):
-            raw[anc] = raw.get(anc, 0.0) + count
-    return _ic_from_counts(raw, taxonomy)
+            try:
+                if len(fields) != 3 or fields[0] != "COUNT":
+                    raise ValueError("expected COUNT<TAB>id<TAB>value")
+                sid, value = fields[1], float(fields[2])
+                if sid not in taxonomy:
+                    raise ValueError(f"unknown synset {sid}")
+                if not math.isfinite(value) or value < 0:
+                    raise ValueError(f"count must be finite and >= 0, got {fields[2]!r}")
+            except ValueError as exc:
+                raise ValueError(f"{path} line {lineno}: {exc}") from None
+            direct[sid] = direct.get(sid, 0.0) + value
+    return _ic_from_counts(direct, taxonomy)
 
 
 class SenseWeighting:
@@ -194,32 +200,3 @@ def document_weights(doc: Document, taxonomy: Taxonomy, ic: ICTable) -> SenseWei
         {np.head_lemma for np in doc.nps}, taxonomy, ic
     )
 
-
-def weighted_counts(
-    lemma: str,
-    weighting: SenseWeighting,
-    enriched: EnrichedTaxonomy,
-    beginners: BeginnerClass = BeginnerClass(),
-    pos: str = NOUN,
-) -> tuple[float, float]:
-    """Weighted animate/inanimate sense mass for one lemma.
-
-    Each sense resolves through the enriched statuses (with the ancestor
-    and unique-beginner fallbacks); its weight lands on the corresponding
-    side.  With normalized weights the two sides sum to 1 for any lemma
-    the taxonomy knows.  A lemma without stored weights falls back to
-    uniform shares, which reproduces plain sense counting as a ratio.
-    """
-    senses = enriched.base.senses(lemma, pos)
-    if not senses:
-        return (0.0, 0.0)
-    stored = weighting.for_lemma(lemma, senses)
-    animate_mass = 0.0
-    inanimate_mass = 0.0
-    for sid in senses:
-        share = stored[sid] if stored is not None else 1.0 / len(senses)
-        if enriched.resolve_animate(sid, beginners):
-            animate_mass += share
-        else:
-            inanimate_mass += share
-    return (animate_mass, inanimate_mass)

@@ -267,6 +267,39 @@ class TestMalformedInput:
                            "--train", CORPUS, "--test", CORPUS)
         self.assert_error(code, err, f"{statuses} line 2: 'Q' is not a valid Status")
 
+    @pytest.mark.parametrize("value, message", [
+        ("lots", "could not convert string to float: 'lots'"),
+        ("-5", "count must be finite and >= 0, got '-5'"),
+        ("nan", "count must be finite and >= 0, got 'nan'"),
+    ])
+    def test_bad_count_value(self, tmp_path, capsys, value, message):
+        counts = tmp_path / "counts.tsv"
+        counts.write_text(f"COUNT\tn-teacher\t3\nCOUNT\tn-table\t{value}\n")
+        code, out, err = run(capsys, "classify", "--method", "rule", "--wsd",
+                             "--ic", str(counts), "--taxonomy", TAX, "--corpus", CORPUS)
+        assert out == ""
+        self.assert_error(code, err, f"{counts} line 2: {message}")
+
+    def test_short_synset_line(self, tmp_path, capsys):
+        taxonomy = tmp_path / "bad.tax"
+        taxonomy.write_text("SYNSET\tn-thing\tn\n")
+        code, _, err = run(capsys, "classify", "--method", "rule",
+                           "--taxonomy", str(taxonomy), "--corpus", CORPUS)
+        self.assert_error(
+            code, err, f"{taxonomy} line 1: expected 6 tab-separated fields, got 3")
+
+    @pytest.mark.parametrize("text, message", [
+        ("DOC\td1\t0\n", "line 1: DOC record needs 4 fields"),
+        ("DOC\td1\t0\t0\nNP\td1\t0\t0\tman\t0\t-\t0\t0\tX\t-\tthe man\n",
+         "line 2: 'X' is not a valid Label"),
+    ])
+    def test_malformed_corpus_record(self, tmp_path, capsys, text, message):
+        corpus = tmp_path / "bad.tsv"
+        corpus.write_text(text)
+        code, _, err = run(capsys, "classify", "--method", "rule",
+                           "--taxonomy", TAX, "--corpus", str(corpus))
+        self.assert_error(code, err, f"{corpus} {message}")
+
 
 class TestAnnotate:
     def test_keystrokes_from_stdin(self, tmp_path, capsys, monkeypatch):

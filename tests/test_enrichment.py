@@ -284,6 +284,86 @@ class TestResolution:
         assert e.resolve_animate("leaf", BeginnerClass()) is False
 
 
+def oracle_resolve(enriched, sid, beginners):
+    """Reference resolution: the nearest-decided-ancestor walk, redone on
+    every call with no memo."""
+    base = enriched.base
+    status = enriched.status(sid)
+    if status is not Status.UNDECIDED:
+        return status is Status.ANIMATE
+    seen = {sid}
+    frontier = list(base.hypernyms(sid))
+    while frontier:
+        decided = [enriched.status(x) for x in frontier
+                   if enriched.status(x) is not Status.UNDECIDED]
+        animate = sum(1 for s in decided if s is Status.ANIMATE)
+        inanimate = len(decided) - animate
+        if animate > inanimate:
+            return True
+        if inanimate > animate:
+            return False
+        if decided:
+            break
+        seen.update(frontier)
+        nxt = []
+        for node in frontier:
+            for hyp in base.hypernyms(node):
+                if hyp not in seen and hyp not in nxt:
+                    nxt.append(hyp)
+        frontier = nxt
+    return beginners.is_animate(base.beginner_of(sid), base.get(sid).pos)
+
+
+class TestResolutionMemo:
+    """Memoised resolution answers exactly as the uncached walk does."""
+
+    BEGINNERS = (BeginnerClass(), BeginnerClass(animate_noun_lexfiles=frozenset({6})))
+
+    @settings(max_examples=100, deadline=None)
+    @given(taxonomy=random_taxonomies(), data=st.data())
+    def test_matches_uncached_walk(self, taxonomy, data):
+        ids = list(taxonomy)
+        statuses = data.draw(st.lists(
+            st.sampled_from(list(Status)), min_size=len(ids), max_size=len(ids),
+        ))
+        enriched = EnrichedTaxonomy(taxonomy, dict(zip(ids, statuses)))
+        queries = data.draw(st.permutations(
+            [(sid, b) for sid in ids for b in self.BEGINNERS] * 2
+        ))
+        for sid, beginners in queries:
+            assert enriched.resolve_animate(sid, beginners) == oracle_resolve(
+                enriched, sid, beginners
+            ), sid
+
+    def test_multi_parent_frontier_majority(self):
+        # x's parents resolve animate, animate, inanimate, but its
+        # deduplicated frontier {a, i1, i2} is inanimate
+        t = Taxonomy([
+            Synset("a", "n", ("ay",), (), 6),
+            Synset("i1", "n", ("eye",), (), 6),
+            Synset("i2", "n", ("eye",), (), 6),
+            Synset("p1", "n", ("pone",), ("a",), 6),
+            Synset("p2", "n", ("ptwo",), ("a",), 6),
+            Synset("p3", "n", ("pthree",), ("i1", "i2"), 6),
+            Synset("x", "n", ("ex",), ("p1", "p2", "p3"), 6),
+        ])
+        e = EnrichedTaxonomy(t, {"a": Status.ANIMATE, "i1": Status.INANIMATE,
+                                 "i2": Status.INANIMATE})
+        beginners = BeginnerClass()
+        assert [e.resolve_animate(p, beginners) for p in ("p1", "p2", "p3")] == [
+            True, True, False]
+        assert e.resolve_animate("x", beginners) is False
+
+    def test_memo_is_kept_per_beginner_class(self, toy_taxonomy):
+        undecided = EnrichedTaxonomy(toy_taxonomy, {})
+        default = BeginnerClass()
+        device_animate = BeginnerClass(animate_noun_lexfiles=frozenset({6}))
+        sid = "n-mouse-device"
+        for _ in range(2):
+            assert undecided.resolve_animate(sid, default) is False
+            assert undecided.resolve_animate(sid, device_animate) is True
+
+
 class TestCountPropagationProperty:
     """Counts at a node must equal the occurrences in its closure, on any DAG."""
 

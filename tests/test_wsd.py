@@ -5,15 +5,15 @@ from hypothesis import given, settings, strategies as st
 
 from animacy.corpus import Document
 from animacy.enrichment import EnrichedTaxonomy, Status
+from animacy.mbl import extract_features
 from animacy.rules import noun_ratios, verb_ratios
-from animacy.taxonomy import NOUN, BeginnerClass, Synset, Taxonomy
+from animacy.taxonomy import NOUN, BeginnerClass, Synset, Taxonomy, sense_mass
 from animacy.wsd import (
     ICTable,
     SenseWeighting,
     disambiguation_weights,
     information_content,
     load_counts,
-    weighted_counts,
 )
 from tests.test_corpus import make_np
 
@@ -145,7 +145,7 @@ class TestInformationContent:
         path = tmp_path / "freq.tsv"
         path.write_text("COUNT\ts1a\t2\nCOUNT\ts2b\t3\n")
         from_file = load_counts(path, t)
-        assert from_file.ic == pytest.approx(from_corpus.ic)
+        assert from_file.ic == from_corpus.ic
 
     def test_empty_taxonomy_rejected(self):
         with pytest.raises(ValueError):
@@ -242,14 +242,29 @@ class TestDisambiguation:
             assert w.weight(lemma, sid) == value, (lemma, sid)
 
 
+def head_mass(lemma, weighting, enriched):
+    """The weighted head-noun sense mass that `extract_features` encodes."""
+    features = extract_features(
+        make_np(head=lemma), Document("d", (), 0, 0), enriched, BeginnerClass(), weighting,
+    )
+    return features.animate_senses, features.inanimate_senses
+
+
 class TestWeightedCounts:
+    """Weighted animate/inanimate sense mass under the enriched statuses."""
+
+    def resolve(self, enriched):
+        return lambda sid: enriched.resolve_animate(sid, BeginnerClass())
+
     def test_point_mass_on_animate_sense(self, enriched):
         w = SenseWeighting({("cat", "n-cat-animal"): 1.0, ("cat", "n-cat-machine"): 0.0})
-        assert weighted_counts("cat", w, enriched) == (1.0, 0.0)
+        senses = enriched.base.senses("cat", NOUN)
+        assert sense_mass(senses, self.resolve(enriched), w.for_lemma("cat", senses)) == (1.0, 0.0)
 
     def test_linear_split(self, enriched):
         w = SenseWeighting({("cat", "n-cat-animal"): 0.7, ("cat", "n-cat-machine"): 0.3})
-        assert weighted_counts("cat", w, enriched) == (0.7, 0.3)
+        senses = enriched.base.senses("cat", NOUN)
+        assert sense_mass(senses, self.resolve(enriched), w.for_lemma("cat", senses)) == (0.7, 0.3)
 
     def test_uniform_equals_unweighted_ratios_everywhere(self, toy_taxonomy, enriched):
         uniform = SenseWeighting.uniform(toy_taxonomy)
@@ -259,10 +274,12 @@ class TestWeightedCounts:
             hard_animate = sum(
                 1 for sid in senses if enriched.resolve_animate(sid, beginners)
             )
-            animate, inanimate = weighted_counts(lemma, uniform, enriched)
+            animate, inanimate = head_mass(lemma, uniform, enriched)
             assert animate == hard_animate / len(senses)
             assert inanimate == (len(senses) - hard_animate) / len(senses)
             assert animate + inanimate == 1.0
+            # a lemma without stored weights takes the same uniform shares
+            assert head_mass(lemma, SenseWeighting({}), enriched) == (animate, inanimate)
 
     def test_uniform_reproduces_rule_ratios_exactly(self, toy_taxonomy):
         uniform = SenseWeighting.uniform(toy_taxonomy)
@@ -280,6 +297,6 @@ class TestWeightedCounts:
             toy_taxonomy, {sid: Status.UNDECIDED for sid in toy_taxonomy}
         )
         uniform = SenseWeighting.uniform(toy_taxonomy)
-        animate, inanimate = weighted_counts("mouse", uniform, undecided)
+        animate, inanimate = head_mass("mouse", uniform, undecided)
         # beginner classes decide: person and animal animate, device not
         assert (animate, inanimate) == (pytest.approx(2 / 3), pytest.approx(1 / 3))
