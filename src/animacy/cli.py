@@ -15,6 +15,7 @@ import sys
 from . import evaluation, mbl, resolution, rules, wndb, wsd
 from .corpus import Label, load_corpus, run_annotation_session, save_corpus
 from .enrichment import dump_statuses, enrich, load_enriched
+from .fileio import write_atomic
 from .taxonomy import BeginnerClass, dump_taxonomy, load_taxonomy
 
 
@@ -22,8 +23,7 @@ def _write_output(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        write_atomic(out_path, text)
 
 
 def _prediction_lines(keyed: list[tuple[tuple[str, int, int], Label]]) -> str:
@@ -65,16 +65,25 @@ def _labels_for(path) -> dict[tuple[str, int, int], Label]:
 
 
 def _beginners(args) -> BeginnerClass:
-    kwargs = {}
-    if getattr(args, "animate_noun_lexfiles", None):
-        kwargs["animate_noun_lexfiles"] = frozenset(
-            int(x) for x in args.animate_noun_lexfiles.split(",")
-        )
-    if getattr(args, "animate_verb_lexfiles", None):
-        kwargs["animate_verb_lexfiles"] = frozenset(
-            int(x) for x in args.animate_verb_lexfiles.split(",")
-        )
-    return BeginnerClass(**kwargs)
+    # an empty lexfile list keeps the default set
+    default = BeginnerClass()
+    return BeginnerClass(
+        args.animate_noun_lexfiles or default.animate_noun_lexfiles,
+        args.animate_verb_lexfiles or default.animate_verb_lexfiles,
+    )
+
+
+def lexfile_list(text: str) -> frozenset[int]:
+    """argparse type of the --animate-*-lexfiles flags."""
+    return frozenset(int(x) for x in text.split(",")) if text else frozenset()
+
+
+def significance_level(text: str) -> float:
+    """argparse type of --alpha: a number strictly between 0 and 1."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text!r}")
+    return value
 
 
 def _wsd_weightings(args, taxonomy, ic_docs, *corpora):
@@ -282,11 +291,11 @@ def cmd_sweep(args) -> int:
 
 def _add_beginner_flags(parser):
     parser.add_argument(
-        "--animate-noun-lexfiles", default=None,
+        "--animate-noun-lexfiles", default=None, type=lexfile_list,
         help="comma-separated lexfile numbers treated as animate for nouns",
     )
     parser.add_argument(
-        "--animate-verb-lexfiles", default=None,
+        "--animate-verb-lexfiles", default=None, type=lexfile_list,
         help="comma-separated lexfile numbers treated as animate for verbs",
     )
 
@@ -315,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--taxonomy", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--alpha", type=float, default=0.05,
+    p.add_argument("--alpha", type=significance_level, default=0.05,
                    help="significance level for the chi-square tests")
     p.set_defaults(func=cmd_enrich)
 

@@ -20,6 +20,8 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator
 
+from .fileio import write_atomic
+
 
 class CorpusError(ValueError):
     """Malformed or inconsistent corpus data."""
@@ -264,8 +266,7 @@ def dump_corpus(docs: Iterable[Document]) -> str:
 
 
 def save_corpus(docs: Iterable[Document], path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dump_corpus(docs))
+    write_atomic(path, dump_corpus(docs))
 
 
 # --- interactive annotation ------------------------------------------------

@@ -25,7 +25,8 @@ from typing import Iterable
 from scipy.special import gammainccinv
 
 from .corpus import Document, Label, iter_nps
-from .taxonomy import VERB, BeginnerClass, Taxonomy
+from .fileio import write_atomic
+from .taxonomy import VERB, BeginnerClass, Taxonomy, TaxonomyError
 
 # Validity rule for the goodness-of-fit test: at most this fraction of
 # cells may have an expected frequency below the floor.
@@ -168,6 +169,8 @@ def chi2_critical(df: int, alpha: float = 0.05) -> float:
     freedom, from the regularized upper incomplete gamma function."""
     if df < 1:
         raise ValueError("df must be >= 1")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
     return float(2.0 * gammainccinv(df / 2.0, alpha))
 
 
@@ -282,8 +285,10 @@ class EnrichedTaxonomy:
         self._resolved: dict[BeginnerClass, dict[str, bool]] = {}
 
     def status(self, sid: str) -> Status:
-        self.base.get(sid)
-        return self._status[sid]
+        try:
+            return self._status[sid]
+        except KeyError:
+            raise TaxonomyError(f"unknown synset id {sid}") from None
 
     def coverage(self) -> float:
         """Fraction of synsets carrying a decided status."""
@@ -334,8 +339,7 @@ class EnrichedTaxonomy:
                     if hyp not in seen and hyp not in nxt:
                         nxt.append(hyp)
             frontier = nxt
-        syn = self.base.get(sid)
-        return beginners.is_animate(self.base.beginner_of(sid), syn.pos)
+        return beginners.is_animate(self.base.beginner_of(sid), self.base.pos_of(sid))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EnrichedTaxonomy):
@@ -370,8 +374,7 @@ def dump_statuses(enriched: EnrichedTaxonomy) -> str:
 
 
 def save_enriched(enriched: EnrichedTaxonomy, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dump_statuses(enriched))
+    write_atomic(path, dump_statuses(enriched))
 
 
 def load_enriched(path, base: Taxonomy) -> EnrichedTaxonomy:

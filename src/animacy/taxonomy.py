@@ -16,7 +16,9 @@ taxonomy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
+
+from .fileio import write_atomic
 
 NOUN = "n"
 VERB = "v"
@@ -34,6 +36,24 @@ class TaxonomyError(ValueError):
     """Malformed or inconsistent taxonomy data."""
 
 
+def _check_fields(sid: str, pos: str, lemmas: tuple[str, ...],
+                  hypernyms: tuple[str, ...]) -> None:
+    """The checks on one synset's own fields, for `Synset` and the loader."""
+    if not sid:
+        raise TaxonomyError("synset id must be non-empty")
+    if pos not in (NOUN, VERB):
+        raise TaxonomyError(f"{sid}: pos must be 'n' or 'v', got {pos!r}")
+    if not lemmas:
+        raise TaxonomyError(f"{sid}: at least one lemma required")
+    if len(lemmas) > 1 and len(set(lemmas)) != len(lemmas):
+        raise TaxonomyError(f"{sid}: duplicate lemma")
+    if len(hypernyms) > 1 and len(set(hypernyms)) != len(hypernyms):
+        raise TaxonomyError(f"{sid}: duplicate hypernym id")
+    for lemma in lemmas:
+        if lemma != lemma.lower():
+            raise TaxonomyError(f"{sid}: lemma {lemma!r} is not lowercase")
+
+
 @dataclass(frozen=True)
 class Synset:
     """One node of the taxonomy."""
@@ -45,23 +65,7 @@ class Synset:
     lexfile: int
 
     def __post_init__(self):
-        if not self.id:
-            raise TaxonomyError("synset id must be non-empty")
-        if self.pos not in (NOUN, VERB):
-            raise TaxonomyError(f"{self.id}: pos must be 'n' or 'v', got {self.pos!r}")
-        if not self.lemmas:
-            raise TaxonomyError(f"{self.id}: at least one lemma required")
-        if len(set(self.lemmas)) != len(self.lemmas):
-            raise TaxonomyError(f"{self.id}: duplicate lemma")
-        if len(set(self.hypernyms)) != len(self.hypernyms):
-            raise TaxonomyError(f"{self.id}: duplicate hypernym id")
-        for lemma in self.lemmas:
-            if lemma != lemma.lower():
-                raise TaxonomyError(f"{self.id}: lemma {lemma!r} is not lowercase")
-
-    @property
-    def is_root(self) -> bool:
-        return not self.hypernyms
+        _check_fields(self.id, self.pos, self.lemmas, self.hypernyms)
 
 
 @dataclass(frozen=True)
@@ -109,86 +113,100 @@ def sense_mass(
 class Taxonomy:
     """Validated, immutable synset graph with a lemma index.
 
-    Construction checks all structural invariants: unique ids, resolvable
-    same-pos hypernym links and acyclicity.  Instances are safe to share
-    across threads; all lookups are read-only.
+    Synsets are stored as columns indexed by position in input order: id,
+    part of speech, lexfile, lemmas, and the positions of the hypernyms and
+    hyponyms.  Construction checks all structural invariants: unique ids,
+    resolvable same-pos hypernym links and acyclicity.  Instances are safe
+    to share across threads; all lookups are read-only.
     """
 
     def __init__(self, synsets: Iterable[Synset]):
-        self._synsets: dict[str, Synset] = {}
-        for syn in synsets:
-            if syn.id in self._synsets:
-                raise TaxonomyError(f"duplicate synset id {syn.id}")
-            self._synsets[syn.id] = syn
+        records = [(s.id, s.pos, s.lexfile, s.lemmas, s.hypernyms) for s in synsets]
+        self._build(*(zip(*records) if records else ((),) * 5))
 
-        self._lemma_index: dict[tuple[str, str], tuple[str, ...]] = {}
-        index: dict[tuple[str, str], list[str]] = {}
-        for syn in self._synsets.values():
-            for lemma in syn.lemmas:
-                index.setdefault((lemma, syn.pos), []).append(syn.id)
-        self._lemma_index = {key: tuple(ids) for key, ids in index.items()}
+    @classmethod
+    def _from_columns(cls, *columns: Sequence) -> Taxonomy:
+        taxonomy = cls.__new__(cls)
+        taxonomy._build(*columns)
+        return taxonomy
 
-        children: dict[str, list[str]] = {sid: [] for sid in self._synsets}
-        for syn in self._synsets.values():
-            for hyp in syn.hypernyms:
-                parent = self._synsets.get(hyp)
+    def _build(self, ids: Sequence[str], pos: Sequence[str], lexfiles: Sequence[int],
+               lemmas: Sequence[tuple[str, ...]], hypernyms: Sequence[tuple[str, ...]]):
+        # Fields come in checked; hypernym ids are resolved to positions and
+        # not kept.
+        index: dict[str, int] = {}
+        for i, sid in enumerate(ids):
+            if index.setdefault(sid, i) != i:
+                raise TaxonomyError(f"duplicate synset id {sid}")
+
+        senses: dict[str, dict[str, tuple[str, ...]]] = {NOUN: {}, VERB: {}}
+        for sid, p, names in zip(ids, pos, lemmas):
+            by_lemma = senses[p]
+            for lemma in names:
+                by_lemma[lemma] = by_lemma.get(lemma, ()) + (sid,)
+
+        parents: list[tuple[int, ...]] = []
+        children: dict[int, list[int]] = {}
+        for i, hyps in enumerate(hypernyms):
+            for hyp in hyps:
+                parent = index.get(hyp)
                 if parent is None:
-                    raise TaxonomyError(f"{syn.id}: dangling hypernym id {hyp}")
-                if parent.pos != syn.pos:
+                    raise TaxonomyError(f"{ids[i]}: dangling hypernym id {hyp}")
+                if pos[parent] != pos[i]:
                     raise TaxonomyError(
-                        f"{syn.id}: hypernym {hyp} has different part of speech"
+                        f"{ids[i]}: hypernym {hyp} has different part of speech"
                     )
-                children[hyp].append(syn.id)
-        self._hyponyms = {sid: tuple(ids) for sid, ids in children.items()}
+                children.setdefault(parent, []).append(i)
+            parents.append(tuple([index[hyp] for hyp in hyps]))
 
-        self.roots: tuple[str, ...] = tuple(
-            sid for sid, syn in self._synsets.items() if syn.is_root
-        )
-        self._check_acyclic()
+        # Kahn's topological pass from the roots: a node is ordered once all
+        # of its hypernyms are, so nodes left over lie on or below a cycle.
+        pending = [len(links) for links in parents]
+        order = [i for i, links in enumerate(parents) if not links]
+        roots = tuple(ids[i] for i in order)
+        for node in order:
+            for child in children.get(node, ()):
+                pending[child] -= 1
+                if not pending[child]:
+                    order.append(child)
+        if len(order) != len(ids):
+            child, parent = _cycle_edge(parents, pending)
+            raise TaxonomyError(
+                f"hypernym cycle involving {ids[child]} and {ids[parent]}"
+            )
+
+        self._ids = ids
+        self._index = index
+        self._pos = pos
+        self._lexfiles = lexfiles
+        self._lemmas = lemmas
+        self._parents = parents
+        self._children = children
+        self._senses = senses
+        self.roots: tuple[str, ...] = roots
         self._ancestor_cache: dict[str, frozenset[str]] = {}
 
-    def _check_acyclic(self):
-        # iterative DFS with colouring; reports one offending edge
-        WHITE, GREY, BLACK = 0, 1, 2
-        colour = {sid: WHITE for sid in self._synsets}
-        for start in self._synsets:
-            if colour[start] != WHITE:
-                continue
-            stack: list[tuple[str, Iterator[str]]] = [
-                (start, iter(self._synsets[start].hypernyms))
-            ]
-            colour[start] = GREY
-            while stack:
-                node, edges = stack[-1]
-                advanced = False
-                for nxt in edges:
-                    if colour[nxt] == GREY:
-                        raise TaxonomyError(
-                            f"hypernym cycle involving {node} and {nxt}"
-                        )
-                    if colour[nxt] == WHITE:
-                        colour[nxt] = GREY
-                        stack.append((nxt, iter(self._synsets[nxt].hypernyms)))
-                        advanced = True
-                        break
-                if not advanced:
-                    colour[node] = BLACK
-                    stack.pop()
-
-    def __len__(self) -> int:
-        return len(self._synsets)
-
-    def __contains__(self, sid: str) -> bool:
-        return sid in self._synsets
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._synsets)
-
-    def get(self, sid: str) -> Synset:
+    def _position(self, sid: str) -> int:
         try:
-            return self._synsets[sid]
+            return self._index[sid]
         except KeyError:
             raise TaxonomyError(f"unknown synset id {sid}") from None
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __contains__(self, sid: str) -> bool:
+        return sid in self._index
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._ids)
+
+    def get(self, sid: str) -> Synset:
+        i = self._position(sid)
+        return Synset(sid, self._pos[i], self._lemmas[i], self.hypernyms(sid), self._lexfiles[i])
+
+    def pos_of(self, sid: str) -> str:
+        return self._pos[self._position(sid)]
 
     def senses(self, lemma: str, pos: str) -> tuple[str, ...]:
         """All synset ids listing `lemma` under `pos`, in file order.
@@ -196,23 +214,24 @@ class Taxonomy:
         Unknown lemmas yield an empty tuple; that is the normal
         out-of-vocabulary signal, not an error.
         """
-        return self._lemma_index.get((lemma, pos), ())
+        by_lemma = self._senses.get(pos)
+        return by_lemma.get(lemma, ()) if by_lemma is not None else ()
 
     def lemmas(self, pos: str | None = None) -> tuple[str, ...]:
         """Distinct lemmas in the taxonomy, optionally restricted by pos."""
-        found = {
-            lemma
-            for (lemma, p) in self._lemma_index
-            if pos is None or p == pos
-        }
+        found: set[str] = set()
+        for p, by_lemma in self._senses.items():
+            if pos is None or p == pos:
+                found.update(by_lemma)
         return tuple(sorted(found))
 
     def hyponyms(self, sid: str) -> tuple[str, ...]:
-        self.get(sid)
-        return self._hyponyms[sid]
+        ids = self._ids
+        return tuple([ids[c] for c in self._children.get(self._position(sid), ())])
 
     def hypernyms(self, sid: str) -> tuple[str, ...]:
-        return self.get(sid).hypernyms
+        ids = self._ids
+        return tuple([ids[p] for p in self._parents[self._position(sid)]])
 
     def ancestors(self, sid: str, include_self: bool = False) -> frozenset[str]:
         """Hypernym closure of a synset.
@@ -220,18 +239,19 @@ class Taxonomy:
         Shared ancestors reached along several paths appear once, which is
         what occurrence propagation relies on.
         """
-        self.get(sid)
         cached = self._ancestor_cache.get(sid)
         if cached is None:
-            closure: set[str] = set()
-            stack = list(self._synsets[sid].hypernyms)
+            parents = self._parents
+            closure: set[int] = set()
+            stack = list(parents[self._position(sid)])
             while stack:
                 node = stack.pop()
                 if node in closure:
                     continue
                 closure.add(node)
-                stack.extend(self._synsets[node].hypernyms)
-            cached = frozenset(closure)
+                stack.extend(parents[node])
+            ids = self._ids
+            cached = frozenset([ids[node] for node in closure])
             self._ancestor_cache[sid] = cached
         if include_self:
             return cached | {sid}
@@ -244,21 +264,45 @@ class Taxonomy:
         hypernyms keeps its own lexfile, so DAG nodes resolve to exactly
         one beginner.
         """
-        syn = self.get(sid)
-        while len(syn.hypernyms) == 1:
-            syn = self.get(syn.hypernyms[0])
-        return syn.lexfile
+        parents = self._parents
+        node = self._position(sid)
+        while len(parents[node]) == 1:
+            node = parents[node][0]
+        return self._lexfiles[node]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Taxonomy):
             return NotImplemented
-        return self._synsets == other._synsets
+        return len(self) == len(other) and all(
+            sid in other and self.get(sid) == other.get(sid) for sid in self
+        )
 
     def __repr__(self) -> str:
         return f"Taxonomy({len(self)} synsets, {len(self.roots)} roots)"
 
 
-def _parse_synset_line(line: str) -> Synset:
+def _cycle_edge(parents: list[tuple[int, ...]], pending: list[int]) -> tuple[int, int]:
+    """A (node, hypernym) edge on a cycle, among the nodes Kahn left over.
+
+    Each leftover node has a leftover hypernym, so walking such hypernyms
+    from the first leftover node must revisit a node, which lies on a
+    cycle; nodes hanging below the cycle are only ever walked through.
+    """
+    node = next(i for i, left in enumerate(pending) if left)
+    step: dict[int, int] = {}
+    while node not in step:
+        parent = next(p for p in parents[node] if pending[p])
+        step[node] = parent
+        node = parent
+    return node, step[node]
+
+
+def _split_list(field: str) -> tuple[str, ...]:
+    items = tuple(field.split(",")) if field else ()
+    return tuple(x for x in items if x) if "" in items else items
+
+
+def _parse_synset_line(line: str) -> tuple:
     fields = line.split("\t")
     if len(fields) == 5:
         # trailing tab of an empty hypernym field is commonly lost in editing
@@ -270,9 +314,10 @@ def _parse_synset_line(line: str) -> Synset:
         lex = int(lexfile)
     except ValueError:
         raise TaxonomyError(f"bad lexfile number {lexfile!r}") from None
-    lemma_tuple = tuple(x for x in lemmas.split(",") if x)
-    hyper_tuple = tuple(x for x in hypernyms.split(",") if x)
-    return Synset(sid, pos, lemma_tuple, hyper_tuple, lex)
+    lemma_tuple = _split_list(lemmas)
+    hyper_tuple = _split_list(hypernyms)
+    _check_fields(sid, pos, lemma_tuple, hyper_tuple)
+    return sid, pos, lex, lemma_tuple, hyper_tuple
 
 
 def load_taxonomy(path) -> Taxonomy:
@@ -282,7 +327,7 @@ def load_taxonomy(path) -> Taxonomy:
     problems and the offending ids for dangling links, duplicates or
     cycles.
     """
-    synsets = []
+    ids, pos, lexfiles, lemmas, hypernyms = columns = ([], [], [], [], [])
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.rstrip("\n")
@@ -294,26 +339,31 @@ def load_taxonomy(path) -> Taxonomy:
             try:
                 if kind != "SYNSET":
                     raise TaxonomyError(f"unknown record kind {kind!r}")
-                synsets.append(_parse_synset_line(line))
+                sid, p, lexfile, names, hyps = _parse_synset_line(line)
             except TaxonomyError as exc:
                 raise TaxonomyError(f"{path} line {lineno}: {exc}") from None
+            ids.append(sid)
+            pos.append(p)
+            lexfiles.append(lexfile)
+            lemmas.append(names)
+            hypernyms.append(hyps)
     try:
-        return Taxonomy(synsets)
+        return Taxonomy._from_columns(*columns)
     except TaxonomyError as exc:
         raise TaxonomyError(f"{path}: {exc}") from None
 
 
 def dump_taxonomy(taxonomy: Taxonomy) -> str:
-    lines = []
-    for sid in taxonomy:
-        syn = taxonomy.get(sid)
-        lines.append(
-            "SYNSET\t%s\t%s\t%d\t%s\t%s"
-            % (syn.id, syn.pos, syn.lexfile, ",".join(syn.lemmas), ",".join(syn.hypernyms))
+    ids = taxonomy._ids
+    lines = [
+        "SYNSET\t%s\t%s\t%d\t%s\t%s"
+        % (sid, p, lexfile, ",".join(names), ",".join([ids[x] for x in links]))
+        for sid, p, lexfile, names, links in zip(
+            ids, taxonomy._pos, taxonomy._lexfiles, taxonomy._lemmas, taxonomy._parents
         )
+    ]
     return "\n".join(lines) + "\n" if lines else ""
 
 
 def save_taxonomy(taxonomy: Taxonomy, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dump_taxonomy(taxonomy))
+    write_atomic(path, dump_taxonomy(taxonomy))

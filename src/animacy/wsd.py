@@ -50,11 +50,11 @@ def _ic_from_counts(direct: dict[str, float], taxonomy: Taxonomy) -> ICTable:
     norm = {}
     for pos in ("n", "v"):
         norm[pos] = sum(
-            smoothed[root] for root in taxonomy.roots if taxonomy.get(root).pos == pos
+            smoothed[root] for root in taxonomy.roots if taxonomy.pos_of(root) == pos
         )
     ic = {}
     for sid in taxonomy:
-        pos = taxonomy.get(sid).pos
+        pos = taxonomy.pos_of(sid)
         ic[sid] = -math.log(smoothed[sid] / norm[pos]) if norm[pos] > 0 else 0.0
     return ICTable(ic=ic, counts=smoothed)
 

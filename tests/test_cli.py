@@ -2,8 +2,9 @@ import io
 
 import pytest
 
-from animacy.cli import build_parser, main
+from animacy.cli import _beginners, build_parser, main
 from animacy.data import mini_corpus_path, toy_taxonomy_path
+from animacy.taxonomy import BeginnerClass
 
 TAX = toy_taxonomy_path()
 CORPUS = mini_corpus_path()
@@ -73,6 +74,42 @@ class TestExitCodes:
             _, out, _ = run(capsys, command, "--help")
             for flag in flags:
                 assert flag in out, (command, flag)
+
+
+    @pytest.mark.parametrize("alpha", ["2", "1", "0", "-0.5", "nan", "inf", "abc"])
+    def test_alpha_outside_unit_interval_is_usage_error(self, capsys, alpha):
+        code, out, err = run(capsys, "enrich", "--taxonomy", TAX,
+                             "--corpus", CORPUS, "--alpha", alpha)
+        assert code == 2
+        assert "--alpha" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("flag", ["--animate-noun-lexfiles", "--animate-verb-lexfiles"])
+    @pytest.mark.parametrize("value", ["x", "5,,18", "5;18"])
+    def test_bad_lexfile_list_is_usage_error(self, capsys, flag, value):
+        code, out, err = run(capsys, "classify", "--method", "rule",
+                             "--taxonomy", TAX, "--corpus", CORPUS, flag, value)
+        assert code == 2
+        assert flag in err
+        assert "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("flags, expected", [
+        ([], BeginnerClass()),
+        (["--animate-noun-lexfiles", ""], BeginnerClass()),
+        (["--animate-noun-lexfiles", "5,18,24"], BeginnerClass()),
+        (["--animate-noun-lexfiles", "18"],
+         BeginnerClass(animate_noun_lexfiles=frozenset({18}))),
+        (["--animate-verb-lexfiles", " 31, 32"],
+         BeginnerClass(animate_verb_lexfiles=frozenset({31, 32}))),
+        (["--animate-noun-lexfiles", "5,5,6", "--animate-verb-lexfiles", "41"],
+         BeginnerClass(frozenset({5, 6}), frozenset({41}))),
+    ])
+    def test_lexfile_lists_give_beginner_class(self, flags, expected):
+        for command in (["classify", "--method", "rule"],
+                        ["xval", "--taxonomy", TAX, "--corpus", CORPUS, "--seed", "1"]):
+            args = build_parser().parse_args(command + flags)
+            assert _beginners(args) == expected
 
 
 class TestDeterminism:

@@ -120,6 +120,11 @@ class TestChiSquare:
     def test_critical_values_match_textbook_table(self, df):
         assert chi2_critical(df) == pytest.approx(TEXTBOOK_CRITICAL[df], abs=5e-4)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.05, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            chi2_critical(1, alpha)
+
     def test_expected_below_one_asserted(self):
         with pytest.raises(ValueError):
             Cell("a", 0, 0)

@@ -1,0 +1,114 @@
+import os
+
+import pytest
+
+from animacy import fileio
+from animacy.cli import main
+from animacy.corpus import load_corpus, save_corpus
+from animacy.data import mini_corpus_path, toy_taxonomy_path
+from animacy.enrichment import enrich, save_enriched
+from animacy.fileio import write_atomic
+from animacy.taxonomy import load_taxonomy, save_taxonomy
+
+OLD = "previous contents\n"
+
+
+class HalfWrite:
+    """A text handle that writes half of what it is given, then fails."""
+
+    def __init__(self, path, mode, encoding):
+        self._handle = open(path, mode, encoding=encoding)
+
+    def write(self, text):
+        self._handle.write(text[: len(text) // 2])
+        self._handle.flush()
+        raise OSError(28, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._handle.close()
+
+
+@pytest.fixture
+def failing_disk(monkeypatch):
+    monkeypatch.setattr(fileio, "open", HalfWrite, raising=False)
+
+
+def test_replaces_the_target_and_leaves_no_temporary(tmp_path):
+    target = tmp_path / "out.tsv"
+    target.write_text(OLD)
+    write_atomic(target, "new\n")
+    assert target.read_text() == "new\n"
+    assert os.listdir(tmp_path) == ["out.tsv"]
+
+
+def test_replacing_keeps_permission_bits(tmp_path):
+    target = tmp_path / "private.tsv"
+    target.write_text(OLD)
+    target.chmod(0o600)
+    write_atomic(target, "new\n")
+    assert target.stat().st_mode & 0o777 == 0o600
+
+
+def test_relative_path_in_working_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_atomic("out.tsv", "new\n")
+    assert (tmp_path / "out.tsv").read_text() == "new\n"
+    assert os.listdir(tmp_path) == ["out.tsv"]
+
+
+def test_special_file_is_written_in_place():
+    write_atomic(os.devnull, "discarded\n")
+
+
+def toy_taxonomy():
+    return load_taxonomy(toy_taxonomy_path())
+
+
+def mini_corpus():
+    return load_corpus(mini_corpus_path())
+
+
+SAVERS = {
+    "write_atomic": lambda path: write_atomic(path, "new text\n" * 100),
+    "save_taxonomy": lambda path: save_taxonomy(toy_taxonomy(), path),
+    "save_corpus": lambda path: save_corpus(mini_corpus(), path),
+    "save_enriched": lambda path: save_enriched(
+        enrich(toy_taxonomy(), mini_corpus()), path),
+}
+
+
+@pytest.mark.parametrize("saver", sorted(SAVERS))
+def test_failed_write_keeps_previous_file(tmp_path, failing_disk, saver):
+    target = tmp_path / "out.tsv"
+    target.write_text(OLD)
+    with pytest.raises(OSError):
+        SAVERS[saver](target)
+    assert target.read_text() == OLD
+    assert os.listdir(tmp_path) == ["out.tsv"]
+
+
+@pytest.mark.parametrize("saver", sorted(SAVERS))
+def test_failed_write_creates_no_file(tmp_path, failing_disk, saver):
+    with pytest.raises(OSError):
+        SAVERS[saver](tmp_path / "out.tsv")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("flag", ["--out", "--marginals"])
+def test_cli_output_file_survives_failed_write(tmp_path, failing_disk, capsys, flag):
+    target = tmp_path / "grid.csv"
+    target.write_text(OLD)
+    argv = ["sweep", "--corpus", mini_corpus_path(), "--seed", "1", "--runs", "1",
+            "--p-from", "100", "--r-from", "100"]
+    argv += [flag, str(target)]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    # the sweep table goes to stdout unless --out names the file
+    assert out.startswith("precision") == (flag == "--marginals")
+    assert err.startswith("error: ")
+    assert target.read_text() == OLD
+    assert sorted(os.listdir(tmp_path)) == ["grid.csv"]

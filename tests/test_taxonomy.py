@@ -1,4 +1,7 @@
+import random
+import re
 import tempfile
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,28 +15,204 @@ from animacy.taxonomy import (
     save_taxonomy,
 )
 
+LEMMAS = ["fox", "vat", "oak", "imp", "cog", "elm"]
+
 
 @st.composite
-def random_taxonomies(draw):
-    """Small random DAGs: parents always precede children, so acyclic."""
+def random_synsets(draw, mixed_pos=False):
+    """Synsets of a small random DAG, each listed after its hypernyms.
+
+    With `mixed_pos`, each synset is a noun or a verb and takes hypernyms
+    of its own part of speech only, so there are several roots per pos.
+    """
     size = draw(st.integers(1, 12))
     synsets = []
     for i in range(size):
-        max_parents = min(2, i)
-        parent_count = draw(st.integers(0, max_parents))
+        pos = draw(st.sampled_from(["n", "v"])) if mixed_pos else "n"
+        earlier = [f"s{j}" for j in range(i) if synsets[j].pos == pos]
+        parent_count = draw(st.integers(0, min(2, len(earlier))))
         parents = draw(st.lists(
-            st.sampled_from([f"s{j}" for j in range(i)]) if i else st.nothing(),
+            st.sampled_from(earlier) if earlier else st.nothing(),
             min_size=parent_count, max_size=parent_count, unique=True,
         )) if parent_count else []
         lemmas = draw(st.lists(
-            st.sampled_from(["fox", "vat", "oak", "imp", "cog", "elm"]),
-            min_size=1, max_size=2, unique=True,
+            st.sampled_from(LEMMAS), min_size=1, max_size=2, unique=True,
         ))
         synsets.append(Synset(
-            f"s{i}", "n", tuple(lemmas), tuple(parents),
+            f"s{i}", pos, tuple(lemmas), tuple(parents),
             draw(st.sampled_from([5, 6, 18, 24])),
         ))
-    return Taxonomy(synsets)
+    return synsets
+
+
+def random_taxonomies():
+    """Small random DAGs: parents always precede children, so acyclic."""
+    return random_synsets().map(Taxonomy)
+
+
+class OracleTaxonomy:
+    """The dict-of-`Synset` taxonomy that the column store replaced.
+
+    Kept as a slow reference: same construction checks in the same order,
+    same lookups, with a depth-first colouring as the cycle check.
+    """
+
+    def __init__(self, synsets):
+        self._synsets: dict[str, Synset] = {}
+        for syn in synsets:
+            if syn.id in self._synsets:
+                raise TaxonomyError(f"duplicate synset id {syn.id}")
+            self._synsets[syn.id] = syn
+
+        index: dict[tuple[str, str], list[str]] = {}
+        for syn in self._synsets.values():
+            for lemma in syn.lemmas:
+                index.setdefault((lemma, syn.pos), []).append(syn.id)
+        self._lemma_index = {key: tuple(ids) for key, ids in index.items()}
+
+        children: dict[str, list[str]] = {sid: [] for sid in self._synsets}
+        for syn in self._synsets.values():
+            for hyp in syn.hypernyms:
+                parent = self._synsets.get(hyp)
+                if parent is None:
+                    raise TaxonomyError(f"{syn.id}: dangling hypernym id {hyp}")
+                if parent.pos != syn.pos:
+                    raise TaxonomyError(
+                        f"{syn.id}: hypernym {hyp} has different part of speech"
+                    )
+                children[hyp].append(syn.id)
+        self._hyponyms = {sid: tuple(ids) for sid, ids in children.items()}
+
+        self.roots = tuple(
+            sid for sid, syn in self._synsets.items() if not syn.hypernyms
+        )
+        self._check_acyclic()
+
+    def _check_acyclic(self):
+        WHITE, GREY, BLACK = 0, 1, 2
+        colour = {sid: WHITE for sid in self._synsets}
+        for start in self._synsets:
+            if colour[start] != WHITE:
+                continue
+            stack: list[tuple[str, Iterator[str]]] = [
+                (start, iter(self._synsets[start].hypernyms))
+            ]
+            colour[start] = GREY
+            while stack:
+                node, edges = stack[-1]
+                advanced = False
+                for nxt in edges:
+                    if colour[nxt] == GREY:
+                        raise TaxonomyError(
+                            f"hypernym cycle involving {node} and {nxt}"
+                        )
+                    if colour[nxt] == WHITE:
+                        colour[nxt] = GREY
+                        stack.append((nxt, iter(self._synsets[nxt].hypernyms)))
+                        advanced = True
+                        break
+                if not advanced:
+                    colour[node] = BLACK
+                    stack.pop()
+
+    def __len__(self):
+        return len(self._synsets)
+
+    def __contains__(self, sid):
+        return sid in self._synsets
+
+    def __iter__(self):
+        return iter(self._synsets)
+
+    def get(self, sid):
+        try:
+            return self._synsets[sid]
+        except KeyError:
+            raise TaxonomyError(f"unknown synset id {sid}") from None
+
+    def senses(self, lemma, pos):
+        return self._lemma_index.get((lemma, pos), ())
+
+    def lemmas(self, pos=None):
+        return tuple(sorted({
+            lemma for (lemma, p) in self._lemma_index if pos is None or p == pos
+        }))
+
+    def hyponyms(self, sid):
+        self.get(sid)
+        return self._hyponyms[sid]
+
+    def hypernyms(self, sid):
+        return self.get(sid).hypernyms
+
+    def ancestors(self, sid, include_self=False):
+        self.get(sid)
+        closure: set[str] = set()
+        stack = list(self._synsets[sid].hypernyms)
+        while stack:
+            node = stack.pop()
+            if node not in closure:
+                closure.add(node)
+                stack.extend(self._synsets[node].hypernyms)
+        return frozenset(closure | {sid} if include_self else closure)
+
+    def beginner_of(self, sid):
+        syn = self.get(sid)
+        while len(syn.hypernyms) == 1:
+            syn = self.get(syn.hypernyms[0])
+        return syn.lexfile
+
+
+def oracle_synset(line):
+    """The loader's line parse and field checks as they were written out."""
+    fields = line.split("\t")
+    if len(fields) == 5:
+        fields.append("")
+    if len(fields) != 6:
+        raise TaxonomyError(f"expected 6 tab-separated fields, got {len(fields)}")
+    _, sid, pos, lexfile, lemmas, hypernyms = fields
+    try:
+        lex = int(lexfile)
+    except ValueError:
+        raise TaxonomyError(f"bad lexfile number {lexfile!r}") from None
+    lemmas = tuple(x for x in lemmas.split(",") if x)
+    hypernyms = tuple(x for x in hypernyms.split(",") if x)
+    if not sid:
+        raise TaxonomyError("synset id must be non-empty")
+    if pos not in ("n", "v"):
+        raise TaxonomyError(f"{sid}: pos must be 'n' or 'v', got {pos!r}")
+    if not lemmas:
+        raise TaxonomyError(f"{sid}: at least one lemma required")
+    if len(set(lemmas)) != len(lemmas):
+        raise TaxonomyError(f"{sid}: duplicate lemma")
+    if len(set(hypernyms)) != len(hypernyms):
+        raise TaxonomyError(f"{sid}: duplicate hypernym id")
+    for lemma in lemmas:
+        if lemma != lemma.lower():
+            raise TaxonomyError(f"{sid}: lemma {lemma!r} is not lowercase")
+    return Synset(sid, pos, lemmas, hypernyms, lex)
+
+
+def oracle_load(path):
+    synsets = []
+    with open(path, encoding="utf-8") as handle:
+        for lineno, raw in enumerate(handle, 1):
+            line = raw.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            kind = line.split("\t", 1)[0]
+            if kind == "STATUS":
+                continue
+            try:
+                if kind != "SYNSET":
+                    raise TaxonomyError(f"unknown record kind {kind!r}")
+                synsets.append(oracle_synset(line))
+            except TaxonomyError as exc:
+                raise TaxonomyError(f"{path} line {lineno}: {exc}") from None
+    try:
+        return OracleTaxonomy(synsets)
+    except TaxonomyError as exc:
+        raise TaxonomyError(f"{path}: {exc}") from None
 
 
 def chain_taxonomy():
@@ -206,3 +385,216 @@ def test_status_lines_are_tolerated(tmp_path):
         "STATUS\tr\tA\n"
     )
     assert len(load_taxonomy(path)) == 1
+
+
+def assert_same_taxonomy(taxonomy, oracle):
+    ids = list(oracle)
+    assert list(taxonomy) == ids
+    assert len(taxonomy) == len(oracle)
+    assert taxonomy.roots == oracle.roots
+    for sid in ids + ["nowhere"]:
+        assert (sid in taxonomy) == (sid in oracle)
+    for sid in ids:
+        assert taxonomy.get(sid) == oracle.get(sid)
+        assert taxonomy.hypernyms(sid) == oracle.hypernyms(sid)
+        assert taxonomy.hyponyms(sid) == oracle.hyponyms(sid)
+        assert taxonomy.ancestors(sid) == oracle.ancestors(sid)
+        assert taxonomy.ancestors(sid, include_self=True) == oracle.ancestors(
+            sid, include_self=True)
+        assert taxonomy.beginner_of(sid) == oracle.beginner_of(sid)
+    for pos in ("n", "v", "x"):
+        for lemma in LEMMAS + ["quux"]:
+            assert taxonomy.senses(lemma, pos) == oracle.senses(lemma, pos)
+    for pos in (None, "n", "v", "x"):
+        assert taxonomy.lemmas(pos) == oracle.lemmas(pos)
+    with pytest.raises(TaxonomyError) as new_err:
+        taxonomy.get("nowhere")
+    with pytest.raises(TaxonomyError) as old_err:
+        oracle.get("nowhere")
+    assert str(new_err.value) == str(old_err.value)
+
+
+def shuffled_synsets():
+    """Random DAG synsets in an order where hypernyms may come later."""
+    return random_synsets(mixed_pos=True).flatmap(st.permutations)
+
+
+class TestColumnStoreMatchesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(synsets=shuffled_synsets())
+    def test_lookups_match_dict_of_synsets(self, synsets):
+        taxonomy = Taxonomy(synsets)
+        assert_same_taxonomy(taxonomy, OracleTaxonomy(synsets))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/copy.tax"
+            save_taxonomy(taxonomy, path)
+            loaded = load_taxonomy(path)
+            assert loaded == Taxonomy(synsets)
+            assert_same_taxonomy(loaded, oracle_load(path))
+
+    @settings(max_examples=60, deadline=None)
+    @given(synsets=shuffled_synsets(), data=st.data())
+    def test_equality_ignores_order(self, synsets, data):
+        reordered = data.draw(st.permutations(synsets))
+        assert Taxonomy(synsets) == Taxonomy(reordered)
+        changed = list(synsets)
+        first = changed[0]
+        changed[0] = Synset(first.id, first.pos, first.lemmas + ("yew",),
+                            first.hypernyms, first.lexfile)
+        assert Taxonomy(synsets) != Taxonomy(changed)
+
+
+CORRUPTIONS = ("duplicate id", "dangling hypernym", "cross-pos edge",
+               "bad lexfile", "malformed line")
+
+
+def corrupt(lines, kind, rng):
+    """Apply one corruption in place to the SYNSET lines of a saved file."""
+    at = rng.randrange(len(lines))
+    fields = lines[at].split("\t")
+    if kind == "duplicate id":
+        copy = list(fields)
+        copy[4] = "twin"
+        lines.insert(rng.randrange(len(lines) + 1), "\t".join(copy))
+        return
+    if kind == "dangling hypernym":
+        fields[5] = ",".join([x for x in fields[5].split(",") if x] + ["ghost"])
+    elif kind == "cross-pos edge":
+        # flip the part of speech: every edge to or from the line crosses
+        # pos, and a line with no edges gets one to a synset of the other
+        fields[2] = "v" if fields[2] == "n" else "n"
+        if not fields[5]:
+            others = [x.split("\t") for x in lines]
+            targets = [f[1] for f in others if f[2] != fields[2]]
+            if targets:
+                fields[5] = rng.choice(targets)
+            else:
+                fields[5] = "ghost"
+    elif kind == "bad lexfile":
+        fields[3] = rng.choice(["x", "", "1.5"])
+    else:
+        fields = rng.choice([fields[:3], fields + ["extra"], ["SYNSTE"] + fields[1:]])
+    lines[at] = "\t".join(fields)
+
+
+class TestLoaderErrorsMatchOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        synsets=shuffled_synsets(),
+        kinds=st.lists(st.sampled_from(CORRUPTIONS), min_size=1, max_size=2),
+        seed=st.integers(0, 2**16),
+    )
+    def test_same_first_error(self, synsets, kinds, seed):
+        rng = random.Random(seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/bad.tax"
+            save_taxonomy(Taxonomy(synsets), path)
+            with open(path, encoding="utf-8") as handle:
+                lines = handle.read().splitlines()
+            # a malformed line goes last, so the other corruptions find
+            # well-formed fields to change
+            for kind in sorted(kinds, key=lambda k: k == "malformed line"):
+                corrupt(lines, kind, rng)
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write("\n".join(lines) + "\n")
+            # two corruptions can cancel out, so a clean load must match too
+            expected = load_outcome(oracle_load, path)
+            assert load_outcome(load_taxonomy, path) == expected
+            if expected is None:
+                assert_same_taxonomy(load_taxonomy(path), oracle_load(path))
+
+
+EDGE_CASES = {
+    "empty list items": "SYNSET\tr\tn\t18\tx,,y,\t\nSYNSET\tc\tn\t5\t,z\t,r,\n",
+    "lost trailing tab": "SYNSET\tr\tn\t18\tthing\n",
+    "comments and statuses": "# c\n\nSTATUS\tr\tA\nSYNSET\tr\tn\t18\tthing\t\n",
+    "uppercase lemma": "SYNSET\tr\tn\t18\tThing\t\n",
+    "duplicate lemma": "SYNSET\tr\tn\t18\tthing,thing\t\n",
+    "duplicate hypernym": "SYNSET\tr\tn\t18\tthing\t\nSYNSET\tc\tn\t18\tcat\tr,r\n",
+    "empty id": "SYNSET\t\tn\t18\tthing\t\n",
+    "bad pos": "SYNSET\tr\ta\t18\tthing\t\n",
+    "no lemmas": "SYNSET\tr\tn\t18\t,\t\n",
+    "cross-pos before dangling": (
+        "SYNSET\tr\tn\t18\tthing\t\nSYNSET\tv1\tv\t31\tdo\tr\n"
+        "SYNSET\tc\tn\t18\tcat\tghost\n"
+    ),
+    "dangling before cross-pos": (
+        "SYNSET\tr\tn\t18\tthing\t\nSYNSET\tc\tn\t18\tcat\tghost\n"
+        "SYNSET\tv1\tv\t31\tdo\tr\n"
+    ),
+    "line error after duplicate": (
+        "SYNSET\tr\tn\t18\tthing\t\nSYNSET\tr\tn\t18\tthing\t\n"
+        "SYNSET\tx\tn\teighteen\tw\t\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_hand_written_files_load_as_oracle(tmp_path, case):
+    path = tmp_path / "case.tax"
+    path.write_text(EDGE_CASES[case])
+    expected = load_outcome(oracle_load, path)
+    assert load_outcome(load_taxonomy, path) == expected
+    if expected is None:
+        assert_same_taxonomy(load_taxonomy(path), oracle_load(path))
+
+
+def load_outcome(load, path):
+    """The error message of loading `path`, or None when it loads."""
+    try:
+        load(path)
+    except TaxonomyError as exc:
+        return str(exc)
+    return None
+
+
+CYCLE = re.compile(r"hypernym cycle involving (\S+) and (\S+)$")
+
+
+def cycle_edge(build):
+    with pytest.raises(TaxonomyError) as err:
+        build()
+    match = CYCLE.search(str(err.value))
+    assert match, str(err.value)
+    return match.groups()
+
+
+def load_text(tmp_path, text):
+    path = tmp_path / "cyclic.tax"
+    path.write_text(text)
+    return lambda: load_taxonomy(path)
+
+
+def synset_lines(synsets):
+    return "".join(
+        f"SYNSET\t{s.id}\t{s.pos}\t{s.lexfile}\t{','.join(s.lemmas)}\t"
+        f"{','.join(s.hypernyms)}\n"
+        for s in synsets
+    )
+
+
+class TestCycleReport:
+    def test_self_loop(self, tmp_path):
+        loop = [Synset("a", "n", ("up",), ("a",), 18)]
+        assert cycle_edge(lambda: Taxonomy(loop)) == ("a", "a")
+        assert cycle_edge(load_text(tmp_path, synset_lines(loop))) == ("a", "a")
+
+    # a -> b -> c -> a, with d -> a, e -> d, f -> e hanging below the cycle
+    # and an unrelated tree r <- s <- t
+    CYCLIC = {
+        "a": ("b",), "b": ("c",), "c": ("a",),
+        "d": ("a",), "e": ("d",), "f": ("e",),
+        "r": (), "s": ("r",), "t": ("s",),
+    }
+    ON_CYCLE = {("a", "b"), ("b", "c"), ("c", "a")}
+
+    @pytest.mark.parametrize("order", [
+        "abcdefrst", "fedcbatsr", "rstfedabc", "tdaefbsrc",
+    ])
+    def test_three_cycle_names_an_edge_of_it(self, tmp_path, order):
+        synsets = [
+            Synset(sid, "n", (f"w{sid}",), self.CYCLIC[sid], 18) for sid in order
+        ]
+        assert cycle_edge(lambda: Taxonomy(synsets)) in self.ON_CYCLE
+        loaded = cycle_edge(load_text(tmp_path, synset_lines(synsets)))
+        assert loaded in self.ON_CYCLE
