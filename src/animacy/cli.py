@@ -15,7 +15,7 @@ import sys
 from . import evaluation, mbl, resolution, rules, wndb, wsd
 from .corpus import Label, load_corpus, run_annotation_session, save_corpus
 from .enrichment import dump_statuses, enrich, load_enriched
-from .fileio import write_atomic
+from .fileio import read_lines, write_atomic
 from .taxonomy import BeginnerClass, dump_taxonomy, load_taxonomy
 
 
@@ -35,29 +35,26 @@ def _prediction_lines(keyed: list[tuple[tuple[str, int, int], Label]]) -> str:
 
 def _load_predictions(path) -> dict[tuple[str, int, int], Label]:
     out = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            try:
-                if len(fields) != 4:
-                    raise ValueError("expected 4 fields")
-                out[(fields[0], int(fields[1]), int(fields[2]))] = Label(fields[3])
-            except ValueError as exc:
-                raise ValueError(f"{path} line {lineno}: {exc}") from None
+    for lineno, line in read_lines(path):
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        try:
+            if len(fields) != 4:
+                raise ValueError("expected 4 fields")
+            out[(fields[0], int(fields[1]), int(fields[2]))] = Label(fields[3])
+        except ValueError as exc:
+            raise ValueError(f"{path} line {lineno}: {exc}") from None
     return out
 
 
 def _labels_for(path) -> dict[tuple[str, int, int], Label]:
     """Label assignment from either a prediction TSV or an annotated corpus."""
     first = ""
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip() and not line.startswith("#"):
-                first = line
-                break
+    for _, line in read_lines(path):
+        if line.strip() and not line.startswith("#"):
+            first = line
+            break
     if first.split("\t", 1)[0] in ("DOC", "NP", "PRON"):
         docs = load_corpus(path)
         return resolution.gold_assignment(docs)

@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator
 
-from .fileio import write_atomic
+from .fileio import read_lines, write_atomic
 
 
 class CorpusError(ValueError):
@@ -144,75 +144,73 @@ def load_corpus(path) -> list[Document]:
     nps: dict[str, list[NPRecord]] = {}
     prons: dict[str, list[PronounRecord]] = {}
 
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            kind = line.split("\t", 1)[0]
-            try:
-                if kind == "DOC":
-                    fields = line.split("\t")
-                    if len(fields) != 4:
-                        raise CorpusError("DOC record needs 4 fields")
-                    doc_id = fields[1]
-                    if doc_id in counts:
-                        raise CorpusError(f"duplicate document {doc_id}")
-                    counts[doc_id] = (
-                        _int(fields[2], "pronoun count"),
-                        _int(fields[3], "pronoun count"),
+    for lineno, line in read_lines(path, CorpusError):
+        if not line or line.startswith("#"):
+            continue
+        kind = line.split("\t", 1)[0]
+        try:
+            if kind == "DOC":
+                fields = line.split("\t")
+                if len(fields) != 4:
+                    raise CorpusError("DOC record needs 4 fields")
+                doc_id = fields[1]
+                if doc_id in counts:
+                    raise CorpusError(f"duplicate document {doc_id}")
+                counts[doc_id] = (
+                    _int(fields[2], "pronoun count"),
+                    _int(fields[3], "pronoun count"),
+                )
+                order.append(doc_id)
+                nps[doc_id] = []
+                prons[doc_id] = []
+            elif kind == "NP":
+                fields = line.split("\t", 11)
+                if len(fields) != 12:
+                    raise CorpusError("NP record needs 12 fields")
+                (_, doc_id, sent, npid, head, subj, verb, who, refl,
+                 gold, sense, surface) = fields
+                if doc_id not in counts:
+                    raise CorpusError(f"NP before DOC {doc_id}")
+                nps[doc_id].append(NPRecord(
+                    doc_id=doc_id,
+                    sent_id=_int(sent, "sentence id"),
+                    np_id=_int(npid, "np id"),
+                    head_lemma=head,
+                    is_subject=_flag(subj, "subject flag"),
+                    verb_lemma=None if verb == "-" else verb,
+                    has_who=_flag(who, "who flag"),
+                    has_reflexive=_flag(refl, "reflexive flag"),
+                    gold=None if gold == "-" else Label(gold),
+                    sense_key=None if sense == "-" else sense,
+                    surface=surface,
+                ))
+            elif kind == "PRON":
+                fields = line.split("\t")
+                if len(fields) != 7:
+                    raise CorpusError("PRON record needs 7 fields")
+                _, doc_id, sent, surface, animate, ant_sent, ant_np = fields
+                if doc_id not in counts:
+                    raise CorpusError(f"PRON before DOC {doc_id}")
+                if (ant_sent == "-") != (ant_np == "-"):
+                    raise CorpusError("antecedent fields must both be set or both '-'")
+                antecedent = None
+                if ant_sent != "-":
+                    antecedent = (
+                        _int(ant_sent, "antecedent sentence"),
+                        _int(ant_np, "antecedent np"),
                     )
-                    order.append(doc_id)
-                    nps[doc_id] = []
-                    prons[doc_id] = []
-                elif kind == "NP":
-                    fields = line.split("\t", 11)
-                    if len(fields) != 12:
-                        raise CorpusError("NP record needs 12 fields")
-                    (_, doc_id, sent, npid, head, subj, verb, who, refl,
-                     gold, sense, surface) = fields
-                    if doc_id not in counts:
-                        raise CorpusError(f"NP before DOC {doc_id}")
-                    nps[doc_id].append(NPRecord(
-                        doc_id=doc_id,
+                prons[doc_id].append(
+                    PronounRecord(
                         sent_id=_int(sent, "sentence id"),
-                        np_id=_int(npid, "np id"),
-                        head_lemma=head,
-                        is_subject=_flag(subj, "subject flag"),
-                        verb_lemma=None if verb == "-" else verb,
-                        has_who=_flag(who, "who flag"),
-                        has_reflexive=_flag(refl, "reflexive flag"),
-                        gold=None if gold == "-" else Label(gold),
-                        sense_key=None if sense == "-" else sense,
                         surface=surface,
-                    ))
-                elif kind == "PRON":
-                    fields = line.split("\t")
-                    if len(fields) != 7:
-                        raise CorpusError("PRON record needs 7 fields")
-                    _, doc_id, sent, surface, animate, ant_sent, ant_np = fields
-                    if doc_id not in counts:
-                        raise CorpusError(f"PRON before DOC {doc_id}")
-                    if (ant_sent == "-") != (ant_np == "-"):
-                        raise CorpusError("antecedent fields must both be set or both '-'")
-                    antecedent = None
-                    if ant_sent != "-":
-                        antecedent = (
-                            _int(ant_sent, "antecedent sentence"),
-                            _int(ant_np, "antecedent np"),
-                        )
-                    prons[doc_id].append(
-                        PronounRecord(
-                            sent_id=_int(sent, "sentence id"),
-                            surface=surface,
-                            animate=_flag(animate, "animate flag"),
-                            antecedent=antecedent,
-                        )
+                        animate=_flag(animate, "animate flag"),
+                        antecedent=antecedent,
                     )
-                else:
-                    raise CorpusError(f"unknown record kind {kind!r}")
-            except ValueError as exc:
-                raise CorpusError(f"{path} line {lineno}: {exc}") from None
+                )
+            else:
+                raise CorpusError(f"unknown record kind {kind!r}")
+        except ValueError as exc:
+            raise CorpusError(f"{path} line {lineno}: {exc}") from None
 
     documents = []
     for doc_id in order:

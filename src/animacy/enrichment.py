@@ -25,7 +25,7 @@ from typing import Iterable
 from scipy.special import gammainccinv
 
 from .corpus import Document, Label, iter_nps
-from .fileio import write_atomic
+from .fileio import read_lines, write_atomic
 from .taxonomy import VERB, BeginnerClass, Taxonomy, TaxonomyError
 
 # Validity rule for the goodness-of-fit test: at most this fraction of
@@ -385,19 +385,17 @@ def load_enriched(path, base: Taxonomy) -> EnrichedTaxonomy:
     to Undecided.
     """
     status: dict[str, Status] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#") or line.startswith("SYNSET\t"):
-                continue
-            fields = line.split("\t")
-            try:
-                if fields[0] != "STATUS" or len(fields) != 3:
-                    raise ValueError("expected STATUS record")
-                sid, value = fields[1], fields[2]
-                if sid not in base:
-                    raise ValueError(f"status for unknown synset {sid}")
-                status[sid] = Status(value)
-            except ValueError as exc:
-                raise ValueError(f"{path} line {lineno}: {exc}") from None
+    for lineno, line in read_lines(path):
+        if not line or line.startswith("#") or line.startswith("SYNSET\t"):
+            continue
+        fields = line.split("\t")
+        try:
+            if fields[0] != "STATUS" or len(fields) != 3:
+                raise ValueError("expected STATUS record")
+            sid, value = fields[1], fields[2]
+            if sid not in base:
+                raise ValueError(f"status for unknown synset {sid}")
+            status[sid] = Status(value)
+        except ValueError as exc:
+            raise ValueError(f"{path} line {lineno}: {exc}") from None
     return EnrichedTaxonomy(base, status)

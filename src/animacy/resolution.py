@@ -26,22 +26,10 @@ class InfeasibleTargetError(ValueError):
 
 
 @dataclass(frozen=True)
-class FilterOutcome:
-    doc_id: str
-    pronoun: PronounRecord
-    candidates_before: int
-    candidates_after: int
-    gold_in_before: bool
-    gold_survived: bool
-    resolved_correctly: bool
-
-
-@dataclass(frozen=True)
 class HarnessResult:
     success_rate: float
     avg_candidates: float
     pct_no_antecedent: float
-    outcomes: tuple[FilterOutcome, ...]
 
 
 @dataclass(frozen=True)
@@ -115,51 +103,34 @@ def run_harness(
     `count_prefilter_misses=False` restricts it to losses the filter
     itself caused.  NPs missing from `labels` count as UNKNOWN.
     """
-    outcomes = []
+    total = resolved = kept = missing = 0
     for doc in docs:
         for pronoun in doc.pronouns:
             before = candidate_set(pronoun, doc, window)
-            labelled = [
-                (np, labels.get(np.key, Label.UNKNOWN)) for np in before
-            ]
-            after = filter_candidates(pronoun.animate, labelled)
-            gold = pronoun.antecedent
-            gold_in_before = gold is not None and any(
-                (np.sent_id, np.np_id) == gold for np in before
-            )
-            gold_survived = gold is not None and any(
-                (np.sent_id, np.np_id) == gold for np in after
+            after = filter_candidates(
+                pronoun.animate,
+                [(np, labels.get(np.key, Label.UNKNOWN)) for np in before],
             )
             chosen = resolver(pronoun, after)
-            resolved = (
-                chosen is not None
-                and gold is not None
-                and (chosen.sent_id, chosen.np_id) == gold
-            )
-            outcomes.append(
-                FilterOutcome(
-                    doc_id=doc.doc_id,
-                    pronoun=pronoun,
-                    candidates_before=len(before),
-                    candidates_after=len(after),
-                    gold_in_before=gold_in_before,
-                    gold_survived=gold_survived,
-                    resolved_correctly=resolved,
-                )
-            )
-    if not outcomes:
+            gold = pronoun.antecedent
+            total += 1
+            kept += len(after)
+            if gold is None:
+                missing += count_prefilter_misses
+                continue
+            if chosen is not None and (chosen.sent_id, chosen.np_id) == gold:
+                resolved += 1
+            if not any((np.sent_id, np.np_id) == gold for np in after) and (
+                count_prefilter_misses
+                or any((np.sent_id, np.np_id) == gold for np in before)
+            ):
+                missing += 1
+    if not total:
         raise ValueError("corpus contains no pronoun records")
-
-    total = len(outcomes)
-    if count_prefilter_misses:
-        missing = sum(1 for o in outcomes if not o.gold_survived)
-    else:
-        missing = sum(1 for o in outcomes if o.gold_in_before and not o.gold_survived)
     return HarnessResult(
-        success_rate=sum(o.resolved_correctly for o in outcomes) / total,
-        avg_candidates=sum(o.candidates_after for o in outcomes) / total,
+        success_rate=resolved / total,
+        avg_candidates=kept / total,
         pct_no_antecedent=missing / total,
-        outcomes=tuple(outcomes),
     )
 
 
@@ -227,15 +198,14 @@ def sweep(
     runs: int = 50,
     seed: int = 0,
     window: int = 2,
-    resolver: Resolver = resolve_recency,
 ) -> SweepGrid:
     """Success-rate grid over precision/recall targets.
 
     Each cell perturbs the gold labels `runs` times (each run seeded from
     the master seed and the cell coordinates), feeds the perturbed labels
-    through filtering and resolution, and records the mean and population
-    standard deviation of the success rate.  Infeasible cells are marked
-    rather than fatal.
+    through filtering and the recency resolver, and records the mean and
+    population standard deviation of the success rate.  Infeasible cells
+    are marked rather than fatal.
     """
     ordered_nps = [np for _, np in iter_nps(docs) if np.gold is not None]
     gold_labels = [np.gold for np in ordered_nps]
@@ -256,7 +226,7 @@ def sweep(
                     feasible = False
                     break
                 assignment = dict(zip(keys, perturbed))
-                result = run_harness(docs, assignment, window, resolver)
+                result = run_harness(docs, assignment, window)
                 rates.append(result.success_rate)
             if feasible:
                 stats = CellStats(

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .fileio import write_atomic
+from .fileio import read_lines, write_atomic
 
 NOUN = "n"
 VERB = "v"
@@ -282,19 +282,21 @@ class Taxonomy:
 
 
 def _cycle_edge(parents: list[tuple[int, ...]], pending: list[int]) -> tuple[int, int]:
-    """A (node, hypernym) edge on a cycle, among the nodes Kahn left over.
+    """The (node, hypernym) edge closing a cycle among Kahn's leftover nodes.
 
-    Each leftover node has a leftover hypernym, so walking such hypernyms
-    from the first leftover node must revisit a node, which lies on a
-    cycle; nodes hanging below the cycle are only ever walked through.
+    Each leftover node has a leftover hypernym, so walking the first such
+    hypernym from the first leftover node must revisit a node; the edge
+    into it is the back edge a depth-first colouring would name.  Nodes
+    hanging below the cycle are only ever walked through.
     """
     node = next(i for i, left in enumerate(pending) if left)
-    step: dict[int, int] = {}
-    while node not in step:
+    walked = set()
+    while True:
+        walked.add(node)
         parent = next(p for p in parents[node] if pending[p])
-        step[node] = parent
+        if parent in walked:
+            return node, parent
         node = parent
-    return node, step[node]
 
 
 def _split_list(field: str) -> tuple[str, ...]:
@@ -328,25 +330,23 @@ def load_taxonomy(path) -> Taxonomy:
     cycles.
     """
     ids, pos, lexfiles, lemmas, hypernyms = columns = ([], [], [], [], [])
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            kind = line.split("\t", 1)[0]
-            if kind == "STATUS":
-                continue
-            try:
-                if kind != "SYNSET":
-                    raise TaxonomyError(f"unknown record kind {kind!r}")
-                sid, p, lexfile, names, hyps = _parse_synset_line(line)
-            except TaxonomyError as exc:
-                raise TaxonomyError(f"{path} line {lineno}: {exc}") from None
-            ids.append(sid)
-            pos.append(p)
-            lexfiles.append(lexfile)
-            lemmas.append(names)
-            hypernyms.append(hyps)
+    for lineno, line in read_lines(path, TaxonomyError):
+        if not line or line.startswith("#"):
+            continue
+        kind = line.split("\t", 1)[0]
+        if kind == "STATUS":
+            continue
+        try:
+            if kind != "SYNSET":
+                raise TaxonomyError(f"unknown record kind {kind!r}")
+            sid, p, lexfile, names, hyps = _parse_synset_line(line)
+        except TaxonomyError as exc:
+            raise TaxonomyError(f"{path} line {lineno}: {exc}") from None
+        ids.append(sid)
+        pos.append(p)
+        lexfiles.append(lexfile)
+        lemmas.append(names)
+        hypernyms.append(hyps)
     try:
         return Taxonomy._from_columns(*columns)
     except TaxonomyError as exc:

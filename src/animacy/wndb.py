@@ -12,6 +12,7 @@ about entries whose synsets were not seen in the data files.
 
 from __future__ import annotations
 
+from .fileio import read_lines
 from .taxonomy import Synset, Taxonomy, TaxonomyError
 
 HYPERNYM_POINTERS = ("@", "@i")
@@ -53,36 +54,33 @@ def _parse_data_line(line: str, pos: str, lineno: int) -> Synset:
 def read_data_file(path, pos: str) -> list[Synset]:
     """Parse one WordNet data file; header lines (leading spaces) are skipped."""
     synsets = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            if not raw.strip() or raw.startswith(" "):
-                continue
-            synsets.append(_parse_data_line(raw.rstrip("\n"), pos, lineno))
+    for lineno, line in read_lines(path, TaxonomyError):
+        if line.strip() and not line.startswith(" "):
+            synsets.append(_parse_data_line(line, pos, lineno))
     return synsets
 
 
 def check_index_file(path, pos: str, known_ids: set[str]) -> list[str]:
     """Cross-check an index file; returns lemmas with unresolved synsets."""
     problems = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            if not raw.strip() or raw.startswith(" "):
-                continue
-            tokens = raw.split()
-            lemma = tokens[0]
-            # lemma pos synset_cnt p_cnt ... sense_cnt tagsense_cnt, then the
-            # synset_cnt trailing fields are the synset offsets
-            try:
-                sense_count = int(tokens[2])
-                if not 0 < sense_count <= len(tokens) - 6:
-                    raise ValueError(f"synset count {sense_count} out of range")
-                ids = [f"{pos}{int(offset):08d}" for offset in tokens[-sense_count:]]
-            except (IndexError, ValueError) as exc:
-                raise TaxonomyError(
-                    f"index.{pos} line {lineno}: unparseable record ({exc})"
-                ) from None
-            if any(sid not in known_ids for sid in ids):
-                problems.append(lemma)
+    for lineno, line in read_lines(path, TaxonomyError):
+        if not line.strip() or line.startswith(" "):
+            continue
+        tokens = line.split()
+        lemma = tokens[0]
+        # lemma pos synset_cnt p_cnt ... sense_cnt tagsense_cnt, then the
+        # synset_cnt trailing fields are the synset offsets
+        try:
+            sense_count = int(tokens[2])
+            if not 0 < sense_count <= len(tokens) - 6:
+                raise ValueError(f"synset count {sense_count} out of range")
+            ids = [f"{pos}{int(offset):08d}" for offset in tokens[-sense_count:]]
+        except (IndexError, ValueError) as exc:
+            raise TaxonomyError(
+                f"index.{pos} line {lineno}: unparseable record ({exc})"
+            ) from None
+        if any(sid not in known_ids for sid in ids):
+            problems.append(lemma)
     return problems
 
 

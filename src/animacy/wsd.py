@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .corpus import Document, iter_nps
+from .fileio import read_lines
 from .taxonomy import NOUN, Taxonomy
 
 
@@ -82,23 +83,21 @@ def load_counts(path, taxonomy: Taxonomy) -> ICTable:
     the file and line.
     """
     direct: dict[str, float] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, rawline in enumerate(handle, 1):
-            line = rawline.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            try:
-                if len(fields) != 3 or fields[0] != "COUNT":
-                    raise ValueError("expected COUNT<TAB>id<TAB>value")
-                sid, value = fields[1], float(fields[2])
-                if sid not in taxonomy:
-                    raise ValueError(f"unknown synset {sid}")
-                if not math.isfinite(value) or value < 0:
-                    raise ValueError(f"count must be finite and >= 0, got {fields[2]!r}")
-            except ValueError as exc:
-                raise ValueError(f"{path} line {lineno}: {exc}") from None
-            direct[sid] = direct.get(sid, 0.0) + value
+    for lineno, line in read_lines(path):
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        try:
+            if len(fields) != 3 or fields[0] != "COUNT":
+                raise ValueError("expected COUNT<TAB>id<TAB>value")
+            sid, value = fields[1], float(fields[2])
+            if sid not in taxonomy:
+                raise ValueError(f"unknown synset {sid}")
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"count must be finite and >= 0, got {fields[2]!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path} line {lineno}: {exc}") from None
+        direct[sid] = direct.get(sid, 0.0) + value
     return _ic_from_counts(direct, taxonomy)
 
 

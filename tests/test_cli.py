@@ -337,6 +337,43 @@ class TestMalformedInput:
                            "--taxonomy", TAX, "--corpus", str(corpus))
         self.assert_error(code, err, f"{corpus} {message}")
 
+    BAD_BYTE_CASES = {
+        # name: (text, bad line, argv with {bad} for the file)
+        "taxonomy": (TAX, 2, ["classify", "--method", "rule", "--taxonomy", "{bad}",
+                              "--corpus", CORPUS]),
+        "corpus": (CORPUS, 3, ["classify", "--method", "rule", "--taxonomy", TAX,
+                               "--corpus", "{bad}"]),
+        "statuses": ("STATUS\tn-teacher\tA\nSTATUS\tn-table\tI\n", 2,
+                     ["classify", "--method", "ml", "--taxonomy", TAX, "--enriched",
+                      "{bad}", "--train", CORPUS, "--test", CORPUS]),
+        "counts": ("COUNT\tn-teacher\t3\nCOUNT\tn-table\t4\n", 2,
+                   ["classify", "--method", "rule", "--wsd", "--ic", "{bad}",
+                    "--taxonomy", TAX, "--corpus", CORPUS]),
+        "predictions": ("d1\t0\t0\tA\nd1\t0\t1\tI\nd1\t1\t0\tI\n", 3,
+                        ["eval", "--gold", CORPUS, "--pred", "{bad}"]),
+        "labels, first line": (CORPUS, 1, ["simulate", "--corpus", CORPUS,
+                                           "--labels", "{bad}"]),
+        "data.noun": ("00001740 03 n 01 entity 0 000 | x\n", 1,
+                      ["import-wndb", "--noun", "{bad}"]),
+        "index.noun": ("entity n 1 0 1 0 00001740\n", 1,
+                       ["import-wndb", "--noun", "{data}", "--index-noun", "{bad}"]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_BYTE_CASES))
+    def test_invalid_utf8_names_file_and_line(self, tmp_path, capsys, case):
+        source, lineno, argv = self.BAD_BYTE_CASES[case]
+        text = source if "\n" in source else open(source, encoding="utf-8").read()
+        lines = text.encode("utf-8").split(b"\n")
+        lines[lineno - 1] += b"caf\xe9"
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\n".join(lines))
+        data = tmp_path / "data.noun"
+        data.write_text(self.BAD_BYTE_CASES["data.noun"][0])
+        argv = [arg.format(bad=bad, data=data) for arg in argv]
+        code, out, err = run(capsys, *argv)
+        assert out == ""
+        self.assert_error(code, err, f"{bad} line {lineno}: invalid UTF-8 byte 0xe9")
+
 
 class TestAnnotate:
     def test_keystrokes_from_stdin(self, tmp_path, capsys, monkeypatch):

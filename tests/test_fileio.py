@@ -1,13 +1,14 @@
 import os
+import re
 
 import pytest
 
 from animacy import fileio
 from animacy.cli import main
-from animacy.corpus import load_corpus, save_corpus
+from animacy.corpus import CorpusError, load_corpus, save_corpus
 from animacy.data import mini_corpus_path, toy_taxonomy_path
 from animacy.enrichment import enrich, save_enriched
-from animacy.fileio import write_atomic
+from animacy.fileio import read_lines, write_atomic
 from animacy.taxonomy import load_taxonomy, save_taxonomy
 
 OLD = "previous contents\n"
@@ -31,9 +32,16 @@ class HalfWrite:
         self._handle.close()
 
 
+def open_failing_writes(path, mode="r", **kwargs):
+    """`open` on a full disk: writes fail halfway, reads still work."""
+    if "w" in mode:
+        return HalfWrite(path, mode, **kwargs)
+    return open(path, mode, **kwargs)
+
+
 @pytest.fixture
 def failing_disk(monkeypatch):
-    monkeypatch.setattr(fileio, "open", HalfWrite, raising=False)
+    monkeypatch.setattr(fileio, "open", open_failing_writes, raising=False)
 
 
 def test_replaces_the_target_and_leaves_no_temporary(tmp_path):
@@ -112,3 +120,38 @@ def test_cli_output_file_survives_failed_write(tmp_path, failing_disk, capsys, f
     assert err.startswith("error: ")
     assert target.read_text() == OLD
     assert sorted(os.listdir(tmp_path)) == ["grid.csv"]
+
+
+class TestReadLines:
+    @pytest.mark.parametrize("bundled, load", [
+        (toy_taxonomy_path(), load_taxonomy),
+        (mini_corpus_path(), load_corpus),
+    ])
+    def test_crlf_copy_of_bundled_file_loads_equal(self, tmp_path, bundled, load):
+        crlf = tmp_path / "crlf.txt"
+        with open(bundled, "rb") as handle:
+            crlf.write_bytes(handle.read().replace(b"\n", b"\r\n"))
+        assert load(crlf) == load(bundled)
+
+    def test_lines_split_as_in_text_mode(self, tmp_path):
+        path = tmp_path / "mixed.txt"
+        path.write_bytes(b"a\r\nb\rc\n\n\xef\xbb\xbfcaf\xc3\xa9\td\n  e\r\n")
+        with open(path, encoding="utf-8") as handle:
+            expected = [(n, raw.rstrip("\n")) for n, raw in enumerate(handle, 1)]
+        assert list(read_lines(path)) == expected
+        assert [line for _, line in expected] == ["a", "b", "c", "", "\ufeffcaf\u00e9\td", "  e"]
+
+    @pytest.mark.parametrize("raw, byte", [
+        (b"bad \xff here", "0xff"),
+        (b"caf\xe9", "0xe9"),
+        (b"surrogate \xed\xa0\x80", "0xed"),
+        (b"cut \xc3", "0xc3"),
+    ])
+    def test_invalid_line_raises_the_given_error(self, tmp_path, raw, byte):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"ok\r\nstill caf\xc3\xa9 ok\n" + raw + b"\nnever read\n")
+        lines = read_lines(path, CorpusError)
+        assert next(lines) == (1, "ok")
+        assert next(lines) == (2, "still caf\u00e9 ok")
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))} line 3: invalid UTF-8 byte {byte}$"):
+            next(lines)

@@ -1,10 +1,14 @@
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from animacy.corpus import Document, Label, PronounRecord
+from animacy.corpus import Document, Label, PronounRecord, iter_nps
 from animacy.resolution import (
     InfeasibleTargetError,
+    _run_seed,
     candidate_set,
     filter_candidates,
     gold_assignment,
@@ -19,6 +23,69 @@ from animacy.resolution import (
 from tests.test_corpus import make_np
 
 A, I, U = Label.ANIMATE, Label.INANIMATE, Label.UNKNOWN
+
+
+@dataclass(frozen=True)
+class FilterOutcome:
+    doc_id: str
+    pronoun: PronounRecord
+    candidates_before: int
+    candidates_after: int
+    gold_in_before: bool
+    gold_survived: bool
+    resolved_correctly: bool
+
+
+def oracle_run_harness(docs, labels, window=2, resolver=resolve_recency,
+                       count_prefilter_misses=True):
+    """The harness as one record per pronoun, then sums over the records;
+    returns (success_rate, avg_candidates, pct_no_antecedent, outcomes)."""
+    outcomes = []
+    for doc in docs:
+        for pronoun in doc.pronouns:
+            before = candidate_set(pronoun, doc, window)
+            labelled = [
+                (np, labels.get(np.key, Label.UNKNOWN)) for np in before
+            ]
+            after = filter_candidates(pronoun.animate, labelled)
+            gold = pronoun.antecedent
+            gold_in_before = gold is not None and any(
+                (np.sent_id, np.np_id) == gold for np in before
+            )
+            gold_survived = gold is not None and any(
+                (np.sent_id, np.np_id) == gold for np in after
+            )
+            chosen = resolver(pronoun, after)
+            resolved = (
+                chosen is not None
+                and gold is not None
+                and (chosen.sent_id, chosen.np_id) == gold
+            )
+            outcomes.append(
+                FilterOutcome(
+                    doc_id=doc.doc_id,
+                    pronoun=pronoun,
+                    candidates_before=len(before),
+                    candidates_after=len(after),
+                    gold_in_before=gold_in_before,
+                    gold_survived=gold_survived,
+                    resolved_correctly=resolved,
+                )
+            )
+    if not outcomes:
+        raise ValueError("corpus contains no pronoun records")
+
+    total = len(outcomes)
+    if count_prefilter_misses:
+        missing = sum(1 for o in outcomes if not o.gold_survived)
+    else:
+        missing = sum(1 for o in outcomes if o.gold_in_before and not o.gold_survived)
+    return (
+        sum(o.resolved_correctly for o in outcomes) / total,
+        sum(o.candidates_after for o in outcomes) / total,
+        missing / total,
+        tuple(outcomes),
+    )
 
 
 def doc_with_sentences(np_sents, pronouns=()):
@@ -130,10 +197,12 @@ class TestHarness:
         assert unfiltered.success_rate == pytest.approx(2 / 12)
 
     def test_agreeing_gold_antecedents_always_survive_gold_filtering(self, mini_corpus):
+        # with every agreeing antecedent kept, only the pronouns that have
+        # no gold antecedent at all lack one after filtering
         result = run_harness(mini_corpus, gold_assignment(mini_corpus))
-        for outcome in result.outcomes:
-            if outcome.pronoun.antecedent is not None:
-                assert outcome.gold_survived
+        pronouns = [p for doc in mini_corpus for p in doc.pronouns]
+        without_gold = sum(1 for p in pronouns if p.antecedent is None)
+        assert result.pct_no_antecedent * len(pronouns) == without_gold
 
     def test_prefilter_miss_flag(self, mini_corpus):
         labels = gold_assignment(mini_corpus)
@@ -147,6 +216,113 @@ class TestHarness:
         docs = [Document("d", (make_np(gold=I),), 0, 0)]
         with pytest.raises(ValueError, match="pronoun"):
             run_harness(docs, gold_assignment(docs))
+
+
+def resolve_first(pronoun, candidates):
+    """Earliest surviving candidate: a resolver that differs from recency."""
+    return candidates[0] if candidates else None
+
+
+@st.composite
+def harness_inputs(draw):
+    """Small random corpora with unlabelled NPs, pronouns without (or with
+    out-of-window) antecedents, and a label map with missing keys and
+    explicit UNKNOWN labels."""
+    docs = []
+    labels = {}
+    for d in range(draw(st.integers(1, 3))):
+        doc_id = f"d{d}"
+        sentences = draw(st.integers(1, 6))
+        nps = []
+        for sent in range(sentences):
+            for idx in range(draw(st.integers(0, 3))):
+                np_record = make_np(
+                    doc=doc_id, sent=sent, np=idx, head=f"w{sent}_{idx}",
+                    gold=draw(st.sampled_from([A, I, None])),
+                )
+                nps.append(np_record)
+                label = draw(st.sampled_from([A, I, U, None]))
+                if label is not None:
+                    labels[np_record.key] = label
+        spans = [(np.sent_id, np.np_id) for np in nps]
+        pronouns = tuple(
+            PronounRecord(
+                draw(st.integers(0, sentences - 1)), "it", draw(st.booleans()),
+                draw(st.none() | st.sampled_from(spans)) if spans else None,
+            )
+            for _ in range(draw(st.integers(0, 4)))
+        )
+        docs.append(Document(doc_id, tuple(nps), 0, 0, pronouns))
+    return docs, labels
+
+
+def harness_figures(harness, *args, **kwargs):
+    """The three figures of a harness run, or its error message."""
+    try:
+        result = harness(*args, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+    if isinstance(result, tuple):
+        return result[:3]
+    return (result.success_rate, result.avg_candidates, result.pct_no_antecedent)
+
+
+class TestHarnessMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        inputs=harness_inputs(),
+        window=st.integers(0, 3),
+        count_prefilter_misses=st.booleans(),
+        resolver=st.sampled_from([resolve_recency, resolve_first]),
+    )
+    def test_same_figures(self, inputs, window, count_prefilter_misses, resolver):
+        docs, labels = inputs
+        kwargs = dict(window=window, resolver=resolver,
+                      count_prefilter_misses=count_prefilter_misses)
+        assert harness_figures(run_harness, docs, labels, **kwargs) == (
+            harness_figures(oracle_run_harness, docs, labels, **kwargs)
+        )
+
+    @pytest.mark.parametrize("window", [0, 1, 2, 3])
+    @pytest.mark.parametrize("count_prefilter_misses", [True, False])
+    def test_bundled_corpus(self, mini_corpus, window, count_prefilter_misses):
+        for labels in ({}, gold_assignment(mini_corpus)):
+            kwargs = dict(window=window, count_prefilter_misses=count_prefilter_misses)
+            assert harness_figures(run_harness, mini_corpus, labels, **kwargs) == (
+                harness_figures(oracle_run_harness, mini_corpus, labels, **kwargs)
+            )
+
+    @pytest.mark.parametrize("window", [1, 2])
+    def test_sweep_equals_oracle_loop(self, mini_corpus, window):
+        precisions, recalls, runs, seed = [10, 60, 85, 100], [50, 80, 100], 6, 11
+        grid = sweep(mini_corpus, precisions, recalls, runs=runs, seed=seed,
+                     window=window)
+        labelled = [np for _, np in iter_nps(mini_corpus) if np.gold is not None]
+        gold = [np.gold for np in labelled]
+        assert sorted(grid.cells) == [(p, r) for p in precisions for r in recalls]
+        for p_pct in precisions:
+            for r_pct in recalls:
+                stats = grid.cells[(p_pct, r_pct)]
+                rates = []
+                try:
+                    for run in range(runs):
+                        perturbed = inject_errors(
+                            gold, p_pct / 100.0, r_pct / 100.0,
+                            _run_seed(seed, p_pct, r_pct, run),
+                        )
+                        assignment = {np.key: lab for np, lab in zip(labelled, perturbed)}
+                        rates.append(
+                            oracle_run_harness(mini_corpus, assignment, window)[0]
+                        )
+                except InfeasibleTargetError:
+                    assert not stats.feasible and stats.runs == 0
+                    assert math.isnan(stats.mean_success)
+                    assert math.isnan(stats.std_success)
+                    continue
+                assert stats.feasible and stats.runs == runs
+                assert stats.mean_success == float(np.mean(rates))
+                assert stats.std_success == float(np.std(rates))
+        assert not grid.cells[(10, 100)].feasible
 
 
 class TestInjectErrors:

@@ -526,6 +526,11 @@ EDGE_CASES = {
         "SYNSET\tr\tn\t18\tthing\t\nSYNSET\tr\tn\t18\tthing\t\n"
         "SYNSET\tx\tn\teighteen\tw\t\n"
     ),
+    "two-cycle": "SYNSET\ta\tn\t5\tx\tb\nSYNSET\tb\tn\t5\ty\ta\n",
+    "two-cycle with hanging chain": (
+        "SYNSET\td\tn\t5\tw\tc\nSYNSET\tc\tn\t5\tz\ta\n"
+        "SYNSET\ta\tn\t5\tx\tb\nSYNSET\tb\tn\t5\ty\ta\n"
+    ),
 }
 
 
