@@ -83,6 +83,22 @@ def significance_level(text: str) -> float:
     return value
 
 
+def positive_int(text: str) -> int:
+    """argparse type of --runs, --p-step and --r-step: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type of --window: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
 def _wsd_weightings(args, taxonomy, ic_docs, *corpora):
     """Per-document sense weightings for each corpus under --wsd, else Nones.
 
@@ -381,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the candidate-filtering harness once")
     p.add_argument("--corpus", required=True)
     p.add_argument("--labels", help="label assignment (default: gold labels)")
-    p.add_argument("--window", type=int, default=2,
+    p.add_argument("--window", type=non_negative_int, default=2,
                    help="preceding sentences searched for candidates")
     p.add_argument("--only-filter-losses", action="store_true",
                    help="count as antecedent-less only pronouns the filter broke")
@@ -392,13 +408,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--p-from", type=int, default=10)
     p.add_argument("--p-to", type=int, default=100)
-    p.add_argument("--p-step", type=int, default=1)
+    p.add_argument("--p-step", type=positive_int, default=1)
     p.add_argument("--r-from", type=int, default=50)
     p.add_argument("--r-to", type=int, default=100)
-    p.add_argument("--r-step", type=int, default=1)
-    p.add_argument("--runs", type=int, default=50)
+    p.add_argument("--r-step", type=positive_int, default=1)
+    p.add_argument("--runs", type=positive_int, default=50)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--window", type=int, default=2)
+    p.add_argument("--window", type=non_negative_int, default=2)
     p.add_argument("--marginals", help="also write axis-averaged curves here")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)

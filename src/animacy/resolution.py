@@ -11,6 +11,7 @@ to hit chosen precision/recall targets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -87,8 +88,81 @@ def gold_assignment(docs: Iterable[Document]) -> dict[NPKey, Label]:
     }
 
 
+# per-NP codes of a compiled pass; any label but these two is never dropped
+_ANIMATE, _INANIMATE = 1, 2
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledCorpus:
+    """A corpus flattened for repeated harness passes at one window.
+
+    `nps` holds, in text order, the NPs that fall in some pronoun's
+    window, and `keys` their keys.  Pronoun i's candidates, in
+    `candidate_set` order, are `nps[j]` for j in
+    `candidates[bounds[i]:bounds[i + 1]]`, and `drop_code` repeats, once
+    per candidate, the label code its pronoun's filter drops.  For each
+    pronoun whose gold antecedent is in its window, `gold_at` is that
+    antecedent's index into `candidates` and `gold_end` the end of the
+    window there.
+    """
+
+    window: int
+    nps: tuple[NPRecord, ...]
+    keys: tuple[NPKey, ...]
+    pronouns: tuple[PronounRecord, ...]
+    candidates: np.ndarray
+    bounds: np.ndarray
+    drop_code: np.ndarray
+    gold_at: np.ndarray
+    gold_end: np.ndarray
+
+
+def compile_corpus(docs: Sequence[Document], window: int = 2) -> CompiledCorpus:
+    """Build every pronoun's candidate window once, for `run_harness`."""
+    every_np = [np for _, np in iter_nps(docs)]
+    position = {id(np): i for i, np in enumerate(every_np)}
+    pronouns, flat, bounds, drop, gold_at, gold_end = [], [], [0], [], [], []
+    for doc in docs:
+        for pronoun in doc.pronouns:
+            window_nps = candidate_set(pronoun, doc, window)
+            for j, candidate in enumerate(window_nps):
+                if (candidate.sent_id, candidate.np_id) == pronoun.antecedent:
+                    gold_at.append(len(flat) + j)
+                    gold_end.append(len(flat) + len(window_nps))
+            flat.extend(position[id(candidate)] for candidate in window_nps)
+            bounds.append(len(flat))
+            drop.append(_INANIMATE if pronoun.animate else _ANIMATE)
+            pronouns.append(pronoun)
+    used, candidates = np.unique(np.array(flat, dtype=np.intp),
+                                 return_inverse=True)
+    nps = tuple(every_np[i] for i in used.tolist())
+    bounds = np.array(bounds, dtype=np.intp)
+    return CompiledCorpus(
+        window=window,
+        nps=nps,
+        keys=tuple(np.key for np in nps),
+        pronouns=tuple(pronouns),
+        candidates=candidates,
+        bounds=bounds,
+        drop_code=np.repeat(np.array(drop, dtype=np.int8), np.diff(bounds)),
+        gold_at=np.array(gold_at, dtype=np.intp),
+        gold_end=np.array(gold_end, dtype=np.intp),
+    )
+
+
+def _label_codes(compiled: CompiledCorpus, labels: Mapping[NPKey, Label]):
+    """One int8 code per compiled NP (0 for missing keys and UNKNOWN)."""
+    found = list(map(labels.get, compiled.keys))
+    # compared by identity, as filter_candidates does, through each label's id
+    ids = np.fromiter(map(id, found), dtype=np.uint64, count=len(found))
+    codes = np.zeros(len(ids), dtype=np.int8)
+    codes[ids == id(Label.ANIMATE)] = _ANIMATE
+    codes[ids == id(Label.INANIMATE)] = _INANIMATE
+    return codes
+
+
 def run_harness(
-    docs: Sequence[Document],
+    docs: Sequence[Document] | CompiledCorpus,
     labels: Mapping[NPKey, Label],
     window: int = 2,
     resolver: Resolver = resolve_recency,
@@ -102,35 +176,84 @@ def run_harness(
     this includes pronouns that lacked it before filtering too, and
     `count_prefilter_misses=False` restricts it to losses the filter
     itself caused.  NPs missing from `labels` count as UNKNOWN.
+
+    `docs` may be a `compile_corpus` result for this window, which saves
+    rebuilding the candidate windows when one corpus is run many times.
     """
-    total = resolved = kept = missing = 0
-    for doc in docs:
-        for pronoun in doc.pronouns:
-            before = candidate_set(pronoun, doc, window)
-            after = filter_candidates(
-                pronoun.animate,
-                [(np, labels.get(np.key, Label.UNKNOWN)) for np in before],
+    if isinstance(docs, CompiledCorpus):
+        compiled = docs
+        if compiled.window != window:
+            raise ValueError(
+                f"corpus compiled for window {compiled.window}, not {window}"
             )
-            chosen = resolver(pronoun, after)
-            gold = pronoun.antecedent
-            total += 1
-            kept += len(after)
-            if gold is None:
-                missing += count_prefilter_misses
-                continue
-            if chosen is not None and (chosen.sent_id, chosen.np_id) == gold:
-                resolved += 1
-            if not any((np.sent_id, np.np_id) == gold for np in after) and (
-                count_prefilter_misses
-                or any((np.sent_id, np.np_id) == gold for np in before)
-            ):
-                missing += 1
+    else:
+        compiled = compile_corpus(docs, window)
+    total = len(compiled.pronouns)
     if not total:
         raise ValueError("corpus contains no pronoun records")
+    kept = _label_codes(compiled, labels)[compiled.candidates] != compiled.drop_code
+    survived = kept[compiled.gold_at]
+    missing = (
+        (total if count_prefilter_misses else len(survived))
+        - int(np.count_nonzero(survived))
+    )
+    if resolver is resolve_recency:
+        # the last survivor is the gold antecedent exactly when that
+        # survives and every later candidate of its window is dropped
+        kept_before = np.concatenate(([0], np.cumsum(kept)))
+        resolved = int(np.count_nonzero(
+            survived
+            & (kept_before[compiled.gold_end] == kept_before[compiled.gold_at + 1])
+        ))
+    else:
+        resolved = _resolve_each(compiled, kept, resolver)
     return HarnessResult(
         success_rate=resolved / total,
-        avg_candidates=kept / total,
+        avg_candidates=int(np.count_nonzero(kept)) / total,
         pct_no_antecedent=missing / total,
+    )
+
+
+def _resolve_each(compiled: CompiledCorpus, kept, resolver: Resolver) -> int:
+    """Pronouns that `resolver` resolves to their gold antecedent."""
+    candidates, kept, bounds = (
+        compiled.candidates.tolist(), kept.tolist(), compiled.bounds.tolist()
+    )
+    resolved = 0
+    for i, pronoun in enumerate(compiled.pronouns):
+        lo, hi = bounds[i], bounds[i + 1]
+        after = [compiled.nps[j]
+                 for j, keep in zip(candidates[lo:hi], kept[lo:hi]) if keep]
+        chosen = resolver(pronoun, after)
+        gold = pronoun.antecedent
+        if (gold is not None and chosen is not None
+                and (chosen.sent_id, chosen.np_id) == gold):
+            resolved += 1
+    return resolved
+
+
+def _flip_counts(
+    n_animate: int, n_inanimate: int, precision: float, recall: float
+) -> tuple[int, int]:
+    """(animate -> inanimate, inanimate -> animate) flips for the targets."""
+    if not 0.0 < precision <= 1.0 or not 0.0 < recall <= 1.0:
+        raise ValueError("precision and recall must be in (0, 1]")
+    drop = round((1.0 - recall) * n_animate)
+    fake = round(recall * n_animate * (1.0 - precision) / precision)
+    if fake > n_inanimate:
+        raise InfeasibleTargetError(
+            f"targets (p={precision}, r={recall}) need {fake} false positives "
+            f"but only {n_inanimate} inanimate labels exist"
+        )
+    return drop, fake
+
+
+def _draw_flips(rng, animate_at, inanimate_at, drop: int, fake: int):
+    """Positions to flip to inanimate, then to animate.  The two draws and
+    their order fix each `_run_seed` stream's outcome."""
+    return (
+        animate_at[rng.choice(len(animate_at), size=drop, replace=False)],
+        inanimate_at[rng.choice(len(inanimate_at), size=fake, replace=False)],
     )
 
 
@@ -148,26 +271,17 @@ def inject_errors(
     The (1, 1) pair is the identity.  Raises InfeasibleTargetError when
     the required false positives exceed the available inanimate labels.
     """
-    if not 0.0 < precision <= 1.0 or not 0.0 < recall <= 1.0:
-        raise ValueError("precision and recall must be in (0, 1]")
-    animate_at = [i for i, lab in enumerate(labels) if lab is Label.ANIMATE]
-    inanimate_at = [i for i, lab in enumerate(labels) if lab is Label.INANIMATE]
-    n_animate = len(animate_at)
-
-    drop = round((1.0 - recall) * n_animate)
-    fake = round(recall * n_animate * (1.0 - precision) / precision)
-    if fake > len(inanimate_at):
-        raise InfeasibleTargetError(
-            f"targets (p={precision}, r={recall}) need {fake} false positives "
-            f"but only {len(inanimate_at)} inanimate labels exist"
-        )
-
+    animate_at = np.flatnonzero([lab is Label.ANIMATE for lab in labels])
+    inanimate_at = np.flatnonzero([lab is Label.INANIMATE for lab in labels])
+    drop, fake = _flip_counts(len(animate_at), len(inanimate_at), precision, recall)
+    to_inanimate, to_animate = _draw_flips(
+        np.random.default_rng(seed), animate_at, inanimate_at, drop, fake
+    )
     out = list(labels)
-    rng = np.random.default_rng(seed)
-    for i in rng.choice(len(animate_at), size=drop, replace=False):
-        out[animate_at[int(i)]] = Label.INANIMATE
-    for i in rng.choice(len(inanimate_at), size=fake, replace=False):
-        out[inanimate_at[int(i)]] = Label.ANIMATE
+    for i in to_inanimate.tolist():
+        out[i] = Label.INANIMATE
+    for i in to_animate.tolist():
+        out[i] = Label.ANIMATE
     return out
 
 
@@ -205,39 +319,55 @@ def sweep(
     the master seed and the cell coordinates), feeds the perturbed labels
     through filtering and the recency resolver, and records the mean and
     population standard deviation of the success rate.  Infeasible cells
-    are marked rather than fatal.
+    are marked rather than fatal.  The corpus is compiled once, and each
+    run is one `run_harness` pass over it.
     """
-    ordered_nps = [np for _, np in iter_nps(docs) if np.gold is not None]
-    gold_labels = [np.gold for np in ordered_nps]
-    keys = [np.key for np in ordered_nps]
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
+    labelled = [np for _, np in iter_nps(docs) if np.gold is not None]
+    keys = np.fromiter((np.key for np in labelled), dtype=object,
+                       count=len(labelled))
+    gold = dict(zip(keys.tolist(), (np.gold for np in labelled)))
+    # a key listed twice keeps the label of its last occurrence, so a flip
+    # of an earlier one never reaches the assignment
+    last = {key: i for i, key in enumerate(keys.tolist())}
+    live = np.zeros(len(keys), dtype=bool)
+    live[list(last.values())] = True
+    animate_at = np.flatnonzero([np.gold is Label.ANIMATE for np in labelled])
+    inanimate_at = np.flatnonzero([np.gold is Label.INANIMATE for np in labelled])
 
+    compiled = None
     cells = {}
     for p_pct in precision_percents:
         for r_pct in recall_percents:
-            rates = []
-            feasible = True
-            for run in range(runs):
-                try:
-                    perturbed = inject_errors(
-                        gold_labels, p_pct / 100.0, r_pct / 100.0,
-                        _run_seed(seed, p_pct, r_pct, run),
-                    )
-                except InfeasibleTargetError:
-                    feasible = False
-                    break
-                assignment = dict(zip(keys, perturbed))
-                result = run_harness(docs, assignment, window)
-                rates.append(result.success_rate)
-            if feasible:
-                stats = CellStats(
-                    mean_success=float(np.mean(rates)),
-                    std_success=float(np.std(rates)),
-                    runs=runs,
-                    feasible=True,
+            try:
+                drop, fake = _flip_counts(
+                    len(animate_at), len(inanimate_at), p_pct / 100.0, r_pct / 100.0
                 )
-            else:
-                stats = CellStats(float("nan"), float("nan"), 0, False)
-            cells[(p_pct, r_pct)] = stats
+            except InfeasibleTargetError:
+                cells[(p_pct, r_pct)] = CellStats(float("nan"), float("nan"), 0, False)
+                continue
+            if compiled is None:
+                # at the first feasible cell: a grid without one never
+                # reads the pronouns, so it raises nothing about them
+                compiled = compile_corpus(docs, window)
+            rates = []
+            for run in range(runs):
+                rng = np.random.default_rng(_run_seed(seed, p_pct, r_pct, run))
+                assignment = dict(gold)
+                for flipped, label in zip(
+                    _draw_flips(rng, animate_at, inanimate_at, drop, fake),
+                    (Label.INANIMATE, Label.ANIMATE),
+                ):
+                    flipped = flipped[live[flipped]]
+                    assignment.update(zip(keys[flipped].tolist(), repeat(label)))
+                rates.append(run_harness(compiled, assignment, window).success_rate)
+            cells[(p_pct, r_pct)] = CellStats(
+                mean_success=float(np.mean(rates)),
+                std_success=float(np.std(rates)),
+                runs=runs,
+                feasible=True,
+            )
     return SweepGrid(cells)
 
 

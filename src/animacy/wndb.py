@@ -18,7 +18,7 @@ from .taxonomy import Synset, Taxonomy, TaxonomyError
 HYPERNYM_POINTERS = ("@", "@i")
 
 
-def _parse_data_line(line: str, pos: str, lineno: int) -> Synset:
+def _parse_data_line(line: str, pos: str, path, lineno: int) -> Synset:
     tokens = line.split()
     try:
         offset = int(tokens[0])
@@ -36,10 +36,13 @@ def _parse_data_line(line: str, pos: str, lineno: int) -> Synset:
             if symbol in HYPERNYM_POINTERS and target_pos == pos:
                 hypernyms.append(f"{pos}{int(target):08d}")
     except (IndexError, ValueError) as exc:
-        raise TaxonomyError(f"data.{pos} line {lineno}: unparseable record ({exc})")
+        raise TaxonomyError(
+            f"{path}: data.{pos} line {lineno}: unparseable record ({exc})"
+        )
     if ss_type != pos:
         raise TaxonomyError(
-            f"data.{pos} line {lineno}: synset type {ss_type!r} does not match file"
+            f"{path}: data.{pos} line {lineno}: synset type {ss_type!r} "
+            "does not match file"
         )
     lemmas = tuple(dict.fromkeys(word.lower() for word in words))
     return Synset(
@@ -56,7 +59,7 @@ def read_data_file(path, pos: str) -> list[Synset]:
     synsets = []
     for lineno, line in read_lines(path, TaxonomyError):
         if line.strip() and not line.startswith(" "):
-            synsets.append(_parse_data_line(line, pos, lineno))
+            synsets.append(_parse_data_line(line, pos, path, lineno))
     return synsets
 
 
@@ -77,7 +80,7 @@ def check_index_file(path, pos: str, known_ids: set[str]) -> list[str]:
             ids = [f"{pos}{int(offset):08d}" for offset in tokens[-sense_count:]]
         except (IndexError, ValueError) as exc:
             raise TaxonomyError(
-                f"index.{pos} line {lineno}: unparseable record ({exc})"
+                f"{path}: index.{pos} line {lineno}: unparseable record ({exc})"
             ) from None
         if any(sid not in known_ids for sid in ids):
             problems.append(lemma)

@@ -94,6 +94,22 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("sweep", "--runs", "0"),
+        ("sweep", "--runs", "-3"),
+        ("sweep", "--p-step", "0"),
+        ("sweep", "--r-step", "0"),
+        ("sweep", "--window", "-1"),
+        ("simulate", "--window", "-1"),
+    ])
+    def test_bad_harness_number_is_usage_error(self, capsys, command, flag, value):
+        seed = ["--seed", "1"] if command == "sweep" else []
+        code, out, err = run(capsys, command, "--corpus", CORPUS, *seed, flag, value)
+        assert code == 2
+        assert flag in err
+        assert "Traceback" not in err and "Warning" not in err
+        assert out == ""
+
     @pytest.mark.parametrize("flags, expected", [
         ([], BeginnerClass()),
         (["--animate-noun-lexfiles", ""], BeginnerClass()),

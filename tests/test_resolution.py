@@ -10,6 +10,7 @@ from animacy.resolution import (
     InfeasibleTargetError,
     _run_seed,
     candidate_set,
+    compile_corpus,
     filter_candidates,
     gold_assignment,
     inject_errors,
@@ -224,26 +225,22 @@ def resolve_first(pronoun, candidates):
 
 
 @st.composite
-def harness_inputs(draw):
-    """Small random corpora with unlabelled NPs, pronouns without (or with
-    out-of-window) antecedents, and a label map with missing keys and
-    explicit UNKNOWN labels."""
+def harness_corpora(draw):
+    """Small random corpora with unlabelled NPs, NPs out of sentence order,
+    document ids that repeat (so NP keys can too), and pronouns without
+    an antecedent or with one outside the window, before or after the
+    pronoun's sentence."""
     docs = []
-    labels = {}
     for d in range(draw(st.integers(1, 3))):
-        doc_id = f"d{d}"
+        doc_id = draw(st.sampled_from([f"d{d}", "d0"]))
         sentences = draw(st.integers(1, 6))
-        nps = []
-        for sent in range(sentences):
-            for idx in range(draw(st.integers(0, 3))):
-                np_record = make_np(
-                    doc=doc_id, sent=sent, np=idx, head=f"w{sent}_{idx}",
-                    gold=draw(st.sampled_from([A, I, None])),
-                )
-                nps.append(np_record)
-                label = draw(st.sampled_from([A, I, U, None]))
-                if label is not None:
-                    labels[np_record.key] = label
+        nps = [
+            make_np(doc=doc_id, sent=sent, np=idx, head=f"w{sent}_{idx}",
+                    gold=draw(st.sampled_from([A, I, None])))
+            for sent in range(sentences)
+            for idx in range(draw(st.integers(0, 3)))
+        ]
+        nps = draw(st.permutations(nps))
         spans = [(np.sent_id, np.np_id) for np in nps]
         pronouns = tuple(
             PronounRecord(
@@ -253,7 +250,26 @@ def harness_inputs(draw):
             for _ in range(draw(st.integers(0, 4)))
         )
         docs.append(Document(doc_id, tuple(nps), 0, 0, pronouns))
-    return docs, labels
+    return docs
+
+
+@st.composite
+def label_map(draw, docs):
+    """Labels for a corpus, with missing keys and explicit UNKNOWN."""
+    labels = {}
+    for _, np_record in iter_nps(docs):
+        label = draw(st.sampled_from([A, I, U, None]))
+        if label is not None:
+            labels[np_record.key] = label
+    return labels
+
+
+@st.composite
+def harness_inputs(draw, max_maps=1):
+    """A corpus and 1 to `max_maps` label maps for it."""
+    docs = draw(harness_corpora())
+    maps = [draw(label_map(docs)) for _ in range(draw(st.integers(1, max_maps)))]
+    return docs, maps
 
 
 def harness_figures(harness, *args, **kwargs):
@@ -267,6 +283,70 @@ def harness_figures(harness, *args, **kwargs):
     return (result.success_rate, result.avg_candidates, result.pct_no_antecedent)
 
 
+INFEASIBLE = (True, True, 0)  # nan mean, nan deviation, no runs
+
+
+def oracle_inject_errors(labels, precision, recall, seed):
+    """`inject_errors` with the flips made label by label in a list."""
+    if not 0.0 < precision <= 1.0 or not 0.0 < recall <= 1.0:
+        raise ValueError("precision and recall must be in (0, 1]")
+    animate_at = [i for i, lab in enumerate(labels) if lab is A]
+    inanimate_at = [i for i, lab in enumerate(labels) if lab is I]
+    drop = round((1.0 - recall) * len(animate_at))
+    fake = round(recall * len(animate_at) * (1.0 - precision) / precision)
+    if fake > len(inanimate_at):
+        raise InfeasibleTargetError("too many false positives")
+    out = list(labels)
+    rng = np.random.default_rng(seed)
+    for i in rng.choice(len(animate_at), size=drop, replace=False):
+        out[animate_at[int(i)]] = I
+    for i in rng.choice(len(inanimate_at), size=fake, replace=False):
+        out[inanimate_at[int(i)]] = A
+    return out
+
+
+def oracle_sweep(docs, precisions, recalls, runs, seed, window):
+    """The sweep as a loop of label-by-label injections and oracle harness
+    runs: {cell: (mean, std, runs)}, INFEASIBLE cells, or the error."""
+    labelled = [np for _, np in iter_nps(docs) if np.gold is not None]
+    gold = [np.gold for np in labelled]
+    cells = {}
+    try:
+        for p_pct in precisions:
+            for r_pct in recalls:
+                rates = []
+                try:
+                    for run in range(runs):
+                        perturbed = oracle_inject_errors(
+                            gold, p_pct / 100.0, r_pct / 100.0,
+                            _run_seed(seed, p_pct, r_pct, run),
+                        )
+                        assignment = {np.key: lab for np, lab in zip(labelled, perturbed)}
+                        rates.append(oracle_run_harness(docs, assignment, window)[0])
+                except InfeasibleTargetError:
+                    cells[(p_pct, r_pct)] = INFEASIBLE
+                    continue
+                cells[(p_pct, r_pct)] = (
+                    float(np.mean(rates)), float(np.std(rates)), runs
+                )
+    except ValueError as exc:
+        return str(exc)
+    return cells
+
+
+def sweep_figures(docs, precisions, recalls, runs, seed, window):
+    """`sweep` in the form of `oracle_sweep`."""
+    try:
+        grid = sweep(docs, precisions, recalls, runs=runs, seed=seed, window=window)
+    except ValueError as exc:
+        return str(exc)
+    return {
+        cell: (stats.mean_success, stats.std_success, stats.runs) if stats.feasible
+        else (math.isnan(stats.mean_success), math.isnan(stats.std_success), stats.runs)
+        for cell, stats in grid.cells.items()
+    }
+
+
 class TestHarnessMatchesOracle:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -276,12 +356,31 @@ class TestHarnessMatchesOracle:
         resolver=st.sampled_from([resolve_recency, resolve_first]),
     )
     def test_same_figures(self, inputs, window, count_prefilter_misses, resolver):
-        docs, labels = inputs
+        docs, (labels,) = inputs
         kwargs = dict(window=window, resolver=resolver,
                       count_prefilter_misses=count_prefilter_misses)
         assert harness_figures(run_harness, docs, labels, **kwargs) == (
             harness_figures(oracle_run_harness, docs, labels, **kwargs)
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=harness_inputs(max_maps=3), window=st.integers(0, 3))
+    def test_compiled_corpus_serves_many_label_maps(self, inputs, window):
+        docs, maps = inputs
+        compiled = compile_corpus(docs, window)
+        for labels in maps:
+            for resolver in (resolve_recency, resolve_first):
+                for count_prefilter_misses in (True, False):
+                    kwargs = dict(window=window, resolver=resolver,
+                                  count_prefilter_misses=count_prefilter_misses)
+                    assert harness_figures(run_harness, compiled, labels, **kwargs) == (
+                        harness_figures(oracle_run_harness, docs, labels, **kwargs)
+                    )
+
+    def test_compiled_corpus_rejects_another_window(self, mini_corpus):
+        compiled = compile_corpus(mini_corpus, 2)
+        with pytest.raises(ValueError, match="compiled for window 2, not 1"):
+            run_harness(compiled, {}, window=1)
 
     @pytest.mark.parametrize("window", [0, 1, 2, 3])
     @pytest.mark.parametrize("count_prefilter_misses", [True, False])
@@ -294,35 +393,38 @@ class TestHarnessMatchesOracle:
 
     @pytest.mark.parametrize("window", [1, 2])
     def test_sweep_equals_oracle_loop(self, mini_corpus, window):
-        precisions, recalls, runs, seed = [10, 60, 85, 100], [50, 80, 100], 6, 11
-        grid = sweep(mini_corpus, precisions, recalls, runs=runs, seed=seed,
-                     window=window)
-        labelled = [np for _, np in iter_nps(mini_corpus) if np.gold is not None]
-        gold = [np.gold for np in labelled]
-        assert sorted(grid.cells) == [(p, r) for p in precisions for r in recalls]
-        for p_pct in precisions:
-            for r_pct in recalls:
-                stats = grid.cells[(p_pct, r_pct)]
-                rates = []
-                try:
-                    for run in range(runs):
-                        perturbed = inject_errors(
-                            gold, p_pct / 100.0, r_pct / 100.0,
-                            _run_seed(seed, p_pct, r_pct, run),
-                        )
-                        assignment = {np.key: lab for np, lab in zip(labelled, perturbed)}
-                        rates.append(
-                            oracle_run_harness(mini_corpus, assignment, window)[0]
-                        )
-                except InfeasibleTargetError:
-                    assert not stats.feasible and stats.runs == 0
-                    assert math.isnan(stats.mean_success)
-                    assert math.isnan(stats.std_success)
-                    continue
-                assert stats.feasible and stats.runs == runs
-                assert stats.mean_success == float(np.mean(rates))
-                assert stats.std_success == float(np.std(rates))
-        assert not grid.cells[(10, 100)].feasible
+        precisions, recalls = [10, 60, 85, 100], [50, 80, 100]
+        args = (mini_corpus, precisions, recalls, 6, 11, window)
+        cells = sweep_figures(*args)
+        assert cells == oracle_sweep(*args)
+        assert sorted(cells) == [(p, r) for p in precisions for r in recalls]
+        assert cells[(10, 100)] == INFEASIBLE
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        docs=harness_corpora(),
+        precisions=st.lists(st.sampled_from([10, 35, 60, 85, 100]),
+                            min_size=1, max_size=3, unique=True),
+        recalls=st.lists(st.sampled_from([40, 75, 100]),
+                         min_size=1, max_size=2, unique=True),
+        runs=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+        window=st.integers(0, 3),
+    )
+    def test_sweep_equals_oracle_loop_on_drawn_corpora(
+        self, docs, precisions, recalls, runs, seed, window
+    ):
+        args = (docs, precisions, recalls, runs, seed, window)
+        assert sweep_figures(*args) == oracle_sweep(*args)
+
+    @pytest.mark.parametrize("precisions, outcome", [
+        ([100], "corpus contains no pronoun records"),  # a feasible cell
+        ([10], {(10, 100): INFEASIBLE}),  # no feasible cell: no pass made
+    ])
+    def test_sweep_without_pronouns(self, precisions, outcome):
+        nps = (make_np(np=0, head="man", gold=A), make_np(np=1, head="rock", gold=I))
+        args = ([Document("d", nps, 0, 0)], precisions, [100], 2, 0, 2)
+        assert sweep_figures(*args) == oracle_sweep(*args) == outcome
 
 
 class TestInjectErrors:
@@ -370,6 +472,11 @@ class TestInjectErrors:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("runs", [0, -3])
+    def test_runs_below_one_rejected(self, mini_corpus, runs):
+        with pytest.raises(ValueError, match="runs must be >= 1"):
+            sweep(mini_corpus, [100], [100], runs=runs, seed=0)
+
     def test_deterministic_csv(self, mini_corpus):
         first = sweep(mini_corpus, [80, 100], [90, 100], runs=4, seed=9)
         second = sweep(mini_corpus, [80, 100], [90, 100], runs=4, seed=9)

@@ -72,3 +72,20 @@ def test_garbage_line_reports_position(tmp_path):
     path.write_text("00001740 03 n zz entity 0 000 | broken\n")
     with pytest.raises(TaxonomyError, match="line 1"):
         import_wndb(noun_path=path)
+
+
+@pytest.mark.parametrize("kind", ["data", "index"])
+def test_malformed_record_names_the_file(tmp_path, kind):
+    data = tmp_path / "wordnet" / "nouns.dat"
+    data.parent.mkdir()
+    index = tmp_path / "wordnet" / "nouns.idx"
+    if kind == "data":
+        data.write_text(DATA_NOUN.replace(" 01 animal ", " zz animal "))
+        expected = f"{data}: data.n line 4: unparseable record"
+    else:
+        data.write_text(DATA_NOUN)
+        index.write_text(INDEX_NOUN.replace("ghost n 1 ", "ghost n x "))
+        expected = f"{index}: index.n line 3: unparseable record"
+    with pytest.raises(TaxonomyError) as raised:
+        import_wndb(noun_path=data, index_noun_path=index if kind == "index" else None)
+    assert str(raised.value).startswith(expected)
