@@ -18,11 +18,10 @@ having no observed evidence at all.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
-
-from scipy.special import gammainccinv
 
 from .corpus import Document, Label, iter_nps
 from .fileio import read_lines, write_atomic
@@ -163,15 +162,45 @@ def chi_square(cells: Iterable[Cell]) -> ChiSquareResult:
     return ChiSquareResult(statistic, len(merged) - 1, valid, merged)
 
 
+def _chi2_sf(x: float, df: int, log_gammas: list[tuple[float, float]]) -> float:
+    """P(X >= x) for df degrees of freedom: Q(df/2, x/2) in closed form.
+
+    For integer df, Q(df/2, y) is erfc(sqrt(y)) for odd df (0 for even)
+    plus the sum of y^a e^-y / G(a+1) over a = df/2 - 1, df/2 - 2, ... down
+    to 1/2 or 0.
+    Each term is exponentiated from its logarithm, so e^-y cannot underflow
+    on its own at large df; `log_gammas` holds the (a, lgamma(a+1)) pairs.
+    """
+    if x <= 0.0:
+        return 1.0
+    y = 0.5 * x
+    log_y = math.log(y)
+    exp = math.exp
+    tail = math.erfc(math.sqrt(y)) if df % 2 else 0.0
+    return tail + sum([exp(a * log_y - y - log_gamma) for a, log_gamma in log_gammas])
+
+
 @lru_cache(maxsize=None)
 def chi2_critical(df: int, alpha: float = 0.05) -> float:
     """Upper critical value: the x with P(X >= x) = alpha for df degrees of
-    freedom, from the regularized upper incomplete gamma function."""
+    freedom, bisected on doubles until the bracket cannot shrink."""
     if df < 1:
         raise ValueError("df must be >= 1")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
-    return float(2.0 * gammainccinv(df / 2.0, alpha))
+    half = (df % 2) / 2.0
+    log_gammas = [(a, math.lgamma(a + 1.0)) for a in (j + half for j in range(df // 2))]
+    lo, hi = 0.0, float(df)
+    while _chi2_sf(hi, df, log_gammas) > alpha:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return hi
+        if _chi2_sf(mid, df, log_gammas) > alpha:
+            lo = mid
+        else:
+            hi = mid
 
 
 def accumulate_counts(
@@ -275,12 +304,26 @@ class EnrichedTaxonomy:
 
     def __init__(self, base: Taxonomy, status: dict[str, Status],
                  skipped: Iterable[tuple[str, int, int, str]] = ()):
-        for sid in status:
-            if sid not in base:
+        column = dict.fromkeys(base, Status.UNDECIDED)
+        for sid, value in status.items():
+            if sid not in column:
                 raise ValueError(f"status for unknown synset {sid}")
+            column[sid] = value
+        self._adopt(base, column, skipped)
+
+    @classmethod
+    def _from_column(cls, base: Taxonomy, column: dict[str, Status],
+                     skipped: Iterable[tuple[str, int, int, str]] = ()) -> EnrichedTaxonomy:
+        """Wrap a status for every synset of `base`, keyed in its order,
+        without checking or copying it."""
+        enriched = cls.__new__(cls)
+        enriched._adopt(base, column, skipped)
+        return enriched
+
+    def _adopt(self, base, column, skipped) -> None:
         self.base = base
         self.skipped = tuple(skipped)
-        self._status = {sid: status.get(sid, Status.UNDECIDED) for sid in base}
+        self._status = column
         # resolved Undecided senses, per beginner class, filled on demand
         self._resolved: dict[BeginnerClass, dict[str, bool]] = {}
 
@@ -362,15 +405,18 @@ def enrich(
     status = {
         sid: classify_node(sid, counts, taxonomy, alpha) for sid in taxonomy
     }
-    return EnrichedTaxonomy(taxonomy, status, skipped)
+    return EnrichedTaxonomy._from_column(taxonomy, status, skipped)
+
+
+_STATUS_SUFFIX = {status: f"\t{status.value}\n" for status in Status}
+_STATUS_OF = {status.value: status for status in Status}
 
 
 def dump_statuses(enriched: EnrichedTaxonomy) -> str:
-    lines = [
-        "STATUS\t%s\t%s" % (sid, enriched.status(sid).value)
-        for sid in enriched.base
-    ]
-    return "\n".join(lines) + "\n" if lines else ""
+    suffix = _STATUS_SUFFIX
+    return "".join([
+        "STATUS\t" + sid + suffix[status] for sid, status in enriched._status.items()
+    ])
 
 
 def save_enriched(enriched: EnrichedTaxonomy, path) -> None:
@@ -384,7 +430,8 @@ def load_enriched(path, base: Taxonomy) -> EnrichedTaxonomy:
     file loads with the same call.  Synsets without a STATUS line default
     to Undecided.
     """
-    status: dict[str, Status] = {}
+    column = dict.fromkeys(base, Status.UNDECIDED)
+    status_of = _STATUS_OF
     for lineno, line in read_lines(path):
         if not line or line.startswith("#") or line.startswith("SYNSET\t"):
             continue
@@ -393,9 +440,9 @@ def load_enriched(path, base: Taxonomy) -> EnrichedTaxonomy:
             if fields[0] != "STATUS" or len(fields) != 3:
                 raise ValueError("expected STATUS record")
             sid, value = fields[1], fields[2]
-            if sid not in base:
+            if sid not in column:
                 raise ValueError(f"status for unknown synset {sid}")
-            status[sid] = Status(value)
+            column[sid] = status_of.get(value) or Status(value)
         except ValueError as exc:
             raise ValueError(f"{path} line {lineno}: {exc}") from None
-    return EnrichedTaxonomy(base, status)
+    return EnrichedTaxonomy._from_column(base, column)

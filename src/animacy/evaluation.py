@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
+from numpy.random import default_rng
 
 from .corpus import Document, Label, iter_nps, pronoun_ratio
 
@@ -158,7 +159,7 @@ def baseline(
         return [Label.INANIMATE for _ in iter_nps(docs)]
     if seed is None:
         raise ValueError(f"baseline mode {mode!r} requires a seed")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     out = []
     for doc, _ in iter_nps(docs):
         threshold = 0.5 if mode == "random" else pronoun_ratio(doc)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
+from numpy.random import default_rng
 
 from .corpus import Document, Label, NPRecord, iter_nps
 from .enrichment import EnrichedTaxonomy
@@ -321,7 +322,7 @@ def cross_validate(
         )
         for doc, np_record in pairs
     ]
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     order = rng.permutation(len(pairs))
     predictions: list[Label | None] = [None] * len(pairs)
     for fold_indices in np.array_split(order, folds):

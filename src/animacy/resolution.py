@@ -15,6 +15,7 @@ from itertools import repeat
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from .corpus import Document, Label, NPRecord, PronounRecord, iter_nps
 
@@ -275,7 +276,7 @@ def inject_errors(
     inanimate_at = np.flatnonzero([lab is Label.INANIMATE for lab in labels])
     drop, fake = _flip_counts(len(animate_at), len(inanimate_at), precision, recall)
     to_inanimate, to_animate = _draw_flips(
-        np.random.default_rng(seed), animate_at, inanimate_at, drop, fake
+        default_rng(seed), animate_at, inanimate_at, drop, fake
     )
     out = list(labels)
     for i in to_inanimate.tolist():
@@ -302,7 +303,7 @@ def measured_precision_recall(
 
 def _run_seed(master_seed: int, p_pct: int, r_pct: int, run: int):
     # independent per-run generators keep parallel scheduling irrelevant
-    return np.random.SeedSequence([master_seed, p_pct, r_pct, run])
+    return SeedSequence([master_seed, p_pct, r_pct, run])
 
 
 def sweep(
@@ -353,7 +354,7 @@ def sweep(
                 compiled = compile_corpus(docs, window)
             rates = []
             for run in range(runs):
-                rng = np.random.default_rng(_run_seed(seed, p_pct, r_pct, run))
+                rng = default_rng(_run_seed(seed, p_pct, r_pct, run))
                 assignment = dict(gold)
                 for flipped, label in zip(
                     _draw_flips(rng, animate_at, inanimate_at, drop, fake),

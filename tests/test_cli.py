@@ -345,6 +345,13 @@ class TestMalformedInput:
         ("DOC\td1\t0\n", "line 1: DOC record needs 4 fields"),
         ("DOC\td1\t0\t0\nNP\td1\t0\t0\tman\t0\t-\t0\t0\tX\t-\tthe man\n",
          "line 2: 'X' is not a valid Label"),
+        ("DOC\td1\t0\t0\nNP\td1\t0\t0\tman\t0\t-\t0\t0\tA\t-\tx\n"
+         "NP\td1\t1\t0\trock\t0\t-\t0\t0\tI\t-\ty\n"
+         "NP\td1\t0\t0\tman\t0\t-\t0\t0\tA\t-\tz\n",
+         "line 4: duplicate NP key ('d1', 0, 0)"),
+        ("DOC\td1\t1\t0\nPRON\td1\t1\the\t1\t0\t0\n"
+         "PRON\td1\t2\the\t1\t0\t9\nNP\td1\t0\t0\tman\t0\t-\t0\t0\tA\t-\tx\n",
+         "line 3: d1: pronoun at sentence 2 points to missing antecedent (0, 9)"),
     ])
     def test_malformed_corpus_record(self, tmp_path, capsys, text, message):
         corpus = tmp_path / "bad.tsv"

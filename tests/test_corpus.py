@@ -1,16 +1,25 @@
+import dataclasses
+import random
+import re
+import tempfile
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from animacy.corpus import (
     CorpusError,
     Document,
     Label,
     NPRecord,
+    PronounRecord,
     dump_corpus,
     load_corpus,
     pronoun_ratio,
     run_annotation_session,
     save_corpus,
 )
+from animacy.data import mini_corpus_path
+from animacy.fileio import read_lines
 
 
 def make_np(doc="d", sent=0, np=0, head="thing", gold=None, **kwargs):
@@ -46,7 +55,7 @@ class TestLoading:
             "NP\ta\t0\t0\tman\t0\t-\t0\t0\tA\t-\tthe man\n"
             "PRON\ta\t1\the\t1\t0\t9\n"
         )
-        with pytest.raises(CorpusError, match="antecedent"):
+        with pytest.raises(CorpusError, match="line 3: a: .* missing antecedent"):
             load_corpus(path)
 
     def test_duplicate_np_key(self, tmp_path):
@@ -56,7 +65,13 @@ class TestLoading:
             "NP\ta\t0\t0\tman\t0\t-\t0\t0\tA\t-\tx\n"
             "NP\ta\t0\t0\tman\t0\t-\t0\t0\tA\t-\ty\n"
         )
-        with pytest.raises(CorpusError, match="duplicate"):
+        with pytest.raises(CorpusError, match=r"line 3: duplicate NP key \('a', 0, 0\)"):
+            load_corpus(path)
+
+    def test_first_duplicate_is_named(self, tmp_path):
+        path = tmp_path / "dup.tsv"
+        path.write_text(EDGE_CASES["first of three duplicates"])
+        with pytest.raises(CorpusError, match="line 4: duplicate NP key"):
             load_corpus(path)
 
     def test_verb_on_non_subject_rejected(self, tmp_path):
@@ -146,6 +161,326 @@ class TestAnnotationSession:
         assert self.labels(out) == [Label.ANIMATE, None, None]
 
 
+def test_key_is_built_once_and_is_not_a_field():
+    record = make_np(doc="d", sent=2, np=5)
+    assert record.key == ("d", 2, 5)
+    assert record.key is record.key
+    assert "key" not in {field.name for field in dataclasses.fields(NPRecord)}
+    assert record == make_np(doc="d", sent=2, np=5)
+    assert dataclasses.replace(record, np_id=6).key == ("d", 2, 6)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.key = ("d", 0, 0)
+
+
 def test_gold_unknown_rejected():
     with pytest.raises(CorpusError):
         make_np(gold=Label.UNKNOWN)
+
+
+# --- the record-by-record loader, kept as an oracle for `load_corpus` --------
+
+def oracle_flag(value, what):
+    if value == "0":
+        return False
+    if value == "1":
+        return True
+    raise CorpusError(f"{what} must be 0 or 1, got {value!r}")
+
+
+def oracle_int(value, what):
+    try:
+        return int(value)
+    except ValueError:
+        raise CorpusError(f"bad {what} {value!r}") from None
+
+
+def oracle_load_corpus(path):
+    """Every record through its dataclass constructor, then every document
+    through `Document`, whose checks walk its NPs a second time."""
+    order, counts, nps, prons = [], {}, {}, {}
+    for lineno, line in read_lines(path, CorpusError):
+        if not line or line.startswith("#"):
+            continue
+        kind = line.split("\t", 1)[0]
+        try:
+            if kind == "DOC":
+                fields = line.split("\t")
+                if len(fields) != 4:
+                    raise CorpusError("DOC record needs 4 fields")
+                doc_id = fields[1]
+                if doc_id in counts:
+                    raise CorpusError(f"duplicate document {doc_id}")
+                counts[doc_id] = (
+                    oracle_int(fields[2], "pronoun count"),
+                    oracle_int(fields[3], "pronoun count"),
+                )
+                order.append(doc_id)
+                nps[doc_id] = []
+                prons[doc_id] = []
+            elif kind == "NP":
+                fields = line.split("\t", 11)
+                if len(fields) != 12:
+                    raise CorpusError("NP record needs 12 fields")
+                (_, doc_id, sent, npid, head, subj, verb, who, refl,
+                 gold, sense, surface) = fields
+                if doc_id not in counts:
+                    raise CorpusError(f"NP before DOC {doc_id}")
+                nps[doc_id].append(NPRecord(
+                    doc_id=doc_id,
+                    sent_id=oracle_int(sent, "sentence id"),
+                    np_id=oracle_int(npid, "np id"),
+                    head_lemma=head,
+                    is_subject=oracle_flag(subj, "subject flag"),
+                    verb_lemma=None if verb == "-" else verb,
+                    has_who=oracle_flag(who, "who flag"),
+                    has_reflexive=oracle_flag(refl, "reflexive flag"),
+                    gold=None if gold == "-" else Label(gold),
+                    sense_key=None if sense == "-" else sense,
+                    surface=surface,
+                ))
+            elif kind == "PRON":
+                fields = line.split("\t")
+                if len(fields) != 7:
+                    raise CorpusError("PRON record needs 7 fields")
+                _, doc_id, sent, surface, animate, ant_sent, ant_np = fields
+                if doc_id not in counts:
+                    raise CorpusError(f"PRON before DOC {doc_id}")
+                if (ant_sent == "-") != (ant_np == "-"):
+                    raise CorpusError("antecedent fields must both be set or both '-'")
+                antecedent = None
+                if ant_sent != "-":
+                    antecedent = (
+                        oracle_int(ant_sent, "antecedent sentence"),
+                        oracle_int(ant_np, "antecedent np"),
+                    )
+                prons[doc_id].append(PronounRecord(
+                    sent_id=oracle_int(sent, "sentence id"),
+                    surface=surface,
+                    animate=oracle_flag(animate, "animate flag"),
+                    antecedent=antecedent,
+                ))
+            else:
+                raise CorpusError(f"unknown record kind {kind!r}")
+        except ValueError as exc:
+            raise CorpusError(f"{path} line {lineno}: {exc}") from None
+
+    documents = []
+    for doc_id in order:
+        ani, inani = counts[doc_id]
+        try:
+            documents.append(Document(
+                doc_id=doc_id,
+                nps=tuple(nps[doc_id]),
+                animate_pronoun_count=ani,
+                inanimate_pronoun_count=inani,
+                pronouns=tuple(prons[doc_id]),
+            ))
+        except CorpusError as exc:
+            raise CorpusError(f"{path}: {exc}") from None
+    return documents
+
+
+# The fast loader names the line of these two errors; the oracle cannot.
+LINE_NAMED = re.compile(r" line \d+(?=: (duplicate NP key |[^:]*: pronoun at sentence ))")
+
+
+def load_outcome(load, path):
+    """The documents `load` reads from `path`, or its error message with
+    the line dropped from the two errors only the fast loader places."""
+    try:
+        return load(path)
+    except CorpusError as exc:
+        return LINE_NAMED.sub("", str(exc), count=1)
+
+
+def assert_same_documents(docs, expected):
+    assert docs == expected
+    assert hash(tuple(docs)) == hash(tuple(expected))
+    assert repr(docs) == repr(expected)
+
+
+@st.composite
+def corpus_lines(draw, min_docs=0, unique_docs=False):
+    """Corpus lines over a small id space: doc ids may repeat unless
+    `unique_docs`, NPs may be unlabelled or carry verbs and sense keys,
+    pronouns may lack an antecedent, and a document's NP and PRON lines
+    come in any order.  With `min_docs`, every document has an NP."""
+    doc_ids = draw(st.lists(st.sampled_from(["d1", "d2", "d3", "d4", "d5"]),
+                            min_size=min_docs, max_size=4, unique=unique_docs))
+    lines = []
+    for doc_id in doc_ids:
+        lines.append("DOC\t%s\t%d\t%d" % (
+            doc_id, draw(st.integers(0, 5)), draw(st.integers(0, 5))))
+        keys = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                             min_size=min_docs, max_size=6, unique=True))
+        body = []
+        for sent, npid in keys:
+            subject = draw(st.booleans())
+            verb = draw(st.sampled_from(["say", "run"])) if subject and draw(
+                st.booleans()) else "-"
+            body.append("NP\t%s\t%d\t%d\t%s\t%d\t%s\t%d\t%d\t%s\t%s\t%s" % (
+                doc_id, sent, npid, draw(st.sampled_from(["man", "rock", "dog"])),
+                subject, verb, draw(st.booleans()), draw(st.booleans()),
+                draw(st.sampled_from("AI-")), draw(st.sampled_from(["n1", "n2", "-"])),
+                draw(st.sampled_from(["the man", "a rock\twith a tab", "it"])),
+            ))
+        for _ in range(draw(st.integers(0, 3))):
+            antecedent = draw(st.none() | st.sampled_from(keys)) if keys else None
+            ant_sent, ant_np = map(str, antecedent) if antecedent else ("-", "-")
+            body.append("PRON\t%s\t%d\t%s\t%d\t%s\t%s" % (
+                doc_id, draw(st.integers(0, 4)), draw(st.sampled_from(["he", "it"])),
+                draw(st.booleans()), ant_sent, ant_np,
+            ))
+        lines.extend(draw(st.permutations(body)))
+    return lines
+
+
+def write_lines(directory, lines):
+    path = f"{directory}/corpus.tsv"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("".join(line + "\n" for line in lines))
+    return path
+
+
+class TestLoaderMatchesOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(lines=corpus_lines())
+    def test_same_documents_or_error(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_lines(tmp, lines)
+            expected = load_outcome(oracle_load_corpus, path)
+            got = load_outcome(load_corpus, path)
+            if isinstance(expected, str):
+                assert got == expected
+            else:
+                assert_same_documents(got, expected)
+
+    def test_bundled_corpus(self):
+        assert_same_documents(load_corpus(mini_corpus_path()),
+                              oracle_load_corpus(mini_corpus_path()))
+
+    def test_loaded_records_are_frozen(self, mini_corpus):
+        doc = mini_corpus[0]
+        for record in (doc, doc.nps[0], doc.pronouns[0]):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                record.surface = "changed"
+
+
+CORRUPTIONS = ("bad flag", "bad int", "gold U", "verb on non-subject", "NP before DOC",
+               "wrong field count", "duplicate NP key", "dangling antecedent")
+
+
+def corrupt(lines, kind, rng):
+    """Apply one corruption in place to the lines of a saved corpus."""
+    def pick(*kinds):
+        return rng.choice([i for i, line in enumerate(lines)
+                           if line.split("\t", 1)[0] in kinds])
+
+    np_at = pick("NP")
+    fields = lines[np_at].split("\t")
+    if kind == "NP before DOC":
+        fields[1] = "ghost"
+        lines.insert(rng.randrange(len(lines) + 1), "\t".join(fields))
+        return
+    if kind == "duplicate NP key":
+        fields[11] = "twin"
+        lines.insert(rng.randrange(np_at + 1, len(lines) + 1), "\t".join(fields))
+        return
+    if kind == "dangling antecedent":
+        lines.append("PRON\t%s\t9\the\t1\t9\t%d" % (fields[1], rng.randrange(2)))
+        return
+    at = np_at
+    if kind == "bad flag":
+        at = pick("NP", "PRON")
+        fields = lines[at].split("\t")
+        fields[rng.choice([5, 7, 8] if fields[0] == "NP" else [4])] = rng.choice(
+            ["2", "", "yes"])
+    elif kind == "bad int":
+        at = pick("NP", "PRON", "DOC")
+        fields = lines[at].split("\t")
+        places = {"NP": [2, 3], "DOC": [2, 3], "PRON": [2]}[fields[0]]
+        if fields[0] == "PRON" and fields[5] != "-":
+            places += [5, 6]
+        # a negative count is an int, but fails the document's own check
+        fields[rng.choice(places)] = rng.choice(["x", "1.5", "", "-1"])
+    elif kind == "gold U":
+        fields[9] = "U"
+    elif kind == "verb on non-subject":
+        fields[5], fields[6] = "0", "speak"
+    else:
+        at = rng.randrange(len(lines))
+        fields = lines[at].split("\t")
+        fields = rng.choice([fields[:-1], fields[:2], fields + ["extra"]])
+    lines[at] = "\t".join(fields)
+
+
+class TestLoaderErrorsMatchOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lines=corpus_lines(min_docs=1, unique_docs=True),
+        kinds=st.lists(st.sampled_from(CORRUPTIONS), min_size=1, max_size=2),
+        seed=st.integers(0, 2**16),
+    )
+    def test_same_first_error(self, lines, kinds, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_lines(tmp, lines)
+            saved = dump_corpus(oracle_load_corpus(path)).splitlines()
+            rng = random.Random(seed)
+            # a wrong field count goes last, so the other corruptions find
+            # well-formed fields to change
+            for kind in sorted(kinds, key=lambda k: k == "wrong field count"):
+                corrupt(saved, kind, rng)
+            path = write_lines(tmp, saved)
+            expected = load_outcome(oracle_load_corpus, path)
+            got = load_outcome(load_corpus, path)
+            if isinstance(expected, str):
+                assert got == expected
+            else:
+                assert_same_documents(got, expected)
+
+
+NP_LINE = "NP\t{doc}\t{sent}\t{np}\tman\t0\t-\t0\t0\tA\t-\tthe man\n"
+EDGE_CASES = {
+    # the first error is the first bad line, before any document's checks
+    "line error after duplicate": (
+        "DOC\td1\t0\t0\n" + NP_LINE.format(doc="d1", sent=0, np=0) * 2
+        + "NP\td1\t1\t0\tman\t2\t-\t0\t0\tA\t-\tx\n"),
+    "line error after dangling": (
+        "DOC\td1\t0\t0\nPRON\td1\t0\the\t1\t5\t5\nDOC\td1\t0\t0\n"),
+    # then the documents in file order, each checked in a fixed order
+    "negative count before duplicate": (
+        "DOC\td1\t-1\t0\n" + NP_LINE.format(doc="d1", sent=0, np=0) * 2),
+    "duplicate before dangling": (
+        "DOC\td1\t0\t0\nPRON\td1\t0\the\t1\t5\t5\n"
+        + NP_LINE.format(doc="d1", sent=0, np=0) * 2),
+    "dangling in an earlier document": (
+        "DOC\td1\t0\t0\nDOC\td2\t0\t-4\n" + NP_LINE.format(doc="d2", sent=0, np=0) * 2
+        + "PRON\td1\t0\the\t1\t0\t0\n"),
+    "first of three duplicates": (
+        "DOC\td1\t0\t0\n" + NP_LINE.format(doc="d1", sent=0, np=1)
+        + NP_LINE.format(doc="d1", sent=0, np=0) * 3),
+    "same key in two documents": (
+        "DOC\td1\t0\t0\nDOC\td2\t0\t0\n" + NP_LINE.format(doc="d2", sent=0, np=0)
+        + NP_LINE.format(doc="d1", sent=0, np=0)
+        + "PRON\td1\t1\tit\t0\t0\t0\nPRON\td2\t1\tit\t0\t0\t0\n"),
+    "antecedent after its pronoun": (
+        "DOC\td1\t1\t0\nPRON\td1\t1\the\t1\t0\t0\n" + NP_LINE.format(doc="d1", sent=0, np=0)),
+    "gold U on a non-subject with a verb": (
+        "DOC\td1\t0\t0\nNP\td1\t0\t0\tman\t0\tsay\t0\t0\tU\t-\tx\n"),
+    "bad gold before bad verb": (
+        "DOC\td1\t0\t0\nNP\td1\t0\t0\tman\t0\tsay\t0\t0\tQ\t-\tx\n"),
+    "bad int before bad flag": (
+        "DOC\td1\t0\t0\nNP\td1\t0\tx\tman\t2\t-\t0\t0\tA\t-\tx\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_hand_written_files_load_as_oracle(tmp_path, case):
+    path = tmp_path / "case.tsv"
+    path.write_text(EDGE_CASES[case])
+    expected = load_outcome(oracle_load_corpus, path)
+    got = load_outcome(load_corpus, path)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert_same_documents(got, expected)

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +22,7 @@ from animacy.enrichment import (
     save_enriched,
 )
 from animacy.taxonomy import BeginnerClass, Synset, Taxonomy
+from tests.chi2_critical_table import CRITICAL, DFS
 from tests.test_corpus import make_np
 from tests.test_taxonomy import random_taxonomies
 
@@ -128,6 +132,39 @@ class TestChiSquare:
     def test_expected_below_one_asserted(self):
         with pytest.raises(ValueError):
             Cell("a", 0, 0)
+
+
+class TestCriticalValue:
+    @pytest.mark.parametrize("alpha", sorted(CRITICAL))
+    def test_matches_pinned_scipy_values(self, alpha):
+        for df, expected in zip(DFS, CRITICAL[alpha]):
+            assert chi2_critical(df, alpha) == pytest.approx(expected, rel=1e-13, abs=0), df
+
+    def test_rises_with_df_and_falls_as_alpha_grows(self):
+        rows = [[chi2_critical(df, alpha) for df in DFS] for alpha in sorted(CRITICAL)]
+        for row in rows:
+            assert all(a < b for a, b in zip(row, row[1:]))
+        for smaller_alpha, larger_alpha in zip(rows, rows[1:]):
+            assert all(a > b for a, b in zip(smaller_alpha, larger_alpha))
+
+    @pytest.mark.parametrize("df", [0, -3])
+    def test_df_below_one_rejected(self, df):
+        with pytest.raises(ValueError, match="df"):
+            chi2_critical(df)
+
+    def test_cli_import_leaves_scipy_out(self):
+        import animacy
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(animacy.__file__)))
+        probe = (
+            "import sys, animacy.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.stdout == "[]\n"
 
 
 class TestMerging:
