@@ -84,10 +84,18 @@ def significance_level(text: str) -> float:
 
 
 def positive_int(text: str) -> int:
-    """argparse type of --runs, --p-step and --r-step: an integer >= 1."""
+    """argparse type of --runs, --p-step, --r-step and --k: an integer >= 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return value
+
+
+def fold_count(text: str) -> int:
+    """argparse type of --folds: an integer >= 2."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be >= 2, got {text!r}")
     return value
 
 
@@ -355,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="noun inanimacy threshold")
     p.add_argument("--t3", type=float, default=0.90,
                    help="verb animacy threshold")
-    p.add_argument("--k", type=int, default=3, help="nearest distances (ml)")
+    p.add_argument("--k", type=positive_int, default=3,
+                   help="nearest distances (ml)")
     p.add_argument("--wsd", action="store_true", help="weight senses by context")
     p.add_argument("--ic", help="COUNT file overriding the frequency source")
     p.add_argument("--seed", type=int, default=None,
@@ -370,9 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--taxonomy", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--enriched", help="statuses file (default: enrich --corpus)")
-    p.add_argument("--folds", type=int, default=10)
+    p.add_argument("--folds", type=fold_count, default=10)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--k", type=positive_int, default=3)
     p.add_argument("--wsd", action="store_true")
     p.add_argument("--ic")
     p.add_argument("--out", default=None)

@@ -66,15 +66,10 @@ class FeatureVector:
 @dataclass(frozen=True)
 class MblConfig:
     k: int = 3
-    # "distance" prefers the vote side whose neighbours sit closer, then
-    # falls back to the majority-class prior; "prior" goes there directly.
-    tie_break: str = "distance"
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.tie_break not in ("distance", "prior"):
-            raise ValueError(f"unknown tie_break {self.tie_break!r}")
 
 
 def extract_features(
@@ -266,11 +261,10 @@ def knn_classify(
     tied = sorted(label for label, count in votes.items() if count == best)
     if len(tied) == 1:
         return tied[0]
-    if config.tie_break == "distance":
-        closest = min(summed[label] for label in tied)
-        tied = [label for label in tied if summed[label] == closest]
-        if len(tied) == 1:
-            return tied[0]
+    closest = min(summed[label] for label in tied)
+    tied = [label for label in tied if summed[label] == closest]
+    if len(tied) == 1:
+        return tied[0]
     return Label.INANIMATE if Label.INANIMATE in tied else tied[0]
 
 

@@ -1,18 +1,18 @@
-"""Extrinsic harness: animacy filtering of pronoun candidates, a recency
-resolver, and the controlled-error precision/recall sweep.
+"""Extrinsic harness: animacy filtering of pronoun candidates in front of a
+recency resolver, and the controlled-error precision/recall sweep.
 
-The resolver here is a deliberately simple stand-in (most recent surviving
-candidate) behind a pluggable interface; absolute success rates therefore
-characterize the harness, not any particular anaphora resolver.  What the
-sweep measures is how resolution degrades as animacy labels are perturbed
-to hit chosen precision/recall targets.
+The resolver is a deliberately simple stand-in (the most recent surviving
+candidate); absolute success rates therefore characterize the harness, not
+any particular anaphora resolver.  What the sweep measures is how
+resolution degrades as animacy labels are perturbed to hit chosen
+precision/recall targets.  It perturbs the gold labels as label codes, one
+per NP, and passes them to the harness as codes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
@@ -20,7 +20,6 @@ from numpy.random import SeedSequence, default_rng
 from .corpus import Document, Label, NPRecord, PronounRecord, iter_nps
 
 NPKey = tuple[str, int, int]
-Resolver = Callable[[PronounRecord, Sequence[NPRecord]], "NPRecord | None"]
 
 
 class InfeasibleTargetError(ValueError):
@@ -62,26 +61,6 @@ def candidate_set(
     return [np for np in doc.nps if lo <= np.sent_id <= pronoun.sent_id]
 
 
-def filter_candidates(
-    pronoun_animate: bool,
-    candidates: Iterable[tuple[NPRecord, Label]],
-) -> list[NPRecord]:
-    """Drop candidates whose animacy disagrees with the pronoun.
-
-    UNKNOWN candidates always survive; a word the classifier had to skip
-    must not cost the resolver its antecedent.
-    """
-    drop = Label.INANIMATE if pronoun_animate else Label.ANIMATE
-    return [np for np, label in candidates if label is not drop]
-
-
-def resolve_recency(
-    pronoun: PronounRecord, candidates: Sequence[NPRecord]
-) -> NPRecord | None:
-    """Most recent surviving candidate, or None when the set is empty."""
-    return candidates[-1] if candidates else None
-
-
 def gold_assignment(docs: Iterable[Document]) -> dict[NPKey, Label]:
     """NP key -> gold label for every labelled NP of a corpus."""
     return {
@@ -98,13 +77,12 @@ class CompiledCorpus:
     """A corpus flattened for repeated harness passes at one window.
 
     `nps` holds, in text order, the NPs that fall in some pronoun's
-    window, and `keys` their keys.  Pronoun i's candidates, in
-    `candidate_set` order, are `nps[j]` for j in
-    `candidates[bounds[i]:bounds[i + 1]]`, and `drop_code` repeats, once
-    per candidate, the label code its pronoun's filter drops.  For each
-    pronoun whose gold antecedent is in its window, `gold_at` is that
-    antecedent's index into `candidates` and `gold_end` the end of the
-    window there.
+    window, and `keys` their keys.  `candidates` lists each pronoun's
+    candidates in turn, in `candidate_set` order, as indices into `nps`,
+    and `drop_code` repeats, once per candidate, the label code its
+    pronoun's filter drops.  For each pronoun whose gold antecedent is in
+    its window, `gold_at` is that antecedent's index into `candidates` and
+    `gold_end` the end of the window there.
     """
 
     window: int
@@ -112,7 +90,6 @@ class CompiledCorpus:
     keys: tuple[NPKey, ...]
     pronouns: tuple[PronounRecord, ...]
     candidates: np.ndarray
-    bounds: np.ndarray
     drop_code: np.ndarray
     gold_at: np.ndarray
     gold_end: np.ndarray
@@ -122,7 +99,7 @@ def compile_corpus(docs: Sequence[Document], window: int = 2) -> CompiledCorpus:
     """Build every pronoun's candidate window once, for `run_harness`."""
     every_np = [np for _, np in iter_nps(docs)]
     position = {id(np): i for i, np in enumerate(every_np)}
-    pronouns, flat, bounds, drop, gold_at, gold_end = [], [], [0], [], [], []
+    pronouns, flat, drop, gold_at, gold_end = [], [], [], [], []
     for doc in docs:
         for pronoun in doc.pronouns:
             window_nps = candidate_set(pronoun, doc, window)
@@ -131,21 +108,19 @@ def compile_corpus(docs: Sequence[Document], window: int = 2) -> CompiledCorpus:
                     gold_at.append(len(flat) + j)
                     gold_end.append(len(flat) + len(window_nps))
             flat.extend(position[id(candidate)] for candidate in window_nps)
-            bounds.append(len(flat))
-            drop.append(_INANIMATE if pronoun.animate else _ANIMATE)
+            drop.extend([_INANIMATE if pronoun.animate else _ANIMATE]
+                        * len(window_nps))
             pronouns.append(pronoun)
     used, candidates = np.unique(np.array(flat, dtype=np.intp),
                                  return_inverse=True)
     nps = tuple(every_np[i] for i in used.tolist())
-    bounds = np.array(bounds, dtype=np.intp)
     return CompiledCorpus(
         window=window,
         nps=nps,
         keys=tuple(np.key for np in nps),
         pronouns=tuple(pronouns),
         candidates=candidates,
-        bounds=bounds,
-        drop_code=np.repeat(np.array(drop, dtype=np.int8), np.diff(bounds)),
+        drop_code=np.array(drop, dtype=np.int8),
         gold_at=np.array(gold_at, dtype=np.intp),
         gold_end=np.array(gold_end, dtype=np.intp),
     )
@@ -154,7 +129,7 @@ def compile_corpus(docs: Sequence[Document], window: int = 2) -> CompiledCorpus:
 def _label_codes(compiled: CompiledCorpus, labels: Mapping[NPKey, Label]):
     """One int8 code per compiled NP (0 for missing keys and UNKNOWN)."""
     found = list(map(labels.get, compiled.keys))
-    # compared by identity, as filter_candidates does, through each label's id
+    # compared by identity, through each label's id
     ids = np.fromiter(map(id, found), dtype=np.uint64, count=len(found))
     codes = np.zeros(len(ids), dtype=np.int8)
     codes[ids == id(Label.ANIMATE)] = _ANIMATE
@@ -164,22 +139,26 @@ def _label_codes(compiled: CompiledCorpus, labels: Mapping[NPKey, Label]):
 
 def run_harness(
     docs: Sequence[Document] | CompiledCorpus,
-    labels: Mapping[NPKey, Label],
+    labels: Mapping[NPKey, Label] | np.ndarray,
     window: int = 2,
-    resolver: Resolver = resolve_recency,
     count_prefilter_misses: bool = True,
 ) -> HarnessResult:
-    """Resolve every pronoun of the corpus under animacy filtering.
+    """Resolve every pronoun of the corpus to its most recent candidate
+    that survives animacy filtering.
 
+    The filter drops a candidate whose label disagrees with the pronoun;
+    UNKNOWN candidates, and NPs missing from `labels`, always survive.
     success_rate: correctly resolved / all pronouns.  avg_candidates: mean
     size of the post-filter candidate set.  pct_no_antecedent: fraction of
     pronouns whose post-filter set lacks the gold antecedent; by default
     this includes pronouns that lacked it before filtering too, and
     `count_prefilter_misses=False` restricts it to losses the filter
-    itself caused.  NPs missing from `labels` count as UNKNOWN.
+    itself caused.
 
     `docs` may be a `compile_corpus` result for this window, which saves
     rebuilding the candidate windows when one corpus is run many times.
+    `labels` may then also be an int8 array of one code per `compiled.nps`:
+    1 animate, 2 inanimate, 0 otherwise.
     """
     if isinstance(docs, CompiledCorpus):
         compiled = docs
@@ -192,45 +171,33 @@ def run_harness(
     total = len(compiled.pronouns)
     if not total:
         raise ValueError("corpus contains no pronoun records")
-    kept = _label_codes(compiled, labels)[compiled.candidates] != compiled.drop_code
+    if isinstance(labels, np.ndarray):
+        if labels.shape != (len(compiled.nps),):
+            raise ValueError(
+                f"expected {len(compiled.nps)} label codes, one per compiled "
+                f"NP, got an array of shape {labels.shape}"
+            )
+        codes = labels
+    else:
+        codes = _label_codes(compiled, labels)
+    kept = codes[compiled.candidates] != compiled.drop_code
     survived = kept[compiled.gold_at]
     missing = (
         (total if count_prefilter_misses else len(survived))
         - int(np.count_nonzero(survived))
     )
-    if resolver is resolve_recency:
-        # the last survivor is the gold antecedent exactly when that
-        # survives and every later candidate of its window is dropped
-        kept_before = np.concatenate(([0], np.cumsum(kept)))
-        resolved = int(np.count_nonzero(
-            survived
-            & (kept_before[compiled.gold_end] == kept_before[compiled.gold_at + 1])
-        ))
-    else:
-        resolved = _resolve_each(compiled, kept, resolver)
+    # the last survivor is the gold antecedent exactly when that survives
+    # and every later candidate of its window is dropped
+    kept_before = np.concatenate(([0], np.cumsum(kept)))
+    resolved = int(np.count_nonzero(
+        survived
+        & (kept_before[compiled.gold_end] == kept_before[compiled.gold_at + 1])
+    ))
     return HarnessResult(
         success_rate=resolved / total,
         avg_candidates=int(np.count_nonzero(kept)) / total,
         pct_no_antecedent=missing / total,
     )
-
-
-def _resolve_each(compiled: CompiledCorpus, kept, resolver: Resolver) -> int:
-    """Pronouns that `resolver` resolves to their gold antecedent."""
-    candidates, kept, bounds = (
-        compiled.candidates.tolist(), kept.tolist(), compiled.bounds.tolist()
-    )
-    resolved = 0
-    for i, pronoun in enumerate(compiled.pronouns):
-        lo, hi = bounds[i], bounds[i + 1]
-        after = [compiled.nps[j]
-                 for j, keep in zip(candidates[lo:hi], kept[lo:hi]) if keep]
-        chosen = resolver(pronoun, after)
-        gold = pronoun.antecedent
-        if (gold is not None and chosen is not None
-                and (chosen.sent_id, chosen.np_id) == gold):
-            resolved += 1
-    return resolved
 
 
 def _flip_counts(
@@ -286,21 +253,6 @@ def inject_errors(
     return out
 
 
-def measured_precision_recall(
-    gold: Sequence[Label], perturbed: Sequence[Label]
-) -> tuple[float, float]:
-    """Animate-class precision and recall of a perturbed stream."""
-    tp = sum(1 for g, p in zip(gold, perturbed)
-             if g is Label.ANIMATE and p is Label.ANIMATE)
-    fp = sum(1 for g, p in zip(gold, perturbed)
-             if g is not Label.ANIMATE and p is Label.ANIMATE)
-    fn = sum(1 for g, p in zip(gold, perturbed)
-             if g is Label.ANIMATE and p is not Label.ANIMATE)
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    return precision, recall
-
-
 def _run_seed(master_seed: int, p_pct: int, r_pct: int, run: int):
     # independent per-run generators keep parallel scheduling irrelevant
     return SeedSequence([master_seed, p_pct, r_pct, run])
@@ -321,23 +273,19 @@ def sweep(
     through filtering and the recency resolver, and records the mean and
     population standard deviation of the success rate.  Infeasible cells
     are marked rather than fatal.  The corpus is compiled once, and each
-    run is one `run_harness` pass over it.
+    run is one `run_harness` pass over it, with the labels as codes.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     labelled = [np for _, np in iter_nps(docs) if np.gold is not None]
-    keys = np.fromiter((np.key for np in labelled), dtype=object,
-                       count=len(labelled))
-    gold = dict(zip(keys.tolist(), (np.gold for np in labelled)))
-    # a key listed twice keeps the label of its last occurrence, so a flip
-    # of an earlier one never reaches the assignment
-    last = {key: i for i, key in enumerate(keys.tolist())}
-    live = np.zeros(len(keys), dtype=bool)
-    live[list(last.values())] = True
-    animate_at = np.flatnonzero([np.gold is Label.ANIMATE for np in labelled])
-    inanimate_at = np.flatnonzero([np.gold is Label.INANIMATE for np in labelled])
+    # one code per labelled NP, then a 0 slot for compiled NPs without gold
+    code_of = {Label.ANIMATE: _ANIMATE, Label.INANIMATE: _INANIMATE}
+    gold = np.array([code_of.get(np.gold, 0) for np in labelled] + [0],
+                    dtype=np.int8)
+    animate_at = np.flatnonzero(gold == _ANIMATE)
+    inanimate_at = np.flatnonzero(gold == _INANIMATE)
 
-    compiled = None
+    compiled = source = None
     cells = {}
     for p_pct in precision_percents:
         for r_pct in recall_percents:
@@ -352,17 +300,26 @@ def sweep(
                 # at the first feasible cell: a grid without one never
                 # reads the pronouns, so it raises nothing about them
                 compiled = compile_corpus(docs, window)
+                # each compiled NP reads the last labelled NP with its key,
+                # as a key -> label map would, so a flip of an earlier twin
+                # never takes effect
+                last = {np.key: i for i, np in enumerate(labelled)}
+                source = np.array(
+                    [last.get(key, len(labelled)) for key in compiled.keys],
+                    dtype=np.intp,
+                )
             rates = []
             for run in range(runs):
                 rng = default_rng(_run_seed(seed, p_pct, r_pct, run))
-                assignment = dict(gold)
-                for flipped, label in zip(
-                    _draw_flips(rng, animate_at, inanimate_at, drop, fake),
-                    (Label.INANIMATE, Label.ANIMATE),
-                ):
-                    flipped = flipped[live[flipped]]
-                    assignment.update(zip(keys[flipped].tolist(), repeat(label)))
-                rates.append(run_harness(compiled, assignment, window).success_rate)
+                to_inanimate, to_animate = _draw_flips(
+                    rng, animate_at, inanimate_at, drop, fake
+                )
+                perturbed = gold.copy()
+                perturbed[to_inanimate] = _INANIMATE
+                perturbed[to_animate] = _ANIMATE
+                rates.append(
+                    run_harness(compiled, perturbed[source], window).success_rate
+                )
             cells[(p_pct, r_pct)] = CellStats(
                 mean_success=float(np.mean(rates)),
                 std_success=float(np.std(rates)),

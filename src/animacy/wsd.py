@@ -123,18 +123,6 @@ class SenseWeighting:
             out[sid] = w
         return out if out else None
 
-    @classmethod
-    def uniform(cls, taxonomy: Taxonomy) -> "SenseWeighting":
-        """Equal weight on every sense of every lemma (nouns and verbs)."""
-        weights = {}
-        for pos in ("n", "v"):
-            for lemma in taxonomy.lemmas(pos):
-                senses = taxonomy.senses(lemma, pos)
-                share = 1.0 / len(senses)
-                for sid in senses:
-                    weights[(lemma, sid)] = share
-        return cls(weights)
-
 
 def disambiguation_weights(
     nouns: Iterable[str],

@@ -27,17 +27,17 @@ from animacy.mbl import FeatureVector, InstanceStore, MblConfig, cross_validate,
 from animacy.resolution import (
     gold_assignment,
     inject_errors,
-    measured_precision_recall,
     run_harness,
     sweep,
     sweep_csv,
 )
 from animacy.rules import Thresholds, classify_rule
 from animacy.taxonomy import Synset, Taxonomy
-from animacy.wsd import SenseWeighting, disambiguation_weights, information_content
+from animacy.wsd import disambiguation_weights, information_content
 from tests.test_corpus import make_np
+from tests.test_resolution import measured_precision_recall
 from tests.test_rules import ratios
-from tests.test_wsd import occurrences, pair_taxonomy
+from tests.test_wsd import occurrences, pair_taxonomy, uniform_weighting
 
 A, I, U = Label.ANIMATE, Label.INANIMATE, Label.UNKNOWN
 
@@ -194,7 +194,7 @@ def test_criterion_02_chi_square_decision_matches_oracle():
 
 # --- criterion 3: nearest-neighbour oracle ----------------------------------
 
-def oracle_knn(query, store, k, tie_break="distance"):
+def oracle_knn(query, store, k):
     weights = store.weights
     ranges = store.ranges
     scored = []
@@ -216,11 +216,10 @@ def oracle_knn(query, store, k, tie_break="distance"):
     tied = sorted(lab for lab, v in votes.items() if v == top)
     if len(tied) == 1:
         return tied[0]
-    if tie_break == "distance":
-        closest = min(sums[lab] for lab in tied)
-        tied = [lab for lab in tied if sums[lab] == closest]
-        if len(tied) == 1:
-            return tied[0]
+    closest = min(sums[lab] for lab in tied)
+    tied = [lab for lab in tied if sums[lab] == closest]
+    if len(tied) == 1:
+        return tied[0]
     return I if I in tied else tied[0]
 
 
@@ -376,7 +375,7 @@ def test_criterion_09_sense_weighting_consistency(toy_taxonomy, mini_corpus):
     with criterion(9, "uniform weights reproduce hard counts; support ranks"):
         from animacy.rules import noun_ratios
 
-        uniform = SenseWeighting.uniform(toy_taxonomy)
+        uniform = uniform_weighting(toy_taxonomy)
         for lemma in toy_taxonomy.lemmas("n"):
             assert noun_ratios(lemma, toy_taxonomy) == noun_ratios(
                 lemma, toy_taxonomy, weighting=uniform

@@ -110,6 +110,20 @@ class TestExitCodes:
         assert "Traceback" not in err and "Warning" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("command, flag, value", [
+        (["classify", "--method", "ml", "--train", CORPUS, "--test", CORPUS], "--k", "0"),
+        (["classify", "--method", "ml", "--train", CORPUS, "--test", CORPUS], "--k", "-2"),
+        (["xval", "--corpus", CORPUS, "--seed", "1"], "--k", "0"),
+        (["xval", "--corpus", CORPUS, "--seed", "1"], "--folds", "1"),
+        (["xval", "--corpus", CORPUS, "--seed", "1"], "--folds", "0"),
+    ])
+    def test_bad_learner_number_is_usage_error(self, capsys, command, flag, value):
+        code, out, err = run(capsys, *command, "--taxonomy", TAX, flag, value)
+        assert code == 2
+        assert f"argument {flag}:" in err
+        assert "Traceback" not in err
+        assert out == ""
+
     @pytest.mark.parametrize("flags, expected", [
         ([], BeginnerClass()),
         (["--animate-noun-lexfiles", ""], BeginnerClass()),

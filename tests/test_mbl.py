@@ -195,9 +195,8 @@ class TestKnn:
             store = InstanceStore(instances[i] for i in rng.permutation(len(instances)))
             for k in range(1, 7):
                 query = draw(lemmas[(round_ + k) % 4])
-                for tie_break in ("distance", "prior"):
-                    got = knn_classify(query, store, MblConfig(k=k, tie_break=tie_break))
-                    assert got is oracle_knn(query, store, k, tie_break), (round_, k, tie_break)
+                got = knn_classify(query, store, MblConfig(k=k))
+                assert got is oracle_knn(query, store, k), (round_, k)
 
     def test_degenerate_all_zero_weights_fall_back_to_majority(self):
         # single-class training data gives zero weights and zero distances
@@ -243,19 +242,17 @@ class TestCrossValidation:
         ]
         order = np.random.default_rng(seed).permutation(len(features))
         for k in (1, 3, 5):
-            for tie_break in ("distance", "prior"):
-                config = MblConfig(k=k, tie_break=tie_break)
-                _, detailed = cross_validate(mini_corpus, enriched, folds=10,
-                                             config=config, seed=seed)
-                expected = [None] * len(features)
-                for fold in np.array_split(order, 10):
-                    held_out = set(fold.tolist())
-                    store = InstanceStore(
-                        fv for i, fv in enumerate(features) if i not in held_out
-                    )
-                    for i in held_out:
-                        expected[i] = oracle_knn(features[i], store, k, tie_break)
-                assert [pred for _, pred in detailed] == expected, (k, tie_break)
+            _, detailed = cross_validate(mini_corpus, enriched, folds=10,
+                                         config=MblConfig(k=k), seed=seed)
+            expected = [None] * len(features)
+            for fold in np.array_split(order, 10):
+                held_out = set(fold.tolist())
+                store = InstanceStore(
+                    fv for i, fv in enumerate(features) if i not in held_out
+                )
+                for i in held_out:
+                    expected[i] = oracle_knn(features[i], store, k)
+            assert [pred for _, pred in detailed] == expected, k
 
     def test_too_few_instances(self, enriched, mini_corpus):
         with pytest.raises(ValueError, match="folds"):

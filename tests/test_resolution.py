@@ -11,12 +11,9 @@ from animacy.resolution import (
     _run_seed,
     candidate_set,
     compile_corpus,
-    filter_candidates,
     gold_assignment,
     inject_errors,
     marginal_csv,
-    measured_precision_recall,
-    resolve_recency,
     run_harness,
     sweep,
     sweep_csv,
@@ -24,6 +21,28 @@ from animacy.resolution import (
 from tests.test_corpus import make_np
 
 A, I, U = Label.ANIMATE, Label.INANIMATE, Label.UNKNOWN
+
+
+def filter_candidates(pronoun_animate, candidates):
+    """Drop (NP, label) candidates whose animacy disagrees with the
+    pronoun; UNKNOWN candidates always survive."""
+    drop = I if pronoun_animate else A
+    return [np for np, label in candidates if label is not drop]
+
+
+def resolve_recency(pronoun, candidates):
+    """Most recent surviving candidate, or None when the set is empty."""
+    return candidates[-1] if candidates else None
+
+
+def measured_precision_recall(gold, perturbed):
+    """Animate-class precision and recall of a perturbed stream."""
+    tp = sum(1 for g, p in zip(gold, perturbed) if g is A and p is A)
+    fp = sum(1 for g, p in zip(gold, perturbed) if g is not A and p is A)
+    fn = sum(1 for g, p in zip(gold, perturbed) if g is A and p is not A)
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    return precision, recall
 
 
 @dataclass(frozen=True)
@@ -37,8 +56,7 @@ class FilterOutcome:
     resolved_correctly: bool
 
 
-def oracle_run_harness(docs, labels, window=2, resolver=resolve_recency,
-                       count_prefilter_misses=True):
+def oracle_run_harness(docs, labels, window=2, count_prefilter_misses=True):
     """The harness as one record per pronoun, then sums over the records;
     returns (success_rate, avg_candidates, pct_no_antecedent, outcomes)."""
     outcomes = []
@@ -56,7 +74,7 @@ def oracle_run_harness(docs, labels, window=2, resolver=resolve_recency,
             gold_survived = gold is not None and any(
                 (np.sent_id, np.np_id) == gold for np in after
             )
-            chosen = resolver(pronoun, after)
+            chosen = resolve_recency(pronoun, after)
             resolved = (
                 chosen is not None
                 and gold is not None
@@ -219,11 +237,6 @@ class TestHarness:
             run_harness(docs, gold_assignment(docs))
 
 
-def resolve_first(pronoun, candidates):
-    """Earliest surviving candidate: a resolver that differs from recency."""
-    return candidates[0] if candidates else None
-
-
 @st.composite
 def harness_corpora(draw):
     """Small random corpora with unlabelled NPs, NPs out of sentence order,
@@ -250,6 +263,21 @@ def harness_corpora(draw):
             for _ in range(draw(st.integers(0, 4)))
         )
         docs.append(Document(doc_id, tuple(nps), 0, 0, pronouns))
+    return docs
+
+
+@st.composite
+def twin_key_corpora(draw):
+    """Drawn corpora with two documents "t" inserted, each holding the NP
+    key ("t", 0, 0) with a different gold label and pronouns of both
+    animacies whose antecedent it is, so flips land on both twins."""
+    docs = draw(harness_corpora())
+    for gold in draw(st.permutations([A, I])):
+        twin = make_np(doc="t", sent=0, np=0, head="twin", gold=gold)
+        pronouns = (PronounRecord(0, "he", True, (0, 0)),
+                    PronounRecord(0, "it", False, (0, 0)))
+        docs.insert(draw(st.integers(0, len(docs))),
+                    Document("t", (twin,), 0, 0, pronouns))
     return docs
 
 
@@ -281,6 +309,13 @@ def harness_figures(harness, *args, **kwargs):
     if isinstance(result, tuple):
         return result[:3]
     return (result.success_rate, result.avg_candidates, result.pct_no_antecedent)
+
+
+def label_code_array(compiled, labels):
+    """`labels` as one code per compiled NP, looked up key by key."""
+    code_of = {A: 1, I: 2}
+    return np.array([code_of.get(labels.get(key), 0) for key in compiled.keys],
+                    dtype=np.int8)
 
 
 INFEASIBLE = (True, True, 0)  # nan mean, nan deviation, no runs
@@ -347,18 +382,27 @@ def sweep_figures(docs, precisions, recalls, runs, seed, window):
     }
 
 
+SWEEP_GRIDS = dict(
+    precisions=st.lists(st.sampled_from([10, 35, 60, 85, 100]),
+                        min_size=1, max_size=3, unique=True),
+    recalls=st.lists(st.sampled_from([40, 75, 100]),
+                     min_size=1, max_size=2, unique=True),
+    runs=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    window=st.integers(0, 3),
+)
+
+
 class TestHarnessMatchesOracle:
     @settings(max_examples=300, deadline=None)
     @given(
         inputs=harness_inputs(),
         window=st.integers(0, 3),
         count_prefilter_misses=st.booleans(),
-        resolver=st.sampled_from([resolve_recency, resolve_first]),
     )
-    def test_same_figures(self, inputs, window, count_prefilter_misses, resolver):
+    def test_same_figures(self, inputs, window, count_prefilter_misses):
         docs, (labels,) = inputs
-        kwargs = dict(window=window, resolver=resolver,
-                      count_prefilter_misses=count_prefilter_misses)
+        kwargs = dict(window=window, count_prefilter_misses=count_prefilter_misses)
         assert harness_figures(run_harness, docs, labels, **kwargs) == (
             harness_figures(oracle_run_harness, docs, labels, **kwargs)
         )
@@ -369,13 +413,21 @@ class TestHarnessMatchesOracle:
         docs, maps = inputs
         compiled = compile_corpus(docs, window)
         for labels in maps:
-            for resolver in (resolve_recency, resolve_first):
-                for count_prefilter_misses in (True, False):
-                    kwargs = dict(window=window, resolver=resolver,
-                                  count_prefilter_misses=count_prefilter_misses)
-                    assert harness_figures(run_harness, compiled, labels, **kwargs) == (
-                        harness_figures(oracle_run_harness, docs, labels, **kwargs)
-                    )
+            codes = label_code_array(compiled, labels)
+            for count_prefilter_misses in (True, False):
+                kwargs = dict(window=window,
+                              count_prefilter_misses=count_prefilter_misses)
+                expected = harness_figures(oracle_run_harness, docs, labels, **kwargs)
+                assert harness_figures(run_harness, compiled, labels, **kwargs) == expected
+                assert harness_figures(run_harness, compiled, codes, **kwargs) == expected
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_codes_of_another_length_rejected(self, mini_corpus, extra):
+        compiled = compile_corpus(mini_corpus, 2)
+        n = len(compiled.nps)
+        codes = np.zeros(n + extra, dtype=np.int8)
+        with pytest.raises(ValueError, match=f"expected {n} label codes.*\\({n + extra},\\)"):
+            run_harness(compiled, codes)
 
     def test_compiled_corpus_rejects_another_window(self, mini_corpus):
         compiled = compile_corpus(mini_corpus, 2)
@@ -401,17 +453,16 @@ class TestHarnessMatchesOracle:
         assert cells[(10, 100)] == INFEASIBLE
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        docs=harness_corpora(),
-        precisions=st.lists(st.sampled_from([10, 35, 60, 85, 100]),
-                            min_size=1, max_size=3, unique=True),
-        recalls=st.lists(st.sampled_from([40, 75, 100]),
-                         min_size=1, max_size=2, unique=True),
-        runs=st.integers(1, 3),
-        seed=st.integers(0, 2**16),
-        window=st.integers(0, 3),
-    )
+    @given(docs=harness_corpora(), **SWEEP_GRIDS)
     def test_sweep_equals_oracle_loop_on_drawn_corpora(
+        self, docs, precisions, recalls, runs, seed, window
+    ):
+        args = (docs, precisions, recalls, runs, seed, window)
+        assert sweep_figures(*args) == oracle_sweep(*args)
+
+    @settings(max_examples=150, deadline=None)
+    @given(docs=twin_key_corpora(), **SWEEP_GRIDS)
+    def test_sweep_equals_oracle_loop_with_flips_on_twin_keys(
         self, docs, precisions, recalls, runs, seed, window
     ):
         args = (docs, precisions, recalls, runs, seed, window)

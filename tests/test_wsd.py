@@ -31,6 +31,17 @@ def pair_taxonomy():
     ])
 
 
+def uniform_weighting(taxonomy):
+    """Equal weight on every sense of every lemma (nouns and verbs)."""
+    weights = {}
+    for pos in ("n", "v"):
+        for lemma in taxonomy.lemmas(pos):
+            senses = taxonomy.senses(lemma, pos)
+            for sid in senses:
+                weights[(lemma, sid)] = 1.0 / len(senses)
+    return SenseWeighting(weights)
+
+
 def occurrences(sense_times):
     nps = []
     i = 0
@@ -267,7 +278,7 @@ class TestWeightedCounts:
         assert sense_mass(senses, self.resolve(enriched), w.for_lemma("cat", senses)) == (0.7, 0.3)
 
     def test_uniform_equals_unweighted_ratios_everywhere(self, toy_taxonomy, enriched):
-        uniform = SenseWeighting.uniform(toy_taxonomy)
+        uniform = uniform_weighting(toy_taxonomy)
         beginners = BeginnerClass()
         for lemma in toy_taxonomy.lemmas("n"):
             senses = toy_taxonomy.senses(lemma, "n")
@@ -282,7 +293,7 @@ class TestWeightedCounts:
             assert head_mass(lemma, SenseWeighting({}), enriched) == (animate, inanimate)
 
     def test_uniform_reproduces_rule_ratios_exactly(self, toy_taxonomy):
-        uniform = SenseWeighting.uniform(toy_taxonomy)
+        uniform = uniform_weighting(toy_taxonomy)
         for lemma in toy_taxonomy.lemmas("n"):
             assert noun_ratios(lemma, toy_taxonomy) == noun_ratios(
                 lemma, toy_taxonomy, weighting=uniform
@@ -296,7 +307,7 @@ class TestWeightedCounts:
         undecided = EnrichedTaxonomy(
             toy_taxonomy, {sid: Status.UNDECIDED for sid in toy_taxonomy}
         )
-        uniform = SenseWeighting.uniform(toy_taxonomy)
+        uniform = uniform_weighting(toy_taxonomy)
         animate, inanimate = head_mass("mouse", uniform, undecided)
         # beginner classes decide: person and animal animate, device not
         assert (animate, inanimate) == (pytest.approx(2 / 3), pytest.approx(1 / 3))
