@@ -100,10 +100,18 @@ def fold_count(text: str) -> int:
 
 
 def non_negative_int(text: str) -> int:
-    """argparse type of --window: an integer >= 0."""
+    """argparse type of --window and --seed: an integer >= 0."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
+def percent(text: str) -> int:
+    """argparse type of the sweep's grid bounds: an integer from 1 to 100."""
+    value = int(text)
+    if not 1 <= value <= 100:
+        raise argparse.ArgumentTypeError(f"must be in 1..100, got {text!r}")
     return value
 
 
@@ -295,6 +303,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    for axis in ("p", "r"):
+        low, high = getattr(args, f"{axis}_from"), getattr(args, f"{axis}_to")
+        if low > high:
+            raise UsageError(f"empty range: --{axis}-from {low} is above --{axis}-to {high}")
     docs = load_corpus(args.corpus)
     grid = resolution.sweep(
         docs,
@@ -367,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="nearest distances (ml)")
     p.add_argument("--wsd", action="store_true", help="weight senses by context")
     p.add_argument("--ic", help="COUNT file overriding the frequency source")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=non_negative_int, default=None,
                    help="rng seed (required for random/weighted)")
     p.add_argument("--no-reflexive", action="store_true",
                    help="contextual rule checks the who-complementizer only")
@@ -380,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--enriched", help="statuses file (default: enrich --corpus)")
     p.add_argument("--folds", type=fold_count, default=10)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=non_negative_int, required=True)
     p.add_argument("--k", type=positive_int, default=3)
     p.add_argument("--wsd", action="store_true")
     p.add_argument("--ic")
@@ -415,14 +427,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="precision/recall error-injection sweep")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--p-from", type=int, default=10)
-    p.add_argument("--p-to", type=int, default=100)
+    p.add_argument("--p-from", type=percent, default=10)
+    p.add_argument("--p-to", type=percent, default=100)
     p.add_argument("--p-step", type=positive_int, default=1)
-    p.add_argument("--r-from", type=int, default=50)
-    p.add_argument("--r-to", type=int, default=100)
+    p.add_argument("--r-from", type=percent, default=50)
+    p.add_argument("--r-to", type=percent, default=100)
     p.add_argument("--r-step", type=positive_int, default=1)
     p.add_argument("--runs", type=positive_int, default=50)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=non_negative_int, required=True)
     p.add_argument("--window", type=non_negative_int, default=2)
     p.add_argument("--marginals", help="also write axis-averaged curves here")
     p.add_argument("--out", default=None)

@@ -4,7 +4,9 @@ Sense-annotated NP occurrences are counted at their synset and at every
 hypernym ancestor (once per occurrence, even when diamond structure offers
 several paths).  Verb synsets are counted through the gold animacy of the
 subjects governed by the verb; with no verb sense annotation available,
-each occurrence credits every sense of the verb lemma.
+each occurrence credits every sense of the verb lemma.  Occurrences are
+first tallied per distinct sense key and verb lemma, and each tally is
+then propagated through its closure once.
 
 A synset whose observed occurrences are all of one class takes that class
 outright.  A synset with mixed evidence is tested twice with a goodness-of
@@ -25,7 +27,7 @@ from typing import Iterable
 
 from .corpus import Document, Label, iter_nps
 from .fileio import read_lines, write_atomic
-from .taxonomy import VERB, BeginnerClass, Taxonomy, TaxonomyError
+from .taxonomy import VERB, BeginnerClass, Taxonomy, TaxonomyError, sense_mass
 
 # Validity rule for the goodness-of-fit test: at most this fraction of
 # cells may have an expected frequency below the floor.
@@ -43,27 +45,38 @@ class Status(str, enum.Enum):
 
 
 class SynsetCounts:
-    """Per-synset animate/inanimate occurrence counts (direct + inherited)."""
+    """Per-synset animate/inanimate occurrence counts (direct + inherited).
+
+    `accumulate_counts` also tallies occurrences per sense key and per
+    verb lemma in this shape before propagating them.
+    """
 
     def __init__(self):
-        self._counts: dict[str, list[int]] = {}
+        # two columns with the same keys, in order of first credit
+        self._animate: dict[str, int] = {}
+        self._inanimate: dict[str, int] = {}
 
     def add(self, sid: str, animate: bool, amount: int = 1) -> None:
-        cell = self._counts.setdefault(sid, [0, 0])
-        cell[0 if animate else 1] += amount
+        self.credit((sid,), amount if animate else 0, 0 if animate else amount)
+
+    def credit(self, sids: Iterable[str], animate: int, inanimate: int) -> None:
+        """Add the given animate and inanimate amounts at every synset."""
+        ani, inani = self._animate, self._inanimate
+        for sid in sids:
+            ani[sid] = ani.get(sid, 0) + animate
+            inani[sid] = inani.get(sid, 0) + inanimate
 
     def animate(self, sid: str) -> int:
-        return self._counts.get(sid, (0, 0))[0]
+        return self._animate.get(sid, 0)
 
     def inanimate(self, sid: str) -> int:
-        return self._counts.get(sid, (0, 0))[1]
+        return self._inanimate.get(sid, 0)
 
     def total(self, sid: str) -> int:
-        pair = self._counts.get(sid, (0, 0))
-        return pair[0] + pair[1]
+        return self._animate.get(sid, 0) + self._inanimate.get(sid, 0)
 
     def observed_ids(self) -> tuple[str, ...]:
-        return tuple(self._counts)
+        return tuple(self._animate)
 
 
 @dataclass(frozen=True)
@@ -212,27 +225,35 @@ def accumulate_counts(
     Nouns need both a gold label and a sense key; the key's synset and all
     of its ancestors receive one increment per occurrence.  Subjects with a
     known governing verb additionally credit the union of that verb's
-    senses and their ancestors.  Returns the counts plus a list of skipped
-    records whose sense key did not resolve, as (doc, sent, np, sense).
+    senses and their ancestors.  Occurrences are tallied per distinct
+    sense key and per distinct verb lemma first, and each tally is added
+    along its closure once.  Returns the counts plus a list of skipped
+    records whose sense key did not resolve, as (doc, sent, np, sense), in
+    corpus order.
     """
-    counts = SynsetCounts()
+    # occurrences per sense key and per verb lemma, then per synset
+    by_sense, by_verb, counts = SynsetCounts(), SynsetCounts(), SynsetCounts()
     skipped: list[tuple[str, int, int, str]] = []
     for doc, np in iter_nps(docs):
         if np.gold is None:
             continue
         animate = np.gold is Label.ANIMATE
         if np.sense_key is not None:
-            if np.sense_key not in taxonomy:
-                skipped.append((np.doc_id, np.sent_id, np.np_id, np.sense_key))
+            if np.sense_key in taxonomy:
+                by_sense.add(np.sense_key, animate)
             else:
-                for sid in taxonomy.ancestors(np.sense_key, include_self=True):
-                    counts.add(sid, animate)
+                skipped.append((np.doc_id, np.sent_id, np.np_id, np.sense_key))
         if np.is_subject and np.verb_lemma is not None:
-            touched: set[str] = set()
-            for vid in taxonomy.senses(np.verb_lemma, VERB):
-                touched |= taxonomy.ancestors(vid, include_self=True)
-            for sid in touched:
-                counts.add(sid, animate)
+            by_verb.add(np.verb_lemma, animate)
+
+    for key in by_sense.observed_ids():
+        counts.credit(taxonomy.ancestors(key, include_self=True),
+                      by_sense.animate(key), by_sense.inanimate(key))
+    for lemma in by_verb.observed_ids():
+        touched: set[str] = set()
+        for vid in taxonomy.senses(lemma, VERB):
+            touched |= taxonomy.ancestors(vid, include_self=True)
+        counts.credit(touched, by_verb.animate(lemma), by_verb.inanimate(lemma))
     return counts, skipped
 
 
@@ -324,8 +345,10 @@ class EnrichedTaxonomy:
         self.base = base
         self.skipped = tuple(skipped)
         self._status = column
-        # resolved Undecided senses, per beginner class, filled on demand
+        # resolved Undecided senses and unweighted (lemma, pos) sense
+        # masses, per beginner class, filled on demand
         self._resolved: dict[BeginnerClass, dict[str, bool]] = {}
+        self._masses: dict[BeginnerClass, dict[tuple[str, str], tuple[float, float]]] = {}
 
     def status(self, sid: str) -> Status:
         try:
@@ -357,6 +380,21 @@ class EnrichedTaxonomy:
         if animate is None:
             animate = resolved[sid] = self._walk_to_decided(sid, beginners)
         return animate
+
+    def lemma_mass(self, lemma: str, pos: str,
+                   beginners: BeginnerClass) -> tuple[float, float]:
+        """Unweighted animate and inanimate sense counts of a lemma, as
+        `sense_mass` gives them over `resolve_animate`.  Computed once per
+        (lemma, pos) and beginner class, then looked up."""
+        masses = self._masses.setdefault(beginners, {})
+        key = (lemma, pos)
+        mass = masses.get(key)
+        if mass is None:
+            mass = masses[key] = sense_mass(
+                self.base.senses(lemma, pos),
+                lambda sid: self.resolve_animate(sid, beginners),
+            )
+        return mass
 
     def _walk_to_decided(self, sid: str, beginners: BeginnerClass) -> bool:
         # The majority is taken over the deduplicated breadth-first frontier,
@@ -398,13 +436,14 @@ def enrich(
     """Classify every synset from a gold- and sense-annotated corpus.
 
     The per-node decision depends only on the accumulated counts, so the
-    outcome is independent of traversal order.  Records whose sense key is
-    not in the taxonomy are kept on the result as `skipped`.
+    outcome is independent of traversal order.  A synset without counts is
+    Undecided, so only the observed synsets are tested.  Records whose
+    sense key is not in the taxonomy are kept on the result as `skipped`.
     """
     counts, skipped = accumulate_counts(docs, taxonomy)
-    status = {
-        sid: classify_node(sid, counts, taxonomy, alpha) for sid in taxonomy
-    }
+    status = dict.fromkeys(taxonomy, Status.UNDECIDED)
+    for sid in counts.observed_ids():
+        status[sid] = classify_node(sid, counts, taxonomy, alpha)
     return EnrichedTaxonomy._from_column(taxonomy, status, skipped)
 
 
@@ -413,10 +452,12 @@ _STATUS_OF = {status.value: status for status in Status}
 
 
 def dump_statuses(enriched: EnrichedTaxonomy) -> str:
-    suffix = _STATUS_SUFFIX
-    return "".join([
-        "STATUS\t" + sid + suffix[status] for sid, status in enriched._status.items()
-    ])
+    # joined from each record's three pieces, so no string is built per line
+    statuses = enriched._status
+    parts = ["STATUS\t"] * (3 * len(statuses))
+    parts[1::3] = statuses
+    parts[2::3] = map(_STATUS_SUFFIX.__getitem__, statuses.values())
+    return "".join(parts)
 
 
 def save_enriched(enriched: EnrichedTaxonomy, path) -> None:

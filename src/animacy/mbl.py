@@ -16,7 +16,9 @@ bit for bit.
 The instance encodes the head lemma, the lemma's animate and inanimate
 sense counts under the enriched taxonomy, the same pair for the governing
 verb of subjects (zero otherwise), and the document's animate pronoun
-ratio.
+ratio.  Unweighted sense counts depend only on the lemma, so they are
+computed once per lemma and beginner class (`EnrichedTaxonomy.lemma_mass`);
+only weighted head-noun masses are computed per NP.
 """
 
 from __future__ import annotations
@@ -86,27 +88,26 @@ def extract_features(
     """
     from .corpus import pronoun_ratio
 
-    def is_animate(sid: str) -> bool:
-        return enriched.resolve_animate(sid, beginners)
-
-    senses = enriched.base.senses(np_record.head_lemma, NOUN)
-    if senses:
-        lemma = np_record.head_lemma
-        weights = None
-        if weighting is not None:
-            # a lemma without stored weights takes uniform shares, so its
-            # counts stay on the scale of the weighted ones
-            weights = (weighting.for_lemma(lemma, senses)
-                       or dict.fromkeys(senses, 1.0 / len(senses)))
-        noun_animate, noun_inanimate = sense_mass(senses, is_animate, weights)
-    else:
+    lemma = np_record.head_lemma
+    senses = enriched.base.senses(lemma, NOUN)
+    if not senses:
         lemma = OOV_LEMMA
         noun_animate = noun_inanimate = 0.0
+    elif weighting is None:
+        noun_animate, noun_inanimate = enriched.lemma_mass(lemma, NOUN, beginners)
+    else:
+        # a lemma without stored weights takes uniform shares, so its
+        # counts stay on the scale of the weighted ones
+        weights = (weighting.for_lemma(lemma, senses)
+                   or dict.fromkeys(senses, 1.0 / len(senses)))
+        noun_animate, noun_inanimate = sense_mass(
+            senses, lambda sid: enriched.resolve_animate(sid, beginners), weights
+        )
 
     verb_animate = verb_inanimate = 0.0
     if np_record.is_subject and np_record.verb_lemma is not None:
-        verb_animate, verb_inanimate = sense_mass(
-            enriched.base.senses(np_record.verb_lemma, VERB), is_animate
+        verb_animate, verb_inanimate = enriched.lemma_mass(
+            np_record.verb_lemma, VERB, beginners
         )
 
     return FeatureVector(

@@ -100,6 +100,12 @@ class TestExitCodes:
         ("sweep", "--p-step", "0"),
         ("sweep", "--r-step", "0"),
         ("sweep", "--window", "-1"),
+        ("sweep", "--p-from", "0"),
+        ("sweep", "--r-from", "0"),
+        ("sweep", "--p-to", "101"),
+        ("sweep", "--r-to", "101"),
+        ("sweep", "--p-from", "x"),
+        ("sweep", "--seed", "-1"),
         ("simulate", "--window", "-1"),
     ])
     def test_bad_harness_number_is_usage_error(self, capsys, command, flag, value):
@@ -108,6 +114,26 @@ class TestExitCodes:
         assert code == 2
         assert flag in err
         assert "Traceback" not in err and "Warning" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("axis, low, high", [("p", "50", "10"), ("r", "100", "99")])
+    def test_empty_sweep_range_is_usage_error(self, capsys, tmp_path, axis, low, high):
+        out_path = tmp_path / "grid.csv"
+        code, out, err = run(capsys, "sweep", "--corpus", CORPUS, "--seed", "1",
+                             f"--{axis}-from", low, f"--{axis}-to", high,
+                             "--out", str(out_path))
+        assert code == 2
+        assert f"--{axis}-from" in err and f"--{axis}-to" in err
+        assert out == "" and not out_path.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["xval", "--taxonomy", TAX, "--corpus", CORPUS],
+        ["classify", "--method", "random", "--corpus", CORPUS],
+    ])
+    def test_negative_seed_is_usage_error(self, capsys, command):
+        code, out, err = run(capsys, *command, "--seed", "-1")
+        assert code == 2
+        assert "argument --seed:" in err
         assert out == ""
 
     @pytest.mark.parametrize("command, flag, value", [

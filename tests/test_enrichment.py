@@ -6,7 +6,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from animacy.corpus import Document, Label
+from animacy.corpus import Document, Label, iter_nps
 from animacy.enrichment import (
     Cell,
     EnrichedTaxonomy,
@@ -21,10 +21,10 @@ from animacy.enrichment import (
     merge_low_frequency,
     save_enriched,
 )
-from animacy.taxonomy import BeginnerClass, Synset, Taxonomy
+from animacy.taxonomy import VERB, BeginnerClass, Synset, Taxonomy
 from tests.chi2_critical_table import CRITICAL, DFS
 from tests.test_corpus import make_np
-from tests.test_taxonomy import random_taxonomies
+from tests.test_taxonomy import LEMMAS, random_taxonomies
 
 # Conventional 0.05 upper critical values (three-decimal table, df 1..10).
 TEXTBOOK_CRITICAL = {
@@ -435,6 +435,85 @@ class TestCountPropagationProperty:
             )
             assert counts.animate(node) == expected_animate
             assert counts.inanimate(node) == expected_inanimate
+
+
+def oracle_accumulate_counts(docs, taxonomy):
+    """Reference counting: every occurrence walks and credits its own
+    closure, with no tally, into plain animate and inanimate dicts."""
+    counts = ({}, {})
+    skipped = []
+    for doc, np in iter_nps(docs):
+        if np.gold is None:
+            continue
+        column = counts[0 if np.gold is Label.ANIMATE else 1]
+        if np.sense_key is not None:
+            if np.sense_key not in taxonomy:
+                skipped.append((np.doc_id, np.sent_id, np.np_id, np.sense_key))
+            else:
+                for sid in taxonomy.ancestors(np.sense_key, include_self=True):
+                    column[sid] = column.get(sid, 0) + 1
+        if np.is_subject and np.verb_lemma is not None:
+            touched = set()
+            for vid in taxonomy.senses(np.verb_lemma, VERB):
+                touched |= taxonomy.ancestors(vid, include_self=True)
+            for sid in touched:
+                column[sid] = column.get(sid, 0) + 1
+    return counts, skipped
+
+
+@st.composite
+def annotated_corpora(draw, taxonomy):
+    """One to three documents of NPs over `taxonomy`: repeated and unknown
+    sense keys, unlabelled NPs, and subjects whose verb lemma may have
+    several senses, or none."""
+    senses = st.one_of(st.none(), st.sampled_from(list(taxonomy)),
+                       st.sampled_from(["ghost", "n-ghost"]))
+    verbs = st.one_of(st.none(), st.sampled_from(LEMMAS + ["unseen"]))
+    golds = st.sampled_from([None, Label.ANIMATE, Label.INANIMATE])
+    events = draw(st.lists(
+        st.tuples(senses, golds, st.booleans(), verbs, st.integers(1, 6)), max_size=25,
+    ))
+    nps = []
+    for sense, gold, subject, verb, repeat in events:
+        for _ in range(repeat):
+            nps.append(dict(head="w", gold=gold, sense_key=sense,
+                            is_subject=subject or verb is not None, verb_lemma=verb))
+    n_docs = draw(st.integers(1, 3))
+    return [
+        Document(f"d{k}", tuple(make_np(doc=f"d{k}", sent=i % 3, np=i, **fields)
+                                for i, fields in enumerate(nps[k::n_docs])), 0, 0)
+        for k in range(n_docs)
+    ]
+
+
+class TestCountsMatchOracle:
+    """Tallied counting equals per-occurrence counting, nouns and verbs."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(taxonomy=random_taxonomies(mixed_pos=True), data=st.data())
+    def test_same_counts_and_skipped_order(self, taxonomy, data):
+        docs = data.draw(annotated_corpora(taxonomy))
+        counts, skipped = accumulate_counts(docs, taxonomy)
+        (animate, inanimate), expected_skipped = oracle_accumulate_counts(docs, taxonomy)
+        assert skipped == expected_skipped
+        assert set(counts.observed_ids()) == animate.keys() | inanimate.keys()
+        for sid in taxonomy:
+            assert counts.animate(sid) == animate.get(sid, 0), sid
+            assert counts.inanimate(sid) == inanimate.get(sid, 0), sid
+
+
+class TestEnrichMatchesOracle:
+    """Testing only the observed synsets equals testing every synset."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(taxonomy=random_taxonomies(mixed_pos=True), data=st.data(),
+           alpha=st.sampled_from([0.05, 0.01]))
+    def test_status_column_in_taxonomy_order(self, taxonomy, data, alpha):
+        docs = data.draw(annotated_corpora(taxonomy))
+        counts, _ = accumulate_counts(docs, taxonomy)  # pinned by TestCountsMatchOracle
+        expected = {sid: classify_node(sid, counts, taxonomy, alpha) for sid in taxonomy}
+        got = enrich(taxonomy, docs, alpha)._status
+        assert list(got.items()) == list(expected.items())
 
 
 def test_coverage_boundaries(toy_taxonomy):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from animacy.corpus import Document, Label, iter_nps
-from animacy.enrichment import EnrichedTaxonomy, Status
+from animacy.corpus import Document, Label, iter_nps, pronoun_ratio
+from animacy.enrichment import EnrichedTaxonomy, Status, enrich
 from animacy.evaluation import score
 from animacy.mbl import (
     OOV_LEMMA,
@@ -14,7 +14,8 @@ from animacy.mbl import (
     gain_ratio_weights,
     knn_classify,
 )
-from animacy.taxonomy import Synset, Taxonomy
+from animacy.taxonomy import NOUN, VERB, BeginnerClass, Synset, Taxonomy, sense_mass
+from animacy.wsd import document_weights, information_content
 from tests.test_acceptance import oracle_knn
 from tests.test_corpus import make_np
 
@@ -66,6 +67,66 @@ class TestExtractFeatures:
                 senses = toy_taxonomy.senses(np.head_lemma, "n")
                 fv = extract_features(np, doc, enriched)
                 assert fv.animate_senses + fv.inanimate_senses == len(senses)
+
+
+def oracle_features(np_record, doc, enriched, beginners, weighting=None):
+    """Reference instance: every sense of the head and verb resolved anew
+    for this NP, with no per-lemma memo."""
+    def is_animate(sid):
+        return enriched.resolve_animate(sid, beginners)
+
+    lemma = np_record.head_lemma
+    senses = enriched.base.senses(lemma, NOUN)
+    noun = (0.0, 0.0)
+    if senses:
+        weights = None
+        if weighting is not None:
+            weights = (weighting.for_lemma(lemma, senses)
+                       or dict.fromkeys(senses, 1.0 / len(senses)))
+        noun = sense_mass(senses, is_animate, weights)
+    else:
+        lemma = OOV_LEMMA
+    verb = (0.0, 0.0)
+    if np_record.is_subject and np_record.verb_lemma is not None:
+        verb = sense_mass(enriched.base.senses(np_record.verb_lemma, VERB), is_animate)
+    return FeatureVector(lemma, *noun, *verb, pronoun_ratio(doc), np_record.gold)
+
+
+class TestFeaturesMatchOracle:
+    """Per-lemma sense masses give the same instances as per-NP ones."""
+
+    CLASSES = (BeginnerClass(),
+               BeginnerClass(animate_noun_lexfiles=frozenset({6, 18}),
+                             animate_verb_lexfiles=frozenset({30, 38})))
+
+    @pytest.mark.parametrize("decided", [True, False])
+    def test_memo_is_kept_per_beginner_class(self, toy_taxonomy, mini_corpus, decided):
+        # with no synset decided, every sense falls back to the beginner
+        # class, so the two classes disagree on many lemmas
+        enriched = (enrich(toy_taxonomy, mini_corpus) if decided
+                    else EnrichedTaxonomy(toy_taxonomy, {}))
+        differs = False
+        for doc, np_record in iter_nps(mini_corpus):
+            got = [extract_features(np_record, doc, enriched, b) for b in self.CLASSES]
+            assert got == [oracle_features(np_record, doc, enriched, b)
+                           for b in self.CLASSES], np_record.key
+            differs |= got[0] != got[1]
+        assert differs
+
+    def test_weighted_noun_masses_bypass_the_memo(self, toy_taxonomy, mini_corpus):
+        enriched = enrich(toy_taxonomy, mini_corpus)
+        ic = information_content(mini_corpus, toy_taxonomy)
+        beginners = BeginnerClass()
+        differs = False
+        for doc in mini_corpus:
+            weighting = document_weights(doc, toy_taxonomy, ic)
+            for np_record in doc.nps:
+                plain = extract_features(np_record, doc, enriched, beginners)
+                weighted = extract_features(np_record, doc, enriched, beginners, weighting)
+                assert weighted == oracle_features(
+                    np_record, doc, enriched, beginners, weighting), np_record.key
+                differs |= plain != weighted
+        assert differs
 
 
 class TestGainRatio:

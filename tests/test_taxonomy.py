@@ -45,9 +45,9 @@ def random_synsets(draw, mixed_pos=False):
     return synsets
 
 
-def random_taxonomies():
+def random_taxonomies(mixed_pos=False):
     """Small random DAGs: parents always precede children, so acyclic."""
-    return random_synsets().map(Taxonomy)
+    return random_synsets(mixed_pos).map(Taxonomy)
 
 
 class OracleTaxonomy:
