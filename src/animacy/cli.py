@@ -83,6 +83,14 @@ def significance_level(text: str) -> float:
     return value
 
 
+def threshold(text: str) -> float:
+    """argparse type of --t1, --t2 and --t3: a number from 0 to 1."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text!r}")
+    return value
+
+
 def positive_int(text: str) -> int:
     """argparse type of --runs, --p-step, --r-step and --k: an integer >= 1."""
     value = int(text)
@@ -174,7 +182,13 @@ def cmd_enrich(args) -> int:
     return 0
 
 
+def _check_ic(args) -> None:
+    if args.ic and not args.wsd:
+        raise UsageError("--ic requires --wsd")
+
+
 def cmd_classify(args) -> int:
+    _check_ic(args)
     if args.method in ("random", "weighted") and args.seed is None:
         raise UsageError(f"--method {args.method} requires --seed")
     if args.method in ("rule", "random", "weighted", "dummy") and args.corpus is None:
@@ -238,6 +252,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_xval(args) -> int:
+    _check_ic(args)
     taxonomy = load_taxonomy(args.taxonomy)
     docs = load_corpus(args.corpus)
     beginners = _beginners(args)
@@ -369,11 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", help="training corpus (ml)")
     p.add_argument("--test", help="corpus to classify (ml)")
     p.add_argument("--enriched", help="statuses file (ml; default: enrich --train)")
-    p.add_argument("--t1", type=float, default=0.71,
+    p.add_argument("--t1", type=threshold, default=0.71,
                    help="noun animacy threshold")
-    p.add_argument("--t2", type=float, default=0.92,
+    p.add_argument("--t2", type=threshold, default=0.92,
                    help="noun inanimacy threshold")
-    p.add_argument("--t3", type=float, default=0.90,
+    p.add_argument("--t3", type=threshold, default=0.90,
                    help="verb animacy threshold")
     p.add_argument("--k", type=positive_int, default=3,
                    help="nearest distances (ml)")

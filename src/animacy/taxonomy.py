@@ -116,8 +116,12 @@ class Taxonomy:
     Synsets are stored as columns indexed by position in input order: id,
     part of speech, lexfile, lemmas, and the positions of the hypernyms and
     hyponyms.  Construction checks all structural invariants: unique ids,
-    resolvable same-pos hypernym links and acyclicity.  Instances are safe
-    to share across threads; all lookups are read-only.
+    resolvable same-pos hypernym links and acyclicity.  The graph is
+    immutable; `ancestors` and `beginner_of` memoize their results in
+    dicts filled on first use.  Each memo entry is a pure function of the
+    graph, so threads sharing an instance can at worst compute an entry
+    twice and store equal values (a single dict store is atomic in
+    CPython).
     """
 
     def __init__(self, synsets: Iterable[Synset]):
@@ -185,6 +189,7 @@ class Taxonomy:
         self._senses = senses
         self.roots: tuple[str, ...] = roots
         self._ancestor_cache: dict[str, frozenset[str]] = {}
+        self._beginners: dict[str, int] = {}
 
     def _position(self, sid: str) -> int:
         try:
@@ -262,13 +267,27 @@ class Taxonomy:
 
         Single-parent chains are followed upward.  A synset with several
         hypernyms keeps its own lexfile, so DAG nodes resolve to exactly
-        one beginner.
+        one beginner.  The result is memoized on every node of the chain
+        walked.
         """
-        parents = self._parents
-        node = self._position(sid)
-        while len(parents[node]) == 1:
-            node = parents[node][0]
-        return self._lexfiles[node]
+        lexfile = self._beginners.get(sid)
+        if lexfile is None:
+            # walk up to the beginner or to a memoized node, then memoize
+            # the beginner's lexfile on every node walked
+            beginners, ids, parents = self._beginners, self._ids, self._parents
+            node = self._position(sid)
+            walked = [sid]
+            while len(parents[node]) == 1:
+                node = parents[node][0]
+                lexfile = beginners.get(ids[node])
+                if lexfile is not None:
+                    break
+                walked.append(ids[node])
+            else:
+                lexfile = self._lexfiles[node]
+            for name in walked:
+                beginners[name] = lexfile
+        return lexfile
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Taxonomy):

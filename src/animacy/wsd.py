@@ -9,55 +9,83 @@ a distribution; nouns with no pairwise support fall back to uniform
 weights.
 
 The common subsumers of all sense pairs of two nouns are the intersection
-of the nouns' closure unions, so each noun's union is ranked once per
-document by information content, and a noun pair's subsumer is the first
-synset of one ranking inside the other union: per document one ancestor
-lookup per sense and one sort per noun, per noun pair one partial scan.
+of the nouns' closure unions.  The IC table memoizes, per lemma, each noun
+sense's closure and their union as sets of (-IC, id) rank keys, so a noun
+pair's subsumer is the smallest key the two unions share and a sense gets
+support when its closure holds that key.  Closures are built once per
+lemma for the table's lifetime; per document only the noun pairs are
+visited, each with one set intersection.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .corpus import Document, iter_nps
 from .fileio import read_lines
-from .taxonomy import NOUN, Taxonomy
+from .taxonomy import NOUN, VERB, Taxonomy
 
 
-@dataclass(frozen=True)
 class ICTable:
-    """Information content per synset: -log p, with p estimated from
-    propagated occurrence counts plus add-one smoothing."""
+    """Information content per synset of one taxonomy: -log p, with p
+    estimated from propagated occurrence counts plus add-one smoothing.
 
-    ic: Mapping[str, float]
-    counts: Mapping[str, float]
+    Only the propagated counts and the per-pos norms are stored; `of`
+    evaluates a synset's IC on demand.  Each lemma's noun sense closures,
+    as frozensets of (-IC, id) rank keys, and their union are memoized on
+    first use, so they are built once per lemma, not once per document.
+    """
+
+    def __init__(self, direct: Mapping[str, float], taxonomy: Taxonomy):
+        # propagate direct occurrence counts to every ancestor and sum the
+        # smoothed root counts per part of speech
+        if len(taxonomy) == 0:
+            raise ValueError("cannot build an information-content table for an empty taxonomy")
+        raw: dict[str, float] = {}
+        for sid, count in direct.items():
+            for anc in taxonomy.ancestors(sid, include_self=True):
+                raw[anc] = raw.get(anc, 0.0) + count
+        self.taxonomy = taxonomy
+        self._raw = raw
+        self._norm = {
+            pos: sum(raw.get(root, 0.0) + 1.0
+                     for root in taxonomy.roots if taxonomy.pos_of(root) == pos)
+            for pos in (NOUN, VERB)
+        }
+        self._keys: dict[str, tuple[float, str]] = {}
+        self._lemmas: dict[str, tuple[tuple[tuple[str, frozenset], ...], frozenset]] = {}
 
     def of(self, sid: str) -> float:
-        return self.ic[sid]
+        norm = self._norm[self.taxonomy.pos_of(sid)]
+        return -math.log((self._raw.get(sid, 0.0) + 1.0) / norm) if norm > 0 else 0.0
 
+    @property
+    def ic(self) -> dict[str, float]:
+        return {sid: self.of(sid) for sid in self.taxonomy}
 
-def _ic_from_counts(direct: dict[str, float], taxonomy: Taxonomy) -> ICTable:
-    """Propagate direct occurrence counts to every ancestor, smooth, and
-    take -log p per part of speech."""
-    if len(taxonomy) == 0:
-        raise ValueError("cannot build an information-content table for an empty taxonomy")
-    raw: dict[str, float] = {}
-    for sid, count in direct.items():
-        for anc in taxonomy.ancestors(sid, include_self=True):
-            raw[anc] = raw.get(anc, 0.0) + count
-    smoothed = {sid: raw.get(sid, 0.0) + 1.0 for sid in taxonomy}
-    norm = {}
-    for pos in ("n", "v"):
-        norm[pos] = sum(
-            smoothed[root] for root in taxonomy.roots if taxonomy.pos_of(root) == pos
-        )
-    ic = {}
-    for sid in taxonomy:
-        pos = taxonomy.pos_of(sid)
-        ic[sid] = -math.log(smoothed[sid] / norm[pos]) if norm[pos] > 0 else 0.0
-    return ICTable(ic=ic, counts=smoothed)
+    @property
+    def counts(self) -> dict[str, float]:
+        return {sid: self._raw.get(sid, 0.0) + 1.0 for sid in self.taxonomy}
+
+    def _closures(self, lemma: str) -> tuple[tuple[tuple[str, frozenset], ...], frozenset]:
+        """(sense, closure keys) per noun sense of `lemma`, in sense order,
+        and the union of those closures; memoized per lemma."""
+        entry = self._lemmas.get(lemma)
+        if entry is None:
+            keys, taxonomy = self._keys, self.taxonomy
+            senses = []
+            for sid in taxonomy.senses(lemma, NOUN):
+                closure = []
+                for node in (sid, *taxonomy.ancestors(sid)):
+                    key = keys.get(node)
+                    if key is None:
+                        key = keys[node] = (-self.of(node), node)
+                    closure.append(key)
+                senses.append((sid, frozenset(closure)))
+            union = frozenset().union(*(closure for _, closure in senses))
+            entry = self._lemmas[lemma] = (tuple(senses), union)
+        return entry
 
 
 def information_content(docs: Iterable[Document], taxonomy: Taxonomy) -> ICTable:
@@ -71,7 +99,7 @@ def information_content(docs: Iterable[Document], taxonomy: Taxonomy) -> ICTable
     for _, np in iter_nps(docs):
         if np.sense_key is not None and np.sense_key in taxonomy:
             direct[np.sense_key] = direct.get(np.sense_key, 0.0) + 1.0
-    return _ic_from_counts(direct, taxonomy)
+    return ICTable(direct, taxonomy)
 
 
 def load_counts(path, taxonomy: Taxonomy) -> ICTable:
@@ -98,7 +126,7 @@ def load_counts(path, taxonomy: Taxonomy) -> ICTable:
         except ValueError as exc:
             raise ValueError(f"{path} line {lineno}: {exc}") from None
         direct[sid] = direct.get(sid, 0.0) + value
-    return _ic_from_counts(direct, taxonomy)
+    return ICTable(direct, taxonomy)
 
 
 class SenseWeighting:
@@ -135,36 +163,29 @@ def disambiguation_weights(
     ignored.  Monosemous lemmas end up with weight 1 on their only sense,
     and a single-noun document yields uniform weights throughout.
     """
+    if ic.taxonomy is not taxonomy:
+        raise ValueError("information-content table was built from another taxonomy")
     lemmas = sorted({x for x in nouns if taxonomy.senses(x, NOUN)})
-    ic_of = ic.ic
-    # per lemma: (sense, strict ancestors) in sense order, the union U of the
-    # sense closures, U ranked by descending IC (ties by id), and the support
-    closures, unions, ranked, support = {}, {}, {}, {}
+    # per lemma: (sense, closure keys) in sense order and their union U
+    closures, unions, support = {}, {}, {}
     for lemma in lemmas:
-        senses = tuple(
-            (sid, taxonomy.ancestors(sid)) for sid in taxonomy.senses(lemma, NOUN)
-        )
-        closures[lemma] = senses
-        unions[lemma] = {sid for sid, _ in senses}.union(*(anc for _, anc in senses))
-        ranked[lemma] = sorted(unions[lemma], key=lambda sid: (-ic_of[sid], sid))
-        support[lemma] = {sid: 0.0 for sid, _ in senses}
+        closures[lemma], unions[lemma] = ic._closures(lemma)
+        support[lemma] = {sid: 0.0 for sid, _ in closures[lemma]}
 
     for i, lemma_a in enumerate(lemmas):
-        ranked_a = ranked[lemma_a]
+        union_a = unions[lemma_a]
         for lemma_b in lemmas[i + 1:]:
             # the common subsumers of all sense pairs are exactly U_a & U_b,
-            # so the best one is the first of ranked_a that lies in U_b
-            union_b = unions[lemma_b]
-            for subsumer in ranked_a:
-                if subsumer in union_b:
-                    break
-            else:
+            # and the best one has the smallest (-IC, id) key
+            common = union_a & unions[lemma_b]
+            if not common:
                 continue
-            value = ic_of[subsumer]
+            subsumer = min(common)
+            value = -subsumer[0]  # negation is exact: the subsumer's IC
             for lemma in (lemma_a, lemma_b):
                 per_sense = support[lemma]
-                for sid, anc in closures[lemma]:
-                    if sid == subsumer or subsumer in anc:
+                for sid, closure in closures[lemma]:
+                    if subsumer in closure:
                         per_sense[sid] += value
 
     weights: dict[tuple[str, str], float] = {}

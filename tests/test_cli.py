@@ -150,6 +150,35 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("flag", ["--t1", "--t2", "--t3"])
+    @pytest.mark.parametrize("value", ["1.5", "-0.1", "nan", "inf", "abc"])
+    def test_threshold_outside_unit_interval_is_usage_error(self, capsys, flag, value):
+        code, out, err = run(capsys, "classify", "--method", "rule",
+                             "--taxonomy", "/nonexistent.tax", "--corpus", CORPUS,
+                             flag, value)
+        assert code == 2
+        assert f"argument {flag}:" in err
+        assert "Traceback" not in err
+        assert out == ""
+
+    def test_thresholds_at_the_bounds_are_accepted(self, capsys):
+        code, out, _ = run(capsys, "classify", "--method", "rule", "--taxonomy", TAX,
+                           "--corpus", CORPUS, "--t1", "0", "--t2", "1", "--t3", "1.0")
+        assert code == 0
+        assert len(out.strip().split("\n")) == 60
+
+    @pytest.mark.parametrize("command", [
+        ["classify", "--method", "rule", "--taxonomy", TAX, "--corpus", CORPUS],
+        ["classify", "--method", "ml", "--taxonomy", TAX, "--train", CORPUS,
+         "--test", CORPUS],
+        ["xval", "--taxonomy", TAX, "--corpus", CORPUS, "--seed", "1"],
+    ])
+    def test_ic_without_wsd_is_usage_error(self, capsys, command):
+        code, out, err = run(capsys, *command, "--ic", "/nonexistent.count")
+        assert code == 2
+        assert "--ic requires --wsd" in err
+        assert out == ""
+
     @pytest.mark.parametrize("flags, expected", [
         ([], BeginnerClass()),
         (["--animate-noun-lexfiles", ""], BeginnerClass()),

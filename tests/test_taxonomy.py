@@ -432,6 +432,17 @@ class TestColumnStoreMatchesOracle:
             assert loaded == Taxonomy(synsets)
             assert_same_taxonomy(loaded, oracle_load(path))
 
+    @settings(max_examples=150, deadline=None)
+    @given(synsets=shuffled_synsets(), data=st.data())
+    def test_memoized_beginners_match_oracle_in_any_order(self, synsets, data):
+        # the memo fills along each walked chain, so a later query may start
+        # below, on or above an already memoized node
+        taxonomy = Taxonomy(synsets)
+        oracle = OracleTaxonomy(synsets)
+        for _ in range(2):
+            for sid in data.draw(st.permutations([s.id for s in synsets])):
+                assert taxonomy.beginner_of(sid) == oracle.beginner_of(sid), sid
+
     @settings(max_examples=60, deadline=None)
     @given(synsets=shuffled_synsets(), data=st.data())
     def test_equality_ignores_order(self, synsets, data):

@@ -12,10 +12,12 @@ from animacy.wsd import (
     ICTable,
     SenseWeighting,
     disambiguation_weights,
+    document_weights,
     information_content,
     load_counts,
 )
 from tests.test_corpus import make_np
+from tests.test_taxonomy import random_taxonomies
 
 
 def pair_taxonomy():
@@ -98,12 +100,15 @@ def oracle_weights(nouns, taxonomy: Taxonomy, ic: ICTable) -> dict:
 POOL = ("fox", "vat", "oak", "imp", "cog", "elm")
 
 
+NOUN_LISTS = st.lists(st.sampled_from(POOL + ("ghost", "only0")), max_size=8)
+
+
 @st.composite
-def sense_documents(draw):
+def sense_taxonomies(draw):
     """A small DAG with several roots and multi-parent nodes, lemmas with
-    one to six senses, an IC table from tiny counts (so many synsets tie
-    on IC), and a document's nouns.  Ids are shuffled against file order
-    so the id tie-break cannot coincide with iteration order."""
+    one to six senses, and tiny direct counts (so many synsets tie on IC).
+    Ids are shuffled against file order so the id tie-break cannot
+    coincide with iteration order."""
     size = draw(st.integers(3, 14))
     roots = draw(st.integers(2, min(3, size)))
     ids = draw(st.permutations([f"s{i:02d}" for i in range(size)]))
@@ -120,11 +125,45 @@ def sense_documents(draw):
         )) if i >= roots else []
         lemmas = tuple(lemma for lemma in POOL if i in chosen[lemma]) or (f"only{i}",)
         synsets.append(Synset(ids[i], "n", lemmas, tuple(parents), 6))
-    taxonomy = Taxonomy(synsets)
     direct = [(sid, draw(st.sampled_from([0, 0, 1, 2]))) for sid in ids]
+    return Taxonomy(synsets), direct
+
+
+@st.composite
+def sense_documents(draw):
+    """A drawn taxonomy, its IC table and one document's nouns."""
+    taxonomy, direct = draw(sense_taxonomies())
     table = information_content(occurrences(direct), taxonomy)
-    nouns = draw(st.lists(st.sampled_from(POOL + ("ghost", "only0")), max_size=8))
-    return taxonomy, table, nouns
+    return taxonomy, table, draw(NOUN_LISTS)
+
+
+def oracle_ic(direct: dict, taxonomy: Taxonomy) -> tuple[dict, dict]:
+    """The eager tables that the lazy `ICTable` replaced: -log p and the
+    smoothed propagated count of every synset, as two dicts."""
+    raw = {}
+    for sid, count in direct.items():
+        for anc in taxonomy.ancestors(sid, include_self=True):
+            raw[anc] = raw.get(anc, 0.0) + count
+    smoothed = {sid: raw.get(sid, 0.0) + 1.0 for sid in taxonomy}
+    norm = {}
+    for pos in ("n", "v"):
+        norm[pos] = sum(
+            smoothed[root] for root in taxonomy.roots if taxonomy.pos_of(root) == pos
+        )
+    ic = {}
+    for sid in taxonomy:
+        pos = taxonomy.pos_of(sid)
+        ic[sid] = -math.log(smoothed[sid] / norm[pos]) if norm[pos] > 0 else 0.0
+    return ic, smoothed
+
+
+def assert_same_table(table: ICTable, direct: dict, taxonomy: Taxonomy) -> None:
+    ic, counts = oracle_ic(direct, taxonomy)
+    for sid in taxonomy:
+        # hex() tells -0.0 from 0.0, so this is bit equality
+        assert table.of(sid).hex() == ic[sid].hex(), sid
+    assert table.ic == ic
+    assert table.counts == counts
 
 
 class TestInformationContent:
@@ -161,6 +200,34 @@ class TestInformationContent:
     def test_empty_taxonomy_rejected(self):
         with pytest.raises(ValueError):
             information_content([], Taxonomy([]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(taxonomy=random_taxonomies(mixed_pos=True), data=st.data())
+    def test_lazy_table_is_bit_equal_to_eager_oracle(self, taxonomy, data, tmp_path_factory):
+        ids = list(taxonomy)
+        # corpus counts: whole occurrences, summed in order of first mention
+        mentions = data.draw(st.lists(st.sampled_from(ids), max_size=12))
+        direct = {}
+        for sid in mentions:
+            direct[sid] = direct.get(sid, 0.0) + 1.0
+        table = information_content(occurrences([(sid, 1) for sid in mentions]), taxonomy)
+        assert_same_table(table, direct, taxonomy)
+        # count file: fractional values, repeated ids summed in file order
+        rows = data.draw(st.lists(st.tuples(
+            st.sampled_from(ids),
+            st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
+        ), max_size=12))
+        path = tmp_path_factory.mktemp("counts") / "freq.tsv"
+        path.write_text("".join(f"COUNT\t{sid}\t{value!r}\n" for sid, value in rows))
+        direct = {}
+        for sid, value in rows:
+            direct[sid] = direct.get(sid, 0.0) + value
+        assert_same_table(load_counts(path, taxonomy), direct, taxonomy)
+
+    def test_unknown_synset_raises(self):
+        table = information_content(occurrences([("s1a", 2)]), pair_taxonomy())
+        with pytest.raises(ValueError):
+            table.of("nowhere")
 
 
 class TestDisambiguation:
@@ -242,6 +309,35 @@ class TestDisambiguation:
         for lemma in POOL:
             if lemma not in nouns:
                 assert w.for_lemma(lemma, taxonomy.senses(lemma, NOUN)) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=sense_taxonomies(), documents=st.lists(NOUN_LISTS, min_size=2, max_size=6))
+    def test_documents_in_turn_against_one_table(self, case, documents):
+        # the shared table's lemma memo warms up document by document; each
+        # document must still match the oracle and a table that is fresh
+        taxonomy, direct = case
+        shared = information_content(occurrences(direct), taxonomy)
+        for nouns in documents:
+            expected = oracle_weights(nouns, taxonomy, shared)
+            fresh_table = information_content(occurrences(direct), taxonomy)
+            fresh = disambiguation_weights(nouns, taxonomy, fresh_table)
+            warm = disambiguation_weights(nouns, taxonomy, shared)
+            for (lemma, sid), value in expected.items():
+                assert warm.weight(lemma, sid) == value == fresh.weight(lemma, sid)
+            for lemma in POOL + ("only0",):
+                senses = taxonomy.senses(lemma, NOUN)
+                assert warm.for_lemma(lemma, senses) == fresh.for_lemma(lemma, senses)
+
+    def test_table_of_another_taxonomy_is_rejected(self):
+        t, table = self.ic()
+        # an equal taxonomy is still another instance: the memo is tied to t
+        other = pair_taxonomy()
+        assert other == t
+        with pytest.raises(ValueError, match="another taxonomy"):
+            disambiguation_weights({"alpha", "beta"}, other, table)
+        doc = Document("d", (make_np(head="alpha"),), 0, 0)
+        with pytest.raises(ValueError, match="another taxonomy"):
+            document_weights(doc, other, table)
 
     def test_toy_taxonomy_matches_oracle_exactly(self, toy_taxonomy, mini_corpus):
         table = information_content(mini_corpus, toy_taxonomy)
