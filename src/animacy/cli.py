@@ -42,7 +42,11 @@ def _load_predictions(path) -> dict[tuple[str, int, int], Label]:
         try:
             if len(fields) != 4:
                 raise ValueError("expected 4 fields")
-            out[(fields[0], int(fields[1]), int(fields[2]))] = Label(fields[3])
+            key = (fields[0], int(fields[1]), int(fields[2]))
+            label = Label(fields[3])
+            if key in out:
+                raise ValueError(f"duplicate NP key {key}")
+            out[key] = label
         except ValueError as exc:
             raise ValueError(f"{path} line {lineno}: {exc}") from None
     return out

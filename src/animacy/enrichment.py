@@ -469,9 +469,11 @@ def load_enriched(path, base: Taxonomy) -> EnrichedTaxonomy:
 
     SYNSET lines and comments are skipped, so a combined taxonomy+status
     file loads with the same call.  Synsets without a STATUS line default
-    to Undecided.
+    to Undecided; a second STATUS line for a synset is an error.
     """
-    column = dict.fromkeys(base, Status.UNDECIDED)
+    # None until the synset's STATUS line is read; a set of the ids seen
+    # would hold another 96k entries at paper scale
+    column: dict[str, Status | None] = dict.fromkeys(base)
     status_of = _STATUS_OF
     for lineno, line in read_lines(path):
         if not line or line.startswith("#") or line.startswith("SYNSET\t"):
@@ -483,7 +485,12 @@ def load_enriched(path, base: Taxonomy) -> EnrichedTaxonomy:
             sid, value = fields[1], fields[2]
             if sid not in column:
                 raise ValueError(f"status for unknown synset {sid}")
+            if column[sid] is not None:
+                raise ValueError(f"duplicate STATUS for synset {sid}")
             column[sid] = status_of.get(value) or Status(value)
         except ValueError as exc:
             raise ValueError(f"{path} line {lineno}: {exc}") from None
+    for sid, status in column.items():
+        if status is None:
+            column[sid] = Status.UNDECIDED
     return EnrichedTaxonomy._from_column(base, column)

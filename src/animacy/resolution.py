@@ -7,6 +7,11 @@ any particular anaphora resolver.  What the sweep measures is how
 resolution degrades as animacy labels are perturbed to hit chosen
 precision/recall targets.  It perturbs the gold labels as label codes, one
 per NP, and passes them to the harness as codes.
+
+Candidate windows are compiled for all pronouns at once: NPs are sorted by
+document and sentence, and each window is found by binary search, so no
+document is scanned per pronoun.  `candidate_set` is the one-pronoun
+definition of a window.
 """
 
 from __future__ import annotations
@@ -83,6 +88,10 @@ class CompiledCorpus:
     pronoun's filter drops.  For each pronoun whose gold antecedent is in
     its window, `gold_at` is that antecedent's index into `candidates` and
     `gold_end` the end of the window there.
+
+    `compile_corpus` finds the windows with one stable sort of the NPs by
+    (document, sentence) and a `searchsorted` per window bound, never by
+    pairing a pronoun with every NP of its document.
     """
 
     window: int
@@ -95,34 +104,69 @@ class CompiledCorpus:
     gold_end: np.ndarray
 
 
+def _id_columns(*columns):
+    """Integer id lists as int64 arrays, or all as object arrays (exact
+    Python ints) when some id lies beyond int64."""
+    try:
+        return [np.array(column, dtype=np.int64) for column in columns]
+    except OverflowError:
+        return [np.array(column, dtype=object) for column in columns]
+
+
 def compile_corpus(docs: Sequence[Document], window: int = 2) -> CompiledCorpus:
-    """Build every pronoun's candidate window once, for `run_harness`."""
-    every_np = [np for _, np in iter_nps(docs)]
-    position = {id(np): i for i, np in enumerate(every_np)}
-    pronouns, flat, drop, gold_at, gold_end = [], [], [], [], []
-    for doc in docs:
-        for pronoun in doc.pronouns:
-            window_nps = candidate_set(pronoun, doc, window)
-            for j, candidate in enumerate(window_nps):
-                if (candidate.sent_id, candidate.np_id) == pronoun.antecedent:
-                    gold_at.append(len(flat) + j)
-                    gold_end.append(len(flat) + len(window_nps))
-            flat.extend(position[id(candidate)] for candidate in window_nps)
-            drop.extend([_INANIMATE if pronoun.animate else _ANIMATE]
-                        * len(window_nps))
-            pronouns.append(pronoun)
-    used, candidates = np.unique(np.array(flat, dtype=np.intp),
-                                 return_inverse=True)
-    nps = tuple(every_np[i] for i in used.tolist())
+    """Build every pronoun's candidate window once, for `run_harness`.
+
+    Time and memory grow with NPs + pronouns + candidates, up to sorts.
+    """
+    every_np = [np for doc in docs for np in doc.nps]
+    pronouns = [pronoun for doc in docs for pronoun in doc.pronouns]
+    if window < 0 and pronouns:
+        raise ValueError("window must be >= 0")
+    np_doc = np.repeat(np.arange(len(docs)), [len(doc.nps) for doc in docs])
+    pron_doc = np.repeat(np.arange(len(docs)), [len(doc.pronouns) for doc in docs])
+    linked = [p.antecedent or (0, 0) for p in pronouns]
+    sent, np_id, hi, lo, gold_sent, gold_np = _id_columns(
+        [np.sent_id for np in every_np], [np.np_id for np in every_np],
+        [p.sent_id for p in pronouns], [p.sent_id - window for p in pronouns],
+        [s for s, _ in linked], [n for _, n in linked],
+    )
+    # a sentence id's rank is the count of NP sentence ids below it, so
+    # one int64 key orders (document, sentence) whatever the ids are
+    values = np.sort(sent)
+    span = len(values) + 1
+    key = np_doc * span + np.searchsorted(values, sent)
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    start = np.searchsorted(sorted_key, pron_doc * span + np.searchsorted(values, lo))
+    stop = np.searchsorted(
+        sorted_key, pron_doc * span + np.searchsorted(values, hi, side="right")
+    )
+    counts = stop - start
+    ends = np.cumsum(counts)
+    owner = np.repeat(np.arange(len(pronouns)), counts)
+    # the k-th candidate of pronoun p is NP order[start[p] + k] ...
+    flat = order[np.arange(counts.sum()) - np.repeat(ends - counts - start, counts)]
+    # ... until each window is put back in text order
+    flat = flat[np.lexsort((flat, owner))]
+    has_gold = np.fromiter((p.antecedent is not None for p in pronouns), bool,
+                           len(pronouns))
+    gold_at = np.flatnonzero(
+        (sent[flat] == gold_sent[owner]) & (np_id[flat] == gold_np[owner])
+        & has_gold[owner]
+    )
+    used = np.zeros(len(every_np), dtype=bool)
+    used[flat] = True
+    nps = tuple(every_np[i] for i in np.flatnonzero(used).tolist())
+    animate = np.fromiter((p.animate for p in pronouns), bool, len(pronouns))
     return CompiledCorpus(
         window=window,
         nps=nps,
         keys=tuple(np.key for np in nps),
         pronouns=tuple(pronouns),
-        candidates=candidates,
-        drop_code=np.array(drop, dtype=np.int8),
-        gold_at=np.array(gold_at, dtype=np.intp),
-        gold_end=np.array(gold_end, dtype=np.intp),
+        candidates=(np.cumsum(used, dtype=np.intp) - 1)[flat],
+        drop_code=np.where(animate, _INANIMATE, _ANIMATE).astype(np.int8)[owner],
+        gold_at=gold_at,
+        gold_end=ends[owner[gold_at]],
     )
 
 

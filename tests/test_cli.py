@@ -1,10 +1,14 @@
 import io
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from animacy.cli import _beginners, build_parser, main
+from animacy.cli import _beginners, _load_predictions, build_parser, main
+from animacy.corpus import Label
 from animacy.data import mini_corpus_path, toy_taxonomy_path
 from animacy.taxonomy import BeginnerClass
+from tests.test_corpus import write_lines
 
 TAX = toy_taxonomy_path()
 CORPUS = mini_corpus_path()
@@ -381,6 +385,34 @@ class TestMalformedInput:
         code, _, err = run(capsys, "eval", "--gold", CORPUS, "--pred", str(pred))
         self.assert_error(code, err, f"{pred} line 3: {message}")
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--gold", CORPUS, "--pred", "{pred}"],
+        ["kappa", "--a", CORPUS, "--b", "{pred}"],
+        ["simulate", "--corpus", CORPUS, "--labels", "{pred}"],
+    ])
+    def test_duplicate_prediction_key(self, tmp_path, capsys, argv):
+        pred = tmp_path / "pred.tsv"
+        run(capsys, "classify", "--method", "rule", "--taxonomy", TAX,
+            "--corpus", CORPUS, "--out", str(pred))
+        with open(pred, "a", encoding="utf-8") as handle:
+            handle.write("d1\t0\t2\tA\n")
+        code, out, err = run(capsys, *(arg.format(pred=pred) for arg in argv))
+        assert out == ""
+        self.assert_error(code, err, f"{pred} line 61: duplicate NP key ('d1', 0, 2)")
+
+    def test_duplicate_status_line(self, tmp_path, capsys):
+        statuses = tmp_path / "statuses.tsv"
+        run(capsys, "enrich", "--taxonomy", TAX, "--corpus", CORPUS,
+            "--out", str(statuses))
+        with open(statuses, "a", encoding="utf-8") as handle:
+            handle.write("STATUS\tn-animal\tI\n")
+        code, out, err = run(capsys, "classify", "--method", "ml", "--taxonomy", TAX,
+                             "--enriched", str(statuses),
+                             "--train", CORPUS, "--test", CORPUS)
+        assert out == ""
+        self.assert_error(
+            code, err, f"{statuses} line 55: duplicate STATUS for synset n-animal")
+
     def test_bad_status_value(self, tmp_path, capsys):
         statuses = tmp_path / "statuses.tsv"
         statuses.write_text("STATUS\tn-teacher\tA\nSTATUS\tn-table\tQ\n")
@@ -465,6 +497,60 @@ class TestMalformedInput:
         code, out, err = run(capsys, *argv)
         assert out == ""
         self.assert_error(code, err, f"{bad} line {lineno}: invalid UTF-8 byte 0xe9")
+
+
+# free text for a drawn line: anything but a line break or a lone surrogate
+FREE_TEXT = st.text(
+    st.characters(blacklist_characters="\r\n", blacklist_categories=("Cs",)),
+    max_size=8,
+)
+
+
+def oracle_load_predictions(lines):
+    """The key -> label map of prediction rows, or the number of the first
+    line that is malformed or repeats a key."""
+    out = {}
+    for lineno, line in enumerate(lines, 1):
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        try:
+            key = (fields[0], int(fields[1]), int(fields[2]))
+            label = Label(fields[3])
+        except (ValueError, IndexError):
+            return lineno
+        if len(fields) != 4 or key in out:
+            return lineno
+        out[key] = label
+    return out
+
+
+PREDICTION_LINES = st.lists(st.one_of(
+    st.tuples(
+        st.sampled_from(["d1", "d2", ""]),
+        st.sampled_from(["0", "1", "01", "-1", "x", ""]),
+        st.sampled_from(["0", "2", "+2", "1.5"]),
+        st.sampled_from(["A", "I", "U", "X", "a", ""]),
+    ).map("\t".join),
+    st.lists(FREE_TEXT, max_size=6).map("\t".join),
+    st.sampled_from(["", "# note", "d1\t0\t0\tA\textra"]),
+), max_size=8)
+
+
+class TestPredictionLoaderFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(lines=PREDICTION_LINES)
+    def test_map_or_value_error_naming_the_line(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_lines(tmp, lines)
+            expected = oracle_load_predictions(lines)
+            try:
+                got = _load_predictions(path)
+            except ValueError as exc:
+                assert isinstance(expected, int), exc
+                assert str(exc).startswith(f"{path} line {expected}: ")
+            else:
+                assert got == expected
 
 
 class TestAnnotate:

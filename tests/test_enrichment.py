@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,8 @@ from animacy.enrichment import (
 )
 from animacy.taxonomy import VERB, BeginnerClass, Synset, Taxonomy
 from tests.chi2_critical_table import CRITICAL, DFS
-from tests.test_corpus import make_np
+from tests.test_cli import FREE_TEXT
+from tests.test_corpus import make_np, write_lines
 from tests.test_taxonomy import LEMMAS, random_taxonomies
 
 # Conventional 0.05 upper critical values (three-decimal table, df 1..10).
@@ -523,3 +525,45 @@ def test_coverage_boundaries(toy_taxonomy):
     assert all_animate.coverage() == 1.0
     none_decided = EnrichedTaxonomy(toy_taxonomy, {})
     assert none_decided.coverage() == 0.0
+
+
+def oracle_load_statuses(lines, base):
+    """One status per synset of `base`, in its order, or the number of the
+    first line that is malformed, names an unknown synset or repeats one."""
+    given = {}
+    for lineno, line in enumerate(lines, 1):
+        if not line or line.startswith("#") or line.startswith("SYNSET\t"):
+            continue
+        fields = line.split("\t")
+        if (len(fields) != 3 or fields[0] != "STATUS" or fields[1] not in set(base)
+                or fields[1] in given or fields[2] not in ("A", "I", "U")):
+            return lineno
+        given[fields[1]] = Status(fields[2])
+    return [(sid, given.get(sid, Status.UNDECIDED)) for sid in base]
+
+
+STATUS_LINES = st.lists(st.one_of(
+    st.tuples(
+        st.sampled_from(["STATUS", "STATUS", "status", "SYNSET"]),
+        st.sampled_from(["n-animal", "n-person", "n-table", "v-social", "n-ghost", ""]),
+        st.sampled_from(["A", "I", "U", "X", ""]),
+    ).map("\t".join),
+    st.lists(FREE_TEXT, max_size=4).map("\t".join),
+    st.sampled_from(["", "# note", "STATUS\tn-animal\tA\textra"]),
+), max_size=8)
+
+
+class TestStatusLoaderFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(lines=STATUS_LINES)
+    def test_statuses_or_value_error_naming_the_line(self, toy_taxonomy, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_lines(tmp, lines)
+            expected = oracle_load_statuses(lines, toy_taxonomy)
+            try:
+                got = load_enriched(path, toy_taxonomy)
+            except ValueError as exc:
+                assert isinstance(expected, int), exc
+                assert str(exc).startswith(f"{path} line {expected}: ")
+            else:
+                assert [(sid, got.status(sid)) for sid in got._status] == expected

@@ -1,4 +1,6 @@
 import math
+import random
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from animacy.corpus import Document, Label, PronounRecord, iter_nps
 from animacy.resolution import (
+    CompiledCorpus,
     InfeasibleTargetError,
     _run_seed,
     candidate_set,
@@ -281,6 +284,101 @@ def twin_key_corpora(draw):
     return docs
 
 
+ID_BASES = [-(2**63) + 1, -(2**40), -3, 0, 2**31 - 2, 2**40, 2**63 - 2, 2**64]
+
+
+@st.composite
+def wide_id_corpora(draw):
+    """Corpora whose sentence and NP ids are negative or beyond int32,
+    some beyond int64 or with a window reaching past it, and with empty
+    documents and sentences."""
+    docs = []
+    for d in range(draw(st.integers(1, 4))):
+        base = draw(st.sampled_from(ID_BASES))
+        sentences = draw(st.lists(st.integers(0, 6), max_size=5, unique=True))
+        nps = [
+            make_np(doc=f"w{d}", sent=base + sent, np=base + idx, head="x",
+                    gold=draw(st.sampled_from([A, I, None])))
+            for sent in sentences
+            for idx in range(draw(st.integers(0, 3)))
+        ]
+        nps = draw(st.permutations(nps))
+        spans = [(np.sent_id, np.np_id) for np in nps]
+        pronouns = tuple(
+            PronounRecord(
+                base + draw(st.integers(0, 7)), "it", draw(st.booleans()),
+                draw(st.none() | st.sampled_from(spans)) if spans else None,
+            )
+            for _ in range(draw(st.integers(0, 4)))
+        )
+        docs.append(Document(f"w{d}", tuple(nps), 0, 0, pronouns))
+    return docs
+
+
+def oracle_compile_corpus(docs, window=2):
+    """`compile_corpus` as one `candidate_set` scan of the document per
+    pronoun."""
+    every_np = [np for _, np in iter_nps(docs)]
+    position = {id(np): i for i, np in enumerate(every_np)}
+    pronouns, flat, drop, gold_at, gold_end = [], [], [], [], []
+    for doc in docs:
+        for pronoun in doc.pronouns:
+            window_nps = candidate_set(pronoun, doc, window)
+            for j, candidate in enumerate(window_nps):
+                if (candidate.sent_id, candidate.np_id) == pronoun.antecedent:
+                    gold_at.append(len(flat) + j)
+                    gold_end.append(len(flat) + len(window_nps))
+            flat.extend(position[id(candidate)] for candidate in window_nps)
+            drop.extend([2 if pronoun.animate else 1] * len(window_nps))
+            pronouns.append(pronoun)
+    used, candidates = np.unique(np.array(flat, dtype=np.intp),
+                                 return_inverse=True)
+    nps = tuple(every_np[i] for i in used.tolist())
+    return CompiledCorpus(
+        window=window,
+        nps=nps,
+        keys=tuple(np.key for np in nps),
+        pronouns=tuple(pronouns),
+        candidates=candidates,
+        drop_code=np.array(drop, dtype=np.int8),
+        gold_at=np.array(gold_at, dtype=np.intp),
+        gold_end=np.array(gold_end, dtype=np.intp),
+    )
+
+
+def assert_same_compiled(got, expected):
+    """Every field equal, the record tuples holding the same objects and
+    the arrays of the same dtype and shape."""
+    assert got.window == expected.window
+    for name in ("nps", "pronouns"):
+        assert len(getattr(got, name)) == len(getattr(expected, name))
+        assert all(a is b for a, b in zip(getattr(got, name), getattr(expected, name)))
+    assert got.keys == expected.keys
+    for name in ("candidates", "drop_code", "gold_at", "gold_end"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert np.array_equal(a, b), name
+
+
+def long_document(nps=2000, pronouns=500, seed=5):
+    """One document of `nps` NPs, five to a sentence, with a few pairs
+    out of sentence order, and `pronouns` pronouns across it."""
+    rng = random.Random(seed)
+    records = [make_np(sent=i // 5, np=i % 5, head="x", gold=rng.choice([A, I, None]))
+               for i in range(nps)]
+    for _ in range(nps // 50):
+        i = rng.randrange(nps - 1)
+        records[i], records[i + 1] = records[i + 1], records[i]
+    last = (nps - 1) // 5
+    prons = []
+    for _ in range(pronouns):
+        sent = rng.randint(0, last)
+        antecedent = (rng.randint(max(0, sent - 4), sent), rng.randrange(5))
+        prons.append(PronounRecord(sent, "it", rng.random() < 0.5,
+                                   rng.choice([antecedent, None])))
+    return [Document("d", tuple(records), 0, 0, tuple(prons))]
+
+
 @st.composite
 def label_map(draw, docs):
     """Labels for a corpus, with missing keys and explicit UNKNOWN."""
@@ -476,6 +574,45 @@ class TestHarnessMatchesOracle:
         nps = (make_np(np=0, head="man", gold=A), make_np(np=1, head="rock", gold=I))
         args = ([Document("d", nps, 0, 0)], precisions, [100], 2, 0, 2)
         assert sweep_figures(*args) == oracle_sweep(*args) == outcome
+
+
+class TestCompileMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(docs=harness_corpora() | twin_key_corpora() | wide_id_corpora(),
+           window=st.integers(0, 3))
+    def test_same_compiled_corpus(self, docs, window):
+        assert_same_compiled(compile_corpus(docs, window),
+                             oracle_compile_corpus(docs, window))
+
+    @pytest.mark.parametrize("window", [0, 1, 2, 3])
+    def test_bundled_corpus(self, mini_corpus, window):
+        assert_same_compiled(compile_corpus(mini_corpus, window),
+                             oracle_compile_corpus(mini_corpus, window))
+
+    @pytest.mark.parametrize("window", [0, 1, 2, 3])
+    def test_long_document(self, window):
+        docs = long_document()
+        assert_same_compiled(compile_corpus(docs, window),
+                             oracle_compile_corpus(docs, window))
+
+    def test_long_document_memory_is_linear(self):
+        # a layout of one int64 per (pronoun, document NP) pair alone
+        # would take 8 MB here
+        docs = long_document()
+        tracemalloc.start()
+        try:
+            compile_corpus(docs, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+    def test_negative_window_rejected_only_with_pronouns(self):
+        docs = long_document(nps=10, pronouns=1)
+        with pytest.raises(ValueError, match="window must be >= 0"):
+            compile_corpus(docs, -1)
+        empty = [Document("d", docs[0].nps, 0, 0)]
+        assert len(compile_corpus(empty, -1).nps) == 0
 
 
 class TestInjectErrors:
