@@ -36,16 +36,37 @@ def read_lines(path, error: type[Exception] = ValueError) -> Iterator[tuple[int,
     Newlines are read as in text mode, so CRLF files load like LF ones.  A
     line that is not valid UTF-8 raises `error` as "<path> line N: ...".
     """
-    # undecodable bytes become lone surrogates, which strict UTF-8 never yields
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+    with open_text(path) as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.rstrip("\n")
             if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError as exc:
-                    byte = ord(line[exc.start]) - 0xDC00
-                    raise error(
-                        f"{path} line {lineno}: invalid UTF-8 byte 0x{byte:02x}"
-                    ) from None
+                check_utf8(line, path, lineno, error)
             yield lineno, line
+
+
+def open_text(path):
+    """Open a UTF-8 text file for reading, newlines read as in text mode.
+
+    Undecodable bytes become lone surrogates, which strict UTF-8 never
+    yields; `check_utf8` turns them into an error naming the line.
+    """
+    return open(path, encoding="utf-8", errors="surrogateescape")
+
+
+def is_utf8(text: str) -> bool:
+    """False iff `open_text` read a byte of `text` that is not UTF-8."""
+    if text.isascii():
+        return True
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def check_utf8(line: str, path, lineno: int, error: type[Exception]) -> None:
+    """Raise `error` as "<path> line N: ..." if `line` holds an undecodable byte."""
+    if not is_utf8(line):
+        # surrogateescape maps an undecodable byte b to chr(0xDC00 + b)
+        byte = next(ord(c) for c in line if "\udc80" <= c <= "\udcff") - 0xDC00
+        raise error(f"{path} line {lineno}: invalid UTF-8 byte 0x{byte:02x}")

@@ -19,6 +19,7 @@ HYPERNYM_POINTERS = ("@", "@i")
 
 
 def _parse_data_line(line: str, pos: str, path, lineno: int) -> Synset:
+    where = f"{path}: data.{pos} line {lineno}"
     tokens = line.split()
     try:
         offset = int(tokens[0])
@@ -36,22 +37,21 @@ def _parse_data_line(line: str, pos: str, path, lineno: int) -> Synset:
             if symbol in HYPERNYM_POINTERS and target_pos == pos:
                 hypernyms.append(f"{pos}{int(target):08d}")
     except (IndexError, ValueError) as exc:
-        raise TaxonomyError(
-            f"{path}: data.{pos} line {lineno}: unparseable record ({exc})"
-        )
+        raise TaxonomyError(f"{where}: unparseable record ({exc})") from None
     if ss_type != pos:
         raise TaxonomyError(
-            f"{path}: data.{pos} line {lineno}: synset type {ss_type!r} "
-            "does not match file"
+            f"{where}: synset type {ss_type!r} does not match file"
         )
-    lemmas = tuple(dict.fromkeys(word.lower() for word in words))
-    return Synset(
-        id=f"{pos}{offset:08d}",
-        pos=pos,
-        lemmas=lemmas,
-        hypernyms=tuple(hypernyms),
-        lexfile=lexfile,
-    )
+    try:
+        return Synset(
+            id=f"{pos}{offset:08d}",
+            pos=pos,
+            lemmas=tuple(dict.fromkeys(word.lower() for word in words)),
+            hypernyms=tuple(hypernyms),
+            lexfile=lexfile,
+        )
+    except TaxonomyError as exc:
+        raise TaxonomyError(f"{where}: {exc}") from None
 
 
 def read_data_file(path, pos: str) -> list[Synset]:

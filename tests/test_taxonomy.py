@@ -1,11 +1,13 @@
 import random
 import re
 import tempfile
+import tracemalloc
 from typing import Iterator
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from animacy import taxonomy as taxonomy_module
 from animacy.taxonomy import (
     BeginnerClass,
     Synset,
@@ -195,9 +197,14 @@ def oracle_synset(line):
 
 def oracle_load(path):
     synsets = []
-    with open(path, encoding="utf-8") as handle:
+    # undecodable bytes read as lone surrogates, reported by line
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.rstrip("\n")
+            escaped = [c for c in line if "\udc80" <= c <= "\udcff"]
+            if escaped:
+                raise TaxonomyError(f"{path} line {lineno}: invalid UTF-8 byte "
+                                    f"0x{ord(escaped[0]) - 0xDC00:02x}")
             if not line or line.startswith("#"):
                 continue
             kind = line.split("\t", 1)[0]
@@ -456,12 +463,15 @@ class TestColumnStoreMatchesOracle:
 
 
 CORRUPTIONS = ("duplicate id", "dangling hypernym", "cross-pos edge",
-               "bad lexfile", "malformed line")
+               "bad lexfile", "malformed line", "uppercase lemma",
+               "duplicate lemma", "duplicate hypernym", "empty id", "bad pos",
+               "empty lemma field", "empty list items", "hypernym cycle")
 
 
 def corrupt(lines, kind, rng):
     """Apply one corruption in place to the SYNSET lines of a saved file."""
-    at = rng.randrange(len(lines))
+    records = [i for i, line in enumerate(lines) if line.startswith("SYNSET")]
+    at = rng.choice(records or range(len(lines)))
     fields = lines[at].split("\t")
     if kind == "duplicate id":
         copy = list(fields)
@@ -483,9 +493,47 @@ def corrupt(lines, kind, rng):
                 fields[5] = "ghost"
     elif kind == "bad lexfile":
         fields[3] = rng.choice(["x", "", "1.5"])
+    elif kind == "uppercase lemma":
+        fields[4] = rng.choice([fields[4].upper(), fields[4].capitalize()])
+    elif kind == "duplicate lemma":
+        fields[4] += "," + rng.choice(fields[4].split(","))
+    elif kind == "duplicate hypernym":
+        links = [x for x in fields[5].split(",") if x]
+        links = links or [rng.choice(lines).split("\t")[1]]
+        fields[5] = ",".join(links + [rng.choice(links)])
+    elif kind == "empty id":
+        fields[1] = ""
+    elif kind == "bad pos":
+        fields[2] = rng.choice(["a", "", "N", "nv"])
+    elif kind == "empty lemma field":
+        fields[4] = rng.choice(["", ",", ",,"])
+    elif kind == "empty list items":
+        # valid: empty items are dropped on load
+        field = rng.choice([4, 5])
+        fields[field] = rng.choice([",", ",,", ""]) + fields[field] + rng.choice([",", ""])
+    elif kind == "hypernym cycle":
+        close_cycle(lines, at, rng)
+        return
     else:
         fields = rng.choice([fields[:3], fields + ["extra"], ["SYNSTE"] + fields[1:]])
     lines[at] = "\t".join(fields)
+
+
+def close_cycle(lines, at, rng):
+    """Close a hypernym cycle through line `at`: walk up hypernyms from its
+    synset, then give the synset reached that line's synset as a hypernym."""
+    records = [line.split("\t") for line in lines]
+    rows = {fields[1]: row for row, fields in enumerate(records) if len(fields) == 6}
+    row, walked = at, set()
+    while row not in walked:
+        walked.add(row)
+        links = [x for x in records[row][5].split(",") if x in rows]
+        if not links:
+            break
+        row = rows[rng.choice(links)]
+    links = [x for x in records[row][5].split(",") if x]
+    records[row][5] = ",".join(links + [records[at][1]])
+    lines[row] = "\t".join(records[row])
 
 
 class TestLoaderErrorsMatchOracle:
@@ -517,6 +565,9 @@ class TestLoaderErrorsMatchOracle:
 
 EDGE_CASES = {
     "empty list items": "SYNSET\tr\tn\t18\tx,,y,\t\nSYNSET\tc\tn\t5\t,z\t,r,\n",
+    "empty first item": "SYNSET\tr\tn\t18\t,x\t\nSYNSET\tc\tn\t5\tz\t,r\n",
+    "empty inner item": "SYNSET\tr\tn\t18\tx,,y\t\nSYNSET\tc\tn\t5\tz\tr\n",
+    "empty last item": "SYNSET\tr\tn\t18\tx\t\nSYNSET\tc\tn\t5\tz,\tr,\n",
     "lost trailing tab": "SYNSET\tr\tn\t18\tthing\n",
     "comments and statuses": "# c\n\nSTATUS\tr\tA\nSYNSET\tr\tn\t18\tthing\t\n",
     "uppercase lemma": "SYNSET\tr\tn\t18\tThing\t\n",
@@ -542,17 +593,120 @@ EDGE_CASES = {
         "SYNSET\td\tn\t5\tw\tc\nSYNSET\tc\tn\t5\tz\ta\n"
         "SYNSET\ta\tn\t5\tx\tb\nSYNSET\tb\tn\t5\ty\ta\n"
     ),
+    "crlf line endings": "SYNSET\tr\tn\t18\tthing\t\r\nSYNSET\tc\tn\t5\tcat,fox\tr\r\n",
+    "lone cr line endings": "SYNSET\tr\tn\t18\tthing\t\rSYNSET\tc\tn\t5\tcat\tr\r",
+    "crlf line error": "SYNSET\tr\tn\t18\tthing\t\r\nSYNSET\tc\tn\t5\tCat\tr\r\n",
+    "lines between records": (
+        "SYNSET\tr\tn\t18\tthing\t\n# note\n\nSTATUS\tr\tA\nSTATUS\n"
+        "SYNSET\tc\tn\t5\tcat\tr\n\n"
+    ),
+    "lost trailing tab between records": (
+        "SYNSET\tr\tn\t18\tthing\nSYNSET\tc\tn\t5\tcat\tr\nSYNSET\tv\tv\t31\tdo\n"
+    ),
+    "no final newline": "SYNSET\tr\tn\t18\tthing\t\nSYNSET\tc\tn\t5\tcat\tr",
+    "non-ascii lemma": (
+        "SYNSET\tr\tn\t18\tcaf\u00e9,na\u00efve\t\nSYNSET\tc\tn\t5\tfox,caf\u00e9\tr\n"
+    ),
+    "non-ascii uppercase lemma": (
+        "SYNSET\tr\tn\t18\tcaf\u00e9\t\nSYNSET\tc\tn\t5\t\u00e9clair,\u00c9cole\tr\n"
+    ),
+    "invalid utf-8 byte": "SYNSET\tr\tn\t18\tthing\t\nSYNSET\tc\tn\t5\tcaf\udce9\tr\n",
+    "invalid utf-8 byte in a comment": "SYNSET\tr\tn\t18\tthing\t\n# caf\udce9\n",
+    "invalid utf-8 byte after a line error": (
+        "SYNSET\tr\tn\tx\tthing\t\nSYNSET\tc\tn\t5\tcaf\udce9\tr\n"
+    ),
+    "byte order mark": "\ufeffSYNSET\tr\tn\t18\tthing\t\n",
+    "unknown record kind": "SYNSET\tr\tn\t18\tthing\t\nSYNSETS\tc\tn\t5\tcat\tr\n",
+    "record kind alone": "SYNSET\tr\tn\t18\tthing\t\nSYNSET\n",
+    "too many fields": "SYNSET\tr\tn\t18\tthing\t\t\n",
+    "empty id in a later record": "SYNSET\tr\tn\t18\tthing\t\nSYNSET\t\tn\t5\tcat\t\n",
+    "duplicate lemma in a long list": "SYNSET\tr\tn\t18\ta,b,c,d,b\t\n",
+    "hypernym cycle through three records": (
+        "SYNSET\tr\tn\t18\tthing\t\nSYNSET\ta\tn\t5\tx\tc,r\n"
+        "SYNSET\tb\tn\t5\ty\ta\nSYNSET\tc\tn\t5\tz\tb\n"
+    ),
+    "polysemous lemmas": (
+        "SYNSET\tr\tn\t18\tfox,oak\t\nSYNSET\tc\tn\t5\toak,fox,elm\tr\n"
+        "SYNSET\td\tv\t31\tfox\t\nSYNSET\te\tn\t5\tfox\tc,r\n"
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(EDGE_CASES))
 def test_hand_written_files_load_as_oracle(tmp_path, case):
     path = tmp_path / "case.tax"
-    path.write_text(EDGE_CASES[case])
+    path.write_bytes(EDGE_CASES[case].encode("utf-8", "surrogateescape"))
     expected = load_outcome(oracle_load, path)
     assert load_outcome(load_taxonomy, path) == expected
     if expected is None:
         assert_same_taxonomy(load_taxonomy(path), oracle_load(path))
+
+
+def generated_lines(size=6000, seed=15):
+    """A deterministic taxonomy file of `size` synsets, as lines.
+
+    One synset in five is a verb.  Most have one to three hypernyms among
+    earlier synsets of their part of speech, and lemmas mix LEMMAS (so many
+    are polysemous) with rarer ones.  The lines are shuffled, so hypernyms
+    often come after their hyponyms, and a comment and a STATUS line sit
+    among them.
+    """
+    rng = random.Random(seed)
+    lines = []
+    for i in range(size):
+        pos = "v" if i % 5 == 0 else "n"
+        earlier = [j for j in rng.sample(range(i), min(i, 8)) if (j % 5 == 0) == (pos == "v")]
+        links = earlier[:rng.choice([0, 1, 1, 1, 1, 2, 3])] if i > 20 else []
+        names = dict.fromkeys(rng.choice(LEMMAS + [f"w{rng.randrange(size)}"])
+                              for _ in range(rng.randint(1, 4)))
+        lines.append(f"SYNSET\ts{i}\t{pos}\t{rng.choice([5, 6, 18, 24, 31])}\t"
+                     f"{','.join(names)}\t{','.join(f's{j}' for j in links)}")
+    rng.shuffle(lines)
+    lines.insert(size // 3, "# generated")
+    lines.insert(size // 2, "STATUS\ts7\tA")
+    return lines
+
+
+@pytest.fixture(scope="module")
+def generated_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("generated") / "generated.tax"
+    path.write_text("\n".join(generated_lines()) + "\n")
+    # several blocks, so block boundaries and line numbers are exercised
+    assert path.stat().st_size > 2 * taxonomy_module.BLOCK_CHARS
+    return path
+
+
+class TestGeneratedFile:
+    def test_loads_as_oracle(self, generated_path):
+        taxonomy, oracle = load_taxonomy(generated_path), oracle_load(generated_path)
+        assert_same_taxonomy(taxonomy, oracle)
+        for pos in ("n", "v"):
+            for lemma in oracle.lemmas(pos):
+                assert taxonomy.senses(lemma, pos) == oracle.senses(lemma, pos)
+
+    @pytest.mark.parametrize("kind", CORRUPTIONS)
+    def test_same_first_error(self, tmp_path, generated_path, kind):
+        lines = generated_path.read_text().splitlines()
+        corrupt(lines, kind, random.Random(kind))
+        path = tmp_path / "bad.tax"
+        path.write_text("\n".join(lines) + "\n")
+        expected = load_outcome(oracle_load, path)
+        assert load_outcome(load_taxonomy, path) == expected
+        if expected is None:
+            assert_same_taxonomy(load_taxonomy(path), oracle_load(path))
+
+    def test_load_holds_one_block_of_fields_at_a_time(self, generated_path):
+        # Measured here: the loaded taxonomy keeps 1.7 MB, and the load
+        # peaks at 2.1 MB.  A parse that splits the whole file at once
+        # peaks at 2.9 MB, 1.7 times what it keeps.
+        tracemalloc.start()
+        try:
+            taxonomy = load_taxonomy(generated_path)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(taxonomy) == 6000
+        assert peak < 1.5 * retained
 
 
 def load_outcome(load, path):
