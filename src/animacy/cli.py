@@ -10,10 +10,11 @@ invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import evaluation, mbl, resolution, rules, wndb, wsd
-from .corpus import Label, load_corpus, run_annotation_session, save_corpus
+from .corpus import Label, dump_corpus, load_corpus, run_annotation_session
 from .enrichment import dump_statuses, enrich, load_enriched
 from .fileio import read_lines, write_atomic
 from .taxonomy import BeginnerClass, dump_taxonomy, load_taxonomy
@@ -79,52 +80,24 @@ def lexfile_list(text: str) -> frozenset[int]:
     return frozenset(int(x) for x in text.split(",")) if text else frozenset()
 
 
-def significance_level(text: str) -> float:
-    """argparse type of --alpha: a number strictly between 0 and 1."""
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text!r}")
-    return value
+def bounded(kind: type, low, high=math.inf, closed: bool = True):
+    """argparse type: a finite `kind` number from `low` to `high`.
 
+    The bounds are included unless `closed` is false; NaN and infinities
+    never pass.
+    """
+    span = f">= {low}" if high == math.inf else (
+        f"in [{low}, {high}]" if closed else f"in ({low}, {high})")
 
-def threshold(text: str) -> float:
-    """argparse type of --t1, --t2 and --t3: a number from 0 to 1."""
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text!r}")
-    return value
+    def parse(text: str):
+        value = kind(text)
+        inside = low <= value <= high if closed else low < value < high
+        if not inside or abs(value) == math.inf:  # NaN is never inside
+            raise argparse.ArgumentTypeError(f"must be {span}, got {text!r}")
+        return value
 
-
-def positive_int(text: str) -> int:
-    """argparse type of --runs, --p-step, --r-step and --k: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
-    return value
-
-
-def fold_count(text: str) -> int:
-    """argparse type of --folds: an integer >= 2."""
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be >= 2, got {text!r}")
-    return value
-
-
-def non_negative_int(text: str) -> int:
-    """argparse type of --window and --seed: an integer >= 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
-    return value
-
-
-def percent(text: str) -> int:
-    """argparse type of the sweep's grid bounds: an integer from 1 to 100."""
-    value = int(text)
-    if not 1 <= value <= 100:
-        raise argparse.ArgumentTypeError(f"must be in 1..100, got {text!r}")
-    return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
 def _wsd_weightings(args, taxonomy, ic_docs, *corpora):
@@ -170,7 +143,7 @@ def cmd_annotate(args) -> int:
     except KeyboardInterrupt:
         print("interrupted; saving progress", file=sys.stderr)
         updated, assigned = docs, 0
-    save_corpus(updated, args.out)
+    _write_output(dump_corpus(updated), args.out)
     print(f"{assigned} labels assigned -> {args.out}", file=sys.stderr)
     return 0
 
@@ -191,32 +164,41 @@ def _check_ic(args) -> None:
         raise UsageError("--ic requires --wsd")
 
 
+def _statuses(args, taxonomy, docs):
+    """The --enriched statuses, else those `enrich` finds in `docs`."""
+    if args.enriched:
+        return load_enriched(args.enriched, taxonomy)
+    return enrich(taxonomy, docs)
+
+
+# the flags each classify --method reads, all checked before any file is read
+_METHOD_INPUTS = {
+    "rule": ("taxonomy", "corpus"),
+    "ml": ("taxonomy", "train", "test"),
+    "random": ("seed", "corpus"),
+    "weighted": ("seed", "corpus"),
+    "dummy": ("corpus",),
+}
+
+
 def cmd_classify(args) -> int:
     _check_ic(args)
-    if args.method in ("random", "weighted") and args.seed is None:
-        raise UsageError(f"--method {args.method} requires --seed")
-    if args.method in ("rule", "random", "weighted", "dummy") and args.corpus is None:
-        raise UsageError(f"--method {args.method} requires --corpus")
-    if args.method in ("rule", "ml") and args.taxonomy is None:
-        raise UsageError(f"--method {args.method} requires --taxonomy")
+    missing = [f"--{name}" for name in _METHOD_INPUTS[args.method]
+               if getattr(args, name) is None]
+    if missing:
+        raise UsageError(f"--method {args.method} requires {' and '.join(missing)}")
     beginners = _beginners(args)
 
     if args.method in ("random", "weighted", "dummy"):
         docs = load_corpus(args.corpus)
         stream = evaluation.baseline(args.method, docs, seed=args.seed)
-        keyed = [
-            (np.key, label)
-            for (_, np), label in zip(
-                ((doc, np) for doc in docs for np in doc.nps), stream
-            )
-        ]
+        keyed = list(zip((np.key for doc in docs for np in doc.nps), stream))
         _write_output(_prediction_lines(keyed), args.out)
         return 0
 
     taxonomy = load_taxonomy(args.taxonomy)
-    thresholds = rules.Thresholds(args.t1, args.t2, args.t3)
-
     if args.method == "rule":
+        thresholds = rules.Thresholds(args.t1, args.t2, args.t3)
         docs = load_corpus(args.corpus)
         (weightings,) = _wsd_weightings(args, taxonomy, docs, docs)
         keyed = []
@@ -232,14 +214,9 @@ def cmd_classify(args) -> int:
         return 0
 
     # memory-based: train on --train, predict --test
-    if args.train is None or args.test is None:
-        raise UsageError("--method ml requires --train and --test")
     train_docs = load_corpus(args.train)
     test_docs = load_corpus(args.test)
-    if args.enriched:
-        enriched = load_enriched(args.enriched, taxonomy)
-    else:
-        enriched = enrich(taxonomy, train_docs)
+    enriched = _statuses(args, taxonomy, train_docs)
     train_weightings, test_weightings = _wsd_weightings(
         args, taxonomy, train_docs, train_docs, test_docs
     )
@@ -260,10 +237,7 @@ def cmd_xval(args) -> int:
     taxonomy = load_taxonomy(args.taxonomy)
     docs = load_corpus(args.corpus)
     beginners = _beginners(args)
-    if args.enriched:
-        enriched = load_enriched(args.enriched, taxonomy)
-    else:
-        enriched = enrich(taxonomy, docs)
+    enriched = _statuses(args, taxonomy, docs)
     (weightings,) = _wsd_weightings(args, taxonomy, docs, docs)
     report, _ = mbl.cross_validate(
         docs, enriched, folds=args.folds, config=mbl.MblConfig(k=args.k),
@@ -341,15 +315,19 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _add_beginner_flags(parser):
-    parser.add_argument(
-        "--animate-noun-lexfiles", default=None, type=lexfile_list,
-        help="comma-separated lexfile numbers treated as animate for nouns",
-    )
-    parser.add_argument(
-        "--animate-verb-lexfiles", default=None, type=lexfile_list,
-        help="comma-separated lexfile numbers treated as animate for verbs",
-    )
+def _add_learner_flags(parser, enriched_help: str) -> None:
+    """The flags that classify and xval share."""
+    parser.add_argument("--enriched", help=enriched_help)
+    parser.add_argument("--k", type=bounded(int, 1), default=3,
+                        help="nearest distances (ml)")
+    parser.add_argument("--wsd", action="store_true", help="weight senses by context")
+    parser.add_argument("--ic", help="COUNT file overriding the frequency source")
+    parser.add_argument("--out", default=None)
+    for pos in ("noun", "verb"):
+        parser.add_argument(
+            f"--animate-{pos}-lexfiles", type=lexfile_list,
+            help=f"comma-separated lexfile numbers treated as animate for {pos}s",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,47 +354,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--taxonomy", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--alpha", type=significance_level, default=0.05,
+    p.add_argument("--alpha", type=bounded(float, 0, 1, closed=False), default=0.05,
                    help="significance level for the chi-square tests")
     p.set_defaults(func=cmd_enrich)
 
     p = sub.add_parser("classify", help="predict NP animacy")
-    p.add_argument("--method", required=True,
-                   choices=["rule", "ml", "random", "weighted", "dummy"])
+    p.add_argument("--method", required=True, choices=list(_METHOD_INPUTS))
     p.add_argument("--taxonomy", help="taxonomy file (rule and ml)")
     p.add_argument("--corpus", help="corpus to classify (rule and baselines)")
     p.add_argument("--train", help="training corpus (ml)")
     p.add_argument("--test", help="corpus to classify (ml)")
-    p.add_argument("--enriched", help="statuses file (ml; default: enrich --train)")
-    p.add_argument("--t1", type=threshold, default=0.71,
-                   help="noun animacy threshold")
-    p.add_argument("--t2", type=threshold, default=0.92,
-                   help="noun inanimacy threshold")
-    p.add_argument("--t3", type=threshold, default=0.90,
-                   help="verb animacy threshold")
-    p.add_argument("--k", type=positive_int, default=3,
-                   help="nearest distances (ml)")
-    p.add_argument("--wsd", action="store_true", help="weight senses by context")
-    p.add_argument("--ic", help="COUNT file overriding the frequency source")
-    p.add_argument("--seed", type=non_negative_int, default=None,
+    for flag, default, meaning in (("--t1", 0.71, "noun animacy"),
+                                   ("--t2", 0.92, "noun inanimacy"),
+                                   ("--t3", 0.90, "verb animacy")):
+        p.add_argument(flag, type=bounded(float, 0, 1), default=default,
+                       help=f"{meaning} threshold")
+    p.add_argument("--seed", type=bounded(int, 0), default=None,
                    help="rng seed (required for random/weighted)")
     p.add_argument("--no-reflexive", action="store_true",
                    help="contextual rule checks the who-complementizer only")
-    p.add_argument("--out", default=None)
-    _add_beginner_flags(p)
+    _add_learner_flags(p, "statuses file (ml; default: enrich --train)")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("xval", help="k-fold cross-validation of the ml method")
     p.add_argument("--taxonomy", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--enriched", help="statuses file (default: enrich --corpus)")
-    p.add_argument("--folds", type=fold_count, default=10)
-    p.add_argument("--seed", type=non_negative_int, required=True)
-    p.add_argument("--k", type=positive_int, default=3)
-    p.add_argument("--wsd", action="store_true")
-    p.add_argument("--ic")
-    p.add_argument("--out", default=None)
-    _add_beginner_flags(p)
+    p.add_argument("--folds", type=bounded(int, 2), default=10)
+    p.add_argument("--seed", type=bounded(int, 0), required=True)
+    _add_learner_flags(p, "statuses file (default: enrich --corpus)")
     p.set_defaults(func=cmd_xval)
 
     p = sub.add_parser("eval", help="score predictions against gold labels")
@@ -437,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the candidate-filtering harness once")
     p.add_argument("--corpus", required=True)
     p.add_argument("--labels", help="label assignment (default: gold labels)")
-    p.add_argument("--window", type=non_negative_int, default=2,
+    p.add_argument("--window", type=bounded(int, 0), default=2,
                    help="preceding sentences searched for candidates")
     p.add_argument("--only-filter-losses", action="store_true",
                    help="count as antecedent-less only pronouns the filter broke")
@@ -446,15 +411,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="precision/recall error-injection sweep")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--p-from", type=percent, default=10)
-    p.add_argument("--p-to", type=percent, default=100)
-    p.add_argument("--p-step", type=positive_int, default=1)
-    p.add_argument("--r-from", type=percent, default=50)
-    p.add_argument("--r-to", type=percent, default=100)
-    p.add_argument("--r-step", type=positive_int, default=1)
-    p.add_argument("--runs", type=positive_int, default=50)
-    p.add_argument("--seed", type=non_negative_int, required=True)
-    p.add_argument("--window", type=non_negative_int, default=2)
+    for axis, low in (("p", 10), ("r", 50)):
+        p.add_argument(f"--{axis}-from", type=bounded(int, 1, 100), default=low)
+        p.add_argument(f"--{axis}-to", type=bounded(int, 1, 100), default=100)
+        p.add_argument(f"--{axis}-step", type=bounded(int, 1), default=1)
+    p.add_argument("--runs", type=bounded(int, 1), default=50)
+    p.add_argument("--seed", type=bounded(int, 0), required=True)
+    p.add_argument("--window", type=bounded(int, 0), default=2)
     p.add_argument("--marginals", help="also write axis-averaged curves here")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)

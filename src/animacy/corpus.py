@@ -21,7 +21,7 @@ from array import array
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator
 
-from .fileio import read_lines, write_atomic
+from .fileio import read_lines
 
 
 class CorpusError(ValueError):
@@ -304,10 +304,6 @@ def dump_corpus(docs: Iterable[Document]) -> str:
                    ant_sent, ant_np)
             )
     return "\n".join(lines) + "\n" if lines else ""
-
-
-def save_corpus(docs: Iterable[Document], path) -> None:
-    write_atomic(path, dump_corpus(docs))
 
 
 # --- interactive annotation ------------------------------------------------

@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .corpus import Document, Label, iter_nps
-from .fileio import read_lines, write_atomic
+from .fileio import read_lines
 from .taxonomy import VERB, BeginnerClass, Taxonomy, TaxonomyError, sense_mass
 
 # Validity rule for the goodness-of-fit test: at most this fraction of
@@ -460,12 +460,8 @@ def dump_statuses(enriched: EnrichedTaxonomy) -> str:
     return "".join(parts)
 
 
-def save_enriched(enriched: EnrichedTaxonomy, path) -> None:
-    write_atomic(path, dump_statuses(enriched))
-
-
 def load_enriched(path, base: Taxonomy) -> EnrichedTaxonomy:
-    """Read STATUS lines produced by `save_enriched`.
+    """Read STATUS lines as `dump_statuses` writes them.
 
     SYNSET lines and comments are skipped, so a combined taxonomy+status
     file loads with the same call.  Synsets without a STATUS line default

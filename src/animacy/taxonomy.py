@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .fileio import check_utf8, is_utf8, open_text, write_atomic
+from .fileio import check_utf8, is_utf8, open_text
 
 NOUN = "n"
 VERB = "v"
@@ -79,6 +79,16 @@ class Synset:
 
     def __post_init__(self):
         _check_fields(self.id, self.pos, self.lemmas, self.hypernyms)
+        # values no taxonomy file can hold, so the loaders never meet them
+        if "" in self.lemmas:
+            raise TaxonomyError(f"{self.id}: empty lemma")
+        for text in (self.id, *self.lemmas, *self.hypernyms):
+            if "\t" in text or "\r" in text or "\n" in text or not is_utf8(text):
+                raise TaxonomyError(
+                    f"{self.id!r}: {text!r} holds a tab, line break or lone surrogate")
+        for hyp in self.hypernyms:
+            if "," in hyp:
+                raise TaxonomyError(f"{self.id}: comma in hypernym id {hyp!r}")
 
 
 @dataclass(frozen=True)
@@ -556,7 +566,3 @@ def dump_taxonomy(taxonomy: Taxonomy) -> str:
         ))
     ]
     return "\n".join(lines) + "\n" if lines else ""
-
-
-def save_taxonomy(taxonomy: Taxonomy, path) -> None:
-    write_atomic(path, dump_taxonomy(taxonomy))

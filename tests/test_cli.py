@@ -1,3 +1,4 @@
+import hashlib
 import io
 import tempfile
 
@@ -165,11 +166,34 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert out == ""
 
+    def test_huge_integers_are_accepted(self):
+        huge = "1" + "0" * 400
+        args = build_parser().parse_args(
+            ["sweep", "--corpus", CORPUS, "--seed", huge, "--runs", huge])
+        assert args.seed == args.runs == int(huge)
+
     def test_thresholds_at_the_bounds_are_accepted(self, capsys):
         code, out, _ = run(capsys, "classify", "--method", "rule", "--taxonomy", TAX,
                            "--corpus", CORPUS, "--t1", "0", "--t2", "1", "--t3", "1.0")
         assert code == 0
         assert len(out.strip().split("\n")) == 60
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--method", "ml", "--taxonomy", "/nonexistent.tax"],
+         "--method ml requires --train and --test"),
+        (["--method", "ml", "--taxonomy", "/nonexistent.tax", "--train", "/nonexistent.tsv"],
+         "--method ml requires --test"),
+        (["--method", "ml", "--train", "/nonexistent.tsv", "--test", "/nonexistent.tsv"],
+         "--method ml requires --taxonomy"),
+        (["--method", "rule", "--taxonomy", "/nonexistent.tax"],
+         "--method rule requires --corpus"),
+        (["--method", "weighted", "--corpus", "/nonexistent.tsv"],
+         "--method weighted requires --seed"),
+    ])
+    def test_missing_method_input_is_usage_error_before_any_load(self, capsys, flags,
+                                                                 message):
+        code, out, err = run(capsys, "classify", *flags)
+        assert (code, out, err) == (2, "", f"usage error: {message}\n")
 
     @pytest.mark.parametrize("command", [
         ["classify", "--method", "rule", "--taxonomy", TAX, "--corpus", CORPUS],
@@ -577,3 +601,105 @@ def test_parser_lists_all_subcommands():
     for command in ("import-wndb", "annotate", "enrich", "classify", "xval",
                     "eval", "kappa", "simulate", "sweep"):
         assert command in text
+
+
+class TestGoldenBytes:
+    """Every data output of the unseeded commands on the bundled data.
+
+    Each digest is the sha256 of the exit code and the sha256s of stdout,
+    stderr and each `--out` file, in that order.  A change that alters
+    these bytes on purpose updates the digest and says why.  The seeded
+    commands (random/weighted, xval, sweep) are left out: their bytes
+    follow numpy's Generator streams.
+    """
+
+    # (name, argv, --out file or None); "{tmp}" is the test's directory and
+    # later cases read the files that earlier ones wrote
+    CASES = [
+        ("enrich-0.05", ["enrich", "--taxonomy", TAX, "--corpus", CORPUS],
+         "statuses.tsv"),
+        ("enrich-0.01", ["enrich", "--taxonomy", TAX, "--corpus", CORPUS,
+                         "--alpha", "0.01"], None),
+        ("rule", ["classify", "--method", "rule", "--taxonomy", TAX,
+                  "--corpus", CORPUS], "rule.tsv"),
+        ("rule-wsd", ["classify", "--method", "rule", "--wsd", "--taxonomy", TAX,
+                      "--corpus", CORPUS], None),
+        ("rule-lexfiles", ["classify", "--method", "rule", "--taxonomy", TAX,
+                           "--corpus", CORPUS, "--animate-noun-lexfiles", "18",
+                           "--no-reflexive"], None),
+        ("ml-enriched", ["classify", "--method", "ml", "--taxonomy", TAX,
+                         "--train", CORPUS, "--test", CORPUS,
+                         "--enriched", "{tmp}/statuses.tsv"], "ml.tsv"),
+        ("ml-wsd", ["classify", "--method", "ml", "--wsd", "--k", "5",
+                    "--taxonomy", TAX, "--train", CORPUS, "--test", CORPUS], None),
+        ("dummy", ["classify", "--method", "dummy", "--corpus", CORPUS],
+         "dummy.tsv"),
+        ("eval", ["eval", "--gold", CORPUS, "--pred", "{tmp}/rule.tsv"], None),
+        ("eval-ignore-unknown", ["eval", "--gold", CORPUS, "--pred", "{tmp}/rule.tsv",
+                                 "--ignore-unknown"], "eval.tsv"),
+        ("kappa", ["kappa", "--a", "{tmp}/rule.tsv", "--b", "{tmp}/dummy.tsv"], None),
+        ("simulate-0", ["simulate", "--corpus", CORPUS, "--window", "0"], None),
+        ("simulate-1", ["simulate", "--corpus", CORPUS, "--window", "1"], None),
+        ("simulate-2", ["simulate", "--corpus", CORPUS, "--window", "2"],
+         "simulate.tsv"),
+        ("simulate-3", ["simulate", "--corpus", CORPUS, "--window", "3"], None),
+        ("simulate-filter-losses", ["simulate", "--corpus", CORPUS,
+                                    "--only-filter-losses"], None),
+        ("import-wndb", ["import-wndb", "--noun", "{tmp}/data.noun"], "wn.tax"),
+    ]
+
+    DIGESTS = {
+        "enrich-0.05":
+            "61c8fa5a71eae9b25d6f70e2f74a383344baaa37b0b9a917dc1ed285d8d31ae4",
+        "enrich-0.01":
+            "de4b7c5aa8ab1728b66b347c9f4e377a976544f776b3fff6b6960302045c644a",
+        "rule":
+            "ca3d0b5ed207b44e239f3dc33fee2137901048af7071809d0a43fa45879bdcc0",
+        "rule-wsd":
+            "023bc90b4b6dd7d81046e960cd4ac35b8849ffa0c730ff270c960a15b4643d41",
+        "rule-lexfiles":
+            "38aa7ba052f9dede840b360311f3e32daa90a00ffa79d3e7d6ff636e3df63269",
+        "ml-enriched":
+            "b5f2981351c24b3e779330c9521cc3e603614fcd5cd0d20555a44a5e53bf3468",
+        "ml-wsd":
+            "3193c996c4ecaf124f0edd1e5a5ce7929413f29efe0fa948a40fd2371669d8d8",
+        "dummy":
+            "e3c27bcb59ffd807443785807e533700a32d9231757190034686a12664654580",
+        "eval":
+            "d7152c53eb1a9e61bf51c9b0b85fe28de34e98a2ec62e7ff30a09a1f0577e9ea",
+        "eval-ignore-unknown":
+            "b71bee74865521d303cd519c530b19dbce2ee56a9f1c1ee04305ee1dcf63acd3",
+        "kappa":
+            "f13714eafc97c699a5ec962e26ebc9deaa9779be14619b89d0160495a327caf0",
+        "simulate-0":
+            "2c0c65b933f0a942c7f8e7a9bbc1efcfd7e287287a1d1af7b8a390457855e18e",
+        "simulate-1":
+            "1059d1ef18acfd26f55ecc9e3ef0709ab973e1832e757938f689e5c8de6aa38a",
+        "simulate-2":
+            "cdeda69aa653ebaa13d51daadbd5fc6e39297ca7e93bae643547d608b3ae0170",
+        "simulate-3":
+            "caf5b50881464b47003ec8e5a0d8646af699e0fb14dde9584a9ed82c07d98e58",
+        "simulate-filter-losses":
+            "7f5fe55cb3e4875a0616c24be1e0f2a202295138866a5e293e26f80dbc608694",
+        "import-wndb":
+            "ea5d43dab5cd8cd5c503870ed9724149b61a6f5ac5dc15b76dae89b69349ed76",
+    }
+
+    def test_outputs_match_recorded_digests(self, tmp_path, capsys):
+        from tests.test_wndb import DATA_NOUN
+
+        def sha(data: bytes) -> str:
+            return hashlib.sha256(data).hexdigest()
+
+        (tmp_path / "data.noun").write_text(DATA_NOUN)
+        got = {}
+        for name, argv, out_name in self.CASES:
+            argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+            if out_name is not None:
+                argv += ["--out", str(tmp_path / out_name)]
+            code, out, err = run(capsys, *argv)
+            parts = [str(code), sha(out.encode()), sha(err.encode())]
+            if out_name is not None:
+                parts.append(sha((tmp_path / out_name).read_bytes()))
+            got[name] = sha("\n".join(parts).encode())
+        assert got == self.DIGESTS

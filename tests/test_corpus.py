@@ -16,10 +16,9 @@ from animacy.corpus import (
     load_corpus,
     pronoun_ratio,
     run_annotation_session,
-    save_corpus,
 )
 from animacy.data import mini_corpus_path
-from animacy.fileio import read_lines
+from animacy.fileio import read_lines, write_atomic
 
 
 def make_np(doc="d", sent=0, np=0, head="thing", gold=None, **kwargs):
@@ -85,7 +84,7 @@ class TestLoading:
 
     def test_round_trip(self, mini_corpus, tmp_path):
         path = tmp_path / "copy.tsv"
-        save_corpus(mini_corpus, path)
+        write_atomic(path, dump_corpus(mini_corpus))
         again = load_corpus(path)
         assert again == mini_corpus
         # and a second serialization is byte-identical

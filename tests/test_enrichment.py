@@ -17,11 +17,12 @@ from animacy.enrichment import (
     chi2_critical,
     chi_square,
     classify_node,
+    dump_statuses,
     enrich,
     load_enriched,
     merge_low_frequency,
-    save_enriched,
 )
+from animacy.fileio import write_atomic
 from animacy.taxonomy import VERB, BeginnerClass, Synset, Taxonomy
 from tests.chi2_critical_table import CRITICAL, DFS
 from tests.test_cli import FREE_TEXT
@@ -286,11 +287,10 @@ class TestEnrich:
 
     def test_save_and_load_round_trip(self, enriched, toy_taxonomy, tmp_path):
         path = tmp_path / "statuses.tsv"
-        save_enriched(enriched, path)
+        write_atomic(path, dump_statuses(enriched))
         assert load_enriched(path, toy_taxonomy) == enriched
 
     def test_statuses_may_sit_alongside_synset_lines(self, enriched, toy_taxonomy, tmp_path):
-        from animacy.enrichment import dump_statuses
         from animacy.taxonomy import load_taxonomy
         from animacy.data import toy_taxonomy_path
 

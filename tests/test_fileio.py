@@ -5,11 +5,11 @@ import pytest
 
 from animacy import fileio
 from animacy.cli import main
-from animacy.corpus import CorpusError, load_corpus, save_corpus
+from animacy.corpus import CorpusError, dump_corpus, load_corpus
 from animacy.data import mini_corpus_path, toy_taxonomy_path
-from animacy.enrichment import enrich, save_enriched
+from animacy.enrichment import dump_statuses, enrich
 from animacy.fileio import read_lines, write_atomic
-from animacy.taxonomy import load_taxonomy, save_taxonomy
+from animacy.taxonomy import dump_taxonomy, load_taxonomy
 
 OLD = "previous contents\n"
 
@@ -79,12 +79,13 @@ def mini_corpus():
     return load_corpus(mini_corpus_path())
 
 
+# each kind of file the program writes, written as the CLI writes it
 SAVERS = {
     "write_atomic": lambda path: write_atomic(path, "new text\n" * 100),
-    "save_taxonomy": lambda path: save_taxonomy(toy_taxonomy(), path),
-    "save_corpus": lambda path: save_corpus(mini_corpus(), path),
-    "save_enriched": lambda path: save_enriched(
-        enrich(toy_taxonomy(), mini_corpus()), path),
+    "save_taxonomy": lambda path: write_atomic(path, dump_taxonomy(toy_taxonomy())),
+    "save_corpus": lambda path: write_atomic(path, dump_corpus(mini_corpus())),
+    "save_enriched": lambda path: write_atomic(
+        path, dump_statuses(enrich(toy_taxonomy(), mini_corpus()))),
 }
 
 
