@@ -6,12 +6,13 @@ distance and lets the nearest neighbours vote.  Feature weights are gain
 ratios computed from the training instances alone.  `k` counts nearest
 *distances*: every instance tied at an included distance joins the vote.
 
-The store keeps its instances as numpy columns, so one query costs a
-dozen vector operations over the whole store rather than a Python loop
-per instance; 10-fold cross-validation over 19.7k labelled NPs takes
-seconds.  The vector arithmetic follows the scalar order of operations,
-so distances and vote sums, and with them every exact tie, are the same
-bit for bit.
+Instances are held as columns (`FeatureTable`), so one query costs a
+dozen vector operations over the whole store, and gain ratios count each
+(value, label) pair with `np.unique`.  Cross-validation extracts the
+features once into one table and builds each fold's store from row
+slices of it.  The vector arithmetic follows the scalar order of
+operations, so weights, distances and vote sums, and with them every
+exact tie, are the same bit for bit.
 
 The instance encodes the head lemma, the lemma's animate and inanimate
 sense counts under the enriched taxonomy, the same pair for the governing
@@ -30,7 +31,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 from numpy.random import default_rng
 
-from .corpus import Document, Label, NPRecord, iter_nps
+from .corpus import Document, Label, NPRecord, iter_nps, pronoun_ratio
 from .enrichment import EnrichedTaxonomy
 from .evaluation import EvalReport, score
 from .taxonomy import NOUN, VERB, BeginnerClass, sense_mass
@@ -42,6 +43,7 @@ OOV_LEMMA = "<oov>"
 
 _NUMERIC = ("animate_senses", "inanimate_senses", "verb_animate",
             "verb_inanimate", "pronoun_ratio")
+LABELS = tuple(Label)
 
 
 @dataclass(frozen=True)
@@ -86,8 +88,6 @@ def extract_features(
     Out-of-vocabulary heads get zero sense counts and a marker lemma.
     Verb counts apply to subjects with a known governing verb only.
     """
-    from .corpus import pronoun_ratio
-
     lemma = np_record.head_lemma
     senses = enriched.base.senses(lemma, NOUN)
     if not senses:
@@ -121,60 +121,92 @@ def extract_features(
     )
 
 
-def _entropy(counts: dict) -> float:
-    total = sum(counts.values())
-    if total == 0:
-        return 0.0
-    h = 0.0
-    for n in counts.values():
-        if n:
-            p = n / total
-            h -= p * math.log2(p)
-    return h
+@dataclass(frozen=True, eq=False)
+class FeatureTable:
+    """Labelled instances as columns: int64 lemma codes (`lemma_ids` maps
+    each lemma to its code), the 5 x n float64 numeric block and int8 codes
+    into `LABELS`.  Row slices share the whole table's lemma codes, so a
+    lemma that a slice lacks has a code that no row of the slice holds.
+    """
+
+    lemma_ids: dict[str, int]
+    codes: np.ndarray
+    numeric: np.ndarray
+    labels: np.ndarray
+
+    @classmethod
+    def of(cls, instances: Iterable[FeatureVector]) -> "FeatureTable":
+        rows = tuple(instances)
+        if any(inst.label is None for inst in rows):
+            raise ValueError("training instances need labels")
+        lemma_ids: dict[str, int] = {}
+        codes = [lemma_ids.setdefault(inst.lemma, len(lemma_ids)) for inst in rows]
+        numeric = np.array([inst.numeric() for inst in rows], dtype=np.float64)
+        return cls(lemma_ids, np.array(codes, dtype=np.int64),
+                   numeric.reshape(len(rows), len(_NUMERIC)).T.copy(),
+                   np.array([LABELS.index(inst.label) for inst in rows], dtype=np.int8))
+
+    def take(self, rows: np.ndarray) -> "FeatureTable":
+        """The table of `rows`, in the order given."""
+        # `take` keeps each numeric column contiguous; `numeric[:, rows]`
+        # would stride every kNN pass over it
+        return FeatureTable(self.lemma_ids, self.codes[rows],
+                            self.numeric.take(rows, axis=1), self.labels[rows])
 
 
-def _discretize(feature: str, value) -> object:
-    # the pronoun ratio is continuous; ten equal buckets make it countable
-    if feature == "pronoun_ratio":
-        return min(int(value * 10), 9)
-    return value
+def _plog2p(p: np.ndarray) -> np.ndarray:
+    # math.log2 of each distinct value: numpy's SIMD log2 may round the
+    # last bit differently, and the weights must match the scalar ones
+    values, inverse = np.unique(p, return_inverse=True)
+    return p * np.array([math.log2(v) for v in values.tolist()])[inverse]
 
 
-def gain_ratio_weights(instances: Sequence[FeatureVector]) -> tuple[float, ...]:
+def _group_entropies(column: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Size and label entropy of each value's rows, values in order of
+    first occurrence.  Each entropy sums its terms in the order in which
+    the labels first occur among the value's rows."""
+    _, first, inverse = np.unique(column, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    group = rank[inverse]
+    sizes = np.bincount(group)
+    pairs, pair_first, counts = np.unique(
+        group * len(LABELS) + labels, return_index=True, return_counts=True
+    )
+    order = np.lexsort((pair_first, pairs // len(LABELS)))
+    pair_group, counts = pairs[order] // len(LABELS), counts[order]
+    # one row of terms per group, in label order; the zero padding leaves
+    # each row's sum unchanged
+    slot = np.arange(len(order)) - np.searchsorted(pair_group, pair_group)
+    terms = np.zeros((len(sizes), len(LABELS)))
+    terms[pair_group, slot] = _plog2p(counts / sizes[pair_group])
+    return sizes, 0.0 - np.cumsum(terms, axis=1)[:, -1]
+
+
+def gain_ratio_weights(table: FeatureTable) -> tuple[float, ...]:
     """Gain ratio of each feature against the labels, lemma first.
 
     Numeric feature values act as discrete symbols here (the distance
-    treats them numerically).  A feature constant across the instances has
-    zero split information and gets weight 0; a single-class instance set
-    yields all zeros.
+    treats them numerically); the continuous pronoun ratio is cut into ten
+    equal buckets.  A feature constant across the instances has zero split
+    information and gets weight 0; a single-class instance set yields all
+    zeros.  Every sum runs in the order of a scalar loop over the values
+    in first-occurrence order, so the weights are the same bit for bit.
     """
-    labels = [inst.label for inst in instances]
-    class_entropy = _entropy(_tally(labels))
+    labels = table.labels
+    total = len(labels)
+    class_entropy = float(_group_entropies(np.zeros(total, np.int64), labels)[1][0])
+    ratio_buckets = np.minimum(table.numeric[4] * 10, 9).astype(np.int64)
     weights = []
-    for feature in ("lemma",) + _NUMERIC:
-        by_value: dict[object, dict] = {}
-        for inst in instances:
-            value = _discretize(feature, getattr(inst, feature))
-            by_value.setdefault(value, {}).setdefault(inst.label, 0)
-            by_value[value][inst.label] += 1
-        total = len(instances)
-        conditional = 0.0
-        split_info = 0.0
-        for group in by_value.values():
-            size = sum(group.values())
-            p = size / total
-            conditional += p * _entropy(group)
-            split_info -= p * math.log2(p)
+    for column in (table.codes, *table.numeric[:4], ratio_buckets):
+        sizes, entropies = _group_entropies(column, labels)
+        p = sizes / total
+        # cumsum adds left to right, rounding like the scalar loop
+        conditional = float(np.cumsum(p * entropies)[-1])
+        split_info = 0.0 - float(np.cumsum(_plog2p(p))[-1])
         gain = max(class_entropy - conditional, 0.0)
         weights.append(gain / split_info if split_info > 0 else 0.0)
     return tuple(weights)
-
-
-def _tally(values) -> dict:
-    out: dict = {}
-    for v in values:
-        out[v] = out.get(v, 0) + 1
-    return out
 
 
 class InstanceStore:
@@ -182,33 +214,32 @@ class InstanceStore:
 
     Weights and the per-feature value ranges used for distance scaling
     come from the stored instances only, never from queries.  The
-    instances are also held column-wise as arrays: lemma ids, the raw
-    numeric columns and one boolean mask per label, all in store order.
+    instances are held column-wise as arrays: lemma ids, the raw numeric
+    columns, label codes and one boolean mask per label, all in store
+    order.  A store is built from instances or from a `FeatureTable`.
     """
 
-    def __init__(self, instances: Iterable[FeatureVector]):
-        self.instances = tuple(instances)
-        if not self.instances:
+    def __init__(self, instances: Iterable[FeatureVector] | FeatureTable):
+        table = (instances if isinstance(instances, FeatureTable)
+                 else FeatureTable.of(instances))
+        if not len(table.codes):
             raise ValueError("instance store cannot be empty")
-        for inst in self.instances:
-            if inst.label is None:
-                raise ValueError("training instances need labels")
-        self.weights = gain_ratio_weights(self.instances)
-        self.lemma_ids: dict[str, int] = {}
-        self.ids = np.array(
-            [self.lemma_ids.setdefault(inst.lemma, len(self.lemma_ids))
-             for inst in self.instances],
-            dtype=np.int64,
-        )
-        self.columns = np.array(
-            [inst.numeric() for inst in self.instances], dtype=np.float64
-        ).T.copy()
+        self.weights = gain_ratio_weights(table)
+        self.lemma_ids = table.lemma_ids
+        self.ids = table.codes
+        self.columns = table.numeric
+        self.labels = table.labels
         self.ranges = [(float(col.min()), float(col.max())) for col in self.columns]
-        labels = np.array([inst.label.value for inst in self.instances])
         self.label_masks = {
-            label: labels == label.value
-            for label in sorted({inst.label for inst in self.instances})
+            LABELS[code]: self.labels == code for code in np.unique(self.labels).tolist()
         }
+
+    @property
+    def instances(self) -> tuple[FeatureVector, ...]:
+        """The stored instances in store order, rebuilt from the columns."""
+        lemmas = list(self.lemma_ids)
+        return tuple(FeatureVector(lemmas[code], *values, LABELS[label]) for code, values, label
+                     in zip(self.ids.tolist(), self.columns.T.tolist(), self.labels.tolist()))
 
 
 def knn_classify(
@@ -234,7 +265,9 @@ def knn_classify(
     for idx, value in enumerate(query.numeric()):
         lo, hi = store.ranges[idx]
         span = hi - lo
-        if span > 0:
+        # a zero weight adds nothing, and 0 * inf (a difference scaled by a
+        # subnormal span) would turn every distance into NaN
+        if span > 0 and weights[idx + 1]:
             distances += weights[idx + 1] * (
                 np.abs(value - store.columns[idx]) / span
             )
@@ -317,15 +350,16 @@ def cross_validate(
         )
         for doc, np_record in pairs
     ]
+    table = FeatureTable.of(features)
     rng = default_rng(seed)
     order = rng.permutation(len(pairs))
     predictions: list[Label | None] = [None] * len(pairs)
     for fold_indices in np.array_split(order, folds):
-        held_out = set(int(i) for i in fold_indices)
-        store = InstanceStore(
-            fv for idx, fv in enumerate(features) if idx not in held_out
-        )
-        for idx in sorted(held_out):
+        held_out = np.zeros(len(pairs), dtype=bool)
+        held_out[fold_indices] = True
+        # the store keeps corpus order, without the held-out rows
+        store = InstanceStore(table.take(np.flatnonzero(~held_out)))
+        for idx in np.flatnonzero(held_out).tolist():
             predictions[idx] = knn_classify(features[idx], store, config)
 
     gold = [np_record.gold for _, np_record in pairs]

@@ -20,6 +20,7 @@ visited, each with one set intersection.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Iterable, Mapping
 
 from .corpus import Document, iter_nps
@@ -108,9 +109,11 @@ def load_counts(path, taxonomy: Taxonomy) -> ICTable:
     Counts are propagated to ancestors and smoothed exactly as corpus
     counts would be, so an external frequency source slots in unchanged.
     A value that is not a finite, non-negative number is an error naming
-    the file and line.
+    the file and line, and so is a value that takes the sum of all counts
+    so high that a root's smoothed count could overflow.
     """
     direct: dict[str, float] = {}
+    total, bound = 0.0, sys.float_info.max / (len(taxonomy.roots) + 1)
     for lineno, line in read_lines(path):
         if not line or line.startswith("#"):
             continue
@@ -123,6 +126,9 @@ def load_counts(path, taxonomy: Taxonomy) -> ICTable:
                 raise ValueError(f"unknown synset {sid}")
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"count must be finite and >= 0, got {fields[2]!r}")
+            total += value
+            if total > bound:
+                raise ValueError("the counts sum past the float range")
         except ValueError as exc:
             raise ValueError(f"{path} line {lineno}: {exc}") from None
         direct[sid] = direct.get(sid, 0.0) + value

@@ -1,17 +1,21 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from animacy.corpus import Document, Label, iter_nps, pronoun_ratio
 from animacy.enrichment import EnrichedTaxonomy, Status, enrich
 from animacy.evaluation import score
 from animacy.mbl import (
     OOV_LEMMA,
+    FeatureTable,
     FeatureVector,
     InstanceStore,
     MblConfig,
     cross_validate,
     extract_features,
-    gain_ratio_weights,
+    gain_ratio_weights as table_gain_ratio,
     knn_classify,
 )
 from animacy.taxonomy import NOUN, VERB, BeginnerClass, Synset, Taxonomy, sense_mass
@@ -25,6 +29,143 @@ def vec(lemma="w", f2=0.0, f3=0.0, f4=0.0, f5=0.0, f6=0.0, label=None):
 
 
 A, I = Label.ANIMATE, Label.INANIMATE
+
+
+def gain_ratio_weights(instances):
+    """The program's gain ratios of a list of instances."""
+    return table_gain_ratio(FeatureTable.of(instances))
+
+
+def _entropy(counts: dict) -> float:
+    total = sum(counts.values())
+    if total == 0:
+        return 0.0
+    h = 0.0
+    for n in counts.values():
+        if n:
+            p = n / total
+            h -= p * math.log2(p)
+    return h
+
+
+def _discretize(feature: str, value) -> object:
+    # the pronoun ratio is continuous; ten equal buckets make it countable
+    if feature == "pronoun_ratio":
+        return min(int(value * 10), 9)
+    return value
+
+
+def _tally(values) -> dict:
+    out: dict = {}
+    for v in values:
+        out[v] = out.get(v, 0) + 1
+    return out
+
+
+def oracle_gain_ratio(instances):
+    """Reference gain ratios: nested dicts of (value, label) counts, every
+    sum a scalar loop over values and labels in first-occurrence order."""
+    labels = [inst.label for inst in instances]
+    class_entropy = _entropy(_tally(labels))
+    weights = []
+    for feature in ("lemma", "animate_senses", "inanimate_senses",
+                    "verb_animate", "verb_inanimate", "pronoun_ratio"):
+        by_value: dict[object, dict] = {}
+        for inst in instances:
+            value = _discretize(feature, getattr(inst, feature))
+            by_value.setdefault(value, {}).setdefault(inst.label, 0)
+            by_value[value][inst.label] += 1
+        total = len(instances)
+        conditional = 0.0
+        split_info = 0.0
+        for group in by_value.values():
+            size = sum(group.values())
+            p = size / total
+            conditional += p * _entropy(group)
+            split_info -= p * math.log2(p)
+        gain = max(class_entropy - conditional, 0.0)
+        weights.append(gain / split_info if split_info > 0 else 0.0)
+    return tuple(weights)
+
+
+# sense counts and ratios that repeat, so that values form groups; both
+# signs of zero, and every pronoun-ratio bucket edge
+COUNTS = st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, 0.5, 1 / 3]) | st.floats(0, 50)
+RATIOS = st.sampled_from([k / 10 for k in range(11)] + [-0.0, 0.95, 1 / 3]) | st.floats(0, 1)
+
+
+@st.composite
+def instance_lists(draw, min_size=1):
+    """Labelled instances over a drawn lemma pool and label set; any column
+    may be constant."""
+    n = draw(st.integers(min_size, 40))
+    lemmas = [f"w{i}" for i in range(draw(st.sampled_from([1, 2, 5, 400])))]
+    label_set = draw(st.sampled_from([(A,), (I,), (A, I), (I, A, A), (A, I, Label.UNKNOWN)]))
+
+    def column(values):
+        if draw(st.booleans()) and draw(st.booleans()):  # constant
+            return [draw(values)] * n
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    columns = [column(st.sampled_from(lemmas))] + [column(COUNTS) for _ in range(4)]
+    columns.append(column(RATIOS))
+    labels = column(st.sampled_from(label_set))
+    return [FeatureVector(*row, label) for *row, label in zip(*columns, labels)]
+
+
+class TestGainRatioMatchesOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(instances=instance_lists())
+    def test_weights_equal_dict_oracle(self, instances):
+        assert gain_ratio_weights(instances) == oracle_gain_ratio(instances)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_large_sets_equal_dict_oracle(self, seed):
+        # fold-sized sets: thousands of rows over hundreds of Zipfian
+        # lemmas, few distinct sense counts, ratios on bucket edges
+        rng = np.random.default_rng(seed)
+        n = 3000
+        lemmas = rng.zipf(1.3, n) % 900
+        counts = rng.integers(0, 6, (4, n)) / rng.integers(1, 4, (4, n))
+        ratios = rng.integers(0, 11, n) / 10
+        labels = [A if r < 0.15 else I for r in rng.random(n).tolist()]
+        instances = [FeatureVector(f"w{lemma}", *row, ratio, label) for lemma, *row, ratio, label
+                     in zip(lemmas.tolist(), *counts.tolist(), ratios.tolist(), labels)]
+        assert gain_ratio_weights(instances) == oracle_gain_ratio(instances)
+
+    @pytest.mark.parametrize("n, k", [(74, 9), (81, 19), (92, 25), (98, 5), (123, 25)])
+    def test_logs_round_like_math_log2(self, n, k):
+        # numpy 2.4's SIMD log2 on x86-64 rounds log2 of k/n or (n-k)/n one
+        # bit away from math.log2, and the bit reaches the weights
+        instances = [vec(lemma="a" if i < k else "b", f2=float(i % 3),
+                         label=A if i % 4 else I) for i in range(n)]
+        assert gain_ratio_weights(instances) == oracle_gain_ratio(instances)
+
+    @settings(max_examples=100, deadline=None)
+    @given(instances=instance_lists(min_size=2), data=st.data())
+    def test_table_slice_store_equals_instance_store(self, instances, data):
+        rows = data.draw(st.lists(st.integers(0, len(instances) - 1), min_size=1,
+                                  max_size=len(instances), unique=True))
+        if data.draw(st.booleans()):
+            rows.sort()
+        table = FeatureTable.of(instances)
+        sliced = InstanceStore(table.take(np.array(rows)))
+        direct = InstanceStore(instances[i] for i in rows)
+        assert sliced.weights == direct.weights
+        assert sliced.ranges == direct.ranges
+        assert list(sliced.label_masks) == list(direct.label_masks)
+        for label, mask in direct.label_masks.items():
+            assert np.array_equal(sliced.label_masks[label], mask)
+        assert sliced.instances == direct.instances
+        # every lemma of the table (stored in the slice or not) and one
+        # outside it, against every stored numeric pattern
+        queries = [FeatureVector(lemma, *inst.numeric())
+                   for inst in instances for lemma in (inst.lemma, "never-stored")]
+        for k in (1, 2, 4):
+            config = MblConfig(k=k)
+            for query in queries:
+                assert (knn_classify(query, sliced, config)
+                        is knn_classify(query, direct, config)), (k, query)
 
 
 class TestExtractFeatures:
@@ -265,6 +406,14 @@ class TestKnn:
             vec(lemma="x", label=I), vec(lemma="y", label=I), vec(lemma="z", label=I),
         ])
         assert knn_classify(vec(lemma="anything"), store, MblConfig(k=1)) is I
+
+    def test_subnormal_span_under_zero_weight_is_ignored(self):
+        # single-class data weighs every feature 0; the query's scaled
+        # difference over the 1e-308 span overflows to inf, and 0 * inf
+        # would make every distance NaN and leave no neighbour to vote
+        store = InstanceStore([vec(lemma="x", f5=0.0, label=A),
+                               vec(lemma="x", f5=1e-308, label=A)])
+        assert knn_classify(vec(lemma="x", f5=2.0), store, MblConfig(k=1)) is A
 
     def test_empty_store_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,6 +158,32 @@ def oracle_ic(direct: dict, taxonomy: Taxonomy) -> tuple[dict, dict]:
     return ic, smoothed
 
 
+_FUZZ_TEXT = st.text(st.sampled_from("\t #x0.e-") | st.characters(exclude_characters="\r\n"),
+                     max_size=8)
+_COUNT_VALUES = (
+    st.sampled_from(["0", "-0", "-1", "nan", "NaN", "inf", "-inf", "1e308", "1e400",
+                     "1.7976931348623157e308", "", " 2 ", "1_0", "0x10"])
+    | st.floats().map(repr) | _FUZZ_TEXT
+)
+_IDS = st.sampled_from(["root", "hub", "s1a", "s2a", "s1b", "s2b"]) | _FUZZ_TEXT
+
+
+def _utf8(text: str) -> bytes:
+    # a lone surrogate becomes bytes that are not valid UTF-8
+    return text.encode("utf-8", "surrogatepass")
+
+
+# one line of a COUNT file, as bytes: well-formed and malformed records,
+# comments, and bytes that are not UTF-8
+COUNT_LINES = st.one_of(
+    st.tuples(_IDS, _COUNT_VALUES).map(lambda f: _utf8(f"COUNT\t{f[0]}\t{f[1]}")),
+    st.lists(_FUZZ_TEXT, max_size=5).map(lambda fields: _utf8("\t".join(fields))),
+    st.sampled_from([b"", b"# note", b"COUNT\ts1a\t1\x00", b"COUNT\ts1a\t\xff1",
+                     b"\xc3\x28", b"COUNT\ts1a\t1\t", b"count\ts1a\t1"]),
+    st.binary(max_size=12).filter(lambda b: b"\n" not in b and b"\r" not in b),
+)
+
+
 def assert_same_table(table: ICTable, direct: dict, taxonomy: Taxonomy) -> None:
     ic, counts = oracle_ic(direct, taxonomy)
     for sid in taxonomy:
@@ -223,6 +250,21 @@ class TestInformationContent:
         for sid, value in rows:
             direct[sid] = direct.get(sid, 0.0) + value
         assert_same_table(load_counts(path, taxonomy), direct, taxonomy)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(COUNT_LINES, max_size=8))
+    def test_count_file_fuzz_fails_only_with_its_line(self, lines, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "freq.count"
+        path.write_bytes(b"\n".join(lines))
+        taxonomy = pair_taxonomy()
+        try:
+            table = load_counts(path, taxonomy)
+        except ValueError as exc:
+            named = re.match(rf"{re.escape(str(path))} line (\d+): ", str(exc))
+            assert named and 1 <= int(named.group(1)) <= len(lines), str(exc)
+            return
+        # an accepted file gives a finite information content everywhere
+        assert all(math.isfinite(value) for value in table.ic.values())
 
     def test_unknown_synset_raises(self):
         table = information_content(occurrences([("s1a", 2)]), pair_taxonomy())
