@@ -27,13 +27,6 @@ def _write_output(text: str, out_path: str | None) -> None:
         write_atomic(out_path, text)
 
 
-def _prediction_lines(keyed: list[tuple[tuple[str, int, int], Label]]) -> str:
-    return "".join(
-        "%s\t%d\t%d\t%s\n" % (doc_id, sent_id, np_id, label.value)
-        for (doc_id, sent_id, np_id), label in keyed
-    )
-
-
 def _load_predictions(path) -> dict[tuple[str, int, int], Label]:
     out = {}
     for lineno, line in read_lines(path):
@@ -190,45 +183,41 @@ def cmd_classify(args) -> int:
     beginners = _beginners(args)
 
     if args.method in ("random", "weighted", "dummy"):
-        docs = load_corpus(args.corpus)
-        stream = evaluation.baseline(args.method, docs, seed=args.seed)
-        keyed = list(zip((np.key for doc in docs for np in doc.nps), stream))
-        _write_output(_prediction_lines(keyed), args.out)
-        return 0
+        docs, weightings = load_corpus(args.corpus), None
+        labels = iter(evaluation.baseline(args.method, docs, seed=args.seed))
 
-    taxonomy = load_taxonomy(args.taxonomy)
-    if args.method == "rule":
+        def predict(np, doc, weighting):
+            return next(labels)  # the baseline lists one label per NP, in order
+    elif args.method == "rule":
+        taxonomy = load_taxonomy(args.taxonomy)
         thresholds = rules.Thresholds(args.t1, args.t2, args.t3)
         docs = load_corpus(args.corpus)
         (weightings,) = _wsd_weightings(args, taxonomy, docs, docs)
-        keyed = []
-        for doc in docs:
-            weighting = weightings[doc.doc_id] if weightings else None
-            for np in doc.nps:
-                label = rules.classify_np(
-                    np, taxonomy, beginners, thresholds, weighting,
-                    reflexive_counts=not args.no_reflexive,
-                )
-                keyed.append((np.key, label))
-        _write_output(_prediction_lines(keyed), args.out)
-        return 0
 
-    # memory-based: train on --train, predict --test
-    train_docs = load_corpus(args.train)
-    test_docs = load_corpus(args.test)
-    enriched = _statuses(args, taxonomy, train_docs)
-    train_weightings, test_weightings = _wsd_weightings(
-        args, taxonomy, train_docs, train_docs, test_docs
-    )
-    store = mbl.build_store(train_docs, enriched, beginners, train_weightings)
-    config = mbl.MblConfig(k=args.k)
-    keyed = []
-    for doc in test_docs:
-        weighting = test_weightings[doc.doc_id] if test_weightings else None
-        for np in doc.nps:
+        def predict(np, doc, weighting):
+            return rules.classify_np(np, taxonomy, beginners, thresholds, weighting,
+                                     reflexive_counts=not args.no_reflexive)
+    else:
+        # memory-based: train on --train, predict --test
+        taxonomy = load_taxonomy(args.taxonomy)
+        train_docs = load_corpus(args.train)
+        docs = load_corpus(args.test)
+        enriched = _statuses(args, taxonomy, train_docs)
+        train_weightings, weightings = _wsd_weightings(args, taxonomy, train_docs, train_docs, docs)
+        store = mbl.build_store(train_docs, enriched, beginners, train_weightings)
+        config = mbl.MblConfig(k=args.k)
+
+        def predict(np, doc, weighting):
             query = mbl.extract_features(np, doc, enriched, beginners, weighting)
-            keyed.append((np.key, mbl.knn_classify(query, store, config)))
-    _write_output(_prediction_lines(keyed), args.out)
+            return mbl.knn_classify(query, store, config)
+
+    # one prediction line per NP: doc_id, sent_id, np_id, label
+    lines = []
+    for doc in docs:
+        weighting = weightings[doc.doc_id] if weightings else None
+        lines.extend("%s\t%d\t%d\t%s\n" % (*np.key, predict(np, doc, weighting).value)
+                     for np in doc.nps)
+    _write_output("".join(lines), args.out)
     return 0
 
 

@@ -25,7 +25,13 @@ from .fileio import read_lines
 
 
 class CorpusError(ValueError):
-    """Malformed or inconsistent corpus data."""
+    """Malformed or inconsistent corpus data.  A `Document` that rejects
+    one of its records names it in `record`, as `("nps", i)` or
+    `("pronouns", i)`; None stands for the document's own fields."""
+
+    def __init__(self, message: str, record: tuple[str, int] | None = None):
+        super().__init__(message)
+        self.record = record
 
 
 class Label(str, enum.Enum):
@@ -93,16 +99,16 @@ class Document:
         if self.animate_pronoun_count < 0 or self.inanimate_pronoun_count < 0:
             raise CorpusError(f"{self.doc_id}: negative pronoun count")
         keys = set()
-        for np in self.nps:
+        for i, np in enumerate(self.nps):
             if np.key in keys:
-                raise CorpusError(f"duplicate NP key {np.key}")
+                raise CorpusError(f"duplicate NP key {np.key}", ("nps", i))
             keys.add(np.key)
         np_keys = {(np.sent_id, np.np_id) for np in self.nps}
-        for pron in self.pronouns:
+        for i, pron in enumerate(self.pronouns):
             if pron.antecedent is not None and pron.antecedent not in np_keys:
                 raise CorpusError(
                     f"{self.doc_id}: pronoun at sentence {pron.sent_id} points to "
-                    f"missing antecedent {pron.antecedent}"
+                    f"missing antecedent {pron.antecedent}", ("pronouns", i),
                 )
 
 
@@ -126,11 +132,9 @@ def iter_nps(docs: Iterable[Document]) -> Iterator[tuple[Document, NPRecord]]:
 
 
 def _flag(value: str, what: str) -> bool:
-    if value == "0":
-        return False
-    if value == "1":
-        return True
-    raise CorpusError(f"{what} must be 0 or 1, got {value!r}")
+    if value not in _FLAG:
+        raise CorpusError(f"{what} must be 0 or 1, got {value!r}")
+    return _FLAG[value]
 
 
 def _int(value: str, what: str) -> int:
@@ -144,33 +148,26 @@ _FLAG = {"0": False, "1": True}
 _GOLD = {"-": None, "A": Label.ANIMATE, "I": Label.INANIMATE}
 
 
-def _loaded_document(*fields) -> Document:
-    """A `Document` built without `__post_init__`, which would repeat the
-    checks `load_corpus` has made on its NPs and pronouns."""
-    doc = object.__new__(Document)
-    for name, value in zip(Document.__dataclass_fields__, fields):
-        object.__setattr__(doc, name, value)
-    return doc
-
-
 def load_corpus(path) -> list[Document]:
     """Read a corpus file; returns validated documents in file order.
 
-    Errors name the path, and the line for everything but a negative
-    pronoun count.  Errors within one line come first, in file order; then
-    each document in turn is checked for a negative pronoun count, a
-    duplicate NP key and a pronoun whose antecedent is not one of its NPs.
+    Every error names the path and a line.  Errors within one line come
+    first, in file order; then each document in turn is built as a
+    `Document`, whose checks (a negative pronoun count, a duplicate NP key,
+    a pronoun whose antecedent is not one of its NPs) name the record they
+    reject, and the error gives that record's line, or the DOC line for
+    the counts.
     """
     counts: dict[str, tuple[int, int]] = {}
     nps: dict[str, list[NPRecord]] = {}
     prons: dict[str, list[PronounRecord]] = {}
-    # Line numbers go in int arrays and NP keys are checked after the last
-    # line: an object kept per NP while reading sits between the records
-    # and, once freed, leaves holes that later allocations fill.  With a key
-    # set filled line by line, a paper-scale sweep's harness passes ran
-    # about 19% slower.
-    np_lines: dict[str, array] = {}
-    pron_lines: dict[str, array] = {}
+    # Per document, the line of its DOC record ("doc") and of each NP and
+    # pronoun.  Line numbers go in int arrays and documents are built after
+    # the last line: an object kept per NP while reading sits between the
+    # records and, once freed, leaves holes that later allocations fill.
+    # With a key set filled line by line, a paper-scale sweep's harness
+    # passes ran about 19% slower.
+    lines: dict[str, dict[str, array]] = {}
     flag, gold_of = _FLAG, _GOLD
 
     for lineno, line in read_lines(path, CorpusError):
@@ -185,14 +182,11 @@ def load_corpus(path) -> list[Document]:
                 doc_id = fields[1]
                 if doc_id in counts:
                     raise CorpusError(f"duplicate document {doc_id}")
-                counts[doc_id] = (
-                    _int(fields[2], "pronoun count"),
-                    _int(fields[3], "pronoun count"),
-                )
+                counts[doc_id] = tuple(_int(count, "pronoun count") for count in fields[2:])
                 nps[doc_id] = []
                 prons[doc_id] = []
-                np_lines[doc_id] = array("q")
-                pron_lines[doc_id] = array("q")
+                lines[doc_id] = {"doc": array("q", [lineno]), "nps": array("q"),
+                                 "pronouns": array("q")}
             elif kind == "NP":
                 fields = line.split("\t", 11)
                 if len(fields) != 12:
@@ -219,7 +213,7 @@ def load_corpus(path) -> list[Document]:
                     None if verb == "-" else verb, has_who, has_reflexive, label,
                     None if sense == "-" else sense, surface,
                 ))
-                np_lines[doc_id].append(lineno)
+                lines[doc_id]["nps"].append(lineno)
             elif kind == "PRON":
                 fields = line.split("\t")
                 if len(fields) != 7:
@@ -243,7 +237,7 @@ def load_corpus(path) -> list[Document]:
                         antecedent=antecedent,
                     )
                 )
-                pron_lines[doc_id].append(lineno)
+                lines[doc_id]["pronouns"].append(lineno)
             else:
                 raise CorpusError(f"unknown record kind {kind!r}")
         except ValueError as exc:
@@ -251,23 +245,13 @@ def load_corpus(path) -> list[Document]:
 
     documents = []
     for doc_id, (ani, inani) in counts.items():
-        if ani < 0 or inani < 0:
-            raise CorpusError(f"{path}: {doc_id}: negative pronoun count")
-        keys: set[tuple[int, int]] = set()
-        for lineno, np in zip(np_lines[doc_id], nps[doc_id]):
-            key = (np.sent_id, np.np_id)
-            if key in keys:
-                raise CorpusError(f"{path} line {lineno}: duplicate NP key {np.key}")
-            keys.add(key)
-        for lineno, pron in zip(pron_lines[doc_id], prons[doc_id]):
-            if pron.antecedent is not None and pron.antecedent not in keys:
-                raise CorpusError(
-                    f"{path} line {lineno}: {doc_id}: pronoun at sentence "
-                    f"{pron.sent_id} points to missing antecedent {pron.antecedent}"
-                )
-        documents.append(_loaded_document(
-            doc_id, tuple(nps[doc_id]), ani, inani, tuple(prons[doc_id]),
-        ))
+        try:
+            documents.append(Document(
+                doc_id, tuple(nps[doc_id]), ani, inani, tuple(prons[doc_id]),
+            ))
+        except CorpusError as exc:
+            field, i = exc.record or ("doc", 0)
+            raise CorpusError(f"{path} line {lines[doc_id][field][i]}: {exc}") from None
     return documents
 
 

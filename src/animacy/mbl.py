@@ -214,9 +214,9 @@ class InstanceStore:
 
     Weights and the per-feature value ranges used for distance scaling
     come from the stored instances only, never from queries.  The
-    instances are held column-wise as arrays: lemma ids, the raw numeric
-    columns, label codes and one boolean mask per label, all in store
-    order.  A store is built from instances or from a `FeatureTable`.
+    instances are held as their `FeatureTable`, in store order, with one
+    boolean mask per label.  A store is built from instances or from a
+    table.
     """
 
     def __init__(self, instances: Iterable[FeatureVector] | FeatureTable):
@@ -224,22 +224,20 @@ class InstanceStore:
                  else FeatureTable.of(instances))
         if not len(table.codes):
             raise ValueError("instance store cannot be empty")
+        self.table = table
         self.weights = gain_ratio_weights(table)
-        self.lemma_ids = table.lemma_ids
-        self.ids = table.codes
-        self.columns = table.numeric
-        self.labels = table.labels
-        self.ranges = [(float(col.min()), float(col.max())) for col in self.columns]
+        self.ranges = [(float(col.min()), float(col.max())) for col in table.numeric]
         self.label_masks = {
-            LABELS[code]: self.labels == code for code in np.unique(self.labels).tolist()
+            LABELS[code]: table.labels == code for code in np.unique(table.labels).tolist()
         }
 
     @property
     def instances(self) -> tuple[FeatureVector, ...]:
         """The stored instances in store order, rebuilt from the columns."""
-        lemmas = list(self.lemma_ids)
+        table = self.table
+        lemmas = list(table.lemma_ids)
         return tuple(FeatureVector(lemmas[code], *values, LABELS[label]) for code, values, label
-                     in zip(self.ids.tolist(), self.columns.T.tolist(), self.labels.tolist()))
+                     in zip(table.codes.tolist(), table.numeric.T.tolist(), table.labels.tolist()))
 
 
 def knn_classify(
@@ -259,9 +257,9 @@ def knn_classify(
     go to the class with the smaller summed neighbour distance and then to
     INANIMATE, the majority-class prior.
     """
-    weights = store.weights
-    qid = store.lemma_ids.get(query.lemma, -1)
-    distances = weights[0] * (store.ids != qid)
+    weights, table = store.weights, store.table
+    qid = table.lemma_ids.get(query.lemma, -1)
+    distances = weights[0] * (table.codes != qid)
     for idx, value in enumerate(query.numeric()):
         lo, hi = store.ranges[idx]
         span = hi - lo
@@ -269,7 +267,7 @@ def knn_classify(
         # subnormal span) would turn every distance into NaN
         if span > 0 and weights[idx + 1]:
             distances += weights[idx + 1] * (
-                np.abs(value - store.columns[idx]) / span
+                np.abs(value - table.numeric[idx]) / span
             )
 
     # the k-th smallest distinct distance, by successive minima
@@ -302,6 +300,20 @@ def knn_classify(
     return Label.INANIMATE if Label.INANIMATE in tied else tied[0]
 
 
+def _labelled_features(docs, enriched, beginners, weightings):
+    """Every gold-labelled NP of `docs` in corpus order, and its instance,
+    as two lists; `weightings` maps document ids to sense weightings."""
+    labelled, features = [], []
+    for doc, np_record in iter_nps(docs):
+        if np_record.gold is not None:
+            labelled.append(np_record)
+            features.append(extract_features(
+                np_record, doc, enriched, beginners,
+                weightings.get(doc.doc_id) if weightings else None,
+            ))
+    return labelled, features
+
+
 def build_store(
     docs: Iterable[Document],
     enriched: EnrichedTaxonomy,
@@ -309,15 +321,7 @@ def build_store(
     weightings: dict[str, "SenseWeighting"] | None = None,
 ) -> InstanceStore:
     """Training store over every gold-labelled NP of a corpus."""
-    instances = []
-    for doc, np_record in iter_nps(docs):
-        if np_record.gold is None:
-            continue
-        weighting = weightings.get(doc.doc_id) if weightings else None
-        instances.append(
-            extract_features(np_record, doc, enriched, beginners, weighting)
-        )
-    return InstanceStore(instances)
+    return InstanceStore(_labelled_features(docs, enriched, beginners, weightings)[1])
 
 
 def cross_validate(
@@ -338,31 +342,21 @@ def cross_validate(
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")
-    pairs = [(doc, np_record) for doc, np_record in iter_nps(docs)
-             if np_record.gold is not None]
-    if len(pairs) < folds:
-        raise ValueError(f"{len(pairs)} labelled instances cannot fill {folds} folds")
+    labelled, features = _labelled_features(docs, enriched, beginners, weightings)
+    if len(labelled) < folds:
+        raise ValueError(f"{len(labelled)} labelled instances cannot fill {folds} folds")
 
-    features = [
-        extract_features(
-            np_record, doc, enriched, beginners,
-            weightings.get(doc.doc_id) if weightings else None,
-        )
-        for doc, np_record in pairs
-    ]
     table = FeatureTable.of(features)
     rng = default_rng(seed)
-    order = rng.permutation(len(pairs))
-    predictions: list[Label | None] = [None] * len(pairs)
+    order = rng.permutation(len(labelled))
+    predictions: list[Label | None] = [None] * len(labelled)
     for fold_indices in np.array_split(order, folds):
-        held_out = np.zeros(len(pairs), dtype=bool)
+        held_out = np.zeros(len(labelled), dtype=bool)
         held_out[fold_indices] = True
         # the store keeps corpus order, without the held-out rows
         store = InstanceStore(table.take(np.flatnonzero(~held_out)))
         for idx in np.flatnonzero(held_out).tolist():
             predictions[idx] = knn_classify(features[idx], store, config)
 
-    gold = [np_record.gold for _, np_record in pairs]
-    report = score(gold, predictions)
-    detailed = [(np_record, predictions[idx]) for idx, (_, np_record) in enumerate(pairs)]
-    return report, detailed
+    report = score([np_record.gold for np_record in labelled], predictions)
+    return report, list(zip(labelled, predictions))

@@ -20,8 +20,9 @@ visited, each with one set intersection.
 from __future__ import annotations
 
 import math
+import re
 import sys
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .corpus import Document, iter_nps
 from .fileio import read_lines
@@ -103,14 +104,19 @@ def information_content(docs: Iterable[Document], taxonomy: Taxonomy) -> ICTable
     return ICTable(direct, taxonomy)
 
 
+# a COUNT value; `float` alone would also take "+2", " 2 " and "1_0"
+_DECIMAL = re.compile(r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
+
+
 def load_counts(path, taxonomy: Taxonomy) -> ICTable:
     """Read a COUNT<TAB>synset_id<TAB>value file of direct occurrence counts.
 
     Counts are propagated to ancestors and smoothed exactly as corpus
     counts would be, so an external frequency source slots in unchanged.
-    A value that is not a finite, non-negative number is an error naming
-    the file and line, and so is a value that takes the sum of all counts
-    so high that a root's smoothed count could overflow.
+    A value that is not a finite unsigned decimal number (digits, an
+    optional fraction and exponent) is an error naming the file and line,
+    and so is a value that takes the sum of all counts so high that a
+    root's smoothed count could overflow.
     """
     direct: dict[str, float] = {}
     total, bound = 0.0, sys.float_info.max / (len(taxonomy.roots) + 1)
@@ -126,6 +132,8 @@ def load_counts(path, taxonomy: Taxonomy) -> ICTable:
                 raise ValueError(f"unknown synset {sid}")
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"count must be finite and >= 0, got {fields[2]!r}")
+            if not _DECIMAL.fullmatch(fields[2]):
+                raise ValueError(f"count must be an unsigned decimal number, got {fields[2]!r}")
             total += value
             if total > bound:
                 raise ValueError("the counts sum past the float range")
@@ -136,26 +144,26 @@ def load_counts(path, taxonomy: Taxonomy) -> ICTable:
 
 
 class SenseWeighting:
-    """Normalized per-sense weights, keyed by (lemma, synset id).
+    """Normalized per-sense weights: one map of synset id to weight per
+    lemma, kept as given and read without copying.
 
     Lemmas without stored weights report None, which consumers treat as
     plain unweighted counting.
     """
 
-    def __init__(self, weights: Mapping[tuple[str, str], float]):
-        self._weights = dict(weights)
+    def __init__(self, weights: Mapping[str, Mapping[str, float]]):
+        self._weights = weights
 
     def weight(self, lemma: str, sid: str) -> float | None:
-        return self._weights.get((lemma, sid))
+        return self._weights.get(lemma, {}).get(sid)
 
-    def for_lemma(self, lemma: str, sense_ids: Iterable[str]) -> dict[str, float] | None:
-        out = {}
-        for sid in sense_ids:
-            w = self._weights.get((lemma, sid))
-            if w is None:
-                return None
-            out[sid] = w
-        return out if out else None
+    def for_lemma(self, lemma: str, sense_ids: Collection[str]) -> Mapping[str, float] | None:
+        """The lemma's weight map if it weighs every one of `sense_ids`
+        (at least one), else None.  The map is shared: do not change it."""
+        weights = self._weights.get(lemma)
+        if weights is None or not sense_ids or any(sid not in weights for sid in sense_ids):
+            return None
+        return weights
 
 
 def disambiguation_weights(
@@ -194,18 +202,12 @@ def disambiguation_weights(
                     if subsumer in closure:
                         per_sense[sid] += value
 
-    weights: dict[tuple[str, str], float] = {}
-    for lemma in lemmas:
-        per_sense = support[lemma]
+    # normalize in place: the per-lemma maps become the weighting
+    for per_sense in support.values():
         total = sum(per_sense.values())
-        if total > 0.0:
-            for sid, value in per_sense.items():
-                weights[(lemma, sid)] = value / total
-        else:
-            share = 1.0 / len(per_sense)
-            for sid in per_sense:
-                weights[(lemma, sid)] = share
-    return SenseWeighting(weights)
+        for sid, value in per_sense.items():
+            per_sense[sid] = value / total if total > 0.0 else 1.0 / len(per_sense)
+    return SenseWeighting(support)
 
 
 def document_weights(doc: Document, taxonomy: Taxonomy, ic: ICTable) -> SenseWeighting:

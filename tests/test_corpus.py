@@ -279,13 +279,15 @@ def oracle_load_corpus(path):
     return documents
 
 
-# The fast loader names the line of these two errors; the oracle cannot.
-LINE_NAMED = re.compile(r" line \d+(?=: (duplicate NP key |[^:]*: pronoun at sentence ))")
+# The fast loader names the line of these three errors; the oracle cannot.
+LINE_NAMED = re.compile(
+    r" line \d+(?=: (duplicate NP key |[^:]*: pronoun at sentence |[^:]*: negative pronoun count))"
+)
 
 
 def load_outcome(load, path):
     """The documents `load` reads from `path`, or its error message with
-    the line dropped from the two errors only the fast loader places."""
+    the line dropped from the three errors only the fast loader places."""
     try:
         return load(path)
     except CorpusError as exc:
@@ -471,6 +473,16 @@ EDGE_CASES = {
     "bad int before bad flag": (
         "DOC\td1\t0\t0\nNP\td1\t0\tx\tman\t2\t-\t0\t0\tA\t-\tx\n"),
 }
+
+
+def test_negative_count_names_the_doc_line(tmp_path):
+    # the count is read from the DOC line, so that is the line named
+    path = tmp_path / "case.tsv"
+    path.write_text("DOC\td1\t0\t0\n" + NP_LINE.format(doc="d1", sent=0, np=0)
+                    + "DOC\td2\t2\t-1\n" + NP_LINE.format(doc="d2", sent=0, np=0))
+    with pytest.raises(CorpusError) as info:
+        load_corpus(path)
+    assert str(info.value) == f"{path} line 3: d2: negative pronoun count"
 
 
 @pytest.mark.parametrize("case", sorted(EDGE_CASES))

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,8 +42,25 @@ def uniform_weighting(taxonomy):
         for lemma in taxonomy.lemmas(pos):
             senses = taxonomy.senses(lemma, pos)
             for sid in senses:
-                weights[(lemma, sid)] = 1.0 / len(senses)
+                weights.setdefault(lemma, {})[sid] = 1.0 / len(senses)
     return SenseWeighting(weights)
+
+
+class FlatSenseWeighting:
+    """Reference for `SenseWeighting`: one flat table keyed by (lemma,
+    synset id), from which `for_lemma` copies a lemma's weights out."""
+
+    def __init__(self, weights):
+        self._weights = dict(weights)
+
+    def for_lemma(self, lemma, sense_ids):
+        out = {}
+        for sid in sense_ids:
+            w = self._weights.get((lemma, sid))
+            if w is None:
+                return None
+            out[sid] = w
+        return out if out else None
 
 
 def occurrences(sense_times):
@@ -266,6 +284,24 @@ class TestInformationContent:
         # an accepted file gives a finite information content everywhere
         assert all(math.isfinite(value) for value in table.ic.values())
 
+    @pytest.mark.parametrize("value", ["1_0", " 2 ", "+2"])
+    def test_value_outside_the_decimal_grammar_is_rejected(self, value, tmp_path):
+        # `float` reads each of these (as 10, 2 and 2)
+        path = tmp_path / "freq.count"
+        path.write_text(f"COUNT\ts1a\t1\nCOUNT\ts2b\t{value}\n")
+        with pytest.raises(ValueError) as info:
+            load_counts(path, pair_taxonomy())
+        assert str(info.value) == (
+            f"{path} line 2: count must be an unsigned decimal number, got {value!r}")
+
+    # up to the sum bound, which a single root puts at half the float range
+    @settings(max_examples=200, deadline=None)
+    @given(value=st.floats(min_value=0.0, max_value=sys.float_info.max / 2))
+    def test_every_non_negative_float_repr_loads(self, value, tmp_path_factory):
+        path = tmp_path_factory.mktemp("counts") / "freq.count"
+        path.write_text(f"COUNT\ts1a\t{value!r}\n")
+        assert_same_table(load_counts(path, pair_taxonomy()), {"s1a": value}, pair_taxonomy())
+
     def test_unknown_synset_raises(self):
         table = information_content(occurrences([("s1a", 2)]), pair_taxonomy())
         with pytest.raises(ValueError):
@@ -406,12 +442,12 @@ class TestWeightedCounts:
         return lambda sid: enriched.resolve_animate(sid, BeginnerClass())
 
     def test_point_mass_on_animate_sense(self, enriched):
-        w = SenseWeighting({("cat", "n-cat-animal"): 1.0, ("cat", "n-cat-machine"): 0.0})
+        w = SenseWeighting({"cat": {"n-cat-animal": 1.0, "n-cat-machine": 0.0}})
         senses = enriched.base.senses("cat", NOUN)
         assert sense_mass(senses, self.resolve(enriched), w.for_lemma("cat", senses)) == (1.0, 0.0)
 
     def test_linear_split(self, enriched):
-        w = SenseWeighting({("cat", "n-cat-animal"): 0.7, ("cat", "n-cat-machine"): 0.3})
+        w = SenseWeighting({"cat": {"n-cat-animal": 0.7, "n-cat-machine": 0.3}})
         senses = enriched.base.senses("cat", NOUN)
         assert sense_mass(senses, self.resolve(enriched), w.for_lemma("cat", senses)) == (0.7, 0.3)
 
@@ -449,3 +485,48 @@ class TestWeightedCounts:
         animate, inanimate = head_mass("mouse", uniform, undecided)
         # beginner classes decide: person and animal animate, device not
         assert (animate, inanimate) == (pytest.approx(2 / 3), pytest.approx(1 / 3))
+
+
+# lemma -> (noun senses, verb senses); "run" and "cut" have both
+LEMMA_SENSES = {
+    "cat": (("n1", "n2"), ()),
+    "run": (("n3",), ("v1", "v2")),
+    "cut": (("n4", "n5", "n6"), ("v3",)),
+    "oak": (("n7",), ()),
+}
+SENSE_WEIGHTS = st.sampled_from([0.0, 1.0, 0.5, 1 / 3]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def drawn_weightings(draw):
+    """Per-lemma weight maps over a drawn subset of the lemmas and of each
+    lemma's noun and verb senses, so coverage may be partial."""
+    weights = {}
+    for lemma in draw(st.lists(st.sampled_from(sorted(LEMMA_SENSES)), unique=True)):
+        senses = LEMMA_SENSES[lemma][0] + LEMMA_SENSES[lemma][1]
+        chosen = draw(st.lists(st.sampled_from(senses), unique=True))
+        weights[lemma] = {sid: draw(SENSE_WEIGHTS) for sid in chosen}
+    return weights
+
+
+class TestWeightTableMatchesFlatOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(weights=drawn_weightings(), animate=st.sets(st.sampled_from(
+        ["n1", "n2", "n3", "n4", "n5", "n6", "n7", "v1", "v2", "v3"])), data=st.data())
+    def test_for_lemma_and_sense_mass(self, weights, animate, data):
+        table = SenseWeighting(weights)
+        oracle = FlatSenseWeighting(
+            {(lemma, sid): w for lemma, per_sense in weights.items() for sid, w in per_sense.items()}
+        )
+        for lemma in (*LEMMA_SENSES, "ghost"):
+            for senses in LEMMA_SENSES.get(lemma, ((), ())):
+                asked = data.draw(st.sampled_from([senses, senses[:1], senses[::-1]]))
+                got, expected = table.for_lemma(lemma, asked), oracle.for_lemma(lemma, asked)
+                assert (got is None) == (expected is None), (lemma, asked)
+                if got is None:
+                    continue
+                for sid in asked:
+                    assert got[sid].hex() == expected[sid].hex(), (lemma, sid)
+                mass = sense_mass(asked, animate.__contains__, got)
+                assert [x.hex() for x in mass] == [
+                    x.hex() for x in sense_mass(asked, animate.__contains__, expected)]
