@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import chain
 
 from . import evaluation, mbl, resolution, rules, wndb, wsd
 from .corpus import Label, dump_corpus, load_corpus, run_annotation_session
@@ -164,7 +165,7 @@ def _statuses(args, taxonomy, docs):
     return enrich(taxonomy, docs)
 
 
-# the flags each classify --method reads, all checked before any file is read
+# the flags each classify --method requires, all checked before any file is read
 _METHOD_INPUTS = {
     "rule": ("taxonomy", "corpus"),
     "ml": ("taxonomy", "train", "test"),
@@ -172,14 +173,26 @@ _METHOD_INPUTS = {
     "weighted": ("seed", "corpus"),
     "dummy": ("corpus",),
 }
+# and every input flag of classify: a method rejects those it does not read
+_INPUT_FLAGS = dict.fromkeys([*chain.from_iterable(_METHOD_INPUTS.values()), "enriched"])
+
+
+def _check_method_inputs(args) -> None:
+    reads = _METHOD_INPUTS[args.method]
+    missing = [f"--{name}" for name in reads if getattr(args, name) is None]
+    if missing:
+        raise UsageError(f"--method {args.method} requires {' and '.join(missing)}")
+    if args.method == "ml":
+        reads += ("enriched",)
+    unread = [f"--{name}" for name in _INPUT_FLAGS
+              if name not in reads and getattr(args, name) is not None]
+    if unread:
+        raise UsageError(f"--method {args.method} does not read {' or '.join(unread)}")
 
 
 def cmd_classify(args) -> int:
     _check_ic(args)
-    missing = [f"--{name}" for name in _METHOD_INPUTS[args.method]
-               if getattr(args, name) is None]
-    if missing:
-        raise UsageError(f"--method {args.method} requires {' and '.join(missing)}")
+    _check_method_inputs(args)
     beginners = _beginners(args)
 
     if args.method in ("random", "weighted", "dummy"):

@@ -11,17 +11,24 @@ A corpus file holds three record kinds, one per line, tab-separated:
 
 NP order in the file is text order.  Heads arrive already lemmatized and
 singularized; no morphology happens here.
+
+A loaded corpus keeps its NPs as one set of columns (`NPColumns`), which
+its documents share, each owning a range of rows.  `Document.nps` builds
+a document's `NPRecord`s from its rows on first read; passes over a whole
+corpus read the columns through `np_columns` and build no records.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 import sys
-from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator
+from itertools import chain, compress
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .fileio import read_lines
+from .fileio import check_utf8, is_utf8, open_text
 
 
 class CorpusError(ValueError):
@@ -44,6 +51,13 @@ class Label(str, enum.Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+def _check_np(key, is_subject: bool, verb_lemma: str | None, gold: Label | None) -> None:
+    if verb_lemma is not None and not is_subject:
+        raise CorpusError(f"{key}: governing verb recorded for a non-subject NP")
+    if gold is Label.UNKNOWN:
+        raise CorpusError(f"{key}: gold annotations cannot be UNKNOWN")
 
 
 @dataclass(frozen=True)
@@ -70,11 +84,46 @@ class NPRecord:
 
     def __post_init__(self):
         key = (self.doc_id, self.sent_id, self.np_id)
-        if self.verb_lemma is not None and not self.is_subject:
-            raise CorpusError(f"{key}: governing verb recorded for a non-subject NP")
-        if self.gold is Label.UNKNOWN:
-            raise CorpusError(f"{key}: gold annotations cannot be UNKNOWN")
+        _check_np(key, self.is_subject, self.verb_lemma, self.gold)
         object.__setattr__(self, "key", key)
+
+
+class NPColumns(NamedTuple):
+    """NPs as columns: one sequence per `NPRecord` field, in field order,
+    then `keys`, each NP's (doc_id, sent_id, np_id).  Entry i of every
+    column belongs to NP i."""
+
+    doc_id: Sequence[str]
+    sent_id: Sequence[int]
+    np_id: Sequence[int]
+    head_lemma: Sequence[str]
+    is_subject: Sequence[bool]
+    verb_lemma: Sequence[str | None]
+    has_who: Sequence[bool]
+    has_reflexive: Sequence[bool]
+    gold: Sequence[Label | None]
+    sense_key: Sequence[str | None]
+    surface: Sequence[str]
+    keys: Sequence[tuple[str, int, int]]
+
+    @classmethod
+    def of(cls, columns: Sequence[Sequence]) -> "NPColumns":
+        """The columns of the `NPRecord` fields, in field order, with keys."""
+        return cls(*columns, list(zip(*columns[:3])))
+
+    @classmethod
+    def from_records(cls, records: Iterable[NPRecord]) -> "NPColumns":
+        records = tuple(records)
+        return cls(*([getattr(np, name) for np in records] for name in cls._fields[:-1]),
+                   [np.key for np in records])
+
+    def records(self, start: int, stop: int) -> tuple[NPRecord, ...]:
+        """The records of rows start to stop."""
+        return tuple(map(NPRecord, *(column[start:stop] for column in self[:-1])))
+
+    def take(self, rows: Iterable[int]) -> "NPColumns":
+        """The columns of `rows`, in the order given."""
+        return NPColumns(*(list(map(column.__getitem__, rows)) for column in self))
 
 
 @dataclass(frozen=True)
@@ -87,10 +136,51 @@ class PronounRecord:
     antecedent: tuple[int, int] | None  # (sent_id, np_id) of the gold antecedent
 
 
+class _Rows(NamedTuple):
+    """Rows start to stop of `columns`: a document's NPs as `load_corpus`
+    gives them.  `checked` tells that the loader has found no duplicate
+    key among them and every antecedent of the document's pronouns."""
+
+    columns: NPColumns
+    start: int
+    stop: int
+    checked: bool = False
+
+
+class _RecordsOnRequest:
+    """`Document.nps`: the records a document was given or, when it was
+    given `_Rows`, the records of those rows, built on first read and
+    kept.  A read on the class raises AttributeError, so that `dataclass`
+    sees a field without a default."""
+
+    def __get__(self, doc, owner=None):
+        if doc is None:
+            raise AttributeError("nps")
+        state = doc.__dict__
+        if "nps" not in state:
+            rows = state["_rows"]
+            state["nps"] = rows.columns.records(rows.start, rows.stop)
+        return state["nps"]
+
+    def __set__(self, doc, value):
+        doc.__dict__["_rows" if isinstance(value, _Rows) else "nps"] = value
+
+
 @dataclass(frozen=True)
 class Document:
+    """One document: its NPs in text order, its pronoun counts and its
+    pronouns.
+
+    A loaded document holds its NPs as rows of its corpus's columns and
+    builds the `NPRecord` tuple on the first read of `nps`, so equality,
+    hashing, `repr` and `dataclasses.replace`, which read `nps`, see
+    records as for a document built from them.  `np_columns` reads the
+    rows without building records; a document built from records gets
+    columns on first request.  The checks below read keys from the rows.
+    """
+
     doc_id: str
-    nps: tuple[NPRecord, ...]
+    nps: tuple[NPRecord, ...] = _RecordsOnRequest()
     animate_pronoun_count: int
     inanimate_pronoun_count: int
     pronouns: tuple[PronounRecord, ...] = ()
@@ -98,18 +188,54 @@ class Document:
     def __post_init__(self):
         if self.animate_pronoun_count < 0 or self.inanimate_pronoun_count < 0:
             raise CorpusError(f"{self.doc_id}: negative pronoun count")
-        keys = set()
-        for i, np in enumerate(self.nps):
-            if np.key in keys:
-                raise CorpusError(f"duplicate NP key {np.key}", ("nps", i))
-            keys.add(np.key)
-        np_keys = {(np.sent_id, np.np_id) for np in self.nps}
+        rows = self.__dict__.get("_rows")
+        if rows is not None and rows.checked:
+            return
+        keys = (rows.columns.keys[rows.start:rows.stop] if rows is not None
+                else [np.key for np in self.nps])
+        seen = set()
+        for i, key in enumerate(keys):
+            if key in seen:
+                raise CorpusError(f"duplicate NP key {key}", ("nps", i))
+            seen.add(key)
+        np_keys = {key[1:] for key in keys}
         for i, pron in enumerate(self.pronouns):
             if pron.antecedent is not None and pron.antecedent not in np_keys:
                 raise CorpusError(
                     f"{self.doc_id}: pronoun at sentence {pron.sent_id} points to "
                     f"missing antecedent {pron.antecedent}", ("pronouns", i),
                 )
+
+    @property
+    def _np_rows(self) -> _Rows:
+        state = self.__dict__
+        if "_rows" not in state:
+            nps = self.nps
+            state["_rows"] = _Rows(NPColumns.from_records(nps), 0, len(nps))
+        return state["_rows"]
+
+
+def np_columns(docs: Iterable[Document]) -> tuple[NPColumns, list[int]]:
+    """The NPs of `docs` in corpus order as one `NPColumns`, and each
+    document's NP count.
+
+    The documents of a loaded corpus, taken whole and in order, share
+    their columns, which come back as they are; any other documents' rows
+    are copied into new columns.  No `NPRecord` is built for a loaded
+    document.
+    """
+    spans = [doc._np_rows for doc in docs]
+    counts = [span.stop - span.start for span in spans]
+    if spans:
+        shared = spans[0].columns
+        if (spans[0].start == 0 and spans[-1].stop == len(shared.keys)
+                and all(span.columns is shared for span in spans)
+                and all(a.stop == b.start for a, b in zip(spans, spans[1:]))):
+            return shared, counts
+    return NPColumns(*(
+        list(chain.from_iterable(span.columns[i][span.start:span.stop] for span in spans))
+        for i in range(len(NPColumns._fields))
+    )), counts
 
 
 def pronoun_ratio(doc: Document) -> float:
@@ -148,29 +274,105 @@ _FLAG = {"0": False, "1": True}
 _GOLD = {"-": None, "A": Label.ANIMATE, "I": Label.INANIMATE}
 
 
-def load_corpus(path) -> list[Document]:
-    """Read a corpus file; returns validated documents in file order.
+class _Records(NamedTuple):
+    """The records of a corpus file, in file order; `*_docs` give each
+    NP's and pronoun's document as an index into `docs`."""
 
-    Every error names the path and a line.  Errors within one line come
-    first, in file order; then each document in turn is built as a
-    `Document`, whose checks (a negative pronoun count, a duplicate NP key,
-    a pronoun whose antecedent is not one of its NPs) name the record they
-    reject, and the error gives that record's line, or the DOC line for
-    the counts.
+    docs: list[tuple[str, int, int]]  # doc_id and the two pronoun counts
+    doc_lines: list[int]
+    nps: NPColumns
+    np_docs: list[int]
+    np_lines: list[int]
+    pronouns: list[PronounRecord]
+    pronoun_docs: list[int]
+    pronoun_lines: list[int]
+
+
+def _split_columns(lines: list[str], width: int) -> list[tuple[str, ...]] | None:
+    """The fields after the first of tab-separated `lines`, as `width` - 1
+    columns, or None unless every line has exactly `width` fields.
+
+    All lines are split as one string, which allocates no list per line.
     """
-    counts: dict[str, tuple[int, int]] = {}
-    nps: dict[str, list[NPRecord]] = {}
-    prons: dict[str, list[PronounRecord]] = {}
-    # Per document, the line of its DOC record ("doc") and of each NP and
-    # pronoun.  Line numbers go in int arrays and documents are built after
-    # the last line: an object kept per NP while reading sits between the
-    # records and, once freed, leaves holes that later allocations fill.
-    # With a key set filled line by line, a paper-scale sweep's harness
-    # passes ran about 19% slower.
-    lines: dict[str, dict[str, array]] = {}
-    flag, gold_of = _FLAG, _GOLD
+    if not all(line.count("\t") == width - 1 for line in lines):
+        return None
+    if not lines:
+        return [()] * (width - 1)
+    flat = tuple("\t".join(lines).split("\t"))
+    return [flat[k::width] for k in range(1, width)]
 
-    for lineno, line in read_lines(path, CorpusError):
+
+def _bulk_records(lines: list[str]) -> _Records | None:
+    """The records of a corpus file's lines, each check made over a whole
+    column at once, or None as soon as one fails.
+
+    The checks are those of `_line_records`, by the same parsers, so they
+    fail exactly when some line is bad; that function then names it.
+    """
+    doc_at, np_at, pron_at = [], [], []
+    for lineno, line in enumerate(lines, 1):
+        if line.startswith("NP\t"):
+            np_at.append(lineno)
+        elif line.startswith("PRON\t"):
+            pron_at.append(lineno)
+        elif line.startswith("DOC\t"):
+            doc_at.append(lineno)
+        elif line and not line.startswith("#"):
+            return None
+    docs = _split_columns([lines[i - 1] for i in doc_at], 4)
+    prons = _split_columns([lines[i - 1] for i in pron_at], 7)
+    # one column per `NPRecord` field
+    nps = _split_columns([lines[i - 1] for i in np_at], 12)
+    if nps is None:
+        # the surface, the last field, may hold tabs
+        split = [lines[i - 1].split("\t", 11) for i in np_at]
+        if any(len(fields) != 12 for fields in split):
+            return None
+        nps = list(zip(*split))[1:] or [()] * 11
+    if docs is None or prons is None:
+        return None
+    doc_ids, animate_counts, inanimate_counts = docs
+    pron_doc_ids, pron_sent, pron_surface, animate, ant_sent, ant_np = prons
+    index = {doc_id: d for d, doc_id in enumerate(doc_ids)}
+    np_docs = list(map(index.get, nps[0]))
+    pron_docs = list(map(index.get, pron_doc_ids))
+    if (len(index) < len(doc_ids) or None in np_docs or None in pron_docs
+            # every NP and PRON line follows its DOC line
+            or not all(map(int.__lt__, map(doc_at.__getitem__, np_docs), np_at))
+            or not all(map(int.__lt__, map(doc_at.__getitem__, pron_docs), pron_at))
+            or list(map("-".__eq__, ant_sent)) != list(map("-".__eq__, ant_np))):
+        return None
+    flag, gold_of = _FLAG.__getitem__, _GOLD.__getitem__
+    try:
+        # each column replaces its text as soon as it is parsed, which
+        # leaves fewer objects for the collections that the records below set off
+        for i, parse in ((1, int), (2, int), (4, flag), (6, flag), (7, flag), (8, gold_of)):
+            nps[i] = tuple(map(parse, nps[i]))
+        counts = list(zip(doc_ids, map(int, animate_counts), map(int, inanimate_counts)))
+        pronouns = list(map(PronounRecord, map(int, pron_sent), pron_surface,
+                            map(flag, animate), [
+                                None if s == "-" else (int(s), int(n))
+                                for s, n in zip(ant_sent, ant_np)]))
+    except (ValueError, KeyError):
+        return None
+    if set(compress(nps[5], map(operator.not_, nps[4]))) - {"-"}:
+        return None  # a governing verb on a non-subject
+    for i in (5, 9):  # verb_lemma and sense_key, "-" for none
+        nps[i] = tuple([None if value == "-" else value for value in nps[i]])
+    return _Records(counts, doc_at, NPColumns.of(nps), np_docs, np_at,
+                    pronouns, pron_docs, pron_at)
+
+
+def _line_records(lines: list[str], path) -> _Records:
+    """The records of a corpus file's lines, read one line at a time; the
+    first bad line raises, as "<path> line N: ..."."""
+    index: dict[str, int] = {}
+    docs, doc_lines = [], []
+    rows, np_docs, np_lines = [], [], []
+    pronouns, pronoun_docs, pronoun_lines = [], [], []
+    for lineno, line in enumerate(lines, 1):
+        if not line.isascii():
+            check_utf8(line, path, lineno, CorpusError)
         if not line or line.startswith("#"):
             continue
         kind = line.split("\t", 1)[0]
@@ -180,78 +382,121 @@ def load_corpus(path) -> list[Document]:
                 if len(fields) != 4:
                     raise CorpusError("DOC record needs 4 fields")
                 doc_id = fields[1]
-                if doc_id in counts:
+                if doc_id in index:
                     raise CorpusError(f"duplicate document {doc_id}")
-                counts[doc_id] = tuple(_int(count, "pronoun count") for count in fields[2:])
-                nps[doc_id] = []
-                prons[doc_id] = []
-                lines[doc_id] = {"doc": array("q", [lineno]), "nps": array("q"),
-                                 "pronouns": array("q")}
+                counts = [_int(count, "pronoun count") for count in fields[2:]]
+                index[doc_id] = len(docs)
+                docs.append((doc_id, *counts))
+                doc_lines.append(lineno)
             elif kind == "NP":
                 fields = line.split("\t", 11)
                 if len(fields) != 12:
                     raise CorpusError("NP record needs 12 fields")
                 (_, doc_id, sent, npid, head, subj, verb, who, refl,
                  gold, sense, surface) = fields
-                doc_nps = nps.get(doc_id)
-                if doc_nps is None:
+                if doc_id not in index:
                     raise CorpusError(f"NP before DOC {doc_id}")
-                try:
-                    sent_id, np_id = int(sent), int(npid)
-                    is_subject, has_who, has_reflexive = flag[subj], flag[who], flag[refl]
-                    label = gold_of[gold]
-                except (ValueError, KeyError):
-                    # decode field by field for the first bad field's error
-                    sent_id, np_id = _int(sent, "sentence id"), _int(npid, "np id")
-                    is_subject = _flag(subj, "subject flag")
-                    has_who = _flag(who, "who flag")
-                    has_reflexive = _flag(refl, "reflexive flag")
-                    label = Label(gold)  # only "U" gets past this line
-                # the record checks the verb and an UNKNOWN gold label itself
-                doc_nps.append(NPRecord(
-                    doc_id, sent_id, np_id, head, is_subject,
-                    None if verb == "-" else verb, has_who, has_reflexive, label,
-                    None if sense == "-" else sense, surface,
-                ))
-                lines[doc_id]["nps"].append(lineno)
+                sent_id, np_id = _int(sent, "sentence id"), _int(npid, "np id")
+                is_subject = _flag(subj, "subject flag")
+                has_who = _flag(who, "who flag")
+                has_reflexive = _flag(refl, "reflexive flag")
+                label = None if gold == "-" else Label(gold)
+                verb = None if verb == "-" else verb
+                _check_np((doc_id, sent_id, np_id), is_subject, verb, label)
+                rows.append((doc_id, sent_id, np_id, head, is_subject, verb, has_who,
+                             has_reflexive, label, None if sense == "-" else sense,
+                             surface))
+                np_docs.append(index[doc_id])
+                np_lines.append(lineno)
             elif kind == "PRON":
                 fields = line.split("\t")
                 if len(fields) != 7:
                     raise CorpusError("PRON record needs 7 fields")
                 _, doc_id, sent, surface, animate, ant_sent, ant_np = fields
-                if doc_id not in counts:
+                if doc_id not in index:
                     raise CorpusError(f"PRON before DOC {doc_id}")
                 if (ant_sent == "-") != (ant_np == "-"):
                     raise CorpusError("antecedent fields must both be set or both '-'")
-                antecedent = None
-                if ant_sent != "-":
-                    antecedent = (
-                        _int(ant_sent, "antecedent sentence"),
-                        _int(ant_np, "antecedent np"),
-                    )
-                prons[doc_id].append(
-                    PronounRecord(
-                        sent_id=_int(sent, "sentence id"),
-                        surface=surface,
-                        animate=_flag(animate, "animate flag"),
-                        antecedent=antecedent,
-                    )
-                )
-                lines[doc_id]["pronouns"].append(lineno)
+                antecedent = None if ant_sent == "-" else (
+                    _int(ant_sent, "antecedent sentence"), _int(ant_np, "antecedent np"))
+                pronouns.append(PronounRecord(
+                    _int(sent, "sentence id"), surface, _flag(animate, "animate flag"),
+                    antecedent))
+                pronoun_docs.append(index[doc_id])
+                pronoun_lines.append(lineno)
             else:
                 raise CorpusError(f"unknown record kind {kind!r}")
         except ValueError as exc:
             raise CorpusError(f"{path} line {lineno}: {exc}") from None
+    columns = NPColumns.of(list(zip(*rows)) or [()] * 11)
+    return _Records(docs, doc_lines, columns, np_docs, np_lines,
+                    pronouns, pronoun_docs, pronoun_lines)
+
+
+def load_corpus(path) -> list[Document]:
+    """Read a corpus file; returns validated documents in file order.
+
+    Every error names the path and a line.  Errors within one line come
+    first, in file order; then each document in turn is built as a
+    `Document`, whose checks (a negative pronoun count, a duplicate NP key,
+    a pronoun whose antecedent is not one of its NPs) name the record they
+    reject, and the error gives that record's line, or the DOC line for
+    the counts.
+
+    The file is read whole and checked a column at a time
+    (`_bulk_records`); only when a check fails is it read again line by
+    line, to name the first bad line.  The NPs stay in columns, one row
+    per NP, grouped by document in file order, and the documents share
+    them: no `NPRecord` is built until a document's `nps` is read.
+    """
+    with open_text(path) as handle:
+        text = handle.read()
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    records = _bulk_records(lines) if is_utf8(text) else None
+    del text
+    if records is None:
+        records = _line_records(lines, path)
+    del lines
+
+    nps, np_docs, np_lines = records.nps, records.np_docs, records.np_lines
+    if any(map(int.__gt__, np_docs, np_docs[1:])):
+        # a document's NP lines may follow another's DOC line
+        order = sorted(range(len(np_docs)), key=np_docs.__getitem__)
+        nps, np_lines = nps.take(order), [np_lines[i] for i in order]
+        np_docs = [np_docs[i] for i in order]
+    pronouns = [[] for _ in records.docs]
+    pronoun_lines = [[] for _ in records.docs]
+    for pronoun, d, lineno in zip(records.pronouns, records.pronoun_docs,
+                                  records.pronoun_lines):
+        pronouns[d].append(pronoun)
+        pronoun_lines[d].append(lineno)
+    # the keys of two documents differ in their doc id, so one pass over
+    # the corpus can spare every document its key checks; if that finds a
+    # fault, each document checks itself to name the record
+    keys = set(nps.keys)
+    checked = len(keys) == len(nps.keys) and all(
+        (records.docs[d][0], *pronoun.antecedent) in keys
+        for pronoun, d in zip(records.pronouns, records.pronoun_docs)
+        if pronoun.antecedent is not None
+    )
 
     documents = []
-    for doc_id, (ani, inani) in counts.items():
+    start = 0
+    for d, (doc_id, animate, inanimate) in enumerate(records.docs):
+        stop = bisect_right(np_docs, d, start)
         try:
             documents.append(Document(
-                doc_id, tuple(nps[doc_id]), ani, inani, tuple(prons[doc_id]),
+                doc_id, _Rows(nps, start, stop, checked), animate, inanimate,
+                tuple(pronouns[d]),
             ))
         except CorpusError as exc:
             field, i = exc.record or ("doc", 0)
-            raise CorpusError(f"{path} line {lines[doc_id][field][i]}: {exc}") from None
+            lineno = {"doc": [records.doc_lines[d]], "nps": np_lines[start:stop],
+                      "pronouns": pronoun_lines[d]}[field][i]
+            raise CorpusError(f"{path} line {lineno}: {exc}") from None
+        start = stop
     return documents
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .corpus import Document, Label, iter_nps
+from .corpus import Document, Label, np_columns
 from .fileio import read_lines
 from .taxonomy import VERB, BeginnerClass, Taxonomy, TaxonomyError, sense_mass
 
@@ -229,22 +229,26 @@ def accumulate_counts(
     sense key and per distinct verb lemma first, and each tally is added
     along its closure once.  Returns the counts plus a list of skipped
     records whose sense key did not resolve, as (doc, sent, np, sense), in
-    corpus order.
+    corpus order.  The NPs are read from their columns (`np_columns`).
     """
     # occurrences per sense key and per verb lemma, then per synset
     by_sense, by_verb, counts = SynsetCounts(), SynsetCounts(), SynsetCounts()
     skipped: list[tuple[str, int, int, str]] = []
-    for doc, np in iter_nps(docs):
-        if np.gold is None:
+    columns, _ = np_columns(docs)
+    for key, gold, sense, subject, verb in zip(
+        columns.keys, columns.gold, columns.sense_key, columns.is_subject,
+        columns.verb_lemma,
+    ):
+        if gold is None:
             continue
-        animate = np.gold is Label.ANIMATE
-        if np.sense_key is not None:
-            if np.sense_key in taxonomy:
-                by_sense.add(np.sense_key, animate)
+        animate = gold is Label.ANIMATE
+        if sense is not None:
+            if sense in taxonomy:
+                by_sense.add(sense, animate)
             else:
-                skipped.append((np.doc_id, np.sent_id, np.np_id, np.sense_key))
-        if np.is_subject and np.verb_lemma is not None:
-            by_verb.add(np.verb_lemma, animate)
+                skipped.append((*key, sense))
+        if subject and verb is not None:
+            by_verb.add(verb, animate)
 
     for key in by_sense.observed_ids():
         counts.credit(taxonomy.ancestors(key, include_self=True),

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 from numpy.random import default_rng
 
-from .corpus import Document, Label, NPRecord, iter_nps, pronoun_ratio
+from .corpus import Document, Label, NPRecord, np_columns, pronoun_ratio
 from .enrichment import EnrichedTaxonomy
 from .evaluation import EvalReport, score
 from .taxonomy import NOUN, VERB, BeginnerClass, sense_mass
@@ -88,7 +88,17 @@ def extract_features(
     Out-of-vocabulary heads get zero sense counts and a marker lemma.
     Verb counts apply to subjects with a known governing verb only.
     """
-    lemma = np_record.head_lemma
+    lemma, numeric = _features(
+        np_record.head_lemma, np_record.verb_lemma if np_record.is_subject else None,
+        pronoun_ratio(doc), enriched, beginners, weighting,
+    )
+    return FeatureVector(lemma, *numeric, np_record.gold)
+
+
+def _features(lemma, verb, ratio, enriched, beginners, weighting):
+    """The lemma feature and the numeric ones, as `extract_features` finds
+    them from an NP's head lemma, the governing verb of a subject (else
+    None) and the document's pronoun ratio."""
     senses = enriched.base.senses(lemma, NOUN)
     if not senses:
         lemma = OOV_LEMMA
@@ -105,20 +115,10 @@ def extract_features(
         )
 
     verb_animate = verb_inanimate = 0.0
-    if np_record.is_subject and np_record.verb_lemma is not None:
-        verb_animate, verb_inanimate = enriched.lemma_mass(
-            np_record.verb_lemma, VERB, beginners
-        )
+    if verb is not None:
+        verb_animate, verb_inanimate = enriched.lemma_mass(verb, VERB, beginners)
 
-    return FeatureVector(
-        lemma=lemma,
-        animate_senses=noun_animate,
-        inanimate_senses=noun_inanimate,
-        verb_animate=verb_animate,
-        verb_inanimate=verb_inanimate,
-        pronoun_ratio=pronoun_ratio(doc),
-        label=np_record.gold,
-    )
+    return lemma, (noun_animate, noun_inanimate, verb_animate, verb_inanimate, ratio)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,14 +137,28 @@ class FeatureTable:
     @classmethod
     def of(cls, instances: Iterable[FeatureVector]) -> "FeatureTable":
         rows = tuple(instances)
-        if any(inst.label is None for inst in rows):
+        return cls.of_columns([inst.lemma for inst in rows],
+                              [inst.numeric() for inst in rows],
+                              [inst.label for inst in rows])
+
+    @classmethod
+    def of_columns(cls, lemmas: list[str], numeric: list[tuple[float, ...]],
+                   labels: list[Label | None]) -> "FeatureTable":
+        """The table of rows given as a lemma, a tuple of the numeric
+        features and a label each."""
+        if None in labels:
             raise ValueError("training instances need labels")
         lemma_ids: dict[str, int] = {}
-        codes = [lemma_ids.setdefault(inst.lemma, len(lemma_ids)) for inst in rows]
-        numeric = np.array([inst.numeric() for inst in rows], dtype=np.float64)
-        return cls(lemma_ids, np.array(codes, dtype=np.int64),
-                   numeric.reshape(len(rows), len(_NUMERIC)).T.copy(),
-                   np.array([LABELS.index(inst.label) for inst in rows], dtype=np.int8))
+        codes = [lemma_ids.setdefault(lemma, len(lemma_ids)) for lemma in lemmas]
+        block = np.array(numeric, dtype=np.float64).reshape(len(codes), len(_NUMERIC))
+        return cls(lemma_ids, np.array(codes, dtype=np.int64), block.T.copy(),
+                   np.array([LABELS.index(label) for label in labels], dtype=np.int8))
+
+    def instances(self) -> tuple[FeatureVector, ...]:
+        """The rows as instances, in row order."""
+        lemmas = list(self.lemma_ids)
+        return tuple(FeatureVector(lemmas[code], *values, LABELS[label]) for code, values, label
+                     in zip(self.codes.tolist(), self.numeric.T.tolist(), self.labels.tolist()))
 
     def take(self, rows: np.ndarray) -> "FeatureTable":
         """The table of `rows`, in the order given."""
@@ -234,10 +248,7 @@ class InstanceStore:
     @property
     def instances(self) -> tuple[FeatureVector, ...]:
         """The stored instances in store order, rebuilt from the columns."""
-        table = self.table
-        lemmas = list(table.lemma_ids)
-        return tuple(FeatureVector(lemmas[code], *values, LABELS[label]) for code, values, label
-                     in zip(table.codes.tolist(), table.numeric.T.tolist(), table.labels.tolist()))
+        return self.table.instances()
 
 
 def knn_classify(
@@ -300,18 +311,28 @@ def knn_classify(
     return Label.INANIMATE if Label.INANIMATE in tied else tied[0]
 
 
-def _labelled_features(docs, enriched, beginners, weightings):
-    """Every gold-labelled NP of `docs` in corpus order, and its instance,
-    as two lists; `weightings` maps document ids to sense weightings."""
-    labelled, features = [], []
-    for doc, np_record in iter_nps(docs):
-        if np_record.gold is not None:
-            labelled.append(np_record)
-            features.append(extract_features(
-                np_record, doc, enriched, beginners,
-                weightings.get(doc.doc_id) if weightings else None,
-            ))
-    return labelled, features
+def _labelled_table(docs, enriched, beginners, weightings):
+    """The corpus position of every gold-labelled NP of `docs`, in corpus
+    order, and the `FeatureTable` of their instances; `weightings` maps
+    document ids to sense weightings.  The NPs are read from their columns
+    (`np_columns`), with no `NPRecord` or `FeatureVector` built per NP."""
+    columns, counts = np_columns(docs)
+    heads, subjects, verbs, golds = (
+        columns.head_lemma, columns.is_subject, columns.verb_lemma, columns.gold)
+    positions, lemmas, numeric = [], [], []
+    start = 0
+    for doc, count in zip(docs, counts):
+        ratio = pronoun_ratio(doc)
+        weighting = weightings.get(doc.doc_id) if weightings else None
+        for i in range(start, start + count):
+            if golds[i] is not None:
+                lemma, values = _features(heads[i], verbs[i] if subjects[i] else None,
+                                          ratio, enriched, beginners, weighting)
+                positions.append(i)
+                lemmas.append(lemma)
+                numeric.append(values)
+        start += count
+    return positions, FeatureTable.of_columns(lemmas, numeric, [golds[i] for i in positions])
 
 
 def build_store(
@@ -321,7 +342,7 @@ def build_store(
     weightings: dict[str, "SenseWeighting"] | None = None,
 ) -> InstanceStore:
     """Training store over every gold-labelled NP of a corpus."""
-    return InstanceStore(_labelled_features(docs, enriched, beginners, weightings)[1])
+    return InstanceStore(_labelled_table(list(docs), enriched, beginners, weightings)[1])
 
 
 def cross_validate(
@@ -342,11 +363,13 @@ def cross_validate(
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")
-    labelled, features = _labelled_features(docs, enriched, beginners, weightings)
+    positions, table = _labelled_table(docs, enriched, beginners, weightings)
+    every_np = [np_record for doc in docs for np_record in doc.nps]
+    labelled = [every_np[i] for i in positions]
     if len(labelled) < folds:
         raise ValueError(f"{len(labelled)} labelled instances cannot fill {folds} folds")
 
-    table = FeatureTable.of(features)
+    features = table.instances()
     rng = default_rng(seed)
     order = rng.permutation(len(labelled))
     predictions: list[Label | None] = [None] * len(labelled)

@@ -16,13 +16,13 @@ definition of a window.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
-from .corpus import Document, Label, NPRecord, PronounRecord, iter_nps
+from .corpus import Document, Label, NPRecord, PronounRecord, np_columns
 
 NPKey = tuple[str, int, int]
 
@@ -68,9 +68,8 @@ def candidate_set(
 
 def gold_assignment(docs: Iterable[Document]) -> dict[NPKey, Label]:
     """NP key -> gold label for every labelled NP of a corpus."""
-    return {
-        np.key: np.gold for _, np in iter_nps(docs) if np.gold is not None
-    }
+    columns, _ = np_columns(docs)
+    return {key: gold for key, gold in zip(columns.keys, columns.gold) if gold is not None}
 
 
 # per-NP codes of a compiled pass; any label but these two is never dropped
@@ -82,20 +81,22 @@ class CompiledCorpus:
     """A corpus flattened for repeated harness passes at one window.
 
     `nps` holds, in text order, the NPs that fall in some pronoun's
-    window, and `keys` their keys.  `candidates` lists each pronoun's
-    candidates in turn, in `candidate_set` order, as indices into `nps`,
-    and `drop_code` repeats, once per candidate, the label code its
-    pronoun's filter drops.  For each pronoun whose gold antecedent is in
-    its window, `gold_at` is that antecedent's index into `candidates` and
-    `gold_end` the end of the window there.
+    window (from `compile_corpus`, a sequence that builds their records
+    on first read), and `keys` their keys.  `candidates` lists each
+    pronoun's candidates in turn, in `candidate_set` order, as indices
+    into `nps`, and `drop_code` repeats, once per candidate, the label
+    code its pronoun's filter drops.  For each pronoun whose gold
+    antecedent is in its window, `gold_at` is that antecedent's index into
+    `candidates` and `gold_end` the end of the window there.
 
     `compile_corpus` finds the windows with one stable sort of the NPs by
     (document, sentence) and a `searchsorted` per window bound, never by
-    pairing a pronoun with every NP of its document.
+    pairing a pronoun with every NP of its document.  It reads the NPs
+    through `np_columns`, so it builds no `NPRecord`.
     """
 
     window: int
-    nps: tuple[NPRecord, ...]
+    nps: Sequence[NPRecord]
     keys: tuple[NPKey, ...]
     pronouns: tuple[PronounRecord, ...]
     candidates: np.ndarray
@@ -113,20 +114,37 @@ def _id_columns(*columns):
         return [np.array(column, dtype=object) for column in columns]
 
 
+class _RecordsAt(Sequence):
+    """The records of the NPs of `docs` at the given corpus positions,
+    built on first read."""
+
+    def __init__(self, docs: Sequence[Document], positions: list[int]):
+        self._docs, self._positions, self._records = docs, positions, None
+
+    def __len__(self) -> int:
+        return len(self._positions)
+
+    def __getitem__(self, i):
+        if self._records is None:
+            every_np = [np for doc in self._docs for np in doc.nps]
+            self._records = tuple(every_np[p] for p in self._positions)
+        return self._records[i]
+
+
 def compile_corpus(docs: Sequence[Document], window: int = 2) -> CompiledCorpus:
     """Build every pronoun's candidate window once, for `run_harness`.
 
     Time and memory grow with NPs + pronouns + candidates, up to sorts.
     """
-    every_np = [np for doc in docs for np in doc.nps]
+    columns, np_counts = np_columns(docs)
     pronouns = [pronoun for doc in docs for pronoun in doc.pronouns]
     if window < 0 and pronouns:
         raise ValueError("window must be >= 0")
-    np_doc = np.repeat(np.arange(len(docs)), [len(doc.nps) for doc in docs])
+    np_doc = np.repeat(np.arange(len(docs)), np_counts)
     pron_doc = np.repeat(np.arange(len(docs)), [len(doc.pronouns) for doc in docs])
     linked = [p.antecedent or (0, 0) for p in pronouns]
     sent, np_id, hi, lo, gold_sent, gold_np = _id_columns(
-        [np.sent_id for np in every_np], [np.np_id for np in every_np],
+        columns.sent_id, columns.np_id,
         [p.sent_id for p in pronouns], [p.sent_id - window for p in pronouns],
         [s for s, _ in linked], [n for _, n in linked],
     )
@@ -154,14 +172,14 @@ def compile_corpus(docs: Sequence[Document], window: int = 2) -> CompiledCorpus:
         (sent[flat] == gold_sent[owner]) & (np_id[flat] == gold_np[owner])
         & has_gold[owner]
     )
-    used = np.zeros(len(every_np), dtype=bool)
+    used = np.zeros(len(columns.keys), dtype=bool)
     used[flat] = True
-    nps = tuple(every_np[i] for i in np.flatnonzero(used).tolist())
+    positions = np.flatnonzero(used).tolist()
     animate = np.fromiter((p.animate for p in pronouns), bool, len(pronouns))
     return CompiledCorpus(
         window=window,
-        nps=nps,
-        keys=tuple(np.key for np in nps),
+        nps=_RecordsAt(docs, positions),
+        keys=tuple(map(columns.keys.__getitem__, positions)),
         pronouns=tuple(pronouns),
         candidates=(np.cumsum(used, dtype=np.intp) - 1)[flat],
         drop_code=np.where(animate, _INANIMATE, _ANIMATE).astype(np.int8)[owner],
@@ -317,14 +335,16 @@ def sweep(
     through filtering and the recency resolver, and records the mean and
     population standard deviation of the success rate.  Infeasible cells
     are marked rather than fatal.  The corpus is compiled once, and each
-    run is one `run_harness` pass over it, with the labels as codes.
+    run is one `run_harness` pass over it, with the labels as codes.  The
+    labels are read from the NP columns (`np_columns`).
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    labelled = [np for _, np in iter_nps(docs) if np.gold is not None]
+    columns, _ = np_columns(docs)
+    labelled = [i for i, gold in enumerate(columns.gold) if gold is not None]
     # one code per labelled NP, then a 0 slot for compiled NPs without gold
     code_of = {Label.ANIMATE: _ANIMATE, Label.INANIMATE: _INANIMATE}
-    gold = np.array([code_of.get(np.gold, 0) for np in labelled] + [0],
+    gold = np.array([code_of.get(columns.gold[i], 0) for i in labelled] + [0],
                     dtype=np.int8)
     animate_at = np.flatnonzero(gold == _ANIMATE)
     inanimate_at = np.flatnonzero(gold == _INANIMATE)
@@ -347,7 +367,7 @@ def sweep(
                 # each compiled NP reads the last labelled NP with its key,
                 # as a key -> label map would, so a flip of an earlier twin
                 # never takes effect
-                last = {np.key: i for i, np in enumerate(labelled)}
+                last = {columns.keys[row]: i for i, row in enumerate(labelled)}
                 source = np.array(
                     [last.get(key, len(labelled)) for key in compiled.keys],
                     dtype=np.intp,

@@ -24,7 +24,7 @@ import re
 import sys
 from typing import Collection, Iterable, Mapping
 
-from .corpus import Document, iter_nps
+from .corpus import Document, np_columns
 from .fileio import read_lines
 from .taxonomy import NOUN, VERB, Taxonomy
 
@@ -98,9 +98,9 @@ def information_content(docs: Iterable[Document], taxonomy: Taxonomy) -> ICTable
     needed; this is a plain frequency estimate.
     """
     direct: dict[str, float] = {}
-    for _, np in iter_nps(docs):
-        if np.sense_key is not None and np.sense_key in taxonomy:
-            direct[np.sense_key] = direct.get(np.sense_key, 0.0) + 1.0
+    for sense in np_columns(docs)[0].sense_key:
+        if sense is not None and sense in taxonomy:
+            direct[sense] = direct.get(sense, 0.0) + 1.0
     return ICTable(direct, taxonomy)
 
 
@@ -212,7 +212,5 @@ def disambiguation_weights(
 
 def document_weights(doc: Document, taxonomy: Taxonomy, ic: ICTable) -> SenseWeighting:
     """Disambiguation weights over the head lemmas of one document."""
-    return disambiguation_weights(
-        {np.head_lemma for np in doc.nps}, taxonomy, ic
-    )
+    return disambiguation_weights(set(np_columns([doc])[0].head_lemma), taxonomy, ic)
 

@@ -197,6 +197,29 @@ class TestExitCodes:
         code, out, err = run(capsys, "classify", *flags)
         assert (code, out, err) == (2, "", f"usage error: {message}\n")
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--method", "ml", "--taxonomy", "/nonexistent.tax", "--train", "/nonexistent.tsv",
+          "--test", "/nonexistent.tsv", "--corpus", "/nonexistent.tsv"],
+         "--method ml does not read --corpus"),
+        (["--method", "rule", "--taxonomy", "/nonexistent.tax", "--corpus", "/nonexistent.tsv",
+          "--train", "/nonexistent.tsv"], "--method rule does not read --train"),
+        (["--method", "rule", "--taxonomy", "/nonexistent.tax", "--corpus", "/nonexistent.tsv",
+          "--test", "/nonexistent.tsv"], "--method rule does not read --test"),
+        (["--method", "rule", "--taxonomy", "/nonexistent.tax", "--corpus", "/nonexistent.tsv",
+          "--enriched", "/nonexistent.tsv"], "--method rule does not read --enriched"),
+        (["--method", "rule", "--taxonomy", "/nonexistent.tax", "--corpus", "/nonexistent.tsv",
+          "--enriched", "/nonexistent.tsv", "--train", "/nonexistent.tsv", "--seed", "1"],
+         "--method rule does not read --train or --seed or --enriched"),
+        (["--method", "dummy", "--corpus", "/nonexistent.tsv", "--taxonomy", "/nonexistent.tax"],
+         "--method dummy does not read --taxonomy"),
+        (["--method", "random", "--corpus", "/nonexistent.tsv", "--seed", "1",
+          "--enriched", "/nonexistent.tsv"], "--method random does not read --enriched"),
+    ])
+    def test_unread_method_input_is_usage_error_before_any_load(self, capsys, flags,
+                                                                message):
+        code, out, err = run(capsys, "classify", *flags)
+        assert (code, out, err) == (2, "", f"usage error: {message}\n")
+
     @pytest.mark.parametrize("command", [
         ["classify", "--method", "rule", "--taxonomy", TAX, "--corpus", CORPUS],
         ["classify", "--method", "ml", "--taxonomy", TAX, "--train", CORPUS,

@@ -10,6 +10,7 @@ from animacy.corpus import (
     CorpusError,
     Document,
     Label,
+    NPColumns,
     NPRecord,
     PronounRecord,
     dump_corpus,
@@ -18,7 +19,10 @@ from animacy.corpus import (
     run_annotation_session,
 )
 from animacy.data import mini_corpus_path
+from animacy.enrichment import accumulate_counts
 from animacy.fileio import read_lines, write_atomic
+from animacy.mbl import build_store
+from animacy.resolution import gold_assignment, sweep
 
 
 def make_np(doc="d", sent=0, np=0, head="thing", gold=None, **kwargs):
@@ -176,6 +180,41 @@ def test_gold_unknown_rejected():
         make_np(gold=Label.UNKNOWN)
 
 
+def test_np_columns_follow_the_record_fields():
+    assert NPColumns._fields == (*(f.name for f in dataclasses.fields(NPRecord)), "keys")
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every `NPRecord` built while the test runs, in order."""
+    records = []
+    check = NPRecord.__post_init__
+    monkeypatch.setattr(NPRecord, "__post_init__",
+                        lambda record: (records.append(record), check(record))[1])
+    return records
+
+
+def test_loaded_documents_build_records_on_first_read(built):
+    docs = load_corpus(mini_corpus_path())
+    assert built == []
+    first = docs[0].nps
+    assert list(first) == built and docs[0].nps is first
+    assert docs[1] == dataclasses.replace(docs[1])
+    assert len(built) == len(first) + len(docs[1].nps)
+
+
+def test_corpus_passes_build_no_records(built, toy_taxonomy, enriched):
+    """`gold_assignment`, `accumulate_counts`, `build_store` and `sweep`
+    read a loaded corpus from its NP columns."""
+    docs = load_corpus(mini_corpus_path())
+    labels = gold_assignment(docs)
+    counts, _ = accumulate_counts(docs, toy_taxonomy)
+    store = build_store(docs, enriched)
+    grid = sweep(docs, [50, 100], [100], runs=2)
+    assert built == []
+    assert labels and counts.observed_ids() and store.instances and grid.cells
+
+
 # --- the record-by-record loader, kept as an oracle for `load_corpus` --------
 
 def oracle_flag(value, what):
@@ -300,19 +339,28 @@ def assert_same_documents(docs, expected):
     assert repr(docs) == repr(expected)
 
 
+# ids that fit int64 and ids beyond it
+IDS = st.integers(0, 3) | st.sampled_from([2**63, 2**64 + 1, -(2**63) - 1])
+# surfaces with a tab, with characters that `str.splitlines` (but not a
+# corpus file) takes for line breaks, and with a non-ASCII letter
+SURFACES = ["the man", "a rock\twith a tab", "it", "page\x0bbreak", "file\x1csep",
+            "next\x85line", "line\u2028sep", "the caf\u00e9"]
+
+
 @st.composite
 def corpus_lines(draw, min_docs=0, unique_docs=False):
     """Corpus lines over a small id space: doc ids may repeat unless
-    `unique_docs`, NPs may be unlabelled or carry verbs and sense keys,
-    pronouns may lack an antecedent, and a document's NP and PRON lines
-    come in any order.  With `min_docs`, every document has an NP."""
+    `unique_docs`, sentence and NP ids may lie beyond int64, NPs may be
+    unlabelled or carry verbs and sense keys, pronouns may lack an
+    antecedent, and a document's NP and PRON lines come in any order.
+    With `min_docs`, every document has an NP."""
     doc_ids = draw(st.lists(st.sampled_from(["d1", "d2", "d3", "d4", "d5"]),
                             min_size=min_docs, max_size=4, unique=unique_docs))
     lines = []
     for doc_id in doc_ids:
         lines.append("DOC\t%s\t%d\t%d" % (
             doc_id, draw(st.integers(0, 5)), draw(st.integers(0, 5))))
-        keys = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        keys = draw(st.lists(st.tuples(IDS, IDS),
                              min_size=min_docs, max_size=6, unique=True))
         body = []
         for sent, npid in keys:
@@ -323,13 +371,13 @@ def corpus_lines(draw, min_docs=0, unique_docs=False):
                 doc_id, sent, npid, draw(st.sampled_from(["man", "rock", "dog"])),
                 subject, verb, draw(st.booleans()), draw(st.booleans()),
                 draw(st.sampled_from("AI-")), draw(st.sampled_from(["n1", "n2", "-"])),
-                draw(st.sampled_from(["the man", "a rock\twith a tab", "it"])),
+                draw(st.sampled_from(SURFACES)),
             ))
         for _ in range(draw(st.integers(0, 3))):
             antecedent = draw(st.none() | st.sampled_from(keys)) if keys else None
             ant_sent, ant_np = map(str, antecedent) if antecedent else ("-", "-")
             body.append("PRON\t%s\t%d\t%s\t%d\t%s\t%s" % (
-                doc_id, draw(st.integers(0, 4)), draw(st.sampled_from(["he", "it"])),
+                doc_id, draw(IDS), draw(st.sampled_from(["he", "it"])),
                 draw(st.booleans()), ant_sent, ant_np,
             ))
         lines.extend(draw(st.permutations(body)))
@@ -341,6 +389,26 @@ def write_lines(directory, lines):
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("".join(line + "\n" for line in lines))
     return path
+
+
+def reloaded(docs):
+    """`docs` after `dump_corpus` and `load_corpus`: documents that hold
+    their NPs as columns.  A corpus file cannot repeat a document id, so
+    each run of documents with distinct ids goes through a file of its
+    own, and a corpus that repeats one comes back in several sets of
+    columns."""
+    runs = []
+    for doc in docs:
+        if not runs or doc.doc_id in {d.doc_id for d in runs[-1]}:
+            runs.append([])
+        runs[-1].append(doc)
+    loaded = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for run in runs:
+            path = f"{tmp}/corpus.tsv"
+            write_atomic(path, dump_corpus(run))
+            loaded += load_corpus(path)
+    return loaded
 
 
 class TestLoaderMatchesOracle:

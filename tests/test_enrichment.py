@@ -26,7 +26,7 @@ from animacy.fileio import write_atomic
 from animacy.taxonomy import VERB, BeginnerClass, Synset, Taxonomy
 from tests.chi2_critical_table import CRITICAL, DFS
 from tests.test_cli import FREE_TEXT
-from tests.test_corpus import make_np, write_lines
+from tests.test_corpus import make_np, reloaded, write_lines
 from tests.test_taxonomy import LEMMAS, random_taxonomies
 
 # Conventional 0.05 upper critical values (three-decimal table, df 1..10).
@@ -495,13 +495,14 @@ class TestCountsMatchOracle:
     @given(taxonomy=random_taxonomies(mixed_pos=True), data=st.data())
     def test_same_counts_and_skipped_order(self, taxonomy, data):
         docs = data.draw(annotated_corpora(taxonomy))
-        counts, skipped = accumulate_counts(docs, taxonomy)
         (animate, inanimate), expected_skipped = oracle_accumulate_counts(docs, taxonomy)
-        assert skipped == expected_skipped
-        assert set(counts.observed_ids()) == animate.keys() | inanimate.keys()
-        for sid in taxonomy:
-            assert counts.animate(sid) == animate.get(sid, 0), sid
-            assert counts.inanimate(sid) == inanimate.get(sid, 0), sid
+        for form in (docs, reloaded(docs)):
+            counts, skipped = accumulate_counts(form, taxonomy)
+            assert skipped == expected_skipped
+            assert set(counts.observed_ids()) == animate.keys() | inanimate.keys()
+            for sid in taxonomy:
+                assert counts.animate(sid) == animate.get(sid, 0), sid
+                assert counts.inanimate(sid) == inanimate.get(sid, 0), sid
 
 
 class TestEnrichMatchesOracle:

@@ -13,6 +13,7 @@ from animacy.mbl import (
     FeatureVector,
     InstanceStore,
     MblConfig,
+    build_store,
     cross_validate,
     extract_features,
     gain_ratio_weights as table_gain_ratio,
@@ -21,7 +22,7 @@ from animacy.mbl import (
 from animacy.taxonomy import NOUN, VERB, BeginnerClass, Synset, Taxonomy, sense_mass
 from animacy.wsd import document_weights, information_content
 from tests.test_acceptance import oracle_knn
-from tests.test_corpus import make_np
+from tests.test_corpus import make_np, reloaded
 
 
 def vec(lemma="w", f2=0.0, f3=0.0, f4=0.0, f5=0.0, f6=0.0, label=None):
@@ -268,6 +269,55 @@ class TestFeaturesMatchOracle:
                     np_record, doc, enriched, beginners, weighting), np_record.key
                 differs |= plain != weighted
         assert differs
+
+
+@st.composite
+def drawn_corpora(draw, mini_corpus):
+    """One to three documents over the heads and verbs of the bundled
+    corpus, plus an unknown one of each, with drawn gold labels and
+    pronoun counts."""
+    heads = sorted({np.head_lemma for d in mini_corpus for np in d.nps}) + ["unseen"]
+    verbs = sorted({np.verb_lemma for d in mini_corpus for np in d.nps} - {None})
+    docs = []
+    for d in range(draw(st.integers(1, 3))):
+        nps = []
+        for i in range(draw(st.integers(0, 6))):
+            verb = draw(st.none() | st.sampled_from(verbs + ["unseen"]))
+            nps.append(make_np(doc=f"d{d}", sent=i // 2, np=i, head=draw(st.sampled_from(heads)),
+                               gold=draw(st.sampled_from([Label.ANIMATE, Label.INANIMATE, None])),
+                               is_subject=verb is not None or draw(st.booleans()),
+                               verb_lemma=verb))
+        docs.append(Document(f"d{d}", tuple(nps), draw(st.integers(0, 3)),
+                             draw(st.integers(0, 3))))
+    return docs
+
+
+class TestBuildStoreMatchesOracle:
+    """The store holds the oracle instance of every labelled NP, whether
+    the corpus holds records or columns."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), weighted=st.booleans())
+    def test_store_of_oracle_instances(self, toy_taxonomy, enriched, mini_corpus, data,
+                                       weighted):
+        docs = data.draw(drawn_corpora(mini_corpus))
+        weightings = None
+        if weighted:
+            ic = information_content(mini_corpus, toy_taxonomy)
+            weightings = {doc.doc_id: document_weights(doc, toy_taxonomy, ic) for doc in docs}
+        expected = tuple(
+            oracle_features(np_record, doc, enriched, BeginnerClass(),
+                            weightings[doc.doc_id] if weighted else None)
+            for doc, np_record in iter_nps(docs) if np_record.gold is not None
+        )
+        for form in (docs, reloaded(docs)):
+            if not expected:
+                with pytest.raises(ValueError, match="empty"):
+                    build_store(form, enriched, weightings=weightings)
+                continue
+            store = build_store(form, enriched, weightings=weightings)
+            assert store.instances == expected
+            assert store.weights == InstanceStore(expected).weights
 
 
 class TestGainRatio:

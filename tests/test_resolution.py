@@ -21,7 +21,7 @@ from animacy.resolution import (
     sweep,
     sweep_csv,
 )
-from tests.test_corpus import make_np
+from tests.test_corpus import make_np, reloaded
 
 A, I, U = Label.ANIMATE, Label.INANIMATE, Label.UNKNOWN
 
@@ -555,16 +555,20 @@ class TestHarnessMatchesOracle:
     def test_sweep_equals_oracle_loop_on_drawn_corpora(
         self, docs, precisions, recalls, runs, seed, window
     ):
-        args = (docs, precisions, recalls, runs, seed, window)
-        assert sweep_figures(*args) == oracle_sweep(*args)
+        args = (precisions, recalls, runs, seed, window)
+        expected = oracle_sweep(docs, *args)
+        for form in (docs, reloaded(docs)):
+            assert sweep_figures(form, *args) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(docs=twin_key_corpora(), **SWEEP_GRIDS)
     def test_sweep_equals_oracle_loop_with_flips_on_twin_keys(
         self, docs, precisions, recalls, runs, seed, window
     ):
-        args = (docs, precisions, recalls, runs, seed, window)
-        assert sweep_figures(*args) == oracle_sweep(*args)
+        args = (precisions, recalls, runs, seed, window)
+        expected = oracle_sweep(docs, *args)
+        for form in (docs, reloaded(docs)):
+            assert sweep_figures(form, *args) == expected
 
     @pytest.mark.parametrize("precisions, outcome", [
         ([100], "corpus contains no pronoun records"),  # a feasible cell
@@ -575,14 +579,27 @@ class TestHarnessMatchesOracle:
         args = ([Document("d", nps, 0, 0)], precisions, [100], 2, 0, 2)
         assert sweep_figures(*args) == oracle_sweep(*args) == outcome
 
+    @settings(max_examples=100, deadline=None)
+    @given(docs=harness_corpora() | twin_key_corpora() | wide_id_corpora())
+    def test_gold_assignment_equals_record_walk(self, docs):
+        expected = {}
+        for _, np_record in iter_nps(docs):
+            if np_record.gold is not None:
+                expected[np_record.key] = np_record.gold
+        for form in (docs, reloaded(docs)):
+            assert list(gold_assignment(form).items()) == list(expected.items())
+
 
 class TestCompileMatchesOracle:
     @settings(max_examples=300, deadline=None)
     @given(docs=harness_corpora() | twin_key_corpora() | wide_id_corpora(),
            window=st.integers(0, 3))
     def test_same_compiled_corpus(self, docs, window):
-        assert_same_compiled(compile_corpus(docs, window),
-                             oracle_compile_corpus(docs, window))
+        loaded = reloaded(docs)
+        for form in (docs, loaded):
+            assert_same_compiled(compile_corpus(form, window),
+                                 oracle_compile_corpus(form, window))
+        assert compile_corpus(loaded, window).keys == compile_corpus(docs, window).keys
 
     @pytest.mark.parametrize("window", [0, 1, 2, 3])
     def test_bundled_corpus(self, mini_corpus, window):
@@ -592,8 +609,9 @@ class TestCompileMatchesOracle:
     @pytest.mark.parametrize("window", [0, 1, 2, 3])
     def test_long_document(self, window):
         docs = long_document()
-        assert_same_compiled(compile_corpus(docs, window),
-                             oracle_compile_corpus(docs, window))
+        for form in (docs, reloaded(docs)):
+            assert_same_compiled(compile_corpus(form, window),
+                                 oracle_compile_corpus(form, window))
 
     def test_long_document_memory_is_linear(self):
         # a layout of one int64 per (pronoun, document NP) pair alone
