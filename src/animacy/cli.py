@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import astuple
 from itertools import chain
 
 from . import evaluation, mbl, resolution, rules, wndb, wsd
@@ -165,34 +166,35 @@ def _statuses(args, taxonomy, docs):
     return enrich(taxonomy, docs)
 
 
-# the flags each classify --method requires, all checked before any file is read
-_METHOD_INPUTS = {
-    "rule": ("taxonomy", "corpus"),
-    "ml": ("taxonomy", "train", "test"),
-    "random": ("seed", "corpus"),
-    "weighted": ("seed", "corpus"),
-    "dummy": ("corpus",),
+# the flags each classify --method requires, then those it reads if given;
+# all are checked before any file is read, and a method rejects every
+# other flag of the table
+_SENSE_FLAGS = ("wsd", "ic", "animate_noun_lexfiles", "animate_verb_lexfiles")
+_METHOD_FLAGS = {
+    "rule": (("taxonomy", "corpus"), ("t1", "t2", "t3", "no_reflexive", *_SENSE_FLAGS)),
+    "ml": (("taxonomy", "train", "test"), ("enriched", "k", *_SENSE_FLAGS)),
+    "random": (("seed", "corpus"), ()),
+    "weighted": (("seed", "corpus"), ()),
+    "dummy": (("corpus",), ()),
 }
-# and every input flag of classify: a method rejects those it does not read
-_INPUT_FLAGS = dict.fromkeys([*chain.from_iterable(_METHOD_INPUTS.values()), "enriched"])
+_FLAGS = dict.fromkeys(chain.from_iterable(
+    flags[part] for part in (0, 1) for flags in _METHOD_FLAGS.values()))
 
 
-def _check_method_inputs(args) -> None:
-    reads = _METHOD_INPUTS[args.method]
-    missing = [f"--{name}" for name in reads if getattr(args, name) is None]
+def _check_method_flags(args) -> None:
+    required, optional = _METHOD_FLAGS[args.method]
+    missing = [f"--{name}" for name in required if getattr(args, name) is None]
     if missing:
         raise UsageError(f"--method {args.method} requires {' and '.join(missing)}")
-    if args.method == "ml":
-        reads += ("enriched",)
-    unread = [f"--{name}" for name in _INPUT_FLAGS
-              if name not in reads and getattr(args, name) is not None]
+    unread = [f"--{name.replace('_', '-')}" for name in _FLAGS
+              if name not in required + optional and getattr(args, name) is not None]
     if unread:
         raise UsageError(f"--method {args.method} does not read {' or '.join(unread)}")
 
 
 def cmd_classify(args) -> int:
     _check_ic(args)
-    _check_method_inputs(args)
+    _check_method_flags(args)
     beginners = _beginners(args)
 
     if args.method in ("random", "weighted", "dummy"):
@@ -203,7 +205,9 @@ def cmd_classify(args) -> int:
             return next(labels)  # the baseline lists one label per NP, in order
     elif args.method == "rule":
         taxonomy = load_taxonomy(args.taxonomy)
-        thresholds = rules.Thresholds(args.t1, args.t2, args.t3)
+        thresholds = rules.Thresholds(*[
+            default if given is None else given
+            for given, default in zip((args.t1, args.t2, args.t3), astuple(rules.Thresholds()))])
         docs = load_corpus(args.corpus)
         (weightings,) = _wsd_weightings(args, taxonomy, docs, docs)
 
@@ -218,7 +222,7 @@ def cmd_classify(args) -> int:
         enriched = _statuses(args, taxonomy, train_docs)
         train_weightings, weightings = _wsd_weightings(args, taxonomy, train_docs, train_docs, docs)
         store = mbl.build_store(train_docs, enriched, beginners, train_weightings)
-        config = mbl.MblConfig(k=args.k)
+        config = mbl.MblConfig() if args.k is None else mbl.MblConfig(k=args.k)
 
         def predict(np, doc, weighting):
             query = mbl.extract_features(np, doc, enriched, beginners, weighting)
@@ -320,9 +324,11 @@ def cmd_sweep(args) -> int:
 def _add_learner_flags(parser, enriched_help: str) -> None:
     """The flags that classify and xval share."""
     parser.add_argument("--enriched", help=enriched_help)
-    parser.add_argument("--k", type=bounded(int, 1), default=3,
-                        help="nearest distances (ml)")
-    parser.add_argument("--wsd", action="store_true", help="weight senses by context")
+    # None until given, so classify can tell a given flag from an unset one
+    parser.add_argument("--k", type=bounded(int, 1),
+                        help=f"nearest distances (ml; default {mbl.MblConfig.k})")
+    parser.add_argument("--wsd", action="store_true", default=None,
+                        help="weight senses by context")
     parser.add_argument("--ic", help="COUNT file overriding the frequency source")
     parser.add_argument("--out", default=None)
     for pos in ("noun", "verb"):
@@ -361,19 +367,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enrich)
 
     p = sub.add_parser("classify", help="predict NP animacy")
-    p.add_argument("--method", required=True, choices=list(_METHOD_INPUTS))
+    p.add_argument("--method", required=True, choices=list(_METHOD_FLAGS))
     p.add_argument("--taxonomy", help="taxonomy file (rule and ml)")
     p.add_argument("--corpus", help="corpus to classify (rule and baselines)")
     p.add_argument("--train", help="training corpus (ml)")
     p.add_argument("--test", help="corpus to classify (ml)")
-    for flag, default, meaning in (("--t1", 0.71, "noun animacy"),
-                                   ("--t2", 0.92, "noun inanimacy"),
-                                   ("--t3", 0.90, "verb animacy")):
-        p.add_argument(flag, type=bounded(float, 0, 1), default=default,
-                       help=f"{meaning} threshold")
+    for flag, default, meaning in zip(("--t1", "--t2", "--t3"), astuple(rules.Thresholds()),
+                                      ("noun animacy", "noun inanimacy", "verb animacy")):
+        p.add_argument(flag, type=bounded(float, 0, 1),
+                       help=f"{meaning} threshold (rule; default {default})")
     p.add_argument("--seed", type=bounded(int, 0), default=None,
                    help="rng seed (required for random/weighted)")
-    p.add_argument("--no-reflexive", action="store_true",
+    p.add_argument("--no-reflexive", action="store_true", default=None,
                    help="contextual rule checks the who-complementizer only")
     _add_learner_flags(p, "statuses file (ml; default: enrich --train)")
     p.set_defaults(func=cmd_classify)
@@ -384,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=bounded(int, 2), default=10)
     p.add_argument("--seed", type=bounded(int, 0), required=True)
     _add_learner_flags(p, "statuses file (default: enrich --corpus)")
-    p.set_defaults(func=cmd_xval)
+    p.set_defaults(func=cmd_xval, k=mbl.MblConfig.k)
 
     p = sub.add_parser("eval", help="score predictions against gold labels")
     p.add_argument("--gold", required=True,

@@ -12,23 +12,24 @@ A corpus file holds three record kinds, one per line, tab-separated:
 NP order in the file is text order.  Heads arrive already lemmatized and
 singularized; no morphology happens here.
 
-A loaded corpus keeps its NPs as one set of columns (`NPColumns`), which
-its documents share, each owning a range of rows.  `Document.nps` builds
-a document's `NPRecord`s from its rows on first read; passes over a whole
-corpus read the columns through `np_columns` and build no records.
+`load_corpus` reads a file once, line by line, checking each line as it
+goes and adding each NP's fields to one set of columns (`NPColumns`),
+which the loaded documents share, each owning a range of rows.
+`Document.nps` builds a document's `NPRecord`s from its rows on first
+read; passes over a whole corpus read the columns through `np_columns`
+and build no records.
 """
 
 from __future__ import annotations
 
 import enum
-import operator
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from itertools import chain, compress
+from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .fileio import check_utf8, is_utf8, open_text
+from .fileio import read_lines
 
 
 class CorpusError(ValueError):
@@ -274,142 +275,67 @@ _FLAG = {"0": False, "1": True}
 _GOLD = {"-": None, "A": Label.ANIMATE, "I": Label.INANIMATE}
 
 
-class _Records(NamedTuple):
-    """The records of a corpus file, in file order; `*_docs` give each
-    NP's and pronoun's document as an index into `docs`."""
+def load_corpus(path) -> list[Document]:
+    """Read a corpus file; returns validated documents in file order.
 
-    docs: list[tuple[str, int, int]]  # doc_id and the two pronoun counts
-    doc_lines: list[int]
-    nps: NPColumns
-    np_docs: list[int]
-    np_lines: list[int]
-    pronouns: list[PronounRecord]
-    pronoun_docs: list[int]
-    pronoun_lines: list[int]
+    Every error names the path and a line.  Errors within one line come
+    first, in file order; then each document in turn is built as a
+    `Document`, whose checks (a negative pronoun count, a duplicate NP key,
+    a pronoun whose antecedent is not one of its NPs) name the record they
+    reject, and the error gives that record's line, or the DOC line for
+    the counts.
 
-
-def _split_columns(lines: list[str], width: int) -> list[tuple[str, ...]] | None:
-    """The fields after the first of tab-separated `lines`, as `width` - 1
-    columns, or None unless every line has exactly `width` fields.
-
-    All lines are split as one string, which allocates no list per line.
+    The file is read once, line by line.  Each NP line adds one entry to
+    each of the columns that become the corpus's `NPColumns`, one row per
+    NP, grouped by document in file order, and the documents share them:
+    no `NPRecord` is built until a document's `nps` is read.
     """
-    if not all(line.count("\t") == width - 1 for line in lines):
-        return None
-    if not lines:
-        return [()] * (width - 1)
-    flat = tuple("\t".join(lines).split("\t"))
-    return [flat[k::width] for k in range(1, width)]
-
-
-def _bulk_records(lines: list[str]) -> _Records | None:
-    """The records of a corpus file's lines, each check made over a whole
-    column at once, or None as soon as one fails.
-
-    The checks are those of `_line_records`, by the same parsers, so they
-    fail exactly when some line is bad; that function then names it.
-    """
-    doc_at, np_at, pron_at = [], [], []
-    for lineno, line in enumerate(lines, 1):
-        if line.startswith("NP\t"):
-            np_at.append(lineno)
-        elif line.startswith("PRON\t"):
-            pron_at.append(lineno)
-        elif line.startswith("DOC\t"):
-            doc_at.append(lineno)
-        elif line and not line.startswith("#"):
-            return None
-    docs = _split_columns([lines[i - 1] for i in doc_at], 4)
-    prons = _split_columns([lines[i - 1] for i in pron_at], 7)
-    # one column per `NPRecord` field
-    nps = _split_columns([lines[i - 1] for i in np_at], 12)
-    if nps is None:
-        # the surface, the last field, may hold tabs
-        split = [lines[i - 1].split("\t", 11) for i in np_at]
-        if any(len(fields) != 12 for fields in split):
-            return None
-        nps = list(zip(*split))[1:] or [()] * 11
-    if docs is None or prons is None:
-        return None
-    doc_ids, animate_counts, inanimate_counts = docs
-    pron_doc_ids, pron_sent, pron_surface, animate, ant_sent, ant_np = prons
-    index = {doc_id: d for d, doc_id in enumerate(doc_ids)}
-    np_docs = list(map(index.get, nps[0]))
-    pron_docs = list(map(index.get, pron_doc_ids))
-    if (len(index) < len(doc_ids) or None in np_docs or None in pron_docs
-            # every NP and PRON line follows its DOC line
-            or not all(map(int.__lt__, map(doc_at.__getitem__, np_docs), np_at))
-            or not all(map(int.__lt__, map(doc_at.__getitem__, pron_docs), pron_at))
-            or list(map("-".__eq__, ant_sent)) != list(map("-".__eq__, ant_np))):
-        return None
-    flag, gold_of = _FLAG.__getitem__, _GOLD.__getitem__
-    try:
-        # each column replaces its text as soon as it is parsed, which
-        # leaves fewer objects for the collections that the records below set off
-        for i, parse in ((1, int), (2, int), (4, flag), (6, flag), (7, flag), (8, gold_of)):
-            nps[i] = tuple(map(parse, nps[i]))
-        counts = list(zip(doc_ids, map(int, animate_counts), map(int, inanimate_counts)))
-        pronouns = list(map(PronounRecord, map(int, pron_sent), pron_surface,
-                            map(flag, animate), [
-                                None if s == "-" else (int(s), int(n))
-                                for s, n in zip(ant_sent, ant_np)]))
-    except (ValueError, KeyError):
-        return None
-    if set(compress(nps[5], map(operator.not_, nps[4]))) - {"-"}:
-        return None  # a governing verb on a non-subject
-    for i in (5, 9):  # verb_lemma and sense_key, "-" for none
-        nps[i] = tuple([None if value == "-" else value for value in nps[i]])
-    return _Records(counts, doc_at, NPColumns.of(nps), np_docs, np_at,
-                    pronouns, pron_docs, pron_at)
-
-
-def _line_records(lines: list[str], path) -> _Records:
-    """The records of a corpus file's lines, read one line at a time; the
-    first bad line raises, as "<path> line N: ..."."""
     index: dict[str, int] = {}
     docs, doc_lines = [], []
-    rows, np_docs, np_lines = [], [], []
+    # one column per `NPRecord` field
+    columns = [[] for _ in range(11)]
+    (doc_ids, sent_ids, np_ids, heads, subjects, verbs, whos, reflexives, golds,
+     senses, surfaces) = columns
+    np_docs, np_lines = [], []
     pronouns, pronoun_docs, pronoun_lines = [], [], []
-    for lineno, line in enumerate(lines, 1):
-        if not line.isascii():
-            check_utf8(line, path, lineno, CorpusError)
-        if not line or line.startswith("#"):
-            continue
-        kind = line.split("\t", 1)[0]
+    flag, gold_of = _FLAG, _GOLD
+    for lineno, line in read_lines(path, CorpusError):
+        # the surface, an NP's last field, may hold tabs
+        fields = line.split("\t", 11)
+        kind = fields[0]
         try:
-            if kind == "DOC":
-                fields = line.split("\t")
-                if len(fields) != 4:
-                    raise CorpusError("DOC record needs 4 fields")
-                doc_id = fields[1]
-                if doc_id in index:
-                    raise CorpusError(f"duplicate document {doc_id}")
-                counts = [_int(count, "pronoun count") for count in fields[2:]]
-                index[doc_id] = len(docs)
-                docs.append((doc_id, *counts))
-                doc_lines.append(lineno)
-            elif kind == "NP":
-                fields = line.split("\t", 11)
-                if len(fields) != 12:
-                    raise CorpusError("NP record needs 12 fields")
+            if kind == "NP" and len(fields) == 12:
                 (_, doc_id, sent, npid, head, subj, verb, who, refl,
                  gold, sense, surface) = fields
-                if doc_id not in index:
+                d = index.get(doc_id)
+                if d is None:
                     raise CorpusError(f"NP before DOC {doc_id}")
-                sent_id, np_id = _int(sent, "sentence id"), _int(npid, "np id")
-                is_subject = _flag(subj, "subject flag")
-                has_who = _flag(who, "who flag")
-                has_reflexive = _flag(refl, "reflexive flag")
-                label = None if gold == "-" else Label(gold)
+                try:
+                    sent_id, np_id = int(sent), int(npid)
+                except ValueError:  # name the bad one
+                    _int(sent, "sentence id"), _int(npid, "np id")
+                if subj not in flag or who not in flag or refl not in flag:
+                    _flag(subj, "subject flag"), _flag(who, "who flag")
+                    _flag(refl, "reflexive flag")
+                is_subject = flag[subj]
+                label = gold_of[gold] if gold in gold_of else Label(gold)
                 verb = None if verb == "-" else verb
-                _check_np((doc_id, sent_id, np_id), is_subject, verb, label)
-                rows.append((doc_id, sent_id, np_id, head, is_subject, verb, has_who,
-                             has_reflexive, label, None if sense == "-" else sense,
-                             surface))
-                np_docs.append(index[doc_id])
+                if (verb is not None and not is_subject) or label is Label.UNKNOWN:
+                    _check_np((doc_id, sent_id, np_id), is_subject, verb, label)
+                doc_ids.append(doc_id)
+                sent_ids.append(sent_id)
+                np_ids.append(np_id)
+                heads.append(head)
+                subjects.append(is_subject)
+                verbs.append(verb)
+                whos.append(flag[who])
+                reflexives.append(flag[refl])
+                golds.append(label)
+                senses.append(None if sense == "-" else sense)
+                surfaces.append(surface)
+                np_docs.append(d)
                 np_lines.append(lineno)
             elif kind == "PRON":
-                fields = line.split("\t")
                 if len(fields) != 7:
                     raise CorpusError("PRON record needs 7 fields")
                 _, doc_id, sent, surface, animate, ant_sent, ant_np = fields
@@ -424,77 +350,57 @@ def _line_records(lines: list[str], path) -> _Records:
                     antecedent))
                 pronoun_docs.append(index[doc_id])
                 pronoun_lines.append(lineno)
-            else:
+            elif kind == "DOC":
+                if len(fields) != 4:
+                    raise CorpusError("DOC record needs 4 fields")
+                doc_id = fields[1]
+                if doc_id in index:
+                    raise CorpusError(f"duplicate document {doc_id}")
+                counts = [_int(count, "pronoun count") for count in fields[2:]]
+                index[doc_id] = len(docs)
+                docs.append((doc_id, *counts))
+                doc_lines.append(lineno)
+            elif kind == "NP":
+                raise CorpusError("NP record needs 12 fields")
+            elif line and line[0] != "#":
                 raise CorpusError(f"unknown record kind {kind!r}")
         except ValueError as exc:
             raise CorpusError(f"{path} line {lineno}: {exc}") from None
-    columns = NPColumns.of(list(zip(*rows)) or [()] * 11)
-    return _Records(docs, doc_lines, columns, np_docs, np_lines,
-                    pronouns, pronoun_docs, pronoun_lines)
 
-
-def load_corpus(path) -> list[Document]:
-    """Read a corpus file; returns validated documents in file order.
-
-    Every error names the path and a line.  Errors within one line come
-    first, in file order; then each document in turn is built as a
-    `Document`, whose checks (a negative pronoun count, a duplicate NP key,
-    a pronoun whose antecedent is not one of its NPs) name the record they
-    reject, and the error gives that record's line, or the DOC line for
-    the counts.
-
-    The file is read whole and checked a column at a time
-    (`_bulk_records`); only when a check fails is it read again line by
-    line, to name the first bad line.  The NPs stay in columns, one row
-    per NP, grouped by document in file order, and the documents share
-    them: no `NPRecord` is built until a document's `nps` is read.
-    """
-    with open_text(path) as handle:
-        text = handle.read()
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    records = _bulk_records(lines) if is_utf8(text) else None
-    del text
-    if records is None:
-        records = _line_records(lines, path)
-    del lines
-
-    nps, np_docs, np_lines = records.nps, records.np_docs, records.np_lines
+    nps = NPColumns.of(columns)
     if any(map(int.__gt__, np_docs, np_docs[1:])):
         # a document's NP lines may follow another's DOC line
         order = sorted(range(len(np_docs)), key=np_docs.__getitem__)
         nps, np_lines = nps.take(order), [np_lines[i] for i in order]
         np_docs = [np_docs[i] for i in order]
-    pronouns = [[] for _ in records.docs]
-    pronoun_lines = [[] for _ in records.docs]
-    for pronoun, d, lineno in zip(records.pronouns, records.pronoun_docs,
-                                  records.pronoun_lines):
-        pronouns[d].append(pronoun)
-        pronoun_lines[d].append(lineno)
+    by_doc = [[] for _ in docs]
+    lines_by_doc = [[] for _ in docs]
+    for pronoun, d, lineno in zip(pronouns, pronoun_docs, pronoun_lines):
+        by_doc[d].append(pronoun)
+        lines_by_doc[d].append(lineno)
     # the keys of two documents differ in their doc id, so one pass over
     # the corpus can spare every document its key checks; if that finds a
     # fault, each document checks itself to name the record
     keys = set(nps.keys)
     checked = len(keys) == len(nps.keys) and all(
-        (records.docs[d][0], *pronoun.antecedent) in keys
-        for pronoun, d in zip(records.pronouns, records.pronoun_docs)
+        (docs[d][0], *pronoun.antecedent) in keys
+        for pronoun, d in zip(pronouns, pronoun_docs)
         if pronoun.antecedent is not None
     )
 
     documents = []
     start = 0
-    for d, (doc_id, animate, inanimate) in enumerate(records.docs):
+    for d, (doc_id, animate, inanimate) in enumerate(docs):
         stop = bisect_right(np_docs, d, start)
         try:
             documents.append(Document(
                 doc_id, _Rows(nps, start, stop, checked), animate, inanimate,
-                tuple(pronouns[d]),
+                tuple(by_doc[d]),
             ))
         except CorpusError as exc:
             field, i = exc.record or ("doc", 0)
-            lineno = {"doc": [records.doc_lines[d]], "nps": np_lines[start:stop],
-                      "pronouns": pronoun_lines[d]}[field][i]
+            lineno = {"doc": [doc_lines[d]], "nps": np_lines[start:stop],
+                      "pronouns": lines_by_doc[d]}[field][i]
             raise CorpusError(f"{path} line {lineno}: {exc}") from None
         start = stop
     return documents

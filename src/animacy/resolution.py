@@ -80,11 +80,10 @@ _ANIMATE, _INANIMATE = 1, 2
 class CompiledCorpus:
     """A corpus flattened for repeated harness passes at one window.
 
-    `nps` holds, in text order, the NPs that fall in some pronoun's
-    window (from `compile_corpus`, a sequence that builds their records
-    on first read), and `keys` their keys.  `candidates` lists each
-    pronoun's candidates in turn, in `candidate_set` order, as indices
-    into `nps`, and `drop_code` repeats, once per candidate, the label
+    `keys` holds, in text order, the keys of the NPs that fall in some
+    pronoun's window.  `candidates` lists each pronoun's candidates in
+    turn, in `candidate_set` order, as indices into `keys`, and
+    `drop_code` repeats, once per candidate, the label
     code its pronoun's filter drops.  For each pronoun whose gold
     antecedent is in its window, `gold_at` is that antecedent's index into
     `candidates` and `gold_end` the end of the window there.
@@ -96,7 +95,6 @@ class CompiledCorpus:
     """
 
     window: int
-    nps: Sequence[NPRecord]
     keys: tuple[NPKey, ...]
     pronouns: tuple[PronounRecord, ...]
     candidates: np.ndarray
@@ -112,23 +110,6 @@ def _id_columns(*columns):
         return [np.array(column, dtype=np.int64) for column in columns]
     except OverflowError:
         return [np.array(column, dtype=object) for column in columns]
-
-
-class _RecordsAt(Sequence):
-    """The records of the NPs of `docs` at the given corpus positions,
-    built on first read."""
-
-    def __init__(self, docs: Sequence[Document], positions: list[int]):
-        self._docs, self._positions, self._records = docs, positions, None
-
-    def __len__(self) -> int:
-        return len(self._positions)
-
-    def __getitem__(self, i):
-        if self._records is None:
-            every_np = [np for doc in self._docs for np in doc.nps]
-            self._records = tuple(every_np[p] for p in self._positions)
-        return self._records[i]
 
 
 def compile_corpus(docs: Sequence[Document], window: int = 2) -> CompiledCorpus:
@@ -174,12 +155,10 @@ def compile_corpus(docs: Sequence[Document], window: int = 2) -> CompiledCorpus:
     )
     used = np.zeros(len(columns.keys), dtype=bool)
     used[flat] = True
-    positions = np.flatnonzero(used).tolist()
     animate = np.fromiter((p.animate for p in pronouns), bool, len(pronouns))
     return CompiledCorpus(
         window=window,
-        nps=_RecordsAt(docs, positions),
-        keys=tuple(map(columns.keys.__getitem__, positions)),
+        keys=tuple(map(columns.keys.__getitem__, np.flatnonzero(used).tolist())),
         pronouns=tuple(pronouns),
         candidates=(np.cumsum(used, dtype=np.intp) - 1)[flat],
         drop_code=np.where(animate, _INANIMATE, _ANIMATE).astype(np.int8)[owner],
@@ -219,7 +198,7 @@ def run_harness(
 
     `docs` may be a `compile_corpus` result for this window, which saves
     rebuilding the candidate windows when one corpus is run many times.
-    `labels` may then also be an int8 array of one code per `compiled.nps`:
+    `labels` may then also be an int8 array of one code per `compiled.keys`:
     1 animate, 2 inanimate, 0 otherwise.
     """
     if isinstance(docs, CompiledCorpus):
@@ -234,9 +213,9 @@ def run_harness(
     if not total:
         raise ValueError("corpus contains no pronoun records")
     if isinstance(labels, np.ndarray):
-        if labels.shape != (len(compiled.nps),):
+        if labels.shape != (len(compiled.keys),):
             raise ValueError(
-                f"expected {len(compiled.nps)} label codes, one per compiled "
+                f"expected {len(compiled.keys)} label codes, one per compiled "
                 f"NP, got an array of shape {labels.shape}"
             )
         codes = labels

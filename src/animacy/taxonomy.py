@@ -12,25 +12,25 @@ line.  ``STATUS`` lines (animacy statuses appended by the enrichment step)
 are tolerated and skipped so that a combined file can be loaded as a plain
 taxonomy.
 
-`load_taxonomy` reads the file in blocks of whole lines and checks each
-block a column at a time with a few string operations; only a block that
-fails a check, or needs cleaning, is parsed line by line, which names the
-first bad line.  The structural checks then run once over flat columns:
+`load_taxonomy` reads the file once, line by line, adding each synset's
+fields to flat columns.  A SYNSET line that passes a few cheap tests goes
+in as it is; any other line is parsed by `_parse_synset_line`, which
+shares `_check_fields` with `Synset` and cleans the line or names what is
+wrong with it.  The structural checks then run once over the columns:
 ids by one dict, hypernym links by one lookup pass, part of speech and
 acyclicity with numpy.
 """
 
 from __future__ import annotations
 
-import re
 from array import array
 from dataclasses import dataclass
-from itertools import chain, compress, filterfalse, repeat
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .fileio import check_utf8, is_utf8, open_text
+from .fileio import is_utf8, read_lines
 
 NOUN = "n"
 VERB = "v"
@@ -152,8 +152,7 @@ class Taxonomy:
     same-pos hypernym links and acyclicity.  Loading the 96,099-synset
     benchmark taxonomy (4.4 MB) takes about 0.35 to 0.6 s on a 2-vCPU VM
     and leaves it holding about 45 MB; the load's own peak is a few MB
-    above that, as one block's fields and the flat hypernym ids are the
-    only transients.
+    above that, the flat hypernym ids being its largest transient.
 
     The graph is immutable; `ancestors` and `beginner_of` memoize their
     results in dicts filled on first use, and the columns and lemma index
@@ -437,120 +436,53 @@ def _parse_synset_line(line: str) -> tuple:
     return sid, pos, lex, lemma_tuple, hyper_tuple
 
 
-# Characters read per block; a block is then extended to a whole line.
-BLOCK_CHARS = 1 << 16
-_RECORD = re.compile("SYNSET\t").match
-
-
-def _block_columns(lines: list[str]) -> tuple | None:
-    """The columns of a block of lines, or None if any line needs a closer look.
-
-    Every check runs over a whole column at once.  None means that some
-    line fails a check or is valid only after cleaning (a lost trailing
-    tab, an empty list item); `_line_columns` then parses the block.
-    """
-    records = list(filter(_RECORD, lines))
-    if len(records) != len(lines) and not all(
-        not line or line[0] == "#" or line.split("\t", 1)[0] == "STATUS"
-        for line in filterfalse(_RECORD, lines)
-    ):
-        return None
-    if list(map(str.count, records, repeat("\t"))).count(5) != len(records):
-        return None
-    fields = "\t".join(records).split("\t")
-    ids, pos, lemmas, hypernyms = fields[1::6], fields[2::6], fields[4::6], fields[5::6]
-    try:
-        lexfiles = list(map(int, fields[3::6]))
-    except ValueError:
-        return None
-    del records, fields
-    names = "\t".join(lemmas)
-    if ("" in ids or "" in lemmas or not _POS.issuperset(pos) or names != names.lower()
-            or not _plain_lists(lemmas, names)):
-        return None
-    if not _plain_lists(hypernyms, "\t".join(hypernyms)):
-        return None
-    counts = np.fromiter(map(str.count, hypernyms, repeat(",")), np.intp, len(hypernyms))
-    counts += np.fromiter(map(bool, hypernyms), np.intp, len(hypernyms))
-    links = ",".join(filter(None, hypernyms))
-    lemmas = "\n".join(lemmas).replace(",", "\t").split("\n")
-    return ids, "".join(pos), lexfiles, lemmas, counts, links.split(",") if links else []
-
-
-def _plain_lists(fields: list[str], joined: str) -> bool:
-    """True iff no field, tab-joined in `joined`, has an empty or repeated item."""
-    if ",," in joined or ",\t" in joined or "\t," in joined \
-            or joined[:1] == "," or joined[-1:] == ",":
-        return False
-    lists = list(compress(fields, map(str.count, fields, repeat(","))))
-    # a list's items are distinct iff they outnumber its commas as a set
-    return all(map(int.__gt__, map(len, map(set, map(str.split, lists, repeat(",")))),
-                   map(str.count, lists, repeat(","))))
-
-
-def _line_columns(lines: list[str], path, lineno: int) -> tuple:
-    """The block's columns parsed line by line; the first bad line raises."""
-    rows = []
-    for lineno, line in enumerate(lines, lineno):
-        if not line.isascii():
-            check_utf8(line, path, lineno, TaxonomyError)
-        if not line or line.startswith("#"):
-            continue
-        kind = line.split("\t", 1)[0]
-        if kind == "STATUS":
-            continue
-        try:
-            if kind != "SYNSET":
-                raise TaxonomyError(f"unknown record kind {kind!r}")
-            rows.append(_parse_synset_line(line))
-        except TaxonomyError as exc:
-            raise TaxonomyError(f"{path} line {lineno}: {exc}") from None
-    ids, pos, lexfiles, lemmas, hypernyms = zip(*rows) if rows else ((),) * 5
-    return (list(ids), "".join(pos), list(lexfiles), list(map("\t".join, lemmas)),
-            np.fromiter(map(len, hypernyms), np.intp, len(hypernyms)),
-            list(chain.from_iterable(hypernyms)))
-
-
 def load_taxonomy(path) -> Taxonomy:
     """Load and validate a taxonomy file.
 
     Raises TaxonomyError naming the path, with the line number for format
     problems and the offending ids for dangling links, duplicates or
-    cycles.  The file is read in blocks of whole lines, each parsed by a
-    few string operations per column (`_block_columns`); a block that
-    fails a check is parsed again line by line, so the first bad line is
-    reported as a line-by-line parse would report it.
+    cycles.  The file is read once, line by line.  A SYNSET line that
+    passes a few cheap tests, which together imply `_check_fields`, adds
+    its fields to the columns as they are; any other record line goes
+    through `_parse_synset_line`, which cleans it (a lost trailing tab,
+    an empty list item) or names what is wrong with it.
     """
     ids: list[str] = []
     pos: list[str] = []
     lexfiles: list[int] = []
     lemmas: list[str] = []
-    counts: list[np.ndarray] = []
+    counts: list[int] = []
     hypernyms: list[str] = []
-    lineno = 1
-    with open_text(path) as handle:
-        while block := handle.read(BLOCK_CHARS):
-            if not block.endswith("\n"):
-                block += handle.readline()
-            lines = block.split("\n")
-            if not lines[-1]:
-                lines.pop()
-            parsed = _block_columns(lines) if is_utf8(block) else None
-            del block
-            if parsed is None:
-                parsed = _line_columns(lines, path, lineno)
-            lineno += len(lines)
-            ids += parsed[0]
-            pos.append(parsed[1])
-            lexfiles += parsed[2]
-            lemmas += parsed[3]
-            counts.append(parsed[4])
-            hypernyms += parsed[5]
-            del lines, parsed
+    for lineno, line in read_lines(path, TaxonomyError):
+        fields = line.split("\t")
+        clean = len(fields) == 6 and fields[0] == "SYNSET"
+        if clean:
+            _, sid, p, lexfile, names, links = fields
+            items, links = names.split(","), links.split(",") if links else []
+            clean = (sid and p in _POS and lexfile.isdecimal() and "" not in items
+                     and "" not in links and names == names.lower()
+                     and (len(items) == 1 or len(set(items)) == len(items))
+                     and (len(links) < 2 or len(set(links)) == len(links)))
+        if not clean:
+            kind = fields[0]
+            if not line or line[0] == "#" or kind == "STATUS":
+                continue
+            try:
+                if kind != "SYNSET":
+                    raise TaxonomyError(f"unknown record kind {kind!r}")
+                sid, p, lexfile, items, links = _parse_synset_line(line)
+            except TaxonomyError as exc:
+                raise TaxonomyError(f"{path} line {lineno}: {exc}") from None
+        ids.append(sid)
+        pos.append(p)
+        lexfiles.append(int(lexfile))
+        lemmas.append("\t".join(items))
+        counts.append(len(links))
+        hypernyms += links
+    # the per-synset lists give way to their compact forms before the build
+    pos, counts = "".join(pos), np.array(counts, np.intp)
     try:
-        return Taxonomy._from_columns(
-            ids, "".join(pos), lexfiles, lemmas,
-            np.concatenate(counts) if counts else np.zeros(0, np.intp), hypernyms)
+        return Taxonomy._from_columns(ids, pos, lexfiles, lemmas, counts, hypernyms)
     except TaxonomyError as exc:
         raise TaxonomyError(f"{path}: {exc}") from None
 

@@ -214,6 +214,20 @@ class TestExitCodes:
          "--method dummy does not read --taxonomy"),
         (["--method", "random", "--corpus", "/nonexistent.tsv", "--seed", "1",
           "--enriched", "/nonexistent.tsv"], "--method random does not read --enriched"),
+        (["--method", "ml", "--taxonomy", "/nonexistent.tax", "--train", "/nonexistent.tsv",
+          "--test", "/nonexistent.tsv", "--t1", "0.5"], "--method ml does not read --t1"),
+        (["--method", "ml", "--taxonomy", "/nonexistent.tax", "--train", "/nonexistent.tsv",
+          "--test", "/nonexistent.tsv", "--no-reflexive"],
+         "--method ml does not read --no-reflexive"),
+        (["--method", "rule", "--taxonomy", "/nonexistent.tax", "--corpus", "/nonexistent.tsv",
+          "--k", "7"], "--method rule does not read --k"),
+        (["--method", "dummy", "--corpus", "/nonexistent.tsv", "--wsd", "--ic",
+          "/nonexistent.count"], "--method dummy does not read --wsd or --ic"),
+        (["--method", "random", "--seed", "1", "--corpus", "/nonexistent.tsv",
+          "--animate-noun-lexfiles", "18"],
+         "--method random does not read --animate-noun-lexfiles"),
+        (["--method", "weighted", "--seed", "1", "--corpus", "/nonexistent.tsv",
+          "--t1", "0.2", "--k", "4"], "--method weighted does not read --t1 or --k"),
     ])
     def test_unread_method_input_is_usage_error_before_any_load(self, capsys, flags,
                                                                 message):

@@ -386,7 +386,7 @@ def corpus_lines(draw, min_docs=0, unique_docs=False):
 
 def write_lines(directory, lines):
     path = f"{directory}/corpus.tsv"
-    with open(path, "w", encoding="utf-8") as handle:
+    with open(path, "w", encoding="utf-8", errors="surrogateescape") as handle:
         handle.write("".join(line + "\n" for line in lines))
     return path
 
@@ -436,7 +436,9 @@ class TestLoaderMatchesOracle:
 
 
 CORRUPTIONS = ("bad flag", "bad int", "gold U", "verb on non-subject", "NP before DOC",
-               "wrong field count", "duplicate NP key", "dangling antecedent")
+               "wrong field count", "duplicate NP key", "dangling antecedent",
+               "unknown record kind", "invalid UTF-8 byte", "duplicate DOC",
+               "half-set antecedent")
 
 
 def corrupt(lines, kind, rng):
@@ -457,6 +459,31 @@ def corrupt(lines, kind, rng):
         return
     if kind == "dangling antecedent":
         lines.append("PRON\t%s\t9\the\t1\t9\t%d" % (fields[1], rng.randrange(2)))
+        return
+    if kind == "unknown record kind":
+        lines.insert(rng.randrange(len(lines) + 1), "%s\t%s\t0" % (
+            rng.choice(["np", "NPS", "PRONOUN", "D0C", ""]), fields[1]))
+        return
+    if kind == "invalid UTF-8 byte":
+        # a byte no UTF-8 text holds, in a comment line or after a line's first tab
+        byte = rng.choice(["\udcff", "\udcfe", "\udca9"])
+        at = rng.randrange(len(lines) + 1)
+        if at == len(lines) or rng.random() < 0.3:
+            lines.insert(at, "# caf" + byte)
+        else:
+            cut = rng.randrange(lines[at].find("\t") + 1, len(lines[at]) + 1)
+            lines[at] = lines[at][:cut] + byte + lines[at][cut:]
+        return
+    if kind == "duplicate DOC":
+        lines.insert(rng.randrange(len(lines) + 1), lines[pick("DOC")])
+        return
+    if kind == "half-set antecedent":
+        if not any(line.startswith("PRON\t") for line in lines):
+            lines.append("PRON\t%s\t0\the\t1\t-\t-" % fields[1])
+        at = pick("PRON")
+        fields = lines[at].split("\t")
+        fields[rng.choice([5, 6])] = "0" if fields[5] == "-" else "-"
+        lines[at] = "\t".join(fields)
         return
     at = np_at
     if kind == "bad flag":
@@ -493,7 +520,7 @@ class TestLoaderErrorsMatchOracle:
     def test_same_first_error(self, lines, kinds, seed):
         with tempfile.TemporaryDirectory() as tmp:
             path = write_lines(tmp, lines)
-            saved = dump_corpus(oracle_load_corpus(path)).splitlines()
+            saved = dump_corpus(oracle_load_corpus(path)).split("\n")[:-1]
             rng = random.Random(seed)
             # a wrong field count goes last, so the other corruptions find
             # well-formed fields to change
@@ -540,6 +567,17 @@ EDGE_CASES = {
         "DOC\td1\t0\t0\nNP\td1\t0\t0\tman\t0\tsay\t0\t0\tQ\t-\tx\n"),
     "bad int before bad flag": (
         "DOC\td1\t0\t0\nNP\td1\t0\tx\tman\t2\t-\t0\t0\tA\t-\tx\n"),
+    # line endings and lines that hold no record
+    "lone cr line endings": (
+        "DOC\td1\t1\t0\r" + NP_LINE.format(doc="d1", sent=0, np=0).replace("\n", "\r")
+        + "PRON\td1\t1\the\t1\t0\t0\r"),
+    "byte order mark": "\ufeffDOC\td1\t0\t0\n" + NP_LINE.format(doc="d1", sent=0, np=0),
+    "blank and comment lines between records": (
+        "# corpus\n\nDOC\td1\t0\t0\n\n# first NP\n" + NP_LINE.format(doc="d1", sent=0, np=0)
+        + "#\n\n\nPRON\td1\t0\tit\t0\t-\t-\n# end\n"),
+    "no final newline": (
+        "DOC\td1\t0\t0\n" + NP_LINE.format(doc="d1", sent=0, np=0)
+        + "PRON\td1\t1\the\t1\t0\t0"),
 }
 
 

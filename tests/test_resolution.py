@@ -333,11 +333,9 @@ def oracle_compile_corpus(docs, window=2):
             pronouns.append(pronoun)
     used, candidates = np.unique(np.array(flat, dtype=np.intp),
                                  return_inverse=True)
-    nps = tuple(every_np[i] for i in used.tolist())
     return CompiledCorpus(
         window=window,
-        nps=nps,
-        keys=tuple(np.key for np in nps),
+        keys=tuple(every_np[i].key for i in used.tolist()),
         pronouns=tuple(pronouns),
         candidates=candidates,
         drop_code=np.array(drop, dtype=np.int8),
@@ -347,12 +345,11 @@ def oracle_compile_corpus(docs, window=2):
 
 
 def assert_same_compiled(got, expected):
-    """Every field equal, the record tuples holding the same objects and
+    """Every field equal, the pronoun tuples holding the same objects and
     the arrays of the same dtype and shape."""
     assert got.window == expected.window
-    for name in ("nps", "pronouns"):
-        assert len(getattr(got, name)) == len(getattr(expected, name))
-        assert all(a is b for a, b in zip(getattr(got, name), getattr(expected, name)))
+    assert len(got.pronouns) == len(expected.pronouns)
+    assert all(a is b for a, b in zip(got.pronouns, expected.pronouns))
     assert got.keys == expected.keys
     for name in ("candidates", "drop_code", "gold_at", "gold_end"):
         a, b = getattr(got, name), getattr(expected, name)
@@ -522,7 +519,7 @@ class TestHarnessMatchesOracle:
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_codes_of_another_length_rejected(self, mini_corpus, extra):
         compiled = compile_corpus(mini_corpus, 2)
-        n = len(compiled.nps)
+        n = len(compiled.keys)
         codes = np.zeros(n + extra, dtype=np.int8)
         with pytest.raises(ValueError, match=f"expected {n} label codes.*\\({n + extra},\\)"):
             run_harness(compiled, codes)
@@ -630,7 +627,7 @@ class TestCompileMatchesOracle:
         with pytest.raises(ValueError, match="window must be >= 0"):
             compile_corpus(docs, -1)
         empty = [Document("d", docs[0].nps, 0, 0)]
-        assert len(compile_corpus(empty, -1).nps) == 0
+        assert len(compile_corpus(empty, -1).keys) == 0
 
 
 class TestInjectErrors:

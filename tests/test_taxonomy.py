@@ -7,7 +7,6 @@ from typing import Iterator
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from animacy import taxonomy as taxonomy_module
 from animacy.fileio import write_atomic
 from animacy.taxonomy import (
     BeginnerClass,
@@ -720,8 +719,6 @@ def generated_lines(size=6000, seed=15):
 def generated_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("generated") / "generated.tax"
     path.write_text("\n".join(generated_lines()) + "\n")
-    # several blocks, so block boundaries and line numbers are exercised
-    assert path.stat().st_size > 2 * taxonomy_module.BLOCK_CHARS
     return path
 
 
