@@ -18,19 +18,21 @@ from animacy.mbl import extract_features
 taxonomy = load_taxonomy(toy_taxonomy_path())
 docs = load_corpus(mini_corpus_path())
 enriched = enrich(taxonomy, docs)
+# each sense's resolved animacy, decided once and shared by every instance
+senses = enriched.sense_table()
 
 doc = docs[0]
-fv = extract_features(doc.nps[0], doc, enriched)
+fv = extract_features(doc.nps[0], doc, senses)
 print("one instance:", fv)
 
-store = build_store(docs, enriched)
+store = build_store(docs, senses)
 names = ("lemma", "animate senses", "inanimate senses",
          "verb animate", "verb inanimate", "pronoun ratio")
 print("\ngain-ratio feature weights (training data only):")
 for name, weight in zip(names, store.weights):
     print(f"  {name:>16}: {weight:.3f}")
 
-report, _ = cross_validate(docs, enriched, folds=10, seed=7)
+report, _ = cross_validate(docs, senses, folds=10, seed=7)
 animate = report.scores(Label.ANIMATE)
 print(f"\n10-fold cross-validation: accuracy {report.accuracy:.3f}, "
       f"animate F {animate.f_measure:.3f}")

@@ -8,7 +8,7 @@ sense counts into a per-sense distribution.
 
 from animacy import load_corpus, load_taxonomy
 from animacy.data import mini_corpus_path, toy_taxonomy_path
-from animacy.rules import noun_ratios
+from animacy.rules import noun_ratios, sense_table
 from animacy.wsd import document_weights, information_content
 
 taxonomy = load_taxonomy(toy_taxonomy_path())
@@ -26,7 +26,8 @@ print("\nsense weights for 'cat' in the pet-heavy document d1:")
 for sid in taxonomy.senses("cat", "n"):
     print(f"  {sid:>14}: {weights.weight('cat', sid):.3f}")
 
-plain = noun_ratios("cat", taxonomy)
-weighted = noun_ratios("cat", taxonomy, weighting=weights)
+senses = sense_table(taxonomy)
+plain = noun_ratios("cat", senses)
+weighted = noun_ratios("cat", senses, weighting=weights)
 print(f"\nanimate fraction for 'cat': {plain.animate:.2f} unweighted, "
       f"{weighted.animate:.2f} with context weighting")

@@ -9,7 +9,7 @@ from animacy import load_corpus, load_taxonomy, run_harness
 from animacy.corpus import Label
 from animacy.data import mini_corpus_path, toy_taxonomy_path
 from animacy.resolution import gold_assignment
-from animacy.rules import classify_np
+from animacy.rules import classify_np, sense_table
 
 taxonomy = load_taxonomy(toy_taxonomy_path())
 docs = load_corpus(mini_corpus_path())
@@ -24,8 +24,9 @@ print(f"{sum(len(d.pronouns) for d in docs)} pronouns across {len(docs)} documen
 show("no filter", run_harness(docs, {}))  # everything survives as UNKNOWN
 show("gold labels", run_harness(docs, gold_assignment(docs)))
 
+senses = sense_table(taxonomy)
 rule_labels = {
-    np.key: classify_np(np, taxonomy) for d in docs for np in d.nps
+    np.key: classify_np(np, senses) for d in docs for np in d.nps
 }
 show("rule labels", run_harness(docs, rule_labels))
 

@@ -210,22 +210,23 @@ def cmd_classify(args) -> int:
             for given, default in zip((args.t1, args.t2, args.t3), astuple(rules.Thresholds()))])
         docs = load_corpus(args.corpus)
         (weightings,) = _wsd_weightings(args, taxonomy, docs, docs)
+        senses = rules.sense_table(taxonomy, beginners)
 
         def predict(np, doc, weighting):
-            return rules.classify_np(np, taxonomy, beginners, thresholds, weighting,
+            return rules.classify_np(np, senses, thresholds, weighting,
                                      reflexive_counts=not args.no_reflexive)
     else:
         # memory-based: train on --train, predict --test
         taxonomy = load_taxonomy(args.taxonomy)
         train_docs = load_corpus(args.train)
         docs = load_corpus(args.test)
-        enriched = _statuses(args, taxonomy, train_docs)
+        senses = _statuses(args, taxonomy, train_docs).sense_table(beginners)
         train_weightings, weightings = _wsd_weightings(args, taxonomy, train_docs, train_docs, docs)
-        store = mbl.build_store(train_docs, enriched, beginners, train_weightings)
+        store = mbl.build_store(train_docs, senses, train_weightings)
         config = mbl.MblConfig() if args.k is None else mbl.MblConfig(k=args.k)
 
         def predict(np, doc, weighting):
-            query = mbl.extract_features(np, doc, enriched, beginners, weighting)
+            query = mbl.extract_features(np, doc, senses, weighting)
             return mbl.knn_classify(query, store, config)
 
     # one prediction line per NP: doc_id, sent_id, np_id, label
@@ -242,12 +243,11 @@ def cmd_xval(args) -> int:
     _check_ic(args)
     taxonomy = load_taxonomy(args.taxonomy)
     docs = load_corpus(args.corpus)
-    beginners = _beginners(args)
-    enriched = _statuses(args, taxonomy, docs)
+    senses = _statuses(args, taxonomy, docs).sense_table(_beginners(args))
     (weightings,) = _wsd_weightings(args, taxonomy, docs, docs)
     report, _ = mbl.cross_validate(
-        docs, enriched, folds=args.folds, config=mbl.MblConfig(k=args.k),
-        seed=args.seed, beginners=beginners, weightings=weightings,
+        docs, senses, folds=args.folds, config=mbl.MblConfig(k=args.k),
+        seed=args.seed, weightings=weightings,
     )
     _write_output(evaluation.format_report(report), args.out)
     return 0

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .fileio import read_lines
+from .fileio import is_int, read_lines
 
 
 class CorpusError(ValueError):
@@ -265,10 +265,10 @@ def _flag(value: str, what: str) -> bool:
 
 
 def _int(value: str, what: str) -> int:
-    try:
+    # plain digits, the common case, spare the call
+    if value.isdecimal() and value.isascii() or is_int(value):
         return int(value)
-    except ValueError:
-        raise CorpusError(f"bad {what} {value!r}") from None
+    raise CorpusError(f"bad {what} {value!r}")
 
 
 _FLAG = {"0": False, "1": True}
@@ -310,10 +310,10 @@ def load_corpus(path) -> list[Document]:
                 d = index.get(doc_id)
                 if d is None:
                     raise CorpusError(f"NP before DOC {doc_id}")
-                try:
+                if sent.isdecimal() and npid.isdecimal() and sent.isascii() and npid.isascii():
                     sent_id, np_id = int(sent), int(npid)
-                except ValueError:  # name the bad one
-                    _int(sent, "sentence id"), _int(npid, "np id")
+                else:  # a negative id, or name the bad one
+                    sent_id, np_id = _int(sent, "sentence id"), _int(npid, "np id")
                 if subj not in flag or who not in flag or refl not in flag:
                     _flag(subj, "subject flag"), _flag(who, "who flag")
                     _flag(refl, "reflexive flag")

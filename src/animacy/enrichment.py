@@ -27,7 +27,7 @@ from typing import Iterable
 
 from .corpus import Document, Label, np_columns
 from .fileio import read_lines
-from .taxonomy import VERB, BeginnerClass, Taxonomy, TaxonomyError, sense_mass
+from .taxonomy import VERB, BeginnerClass, SenseTable, Taxonomy, TaxonomyError
 
 # Validity rule for the goodness-of-fit test: at most this fraction of
 # cells may have an expected frequency below the floor.
@@ -349,10 +349,6 @@ class EnrichedTaxonomy:
         self.base = base
         self.skipped = tuple(skipped)
         self._status = column
-        # resolved Undecided senses and unweighted (lemma, pos) sense
-        # masses, per beginner class, filled on demand
-        self._resolved: dict[BeginnerClass, dict[str, bool]] = {}
-        self._masses: dict[BeginnerClass, dict[tuple[str, str], tuple[float, float]]] = {}
 
     def status(self, sid: str) -> Status:
         try:
@@ -367,64 +363,38 @@ class EnrichedTaxonomy:
         decided = sum(1 for s in self._status.values() if s is not Status.UNDECIDED)
         return decided / len(self.base)
 
+    def sense_table(self, beginners: BeginnerClass = BeginnerClass()) -> SenseTable:
+        """The senses of the base taxonomy under `resolve_animate` with
+        `beginners`: each sense is resolved once per table."""
+        return SenseTable(self.base, lambda sid: self.resolve_animate(sid, beginners))
+
     def resolve_animate(self, sid: str, beginners: BeginnerClass) -> bool:
         """Animacy of one sense, with fallbacks for Undecided statuses.
 
-        An Undecided sense takes the status of the nearest decided
-        ancestor; when the nearest decided ancestors disagree, or when no
-        ancestor is decided, the unique-beginner class has the final say.
-        Each Undecided sense is resolved once per beginner class and then
-        looked up.
+        An Undecided sense takes the majority of its nearest decided
+        ancestors, found breadth-first; when they tie, or when no ancestor
+        is decided, the unique-beginner class has the final say.  A
+        parent's answer cannot stand in for the frontier at a multi-parent
+        node, so each call walks; `sense_table` keeps the answers.
         """
         status = self.status(sid)
         if status is not Status.UNDECIDED:
             return status is Status.ANIMATE
-        resolved = self._resolved.setdefault(beginners, {})
-        animate = resolved.get(sid)
-        if animate is None:
-            animate = resolved[sid] = self._walk_to_decided(sid, beginners)
-        return animate
-
-    def lemma_mass(self, lemma: str, pos: str,
-                   beginners: BeginnerClass) -> tuple[float, float]:
-        """Unweighted animate and inanimate sense counts of a lemma, as
-        `sense_mass` gives them over `resolve_animate`.  Computed once per
-        (lemma, pos) and beginner class, then looked up."""
-        masses = self._masses.setdefault(beginners, {})
-        key = (lemma, pos)
-        mass = masses.get(key)
-        if mass is None:
-            mass = masses[key] = sense_mass(
-                self.base.senses(lemma, pos),
-                lambda sid: self.resolve_animate(sid, beginners),
-            )
-        return mass
-
-    def _walk_to_decided(self, sid: str, beginners: BeginnerClass) -> bool:
-        # The majority is taken over the deduplicated breadth-first frontier,
-        # which the answers of the parents cannot rebuild at multi-parent
-        # nodes, so each sense walks on its own (once, via the memo).
-        seen = {sid}
-        frontier = list(self.base.hypernyms(sid))
+        base, seen = self.base, {sid}
+        frontier = base.hypernyms(sid)
         while frontier:
-            decided = [self._status[x] for x in frontier
-                       if self._status[x] is not Status.UNDECIDED]
-            animate = sum(1 for s in decided if s is Status.ANIMATE)
-            inanimate = len(decided) - animate
-            if animate > inanimate:
-                return True
-            if inanimate > animate:
-                return False
+            decided = [s for s in map(self._status.__getitem__, frontier)
+                       if s is not Status.UNDECIDED]
             if decided:
-                break  # equally many decided ancestors on each side
+                twice_animate = 2 * decided.count(Status.ANIMATE)
+                if twice_animate == len(decided):
+                    break  # equally many decided ancestors on each side
+                return twice_animate > len(decided)
             seen.update(frontier)
-            nxt: list[str] = []
-            for node in frontier:
-                for hyp in self.base.hypernyms(node):
-                    if hyp not in seen and hyp not in nxt:
-                        nxt.append(hyp)
-            frontier = nxt
-        return beginners.is_animate(self.base.beginner_of(sid), self.base.pos_of(sid))
+            # the next level, each node once, in order of first reach
+            frontier = list(dict.fromkeys(
+                hyp for node in frontier for hyp in base.hypernyms(node) if hyp not in seen))
+        return beginners.is_animate(base.beginner_of(sid), base.pos_of(sid))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EnrichedTaxonomy):

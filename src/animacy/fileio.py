@@ -33,10 +33,12 @@ def write_atomic(path, text: str) -> None:
 def read_lines(path, error: type[Exception] = ValueError) -> Iterator[tuple[int, str]]:
     """Yield (line number, line without its newline) for a UTF-8 text file.
 
-    Newlines are read as in text mode, so CRLF files load like LF ones.  A
-    line that is not valid UTF-8 raises `error` as "<path> line N: ...".
+    Newlines are read as in text mode, so CRLF files load like LF ones,
+    and a leading byte-order mark is dropped.  Undecodable bytes become
+    lone surrogates, which strict UTF-8 never yields, so a line that is
+    not valid UTF-8 raises `error` as "<path> line N: ...".
     """
-    with open_text(path) as handle:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.rstrip("\n")
             if not line.isascii():
@@ -44,17 +46,15 @@ def read_lines(path, error: type[Exception] = ValueError) -> Iterator[tuple[int,
             yield lineno, line
 
 
-def open_text(path):
-    """Open a UTF-8 text file for reading, newlines read as in text mode.
-
-    Undecodable bytes become lone surrogates, which strict UTF-8 never
-    yields; `check_utf8` turns them into an error naming the line.
-    """
-    return open(path, encoding="utf-8", errors="surrogateescape")
+def is_int(text: str) -> bool:
+    """True iff `text` spells an integer as the writers do: ASCII digits,
+    maybe after a '-'; `int` would also take "1_0", "+3", " 3" or "١٨"."""
+    digits = text[1:] if text[:1] == "-" else text
+    return digits.isdecimal() and digits.isascii()
 
 
 def is_utf8(text: str) -> bool:
-    """False iff `open_text` read a byte of `text` that is not UTF-8."""
+    """False iff `read_lines` read a byte of `text` that is not UTF-8."""
     if text.isascii():
         return True
     try:

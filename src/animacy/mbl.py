@@ -17,9 +17,10 @@ exact tie, are the same bit for bit.
 The instance encodes the head lemma, the lemma's animate and inanimate
 sense counts under the enriched taxonomy, the same pair for the governing
 verb of subjects (zero otherwise), and the document's animate pronoun
-ratio.  Unweighted sense counts depend only on the lemma, so they are
-computed once per lemma and beginner class (`EnrichedTaxonomy.lemma_mass`);
-only weighted head-noun masses are computed per NP.
+ratio.  The senses' animacy comes from the enriched taxonomy's
+`SenseTable` for one beginner class (`EnrichedTaxonomy.sense_table`),
+which resolves each sense once; only the weighted head-noun masses are
+added up per NP.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ import numpy as np
 from numpy.random import default_rng
 
 from .corpus import Document, Label, NPRecord, np_columns, pronoun_ratio
-from .enrichment import EnrichedTaxonomy
 from .evaluation import EvalReport, score
-from .taxonomy import NOUN, VERB, BeginnerClass, sense_mass
+from .taxonomy import NOUN, VERB, SenseTable
 
 if TYPE_CHECKING:
     from .wsd import SenseWeighting
@@ -79,46 +79,38 @@ class MblConfig:
 def extract_features(
     np_record: NPRecord,
     doc: Document,
-    enriched: EnrichedTaxonomy,
-    beginners: BeginnerClass = BeginnerClass(),
+    senses: SenseTable,
     weighting: "SenseWeighting | None" = None,
 ) -> FeatureVector:
-    """Build the instance for one NP occurrence.
+    """Build the instance for one NP occurrence, its senses judged by an
+    enriched taxonomy's `senses` table.
 
     Out-of-vocabulary heads get zero sense counts and a marker lemma.
     Verb counts apply to subjects with a known governing verb only.
     """
     lemma, numeric = _features(
         np_record.head_lemma, np_record.verb_lemma if np_record.is_subject else None,
-        pronoun_ratio(doc), enriched, beginners, weighting,
+        pronoun_ratio(doc), senses, weighting,
     )
     return FeatureVector(lemma, *numeric, np_record.gold)
 
 
-def _features(lemma, verb, ratio, enriched, beginners, weighting):
+def _features(lemma: str, verb: str | None, ratio: float, table: SenseTable,
+              weighting: "SenseWeighting | None"):
     """The lemma feature and the numeric ones, as `extract_features` finds
     them from an NP's head lemma, the governing verb of a subject (else
     None) and the document's pronoun ratio."""
-    senses = enriched.base.senses(lemma, NOUN)
+    senses = table.senses(lemma, NOUN)
     if not senses:
-        lemma = OOV_LEMMA
-        noun_animate = noun_inanimate = 0.0
-    elif weighting is None:
-        noun_animate, noun_inanimate = enriched.lemma_mass(lemma, NOUN, beginners)
+        lemma, noun = OOV_LEMMA, (0.0, 0.0)
     else:
         # a lemma without stored weights takes uniform shares, so its
         # counts stay on the scale of the weighted ones
-        weights = (weighting.for_lemma(lemma, senses)
-                   or dict.fromkeys(senses, 1.0 / len(senses)))
-        noun_animate, noun_inanimate = sense_mass(
-            senses, lambda sid: enriched.resolve_animate(sid, beginners), weights
-        )
-
-    verb_animate = verb_inanimate = 0.0
-    if verb is not None:
-        verb_animate, verb_inanimate = enriched.lemma_mass(verb, VERB, beginners)
-
-    return lemma, (noun_animate, noun_inanimate, verb_animate, verb_inanimate, ratio)
+        weights = None if weighting is None else (
+            weighting.for_lemma(lemma, senses) or dict.fromkeys(senses, 1.0 / len(senses)))
+        noun = table.mass(lemma, NOUN, weights)
+    verb_mass = (0.0, 0.0) if verb is None else table.mass(verb, VERB)
+    return lemma, (*noun, *verb_mass, ratio)
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,11 +303,12 @@ def knn_classify(
     return Label.INANIMATE if Label.INANIMATE in tied else tied[0]
 
 
-def _labelled_table(docs, enriched, beginners, weightings):
+def _labelled_table(docs, senses, weightings):
     """The corpus position of every gold-labelled NP of `docs`, in corpus
-    order, and the `FeatureTable` of their instances; `weightings` maps
-    document ids to sense weightings.  The NPs are read from their columns
-    (`np_columns`), with no `NPRecord` or `FeatureVector` built per NP."""
+    order, and the `FeatureTable` of their instances under the sense
+    table `senses`; `weightings` maps document ids to sense weightings.
+    The NPs are read from their columns (`np_columns`), with no
+    `NPRecord` or `FeatureVector` built per NP."""
     columns, counts = np_columns(docs)
     heads, subjects, verbs, golds = (
         columns.head_lemma, columns.is_subject, columns.verb_lemma, columns.gold)
@@ -327,7 +320,7 @@ def _labelled_table(docs, enriched, beginners, weightings):
         for i in range(start, start + count):
             if golds[i] is not None:
                 lemma, values = _features(heads[i], verbs[i] if subjects[i] else None,
-                                          ratio, enriched, beginners, weighting)
+                                          ratio, senses, weighting)
                 positions.append(i)
                 lemmas.append(lemma)
                 numeric.append(values)
@@ -337,21 +330,19 @@ def _labelled_table(docs, enriched, beginners, weightings):
 
 def build_store(
     docs: Iterable[Document],
-    enriched: EnrichedTaxonomy,
-    beginners: BeginnerClass = BeginnerClass(),
+    senses: SenseTable,
     weightings: dict[str, "SenseWeighting"] | None = None,
 ) -> InstanceStore:
     """Training store over every gold-labelled NP of a corpus."""
-    return InstanceStore(_labelled_table(list(docs), enriched, beginners, weightings)[1])
+    return InstanceStore(_labelled_table(list(docs), senses, weightings)[1])
 
 
 def cross_validate(
     docs: Sequence[Document],
-    enriched: EnrichedTaxonomy,
+    senses: SenseTable,
     folds: int = 10,
     config: MblConfig = MblConfig(),
     seed: int = 0,
-    beginners: BeginnerClass = BeginnerClass(),
     weightings: dict[str, "SenseWeighting"] | None = None,
 ) -> tuple[EvalReport, list[tuple[NPRecord, Label]]]:
     """Seeded k-fold evaluation over the gold-labelled NPs.
@@ -363,7 +354,7 @@ def cross_validate(
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")
-    positions, table = _labelled_table(docs, enriched, beginners, weightings)
+    positions, table = _labelled_table(docs, senses, weightings)
     every_np = [np_record for doc in docs for np_record in doc.nps]
     labelled = [every_np[i] for i in positions]
     if len(labelled) < folds:

@@ -3,7 +3,9 @@
 For a head noun, the fraction of its senses rooted at animate unique
 beginners (and the same fraction for the governing verb of subject NPs)
 feeds a fixed threshold cascade.  Sense weighting can replace the raw
-counts with per-sense weights; everything else is unchanged.
+counts with per-sense weights; everything else is unchanged.  Each sense's
+beginner class is decided once per run, by the `SenseTable` that
+`sense_table` builds.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .corpus import Label, NPRecord
-from .taxonomy import NOUN, VERB, BeginnerClass, Taxonomy, sense_mass
+from .taxonomy import NOUN, VERB, BeginnerClass, SenseTable, Taxonomy
 
 if TYPE_CHECKING:
     from .wsd import SenseWeighting
@@ -55,73 +57,49 @@ class AnimacyRatios:
     verb_sense_total: int
 
 
-def _ratios(
-    lemma: str,
-    pos: str,
-    taxonomy: Taxonomy,
-    beginners: BeginnerClass,
-    weighting: "SenseWeighting | None",
-) -> RatioResult:
-    sense_ids = taxonomy.senses(lemma, pos)
-    if not sense_ids:
+def sense_table(taxonomy: Taxonomy, beginners: BeginnerClass = BeginnerClass()) -> SenseTable:
+    """The senses of `taxonomy`, animate when rooted at an animate unique
+    beginner of `beginners`."""
+    beginner_of, pos_of, is_animate = taxonomy.beginner_of, taxonomy.pos_of, beginners.is_animate
+    return SenseTable(taxonomy, lambda sid: is_animate(beginner_of(sid), pos_of(sid)))
+
+
+def _ratios(lemma: str, pos: str, table: SenseTable,
+            weighting: "SenseWeighting | None") -> RatioResult:
+    senses = table.senses(lemma, pos)
+    if not senses:
         return RatioResult(0.0, 0.0, 0)
-
-    def is_animate(sid: str) -> bool:
-        return beginners.is_animate(taxonomy.beginner_of(sid), pos)
-
-    weights = weighting.for_lemma(lemma, sense_ids) if weighting is not None else None
-    animate_mass, inanimate_mass = sense_mass(sense_ids, is_animate, weights)
-    total_mass = animate_mass + inanimate_mass
-    if total_mass == 0.0:
+    weights = weighting.for_lemma(lemma, senses) if weighting is not None else None
+    animate_mass, inanimate_mass = table.mass(lemma, pos, weights)
+    if animate_mass + inanimate_mass == 0.0:
         # every sense carried weight zero; fall back to plain counts
-        animate_mass, inanimate_mass = sense_mass(sense_ids, is_animate)
-        total_mass = animate_mass + inanimate_mass
-    animate = animate_mass / total_mass
-    return RatioResult(animate, 1.0 - animate, len(sense_ids))
+        animate_mass, inanimate_mass = table.mass(lemma, pos)
+    animate = animate_mass / (animate_mass + inanimate_mass)
+    return RatioResult(animate, 1.0 - animate, len(senses))
 
 
-def noun_ratios(
-    lemma: str,
-    taxonomy: Taxonomy,
-    beginners: BeginnerClass = BeginnerClass(),
-    weighting: "SenseWeighting | None" = None,
-) -> RatioResult:
+def noun_ratios(lemma: str, table: SenseTable,
+                weighting: "SenseWeighting | None" = None) -> RatioResult:
     """Animate and inanimate fractions over a noun's senses.
 
     A lemma with no noun senses yields (0, 0, 0); downstream that forces an
     UNKNOWN classification rather than an exception.
     """
-    return _ratios(lemma, NOUN, taxonomy, beginners, weighting)
+    return _ratios(lemma, NOUN, table, weighting)
 
 
-def verb_ratios(
-    lemma: str,
-    taxonomy: Taxonomy,
-    beginners: BeginnerClass = BeginnerClass(),
-    weighting: "SenseWeighting | None" = None,
-) -> RatioResult:
-    return _ratios(lemma, VERB, taxonomy, beginners, weighting)
+def verb_ratios(lemma: str, table: SenseTable,
+                weighting: "SenseWeighting | None" = None) -> RatioResult:
+    return _ratios(lemma, VERB, table, weighting)
 
 
-def compute_ratios(
-    np: NPRecord,
-    taxonomy: Taxonomy,
-    beginners: BeginnerClass = BeginnerClass(),
-    weighting: "SenseWeighting | None" = None,
-) -> AnimacyRatios:
-    noun = noun_ratios(np.head_lemma, taxonomy, beginners, weighting)
-    if np.is_subject and np.verb_lemma is not None:
-        verb = verb_ratios(np.verb_lemma, taxonomy, beginners, weighting)
-    else:
-        verb = RatioResult(0.0, 0.0, 0)
-    return AnimacyRatios(
-        noun_animacy=noun.animate,
-        noun_inanimacy=noun.inanimate,
-        verb_animacy=verb.animate,
-        verb_inanimacy=verb.inanimate,
-        noun_sense_total=noun.total,
-        verb_sense_total=verb.total,
-    )
+def compute_ratios(np: NPRecord, table: SenseTable,
+                   weighting: "SenseWeighting | None" = None) -> AnimacyRatios:
+    noun = _ratios(np.head_lemma, NOUN, table, weighting)
+    verb = (_ratios(np.verb_lemma, VERB, table, weighting)
+            if np.is_subject and np.verb_lemma is not None else RatioResult(0.0, 0.0, 0))
+    return AnimacyRatios(noun.animate, noun.inanimate, verb.animate, verb.inanimate,
+                         noun.total, verb.total)
 
 
 def classify_rule(
@@ -161,11 +139,12 @@ def classify_rule(
 
 def classify_np(
     np: NPRecord,
-    taxonomy: Taxonomy,
-    beginners: BeginnerClass = BeginnerClass(),
+    table: SenseTable,
     thresholds: Thresholds = Thresholds(),
     weighting: "SenseWeighting | None" = None,
     reflexive_counts: bool = True,
 ) -> Label:
-    ratios = compute_ratios(np, taxonomy, beginners, weighting)
+    """The cascade's label for one NP, its senses judged by `table`
+    (see `sense_table`)."""
+    ratios = compute_ratios(np, table, weighting)
     return classify_rule(np, ratios, thresholds, reflexive_counts)

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .fileio import is_utf8, read_lines
+from .fileio import is_int, is_utf8, read_lines
 
 NOUN = "n"
 VERB = "v"
@@ -111,26 +111,55 @@ class BeginnerClass:
         raise TaxonomyError(f"unknown pos {pos!r}")
 
 
-def sense_mass(
-    senses: Iterable[str],
-    is_animate: Callable[[str], bool],
-    weights: Mapping[str, float] | None = None,
-) -> tuple[float, float]:
-    """Animate and inanimate mass over a lemma's senses, in sense order.
+class SenseTable:
+    """Each sense's animacy under one predicate, decided once.
 
-    Each sense adds its weight, or 1 without weights, to the side that
-    `is_animate` picks; both classifiers count senses this way and differ
-    only in the predicate.
+    Both classifiers count a lemma's senses by animacy and differ only in
+    the predicate: the unique beginner for the rules, the resolved
+    enriched status for the memory-based learner.  The table asks
+    `is_animate` once per sense and keeps, per noun or verb lemma, its
+    senses in file order, their flags and the plain counts.  Each entry
+    is a pure function of the taxonomy and the predicate, so a table
+    built once serves a whole run.
     """
-    animate = 0.0
-    inanimate = 0.0
-    for sid in senses:
-        mass = weights[sid] if weights is not None else 1.0
-        if is_animate(sid):
-            animate += mass
-        else:
-            inanimate += mass
-    return animate, inanimate
+
+    def __init__(self, taxonomy: Taxonomy, is_animate: Callable[[str], bool]):
+        self.taxonomy = taxonomy
+        self._is_animate = is_animate
+        self._flags: dict[str, bool] = {}
+        # pos -> lemma -> (senses, flags, (animate count, inanimate count))
+        self._lemmas: dict[str, dict[str, tuple]] = {NOUN: {}, VERB: {}}
+
+    def _add(self, lemma: str, pos: str) -> tuple:
+        senses, flags = self.taxonomy.senses(lemma, pos), self._flags
+        for sid in senses:
+            if sid not in flags:
+                flags[sid] = self._is_animate(sid)
+        animate = tuple([flags[sid] for sid in senses])
+        count = animate.count(True)
+        # a count is the sum of ones, exactly
+        entry = self._lemmas[pos][lemma] = (
+            senses, animate, (float(count), float(len(senses) - count)))
+        return entry
+
+    def senses(self, lemma: str, pos: str) -> tuple[str, ...]:
+        """The senses of `lemma` under `pos`, as `Taxonomy.senses` gives them."""
+        return (self._lemmas[pos].get(lemma) or self._add(lemma, pos))[0]
+
+    def mass(self, lemma: str, pos: str,
+             weights: Mapping[str, float] | None = None) -> tuple[float, float]:
+        """Animate and inanimate mass over the lemma's senses: each sense
+        adds its weight, or 1 without weights, to its side, in sense order."""
+        senses, flags, counts = self._lemmas[pos].get(lemma) or self._add(lemma, pos)
+        if weights is None:
+            return counts
+        animate = inanimate = 0.0
+        for sid, flag in zip(senses, flags):
+            if flag:
+                animate += weights[sid]
+            else:
+                inanimate += weights[sid]
+        return animate, inanimate
 
 
 class Taxonomy:
@@ -426,10 +455,9 @@ def _parse_synset_line(line: str) -> tuple:
     if len(fields) != 6:
         raise TaxonomyError(f"expected 6 tab-separated fields, got {len(fields)}")
     _, sid, pos, lexfile, lemmas, hypernyms = fields
-    try:
-        lex = int(lexfile)
-    except ValueError:
-        raise TaxonomyError(f"bad lexfile number {lexfile!r}") from None
+    if not is_int(lexfile):
+        raise TaxonomyError(f"bad lexfile number {lexfile!r}")
+    lex = int(lexfile)
     lemma_tuple = _split_list(lemmas)
     hyper_tuple = _split_list(hypernyms)
     _check_fields(sid, pos, lemma_tuple, hyper_tuple)
@@ -459,8 +487,8 @@ def load_taxonomy(path) -> Taxonomy:
         if clean:
             _, sid, p, lexfile, names, links = fields
             items, links = names.split(","), links.split(",") if links else []
-            clean = (sid and p in _POS and lexfile.isdecimal() and "" not in items
-                     and "" not in links and names == names.lower()
+            clean = (sid and p in _POS and lexfile.isdecimal() and lexfile.isascii()
+                     and "" not in items and "" not in links and names == names.lower()
                      and (len(items) == 1 or len(set(items)) == len(items))
                      and (len(links) < 2 or len(set(links)) == len(links)))
         if not clean:

@@ -373,13 +373,12 @@ def test_criterion_08_metric_identities():
 
 def test_criterion_09_sense_weighting_consistency(toy_taxonomy, mini_corpus):
     with criterion(9, "uniform weights reproduce hard counts; support ranks"):
-        from animacy.rules import noun_ratios
+        from animacy.rules import noun_ratios, sense_table
 
         uniform = uniform_weighting(toy_taxonomy)
+        senses = sense_table(toy_taxonomy)
         for lemma in toy_taxonomy.lemmas("n"):
-            assert noun_ratios(lemma, toy_taxonomy) == noun_ratios(
-                lemma, toy_taxonomy, weighting=uniform
-            )
+            assert noun_ratios(lemma, senses) == noun_ratios(lemma, senses, weighting=uniform)
 
         table = information_content(mini_corpus, toy_taxonomy)
         lemmas = set(toy_taxonomy.lemmas("n"))
@@ -400,8 +399,8 @@ def test_criterion_09_sense_weighting_consistency(toy_taxonomy, mini_corpus):
 
 def test_criterion_10_cross_validation_beats_random_baseline(enriched, mini_corpus):
     with criterion(10, "10-fold animate F beats the random baseline's mean F"):
-        first = cross_validate(mini_corpus, enriched, folds=10, seed=7)
-        second = cross_validate(mini_corpus, enriched, folds=10, seed=7)
+        first = cross_validate(mini_corpus, enriched.sense_table(), folds=10, seed=7)
+        second = cross_validate(mini_corpus, enriched.sense_table(), folds=10, seed=7)
         assert first[0] == second[0]
 
         labelled = [np_ for d in mini_corpus for np_ in d.nps if np_.gold]

@@ -209,7 +209,7 @@ def test_corpus_passes_build_no_records(built, toy_taxonomy, enriched):
     docs = load_corpus(mini_corpus_path())
     labels = gold_assignment(docs)
     counts, _ = accumulate_counts(docs, toy_taxonomy)
-    store = build_store(docs, enriched)
+    store = build_store(docs, enriched.sense_table())
     grid = sweep(docs, [50, 100], [100], runs=2)
     assert built == []
     assert labels and counts.observed_ids() and store.instances and grid.cells
@@ -226,10 +226,10 @@ def oracle_flag(value, what):
 
 
 def oracle_int(value, what):
-    try:
-        return int(value)
-    except ValueError:
-        raise CorpusError(f"bad {what} {value!r}") from None
+    # the writers' spelling: ASCII digits, optionally negative
+    if not re.fullmatch(r"-?[0-9]+", value, re.ASCII):
+        raise CorpusError(f"bad {what} {value!r}")
+    return int(value)
 
 
 def oracle_load_corpus(path):
@@ -497,8 +497,10 @@ def corrupt(lines, kind, rng):
         places = {"NP": [2, 3], "DOC": [2, 3], "PRON": [2]}[fields[0]]
         if fields[0] == "PRON" and fields[5] != "-":
             places += [5, 6]
-        # a negative count is an int, but fails the document's own check
-        fields[rng.choice(places)] = rng.choice(["x", "1.5", "", "-1"])
+        # a negative count is an int, but fails the document's own check;
+        # `int` alone would take the last four
+        fields[rng.choice(places)] = rng.choice(
+            ["x", "1.5", "", "-1", "1_0", "+3", " 3", "\u0661\u0668"])
     elif kind == "gold U":
         fields[9] = "U"
     elif kind == "verb on non-subject":
@@ -567,6 +569,16 @@ EDGE_CASES = {
         "DOC\td1\t0\t0\nNP\td1\t0\t0\tman\t0\tsay\t0\t0\tQ\t-\tx\n"),
     "bad int before bad flag": (
         "DOC\td1\t0\t0\nNP\td1\t0\tx\tman\t2\t-\t0\t0\tA\t-\tx\n"),
+    # integers only as the writers spell them
+    "underscore in a sentence id": "DOC\td1\t0\t0\n" + NP_LINE.format(doc="d1", sent="1_0", np=0),
+    "plus sign on an np id": "DOC\td1\t0\t0\n" + NP_LINE.format(doc="d1", sent=0, np="+3"),
+    "space before a pronoun count": "DOC\td1\t 3\t0\n",
+    "arabic-indic digits in an antecedent": (
+        "DOC\td1\t1\t0\n" + NP_LINE.format(doc="d1", sent=0, np=0)
+        + "PRON\td1\t1\the\t1\t0\t\u0660\n"),
+    "negative ids": (
+        "DOC\td1\t1\t0\n" + NP_LINE.format(doc="d1", sent=-1, np=-20)
+        + "PRON\td1\t-1\the\t1\t-1\t-20\n"),
     # line endings and lines that hold no record
     "lone cr line endings": (
         "DOC\td1\t1\t0\r" + NP_LINE.format(doc="d1", sent=0, np=0).replace("\n", "\r")

@@ -4,12 +4,13 @@ import re
 import pytest
 
 from animacy import fileio
-from animacy.cli import main
+from animacy.cli import _labels_for, main
 from animacy.corpus import CorpusError, dump_corpus, load_corpus
 from animacy.data import mini_corpus_path, toy_taxonomy_path
-from animacy.enrichment import dump_statuses, enrich
+from animacy.enrichment import dump_statuses, enrich, load_enriched
 from animacy.fileio import read_lines, write_atomic
 from animacy.taxonomy import dump_taxonomy, load_taxonomy
+from animacy.wsd import load_counts
 
 OLD = "previous contents\n"
 
@@ -133,6 +134,25 @@ class TestReadLines:
         with open(bundled, "rb") as handle:
             crlf.write_bytes(handle.read().replace(b"\n", b"\r\n"))
         assert load(crlf) == load(bundled)
+
+    @pytest.mark.parametrize("kind", ["taxonomy", "corpus", "statuses", "counts",
+                                      "predictions"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, kind):
+        taxonomy = load_taxonomy(toy_taxonomy_path())
+        text, load = {
+            "taxonomy": (dump_taxonomy(taxonomy), load_taxonomy),
+            "corpus": (dump_corpus(load_corpus(mini_corpus_path())), load_corpus),
+            "statuses": (dump_statuses(enrich(taxonomy, load_corpus(mini_corpus_path()))),
+                         lambda path: load_enriched(path, taxonomy)),
+            "counts": ("COUNT\tn-cat-animal\t2\nCOUNT\tn-person\t1.5\n",
+                       lambda path: load_counts(path, taxonomy).counts),
+            "predictions": ("d1\t0\t0\tA\nd1\t0\t1\tU\n", _labels_for),
+        }[kind]
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+        assert load(marked) == load(plain)
 
     def test_lines_split_as_in_text_mode(self, tmp_path):
         path = tmp_path / "mixed.txt"

@@ -19,10 +19,11 @@ from animacy.mbl import (
     gain_ratio_weights as table_gain_ratio,
     knn_classify,
 )
-from animacy.taxonomy import NOUN, VERB, BeginnerClass, Synset, Taxonomy, sense_mass
+from animacy.taxonomy import NOUN, VERB, BeginnerClass, Synset, Taxonomy
 from animacy.wsd import document_weights, information_content
 from tests.test_acceptance import oracle_knn
 from tests.test_corpus import make_np, reloaded
+from tests.test_taxonomy import sense_mass
 
 
 def vec(lemma="w", f2=0.0, f3=0.0, f4=0.0, f5=0.0, f6=0.0, label=None):
@@ -173,7 +174,7 @@ class TestExtractFeatures:
     def test_subject_with_known_verb_fills_everything(self, enriched, mini_corpus):
         doc = mini_corpus[0]
         np = doc.nps[0]  # teacher, subject of speak
-        fv = extract_features(np, doc, enriched)
+        fv = extract_features(np, doc, enriched.sense_table())
         assert fv.lemma == "teacher"
         assert (fv.animate_senses, fv.inanimate_senses) == (1.0, 0.0)
         assert (fv.verb_animate, fv.verb_inanimate) == (1.0, 0.0)
@@ -183,7 +184,7 @@ class TestExtractFeatures:
     def test_non_subject_has_zero_verb_counts(self, enriched, mini_corpus):
         doc = mini_corpus[0]
         np = doc.nps[1]  # the children, not a subject
-        fv = extract_features(np, doc, enriched)
+        fv = extract_features(np, doc, enriched.sense_table())
         assert fv.verb_animate == 0.0 and fv.verb_inanimate == 0.0
 
     def test_undecided_sense_resolved_by_animate_hypernym(self):
@@ -193,13 +194,13 @@ class TestExtractFeatures:
         ])
         e = EnrichedTaxonomy(t, {"p": Status.ANIMATE, "c": Status.UNDECIDED})
         doc = Document("d", (make_np(head="word"),), 0, 0)
-        fv = extract_features(doc.nps[0], doc, e)
+        fv = extract_features(doc.nps[0], doc, e.sense_table())
         assert (fv.animate_senses, fv.inanimate_senses) == (1.0, 0.0)
 
     def test_oov_lemma_marked(self, enriched, mini_corpus):
         doc = mini_corpus[0]
         np = next(x for x in doc.nps if x.head_lemma == "gizmo")
-        fv = extract_features(np, doc, enriched)
+        fv = extract_features(np, doc, enriched.sense_table())
         assert fv.lemma == OOV_LEMMA
         assert fv.animate_senses == 0.0 and fv.inanimate_senses == 0.0
 
@@ -207,7 +208,7 @@ class TestExtractFeatures:
         for doc in mini_corpus:
             for np in doc.nps:
                 senses = toy_taxonomy.senses(np.head_lemma, "n")
-                fv = extract_features(np, doc, enriched)
+                fv = extract_features(np, doc, enriched.sense_table())
                 assert fv.animate_senses + fv.inanimate_senses == len(senses)
 
 
@@ -247,9 +248,10 @@ class TestFeaturesMatchOracle:
         # class, so the two classes disagree on many lemmas
         enriched = (enrich(toy_taxonomy, mini_corpus) if decided
                     else EnrichedTaxonomy(toy_taxonomy, {}))
+        tables = [enriched.sense_table(b) for b in self.CLASSES]
         differs = False
         for doc, np_record in iter_nps(mini_corpus):
-            got = [extract_features(np_record, doc, enriched, b) for b in self.CLASSES]
+            got = [extract_features(np_record, doc, table) for table in tables]
             assert got == [oracle_features(np_record, doc, enriched, b)
                            for b in self.CLASSES], np_record.key
             differs |= got[0] != got[1]
@@ -259,12 +261,13 @@ class TestFeaturesMatchOracle:
         enriched = enrich(toy_taxonomy, mini_corpus)
         ic = information_content(mini_corpus, toy_taxonomy)
         beginners = BeginnerClass()
+        senses = enriched.sense_table(beginners)
         differs = False
         for doc in mini_corpus:
             weighting = document_weights(doc, toy_taxonomy, ic)
             for np_record in doc.nps:
-                plain = extract_features(np_record, doc, enriched, beginners)
-                weighted = extract_features(np_record, doc, enriched, beginners, weighting)
+                plain = extract_features(np_record, doc, senses)
+                weighted = extract_features(np_record, doc, senses, weighting)
                 assert weighted == oracle_features(
                     np_record, doc, enriched, beginners, weighting), np_record.key
                 differs |= plain != weighted
@@ -313,9 +316,9 @@ class TestBuildStoreMatchesOracle:
         for form in (docs, reloaded(docs)):
             if not expected:
                 with pytest.raises(ValueError, match="empty"):
-                    build_store(form, enriched, weightings=weightings)
+                    build_store(form, enriched.sense_table(), weightings=weightings)
                 continue
-            store = build_store(form, enriched, weightings=weightings)
+            store = build_store(form, enriched.sense_table(), weightings=weightings)
             assert store.instances == expected
             assert store.weights == InstanceStore(expected).weights
 
@@ -349,7 +352,7 @@ class TestGainRatio:
 
     def test_weights_non_negative(self, enriched, mini_corpus):
         store = InstanceStore([
-            extract_features(np, doc, enriched)
+            extract_features(np, doc, enriched.sense_table())
             for doc in mini_corpus for np in doc.nps if np.gold is not None
         ])
         assert all(w >= 0.0 for w in store.weights)
@@ -397,7 +400,7 @@ class TestKnn:
             for np in doc.nps:
                 if np.gold is None:
                     continue
-                fv = extract_features(np, doc, enriched)
+                fv = extract_features(np, doc, enriched.sense_table())
                 key = (fv.lemma,) + fv.numeric()
                 if key not in seen:  # unique feature vectors only
                     seen.add(key)
@@ -408,7 +411,7 @@ class TestKnn:
 
     def test_weight_scaling_never_changes_labels(self, enriched, mini_corpus):
         instances = [
-            extract_features(np, doc, enriched)
+            extract_features(np, doc, enriched.sense_table())
             for doc in mini_corpus for np in doc.nps if np.gold is not None
         ]
         store = InstanceStore(instances[:40])
@@ -476,20 +479,20 @@ class TestKnn:
 
 class TestCrossValidation:
     def test_every_instance_predicted_exactly_once(self, enriched, mini_corpus):
-        report, detailed = cross_validate(mini_corpus, enriched, folds=10, seed=3)
+        report, detailed = cross_validate(mini_corpus, enriched.sense_table(), folds=10, seed=3)
         labelled = [np for d in mini_corpus for np in d.nps if np.gold is not None]
         assert report.total == len(labelled)
         assert len(detailed) == len(labelled)
         assert all(pred is not None for _, pred in detailed)
 
     def test_same_seed_same_report(self, enriched, mini_corpus):
-        first = cross_validate(mini_corpus, enriched, folds=10, seed=11)
-        second = cross_validate(mini_corpus, enriched, folds=10, seed=11)
+        first = cross_validate(mini_corpus, enriched.sense_table(), folds=10, seed=11)
+        second = cross_validate(mini_corpus, enriched.sense_table(), folds=10, seed=11)
         assert first[0] == second[0]
         assert [p for _, p in first[1]] == [p for _, p in second[1]]
 
     def test_report_is_score_of_pooled_streams(self, enriched, mini_corpus):
-        report, detailed = cross_validate(mini_corpus, enriched, folds=5, seed=1)
+        report, detailed = cross_validate(mini_corpus, enriched.sense_table(), folds=5, seed=1)
         gold = [np.gold for np, _ in detailed]
         predicted = [pred for _, pred in detailed]
         assert score(gold, predicted) == report
@@ -497,12 +500,12 @@ class TestCrossValidation:
     @pytest.mark.parametrize("seed", [1, 7, 11])
     def test_predictions_match_oracle_fold_by_fold(self, enriched, mini_corpus, seed):
         features = [
-            extract_features(record, doc, enriched)
+            extract_features(record, doc, enriched.sense_table())
             for doc, record in iter_nps(mini_corpus) if record.gold is not None
         ]
         order = np.random.default_rng(seed).permutation(len(features))
         for k in (1, 3, 5):
-            _, detailed = cross_validate(mini_corpus, enriched, folds=10,
+            _, detailed = cross_validate(mini_corpus, enriched.sense_table(), folds=10,
                                          config=MblConfig(k=k), seed=seed)
             expected = [None] * len(features)
             for fold in np.array_split(order, 10):
@@ -516,7 +519,7 @@ class TestCrossValidation:
 
     def test_too_few_instances(self, enriched, mini_corpus):
         with pytest.raises(ValueError, match="folds"):
-            cross_validate(mini_corpus[:1], enriched, folds=50, seed=0)
+            cross_validate(mini_corpus[:1], enriched.sense_table(), folds=50, seed=0)
 
     def test_k_validation(self):
         with pytest.raises(ValueError):

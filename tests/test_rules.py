@@ -9,9 +9,15 @@ from animacy.rules import (
     classify_rule,
     compute_ratios,
     noun_ratios,
+    sense_table,
     verb_ratios,
 )
 from tests.test_corpus import make_np
+
+
+@pytest.fixture(scope="module")
+def senses(toy_taxonomy):
+    return sense_table(toy_taxonomy)
 
 
 def ratios(na=0.0, ni=0.0, va=0.0, vi=0.0, nouns=1, verbs=0):
@@ -19,37 +25,37 @@ def ratios(na=0.0, ni=0.0, va=0.0, vi=0.0, nouns=1, verbs=0):
 
 
 class TestRatios:
-    def test_two_of_five_animate(self, toy_taxonomy):
+    def test_two_of_five_animate(self, senses):
         # no toy lemma has 5 senses; check the arithmetic on 'mouse' (2 of 3)
-        r = noun_ratios("mouse", toy_taxonomy)
+        r = noun_ratios("mouse", senses)
         assert r.animate == pytest.approx(2 / 3)
         assert r.inanimate == pytest.approx(1 / 3)
         assert r.total == 3
 
-    def test_all_senses_animate(self, toy_taxonomy):
-        r = noun_ratios("teacher", toy_taxonomy)
+    def test_all_senses_animate(self, senses):
+        r = noun_ratios("teacher", senses)
         assert r == (1.0, 0.0, 1)
 
-    def test_unknown_lemma_gives_no_senses(self, toy_taxonomy):
-        assert noun_ratios("quux", toy_taxonomy) == (0.0, 0.0, 0)
+    def test_unknown_lemma_gives_no_senses(self, senses):
+        assert noun_ratios("quux", senses) == (0.0, 0.0, 0)
 
-    def test_verb_three_of_four_communication(self, toy_taxonomy):
-        r = verb_ratios("address", toy_taxonomy)
+    def test_verb_three_of_four_communication(self, senses):
+        r = verb_ratios("address", senses)
         assert r.animate == 0.75
         assert r.total == 4
 
-    def test_unknown_verb(self, toy_taxonomy):
-        assert verb_ratios("frobnicate", toy_taxonomy) == (0.0, 0.0, 0)
+    def test_unknown_verb(self, senses):
+        assert verb_ratios("frobnicate", senses) == (0.0, 0.0, 0)
 
-    def test_non_subject_has_zero_verb_ratios(self, toy_taxonomy):
+    def test_non_subject_has_zero_verb_ratios(self, senses):
         np = make_np(head="head", is_subject=False)
-        r = compute_ratios(np, toy_taxonomy)
+        r = compute_ratios(np, senses)
         assert r.verb_animacy == 0.0 and r.verb_inanimacy == 0.0
         assert r.verb_sense_total == 0
 
-    def test_complement_identity_holds_exactly(self, toy_taxonomy):
+    def test_complement_identity_holds_exactly(self, toy_taxonomy, senses):
         for lemma in toy_taxonomy.lemmas("n"):
-            r = noun_ratios(lemma, toy_taxonomy)
+            r = noun_ratios(lemma, senses)
             if r.total > 0:
                 assert r.animate + r.inanimate == 1.0
 
@@ -88,10 +94,10 @@ class TestCascade:
         assert classify_rule(np, r, reflexive_counts=True) is Label.ANIMATE
         assert classify_rule(np, r, reflexive_counts=False) is Label.INANIMATE
 
-    def test_determinism(self, toy_taxonomy):
+    def test_determinism(self, senses):
         np = make_np(head="mouse", is_subject=True, verb_lemma="run")
-        first = classify_np(np, toy_taxonomy)
-        assert all(classify_np(np, toy_taxonomy) is first for _ in range(5))
+        first = classify_np(np, senses)
+        assert all(classify_np(np, senses) is first for _ in range(5))
 
 
 class TestProperties:
@@ -107,12 +113,12 @@ class TestProperties:
         if before is Label.ANIMATE:
             assert after is Label.ANIMATE
 
-    def test_degenerate_thresholds_make_any_animate_sense_decisive(self, toy_taxonomy):
+    def test_degenerate_thresholds_make_any_animate_sense_decisive(self, toy_taxonomy, senses):
         th = Thresholds(0.0, 1.0, 1.0)
         for lemma in toy_taxonomy.lemmas("n"):
-            r = noun_ratios(lemma, toy_taxonomy)
+            r = noun_ratios(lemma, senses)
             np = make_np(head=lemma)
-            label = classify_np(np, toy_taxonomy, thresholds=th)
+            label = classify_np(np, senses, thresholds=th)
             if r.animate > 0:
                 assert label is Label.ANIMATE
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from animacy.fileio import write_atomic
 from animacy.taxonomy import (
     BeginnerClass,
+    SenseTable,
     Synset,
     Taxonomy,
     TaxonomyError,
@@ -210,10 +211,10 @@ def oracle_synset(line):
     if len(fields) != 6:
         raise TaxonomyError(f"expected 6 tab-separated fields, got {len(fields)}")
     _, sid, pos, lexfile, lemmas, hypernyms = fields
-    try:
-        lex = int(lexfile)
-    except ValueError:
-        raise TaxonomyError(f"bad lexfile number {lexfile!r}") from None
+    # the writers' spelling: ASCII digits, optionally negative
+    if not re.fullmatch(r"-?[0-9]+", lexfile, re.ASCII):
+        raise TaxonomyError(f"bad lexfile number {lexfile!r}")
+    lex = int(lexfile)
     lemmas = tuple(x for x in lemmas.split(",") if x)
     hypernyms = tuple(x for x in hypernyms.split(",") if x)
     if not sid:
@@ -234,8 +235,9 @@ def oracle_synset(line):
 
 def oracle_load(path):
     synsets = []
-    # undecodable bytes read as lone surrogates, reported by line
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+    # undecodable bytes read as lone surrogates, reported by line; a
+    # leading byte-order mark is dropped
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.rstrip("\n")
             escaped = [c for c in line if "\udc80" <= c <= "\udcff"]
@@ -386,6 +388,54 @@ class TestBeginnerClass:
     def test_empty_set_rejected(self):
         with pytest.raises(TaxonomyError):
             BeginnerClass(animate_noun_lexfiles=frozenset())
+
+
+def sense_mass(senses, is_animate, weights=None):
+    """Animate and inanimate mass over `senses`, in sense order: each
+    sense adds its weight, or 1 without weights, to the side that
+    `is_animate` picks, decided anew on every call."""
+    animate = 0.0
+    inanimate = 0.0
+    for sid in senses:
+        mass = weights[sid] if weights is not None else 1.0
+        if is_animate(sid):
+            animate += mass
+        else:
+            inanimate += mass
+    return animate, inanimate
+
+
+class TestSenseTable:
+    def test_each_sense_is_judged_once(self):
+        t = Taxonomy([
+            Synset("a", "n", ("fox", "oak"), (), 5),
+            Synset("b", "n", ("fox",), (), 6),
+            Synset("c", "v", ("fox",), (), 31),
+        ])
+        asked = []
+        table = SenseTable(t, lambda sid: asked.append(sid) or sid != "b")
+        for _ in range(2):
+            assert table.mass("fox", "n") == (1.0, 1.0)
+            assert table.mass("oak", "n", {"a": 0.25}) == (0.25, 0.0)
+            assert table.mass("fox", "v") == (1.0, 0.0)
+            assert table.senses("elm", "n") == ()
+        assert asked == ["a", "b", "c"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(taxonomy=random_taxonomies(mixed_pos=True), data=st.data())
+    def test_masses_match_oracle_exactly(self, taxonomy, data):
+        animate = data.draw(st.sets(st.sampled_from(list(taxonomy))))
+        table = SenseTable(taxonomy, animate.__contains__)
+        weight = st.sampled_from([0.0, 1.0, 0.1, 1 / 3]) | st.floats(0.0, 1.0)
+        for lemma in (*LEMMAS, "ghost"):
+            for pos in ("n", "v"):
+                senses = taxonomy.senses(lemma, pos)
+                assert table.senses(lemma, pos) == senses
+                weights = {sid: data.draw(weight) for sid in senses}
+                for given_weights in (None, weights):
+                    got = table.mass(lemma, pos, given_weights)
+                    expected = sense_mass(senses, animate.__contains__, given_weights)
+                    assert [x.hex() for x in got] == [x.hex() for x in expected]
 
 
 class TestGeneratedTaxonomies:
@@ -540,7 +590,8 @@ def corrupt(lines, kind, rng):
             else:
                 fields[5] = "ghost"
     elif kind == "bad lexfile":
-        fields[3] = rng.choice(["x", "", "1.5"])
+        # `int` alone would take the last four
+        fields[3] = rng.choice(["x", "", "1.5", "1_8", "+5", " 5", "\u0661\u0668"])
     elif kind == "uppercase lemma":
         fields[4] = rng.choice([fields[4].upper(), fields[4].capitalize()])
     elif kind == "duplicate lemma":
@@ -664,6 +715,12 @@ EDGE_CASES = {
         "SYNSET\tr\tn\tx\tthing\t\nSYNSET\tc\tn\t5\tcaf\udce9\tr\n"
     ),
     "byte order mark": "\ufeffSYNSET\tr\tn\t18\tthing\t\n",
+    "underscore in a lexfile": "SYNSET\tr\tn\t1_8\tthing\t\n",
+    "plus sign on a lexfile": "SYNSET\tr\tn\t18\tthing\t\nSYNSET\tc\tn\t+5\tcat\tr\n",
+    "space after a lexfile": "SYNSET\tr\tn\t18 \tthing\t\n",
+    "arabic-indic lexfile": "SYNSET\tr\tn\t\u0661\u0668\tthing\t\n",
+    "arabic-indic lexfile on a line to clean": "SYNSET\tr\tn\t\u0661\u0668\tthing\n",
+    "negative lexfile": "SYNSET\tr\tn\t-18\tthing\t\n",
     "unknown record kind": "SYNSET\tr\tn\t18\tthing\t\nSYNSETS\tc\tn\t5\tcat\tr\n",
     "record kind alone": "SYNSET\tr\tn\t18\tthing\t\nSYNSET\n",
     "too many fields": "SYNSET\tr\tn\t18\tthing\t\t\n",

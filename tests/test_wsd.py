@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from animacy.corpus import Document
 from animacy.enrichment import EnrichedTaxonomy, Status
 from animacy.mbl import extract_features
-from animacy.rules import noun_ratios, verb_ratios
-from animacy.taxonomy import NOUN, BeginnerClass, Synset, Taxonomy, sense_mass
+from animacy.rules import noun_ratios, sense_table, verb_ratios
+from animacy.taxonomy import NOUN, BeginnerClass, Synset, Taxonomy
 from animacy.wsd import (
     ICTable,
     SenseWeighting,
@@ -19,7 +19,7 @@ from animacy.wsd import (
     load_counts,
 )
 from tests.test_corpus import make_np
-from tests.test_taxonomy import random_taxonomies
+from tests.test_taxonomy import random_taxonomies, sense_mass
 
 
 def pair_taxonomy():
@@ -430,7 +430,7 @@ class TestDisambiguation:
 def head_mass(lemma, weighting, enriched):
     """The weighted head-noun sense mass that `extract_features` encodes."""
     features = extract_features(
-        make_np(head=lemma), Document("d", (), 0, 0), enriched, BeginnerClass(), weighting,
+        make_np(head=lemma), Document("d", (), 0, 0), enriched.sense_table(), weighting,
     )
     return features.animate_senses, features.inanimate_senses
 
@@ -468,14 +468,11 @@ class TestWeightedCounts:
 
     def test_uniform_reproduces_rule_ratios_exactly(self, toy_taxonomy):
         uniform = uniform_weighting(toy_taxonomy)
+        senses = sense_table(toy_taxonomy)
         for lemma in toy_taxonomy.lemmas("n"):
-            assert noun_ratios(lemma, toy_taxonomy) == noun_ratios(
-                lemma, toy_taxonomy, weighting=uniform
-            )
+            assert noun_ratios(lemma, senses) == noun_ratios(lemma, senses, weighting=uniform)
         for lemma in toy_taxonomy.lemmas("v"):
-            assert verb_ratios(lemma, toy_taxonomy) == verb_ratios(
-                lemma, toy_taxonomy, weighting=uniform
-            )
+            assert verb_ratios(lemma, senses) == verb_ratios(lemma, senses, weighting=uniform)
 
     def test_fallback_chain_covers_undecided_senses(self, toy_taxonomy):
         undecided = EnrichedTaxonomy(
@@ -509,11 +506,49 @@ def drawn_weightings(draw):
     return weights
 
 
+# two beginner classes that split the drawn beginners differently
+RULE_CLASSES = (BeginnerClass(), BeginnerClass(animate_noun_lexfiles=frozenset({6, 18}),
+                                               animate_verb_lexfiles=frozenset({30, 38})))
+
+
+@st.composite
+def drawn_beginners(draw):
+    """The lexfile of the unique beginner above each sense of LEMMA_SENSES."""
+    return {sid: draw(st.sampled_from((5, 6, 18) if sid[0] == "n" else (30, 31, 38)))
+            for noun, verb in LEMMA_SENSES.values() for sid in noun + verb}
+
+
+def beginner_taxonomy(beginners):
+    """Every sense of LEMMA_SENSES, in order, below a chain to the root
+    whose lexfile `beginners` gives it; the senses' own lexfile is 0."""
+    synsets = [Synset(f"root-{pos}{lexfile}", pos, (f"root{lexfile}",), (), lexfile)
+               for pos, lexfile in sorted({(sid[0], lex) for sid, lex in beginners.items()})]
+    for lemma, (noun, verb) in LEMMA_SENSES.items():
+        for sid in noun + verb:
+            synsets.append(Synset(f"{sid}-mid", sid[0], (f"mid-{sid}",),
+                                  (f"root-{sid[0]}{beginners[sid]}",), 0))
+            synsets.append(Synset(sid, sid[0], (lemma,), (f"{sid}-mid",), 0))
+    return Taxonomy(synsets)
+
+
+def oracle_rule_ratios(senses, is_animate, weights):
+    """The rule method's fractions over `senses`: weighted masses, or
+    plain counts when there are no weights or they sum to zero."""
+    if not senses:
+        return (0.0, 0.0, 0)
+    animate, inanimate = sense_mass(senses, is_animate, weights)
+    if animate + inanimate == 0.0:
+        animate, inanimate = sense_mass(senses, is_animate)
+    share = animate / (animate + inanimate)
+    return (share, 1.0 - share, len(senses))
+
+
 class TestWeightTableMatchesFlatOracle:
     @settings(max_examples=300, deadline=None)
     @given(weights=drawn_weightings(), animate=st.sets(st.sampled_from(
-        ["n1", "n2", "n3", "n4", "n5", "n6", "n7", "v1", "v2", "v3"])), data=st.data())
-    def test_for_lemma_and_sense_mass(self, weights, animate, data):
+        ["n1", "n2", "n3", "n4", "n5", "n6", "n7", "v1", "v2", "v3"])),
+        beginners=drawn_beginners(), data=st.data())
+    def test_for_lemma_and_sense_mass(self, weights, animate, beginners, data):
         table = SenseWeighting(weights)
         oracle = FlatSenseWeighting(
             {(lemma, sid): w for lemma, per_sense in weights.items() for sid, w in per_sense.items()}
@@ -530,3 +565,20 @@ class TestWeightTableMatchesFlatOracle:
                 mass = sense_mass(asked, animate.__contains__, got)
                 assert [x.hex() for x in mass] == [
                     x.hex() for x in sense_mass(asked, animate.__contains__, expected)]
+
+        # the rule ratios under the drawn beginners, one sense table per
+        # beginner class, the classes taking turns on every lemma
+        taxonomy = beginner_taxonomy(beginners)
+        tables = [sense_table(taxonomy, classes) for classes in RULE_CLASSES]
+        for _ in range(2):
+            for lemma in (*LEMMA_SENSES, "ghost"):
+                for pos, ratios, senses in zip(
+                        "nv", (noun_ratios, verb_ratios), LEMMA_SENSES.get(lemma, ((), ()))):
+                    for senses_of, classes in zip(tables, RULE_CLASSES):
+                        got = ratios(lemma, senses_of, table)
+                        expected = oracle_rule_ratios(
+                            senses, lambda sid: classes.is_animate(beginners[sid], pos),
+                            oracle.for_lemma(lemma, senses))
+                        assert got.total == expected[2], (lemma, pos)
+                        assert [x.hex() for x in got[:2]] == [
+                            x.hex() for x in expected[:2]], (lemma, pos, classes)
