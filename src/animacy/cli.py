@@ -18,7 +18,7 @@ from itertools import chain
 from . import evaluation, mbl, resolution, rules, wndb, wsd
 from .corpus import Label, dump_corpus, load_corpus, run_annotation_session
 from .enrichment import dump_statuses, enrich, load_enriched
-from .fileio import read_lines, write_atomic
+from .fileio import is_int, read_lines, write_atomic
 from .taxonomy import BeginnerClass, dump_taxonomy, load_taxonomy
 
 
@@ -38,6 +38,10 @@ def _load_predictions(path) -> dict[tuple[str, int, int], Label]:
         try:
             if len(fields) != 4:
                 raise ValueError("expected 4 fields")
+            # ids spelled as the corpus loader takes them, not as `int` does
+            for text, what in ((fields[1], "sentence id"), (fields[2], "np id")):
+                if not is_int(text):
+                    raise ValueError(f"bad {what} {text!r}")
             key = (fields[0], int(fields[1]), int(fields[2]))
             label = Label(fields[3])
             if key in out:

@@ -5,8 +5,9 @@ hypernym ancestor (once per occurrence, even when diamond structure offers
 several paths).  Verb synsets are counted through the gold animacy of the
 subjects governed by the verb; with no verb sense annotation available,
 each occurrence credits every sense of the verb lemma.  Occurrences are
-first tallied per distinct sense key and verb lemma, and each tally is
-then propagated through its closure once.
+first tallied per distinct sense key and verb lemma; one level-wise pass
+over the taxonomy's hypernym columns then finds every (tally, synset)
+pair of the closures, each once, and sums the tallies per synset.
 
 A synset whose observed occurrences are all of one class takes that class
 outright.  A synset with mixed evidence is tested twice with a goodness-of
@@ -25,9 +26,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
+import numpy as np
+
 from .corpus import Document, Label, np_columns
 from .fileio import read_lines
-from .taxonomy import VERB, BeginnerClass, SenseTable, Taxonomy, TaxonomyError
+from .taxonomy import VERB, BeginnerClass, SenseTable, Taxonomy, TaxonomyError, _gather
 
 # Validity rule for the goodness-of-fit test: at most this fraction of
 # cells may have an expected frequency below the floor.
@@ -47,24 +50,18 @@ class Status(str, enum.Enum):
 class SynsetCounts:
     """Per-synset animate/inanimate occurrence counts (direct + inherited).
 
-    `accumulate_counts` also tallies occurrences per sense key and per
-    verb lemma in this shape before propagating them.
+    Two int columns with the same keys: in taxonomy order as
+    `accumulate_counts` returns them, else in order of first `add`.
     """
 
     def __init__(self):
-        # two columns with the same keys, in order of first credit
         self._animate: dict[str, int] = {}
         self._inanimate: dict[str, int] = {}
 
     def add(self, sid: str, animate: bool, amount: int = 1) -> None:
-        self.credit((sid,), amount if animate else 0, 0 if animate else amount)
-
-    def credit(self, sids: Iterable[str], animate: int, inanimate: int) -> None:
-        """Add the given animate and inanimate amounts at every synset."""
         ani, inani = self._animate, self._inanimate
-        for sid in sids:
-            ani[sid] = ani.get(sid, 0) + animate
-            inani[sid] = inani.get(sid, 0) + inanimate
+        ani[sid] = ani.get(sid, 0) + (amount if animate else 0)
+        inani[sid] = inani.get(sid, 0) + (0 if animate else amount)
 
     def animate(self, sid: str) -> int:
         return self._animate.get(sid, 0)
@@ -216,6 +213,16 @@ def chi2_critical(df: int, alpha: float = 0.05) -> float:
             hi = mid
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of an int array, ascending: `np.unique` by one
+    sort, which on ints is several times faster than its hashing path."""
+    keys = np.sort(keys)
+    first = np.empty(keys.size, bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
 def accumulate_counts(
     docs: Iterable[Document],
     taxonomy: Taxonomy,
@@ -226,14 +233,19 @@ def accumulate_counts(
     of its ancestors receive one increment per occurrence.  Subjects with a
     known governing verb additionally credit the union of that verb's
     senses and their ancestors.  Occurrences are tallied per distinct
-    sense key and per distinct verb lemma first, and each tally is added
-    along its closure once.  Returns the counts plus a list of skipped
+    sense key and per distinct verb lemma first.  Each tally then owns the
+    synsets it credits: one pass up the hypernym columns, level by level,
+    collects the (owner, synset) pairs, each once however many paths or
+    depths reach it, and the tallies are summed per synset.  Returns the
+    counts, observed synsets in taxonomy order, plus a list of skipped
     records whose sense key did not resolve, as (doc, sent, np, sense), in
     corpus order.  The NPs are read from their columns (`np_columns`).
     """
-    # occurrences per sense key and per verb lemma, then per synset
-    by_sense, by_verb, counts = SynsetCounts(), SynsetCounts(), SynsetCounts()
+    # [animate, inanimate] occurrences per sense key and per verb lemma
+    by_sense: dict[str, list[int]] = {}
+    by_verb: dict[str, list[int]] = {}
     skipped: list[tuple[str, int, int, str]] = []
+    index, n = taxonomy._index, len(taxonomy)
     columns, _ = np_columns(docs)
     for key, gold, sense, subject, verb in zip(
         columns.keys, columns.gold, columns.sense_key, columns.is_subject,
@@ -241,42 +253,55 @@ def accumulate_counts(
     ):
         if gold is None:
             continue
-        animate = gold is Label.ANIMATE
+        side = gold is not Label.ANIMATE
         if sense is not None:
-            if sense in taxonomy:
-                by_sense.add(sense, animate)
+            if sense in index:
+                tally = by_sense.get(sense) or by_sense.setdefault(sense, [0, 0])
+                tally[side] += 1
             else:
                 skipped.append((*key, sense))
         if subject and verb is not None:
-            by_verb.add(verb, animate)
+            tally = by_verb.get(verb) or by_verb.setdefault(verb, [0, 0])
+            tally[side] += 1
 
-    for key in by_sense.observed_ids():
-        counts.credit(taxonomy.ancestors(key, include_self=True),
-                      by_sense.animate(key), by_sense.inanimate(key))
-    for lemma in by_verb.observed_ids():
-        touched: set[str] = set()
-        for vid in taxonomy.senses(lemma, VERB):
-            touched |= taxonomy.ancestors(vid, include_self=True)
-        counts.credit(touched, by_verb.animate(lemma), by_verb.inanimate(lemma))
+    # owner k is the k-th sense key, then the verb lemmas; each starts at
+    # its own synset or at every sense of its lemma
+    starts = [[index[key]] for key in by_sense]
+    starts += [[index[vid] for vid in taxonomy.senses(lemma, VERB)] for lemma in by_verb]
+    tallies = np.array([*by_sense.values(), *by_verb.values()], np.int64).reshape(-1, 2)
+    owner = np.repeat(np.arange(len(starts)), [len(nodes) for nodes in starts])
+    node = np.array([i for nodes in starts for i in nodes], np.intp)
+    up = np.frombuffer(taxonomy._up, np.int64)
+    links = np.frombuffer(taxonomy._up_links, np.int64)
+    level = _distinct(owner * n + node)
+    levels = [level]
+    while level.size:
+        owner, node = np.divmod(level, n)
+        owner = np.repeat(owner, up[node + 1] - up[node])
+        level = _distinct(owner * n + _gather(up, links, node))
+        levels.append(level)
+    # a synset reached at several depths is one pair of its owner
+    owner, node = np.divmod(_distinct(np.concatenate(levels)), n)
+    # sums of whole numbers in float64 stay exact up to 2**53
+    animate = np.bincount(node, tallies[owner, 0], n).astype(np.int64)
+    inanimate = np.bincount(node, tallies[owner, 1], n).astype(np.int64)
+    observed = np.flatnonzero(animate + inanimate)
+    counts = SynsetCounts()
+    ids = [taxonomy._ids[i] for i in observed.tolist()]
+    counts._animate = dict(zip(ids, animate[observed].tolist()))
+    counts._inanimate = dict(zip(ids, inanimate[observed].tolist()))
     return counts, skipped
 
 
-def _table_for(node: str, counts: SynsetCounts, taxonomy: Taxonomy,
-               animate_hypothesis: bool) -> list[Cell]:
-    cells = []
-    for child in taxonomy.hyponyms(node):
-        total = counts.total(child)
-        if total == 0:
-            continue
-        observed = counts.animate(child) if animate_hypothesis else counts.inanimate(child)
-        cells.append(Cell(sid=child, observed=observed, expected=total))
-    return cells
-
-
-def _test_passes(cells: list[Cell], alpha: float) -> bool:
-    if not cells:
+def _test_passes(children: list[tuple[str, int, int]], animate_hypothesis: bool,
+                 alpha: float) -> bool:
+    """The chi-square test of one hypothesis over the observed hyponyms,
+    given as (id, animate count, inanimate count)."""
+    # one cell, merged or not, leaves no degree of freedom
+    if len(children) < 2:
         return False
-    result = chi_square(cells)
+    result = chi_square([Cell(sid, ani if animate_hypothesis else inani, ani + inani)
+                         for sid, ani, inani in children])
     if not result.valid or result.df < 1:
         return False
     return result.statistic < chi2_critical(result.df, alpha)
@@ -304,8 +329,10 @@ def classify_node(
     if ani == 0:
         return Status.INANIMATE
 
-    animate_ok = _test_passes(_table_for(node, counts, taxonomy, True), alpha)
-    inanimate_ok = _test_passes(_table_for(node, counts, taxonomy, False), alpha)
+    children = [(child, counts.animate(child), counts.inanimate(child))
+                for child in taxonomy.hyponyms(node) if counts.total(child)]
+    animate_ok = _test_passes(children, True, alpha)
+    inanimate_ok = _test_passes(children, False, alpha)
     if animate_ok and inanimate_ok:
         if ani > inani:
             return Status.ANIMATE
@@ -365,17 +392,42 @@ class EnrichedTaxonomy:
 
     def sense_table(self, beginners: BeginnerClass = BeginnerClass()) -> SenseTable:
         """The senses of the base taxonomy under `resolve_animate` with
-        `beginners`: each sense is resolved once per table."""
-        return SenseTable(self.base, lambda sid: self.resolve_animate(sid, beginners))
+        `beginners`: each sense is resolved once per table.
+
+        An Undecided sense with exactly one hypernym answers as that
+        hypernym does (see `resolve_animate`), so a chain of them is
+        climbed once and its answer kept for every node on it, in a memo
+        per table; only an Undecided root or multi-parent node walks.
+        """
+        base, column, memo = self.base, self._status, {}
+
+        def is_animate(sid: str) -> bool:
+            chain = []
+            while column[sid] is Status.UNDECIDED and sid not in memo:
+                parents = base.hypernyms(sid)
+                if len(parents) != 1:
+                    memo[sid] = self.resolve_animate(sid, beginners)
+                    break
+                chain.append(sid)
+                sid = parents[0]
+            answer = memo[sid] if sid in memo else column[sid] is Status.ANIMATE
+            for sid in chain:
+                memo[sid] = answer
+            return answer
+
+        return SenseTable(base, is_animate)
 
     def resolve_animate(self, sid: str, beginners: BeginnerClass) -> bool:
         """Animacy of one sense, with fallbacks for Undecided statuses.
 
         An Undecided sense takes the majority of its nearest decided
         ancestors, found breadth-first; when they tie, or when no ancestor
-        is decided, the unique-beginner class has the final say.  A
-        parent's answer cannot stand in for the frontier at a multi-parent
-        node, so each call walks; `sense_table` keeps the answers.
+        is decided, the unique-beginner class has the final say.  Each
+        call walks.  Below a node with exactly one hypernym, the frontier
+        is the hypernym's own shifted by one level and `beginner_of`
+        follows the chain, so that hypernym's answer is the node's too;
+        `sense_table` relies on it.  At a multi-parent node no parent's
+        answer can stand in for the merged frontier.
         """
         status = self.status(sid)
         if status is not Status.UNDECIDED:
@@ -411,13 +463,17 @@ def enrich(
 
     The per-node decision depends only on the accumulated counts, so the
     outcome is independent of traversal order.  A synset without counts is
-    Undecided, so only the observed synsets are tested.  Records whose
-    sense key is not in the taxonomy are kept on the result as `skipped`.
+    Undecided and one with counts of a single class takes that class, as
+    `classify_node` decides them; only the mixed synsets are tested.
+    Records whose sense key is not in the taxonomy are kept on the result
+    as `skipped`.
     """
     counts, skipped = accumulate_counts(docs, taxonomy)
     status = dict.fromkeys(taxonomy, Status.UNDECIDED)
-    for sid in counts.observed_ids():
-        status[sid] = classify_node(sid, counts, taxonomy, alpha)
+    animate = counts._animate
+    for sid, ani, inani in zip(animate, animate.values(), counts._inanimate.values()):
+        status[sid] = (Status.ANIMATE if not inani else Status.INANIMATE if not ani
+                       else classify_node(sid, counts, taxonomy, alpha))
     return EnrichedTaxonomy._from_column(taxonomy, status, skipped)
 
 

@@ -317,7 +317,7 @@ class Taxonomy:
         """Hypernym closure of a synset.
 
         Shared ancestors reached along several paths appear once, which is
-        what occurrence propagation relies on.
+        what IC count propagation (`wsd`) relies on.
         """
         cached = self._ancestor_cache.get(sid)
         if cached is None:

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import re
 import tempfile
 
 import numpy as np
@@ -436,7 +437,11 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("row, message", [
         ("d1\t0\t2\tX", "'X' is not a valid Label"),
-        ("d1\tzero\t2\tA", "invalid literal for int()"),
+        ("d1\tzero\t2\tA", "bad sentence id 'zero'"),
+        ("d1\t+0\t2\tA", "bad sentence id '+0'"),
+        ("d1\t0\t1_0\tA", "bad np id '1_0'"),
+        ("d1\t 3\t2\tA", "bad sentence id ' 3'"),
+        ("d1\t0\t\u0661\u0668\tA", "bad np id '\u0661\u0668'"),
     ])
     def test_bad_prediction_row(self, tmp_path, capsys, row, message):
         pred = tmp_path / "pred.tsv"
@@ -578,7 +583,11 @@ def oracle_load_predictions(lines):
             continue
         fields = line.split("\t")
         try:
-            key = (fields[0], int(fields[1]), int(fields[2]))
+            ids = fields[1], fields[2]
+            # ASCII digits after an optional '-', as the corpus loader reads ids
+            if not all(re.fullmatch(r"-?[0-9]+", text) for text in ids):
+                return lineno
+            key = (fields[0], *map(int, ids))
             label = Label(fields[3])
         except (ValueError, IndexError):
             return lineno
@@ -591,8 +600,8 @@ def oracle_load_predictions(lines):
 PREDICTION_LINES = st.lists(st.one_of(
     st.tuples(
         st.sampled_from(["d1", "d2", ""]),
-        st.sampled_from(["0", "1", "01", "-1", "x", ""]),
-        st.sampled_from(["0", "2", "+2", "1.5"]),
+        st.sampled_from(["0", "1", "01", "-1", "x", "", "+0", " 3"]),
+        st.sampled_from(["0", "2", "+2", "1.5", "1_0", "\u0661\u0668"]),
         st.sampled_from(["A", "I", "U", "X", "a", ""]),
     ).map("\t".join),
     st.lists(FREE_TEXT, max_size=6).map("\t".join),

@@ -408,6 +408,71 @@ class TestResolutionMemo:
             assert undecided.resolve_animate(sid, device_animate) is True
 
 
+class TestSenseTableMatchesOracle:
+    """The single-parent memo of `sense_table` answers as the walk does."""
+
+    BEGINNERS = TestResolutionMemo.BEGINNERS
+
+    @staticmethod
+    def walked(enriched):
+        """Record the senses `sense_table` hands to `resolve_animate`."""
+        calls = []
+        resolve = enriched.resolve_animate
+
+        def recording(sid, beginners):
+            calls.append(sid)
+            return resolve(sid, beginners)
+
+        enriched.resolve_animate = recording
+        return calls
+
+    @settings(max_examples=150, deadline=None)
+    @given(taxonomy=random_taxonomies(mixed_pos=True), data=st.data())
+    def test_flags_of_interleaved_tables(self, taxonomy, data):
+        ids = list(taxonomy)
+        # Undecided drawn most often, for long single-parent chains
+        statuses = data.draw(st.lists(
+            st.sampled_from([Status.ANIMATE, Status.INANIMATE] + [Status.UNDECIDED] * 3),
+            min_size=len(ids), max_size=len(ids),
+        ))
+        enriched = EnrichedTaxonomy(taxonomy, dict(zip(ids, statuses)))
+        walked = self.walked(enriched)
+        tables = [enriched.sense_table(b) for b in self.BEGINNERS]
+        queries = data.draw(st.permutations(
+            [(k, lemma, pos) for k in range(2) for lemma in LEMMAS for pos in "nv"]))
+        for k, lemma, pos in queries:
+            senses = tables[k].senses(lemma, pos)
+            flags = tables[k]._lemmas[pos][lemma][1]
+            assert flags == tuple(
+                oracle_resolve(enriched, sid, self.BEGINNERS[k]) for sid in senses), lemma
+        for sid in walked:
+            assert enriched.status(sid) is Status.UNDECIDED
+            assert len(taxonomy.hypernyms(sid)) != 1, sid
+
+    def test_single_parent_chain_below_a_tied_two_parent_node(self):
+        # "m" is Undecided under one animate and one inanimate root, so its
+        # frontier ties and its own lexfile (18) decides; the chain below
+        # it has other lexfiles, which `beginner_of` passes over
+        t = Taxonomy([
+            Synset("a", "n", ("ay",), (), 5),
+            Synset("i", "n", ("eye",), (), 6),
+            Synset("m", "n", ("em",), ("a", "i"), 18),
+            Synset("c1", "n", ("cone",), ("m",), 6),
+            Synset("c2", "n", ("ctwo",), ("c1",), 24),
+            Synset("c3", "n", ("cthree", "em"), ("c2",), 6),
+        ])
+        e = EnrichedTaxonomy(t, {"a": Status.ANIMATE, "i": Status.INANIMATE})
+        walked = self.walked(e)
+        for beginners, expected in zip(self.BEGINNERS, (True, False)):
+            table = e.sense_table(beginners)
+            # the leaf first, so the chain above it is memoized from below
+            for sid in ("c3", "c1", "c2", "m"):
+                assert table._is_animate(sid) is expected, sid
+                assert oracle_resolve(e, sid, beginners) is expected, sid
+            assert table.mass("em", "n") == (float(2 * expected), float(2 * (not expected)))
+        assert walked == ["m", "m"]
+
+
 class TestCountPropagationProperty:
     """Counts at a node must equal the occurrences in its closure, on any DAG."""
 
@@ -503,6 +568,75 @@ class TestCountsMatchOracle:
             for sid in taxonomy:
                 assert counts.animate(sid) == animate.get(sid, 0), sid
                 assert counts.inanimate(sid) == inanimate.get(sid, 0), sid
+
+
+def subject_doc(*events):
+    """One document of (sense key, verb lemma, gold) NPs, each a subject
+    when it has a verb."""
+    return [Document("d", tuple(
+        make_np(sent=0, np=i, head="w", gold=gold, sense_key=sense,
+                is_subject=verb is not None, verb_lemma=verb)
+        for i, (sense, verb, gold) in enumerate(events)), 0, 0)]
+
+
+class TestCountEdgeCases:
+    """Closure-pass corner cases, each checked against the per-occurrence
+    oracle."""
+
+    def assert_oracle_counts(self, docs, taxonomy):
+        (animate, inanimate), expected_skipped = oracle_accumulate_counts(docs, taxonomy)
+        counts, skipped = accumulate_counts(docs, taxonomy)
+        assert skipped == expected_skipped
+        assert counts.observed_ids() == tuple(
+            sid for sid in taxonomy if sid in animate or sid in inanimate)
+        for sid in taxonomy:
+            assert counts.animate(sid) == animate.get(sid, 0), sid
+            assert counts.inanimate(sid) == inanimate.get(sid, 0), sid
+        return counts, skipped
+
+    def test_node_reached_at_two_depths(self):
+        # "x" reaches "r" directly (one level up) and through "b" and "a"
+        # (three levels up): one credit per occurrence all the same
+        t = Taxonomy([
+            Synset("r", "n", ("top",), (), 6),
+            Synset("a", "n", ("ay",), ("r",), 6),
+            Synset("b", "n", ("bee",), ("a",), 6),
+            Synset("x", "n", ("ex",), ("b", "r"), 6),
+        ])
+        docs = subject_doc(("x", None, Label.ANIMATE), ("x", None, Label.INANIMATE),
+                           ("b", None, Label.ANIMATE))
+        counts, _ = self.assert_oracle_counts(docs, t)
+        assert (counts.animate("r"), counts.inanimate("r")) == (2, 1)
+
+    def test_verb_senses_sharing_ancestors(self):
+        # both senses of "go" lie under "v-move", which is credited once
+        t = Taxonomy([
+            Synset("v-act", "v", ("act",), (), 41),
+            Synset("v-move", "v", ("move",), ("v-act",), 38),
+            Synset("v-go-walk", "v", ("go",), ("v-move",), 38),
+            Synset("v-go-ride", "v", ("go", "ride"), ("v-move", "v-act"), 38),
+        ])
+        docs = subject_doc((None, "go", Label.ANIMATE), (None, "go", Label.ANIMATE),
+                           (None, "ride", Label.INANIMATE))
+        counts, _ = self.assert_oracle_counts(docs, t)
+        assert counts.animate("v-act") == counts.animate("v-move") == 2
+        assert counts.inanimate("v-act") == 1
+
+    def test_verb_lemma_without_senses(self, toy_taxonomy):
+        docs = subject_doc(("n-dog", "unseen", Label.ANIMATE), (None, "unseen", Label.ANIMATE))
+        counts, _ = self.assert_oracle_counts(docs, toy_taxonomy)
+        assert not any(toy_taxonomy.pos_of(sid) == VERB for sid in counts.observed_ids())
+
+    def test_empty_corpus(self, toy_taxonomy):
+        counts, skipped = self.assert_oracle_counts([], toy_taxonomy)
+        assert counts.observed_ids() == () and skipped == []
+
+    def test_every_key_skipped(self, toy_taxonomy):
+        docs = subject_doc(("n-ghost", None, Label.ANIMATE), ("ghost", None, Label.INANIMATE),
+                           ("n-ghost", None, None))
+        counts, skipped = self.assert_oracle_counts(docs, toy_taxonomy)
+        assert counts.observed_ids() == ()
+        assert skipped == [("d", 0, 0, "n-ghost"), ("d", 0, 1, "ghost")]
 
 
 class TestEnrichMatchesOracle:
