@@ -16,7 +16,7 @@ from dataclasses import astuple
 from itertools import chain
 
 from . import evaluation, mbl, resolution, rules, wndb, wsd
-from .corpus import Label, dump_corpus, load_corpus, run_annotation_session
+from .corpus import Label, dump_corpus, load_corpus, np_columns, run_annotation_session
 from .enrichment import dump_statuses, enrich, load_enriched
 from .fileio import is_int, read_lines, write_atomic
 from .taxonomy import BeginnerClass, dump_taxonomy, load_taxonomy
@@ -201,12 +201,10 @@ def cmd_classify(args) -> int:
     _check_method_flags(args)
     beginners = _beginners(args)
 
+    # one label per NP of `docs`, in corpus order
     if args.method in ("random", "weighted", "dummy"):
-        docs, weightings = load_corpus(args.corpus), None
-        labels = iter(evaluation.baseline(args.method, docs, seed=args.seed))
-
-        def predict(np, doc, weighting):
-            return next(labels)  # the baseline lists one label per NP, in order
+        docs = load_corpus(args.corpus)
+        labels = evaluation.baseline(args.method, docs, seed=args.seed)
     elif args.method == "rule":
         taxonomy = load_taxonomy(args.taxonomy)
         thresholds = rules.Thresholds(*[
@@ -215,10 +213,10 @@ def cmd_classify(args) -> int:
         docs = load_corpus(args.corpus)
         (weightings,) = _wsd_weightings(args, taxonomy, docs, docs)
         senses = rules.sense_table(taxonomy, beginners)
-
-        def predict(np, doc, weighting):
-            return rules.classify_np(np, senses, thresholds, weighting,
-                                     reflexive_counts=not args.no_reflexive)
+        labels = (rules.classify_np(np, senses, thresholds,
+                                    weightings[doc.doc_id] if weightings else None,
+                                    reflexive_counts=not args.no_reflexive)
+                  for doc in docs for np in doc.nps)
     else:
         # memory-based: train on --train, predict --test
         taxonomy = load_taxonomy(args.taxonomy)
@@ -228,18 +226,14 @@ def cmd_classify(args) -> int:
         train_weightings, weightings = _wsd_weightings(args, taxonomy, train_docs, train_docs, docs)
         store = mbl.build_store(train_docs, senses, train_weightings)
         config = mbl.MblConfig() if args.k is None else mbl.MblConfig(k=args.k)
-
-        def predict(np, doc, weighting):
-            query = mbl.extract_features(np, doc, senses, weighting)
-            return mbl.knn_classify(query, store, config)
+        queries = mbl.feature_table(docs, senses, weightings, store.table.lemma_ids)
+        labels = (mbl.knn_classify(queries, row, store, config)
+                  for row in range(len(queries.codes)))
 
     # one prediction line per NP: doc_id, sent_id, np_id, label
-    lines = []
-    for doc in docs:
-        weighting = weightings[doc.doc_id] if weightings else None
-        lines.extend("%s\t%d\t%d\t%s\n" % (*np.key, predict(np, doc, weighting).value)
-                     for np in doc.nps)
-    _write_output("".join(lines), args.out)
+    keys = np_columns(docs)[0].keys
+    _write_output("".join("%s\t%d\t%d\t%s\n" % (*key, label.value)
+                          for key, label in zip(keys, labels, strict=True)), args.out)
     return 0
 
 

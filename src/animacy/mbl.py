@@ -6,13 +6,14 @@ distance and lets the nearest neighbours vote.  Feature weights are gain
 ratios computed from the training instances alone.  `k` counts nearest
 *distances*: every instance tied at an included distance joins the vote.
 
-Instances are held as columns (`FeatureTable`), so one query costs a
-dozen vector operations over the whole store, and gain ratios count each
-(value, label) pair with `np.unique`.  Cross-validation extracts the
-features once into one table and builds each fold's store from row
-slices of it.  The vector arithmetic follows the scalar order of
-operations, so weights, distances and vote sums, and with them every
-exact tie, are the same bit for bit.
+Instances and queries are rows of a `FeatureTable` read from the NP
+columns, with no record or instance built per NP; one query costs a
+dozen vector operations over the whole store.  A query's lemma code is
+the store's: cross-validation queries the held-out rows of the one table
+that its fold stores are row slices of, and `classify` codes the test
+rows through the training store's `lemma_ids`.  The vector arithmetic
+follows the scalar order of operations, so weights, distances and vote
+sums, and with them every exact tie, are the same bit for bit.
 
 The instance encodes the head lemma, the lemma's animate and inanimate
 sense counts under the enriched taxonomy, the same pair for the governing
@@ -61,10 +62,6 @@ class FeatureVector:
     verb_inanimate: float
     pronoun_ratio: float
     label: Label | None = None
-
-    def numeric(self) -> tuple[float, ...]:
-        return (self.animate_senses, self.inanimate_senses,
-                self.verb_animate, self.verb_inanimate, self.pronoun_ratio)
 
 
 @dataclass(frozen=True)
@@ -115,10 +112,11 @@ def _features(lemma: str, verb: str | None, ratio: float, table: SenseTable,
 
 @dataclass(frozen=True, eq=False)
 class FeatureTable:
-    """Labelled instances as columns: int64 lemma codes (`lemma_ids` maps
-    each lemma to its code), the 5 x n float64 numeric block and int8 codes
-    into `LABELS`.  Row slices share the whole table's lemma codes, so a
-    lemma that a slice lacks has a code that no row of the slice holds.
+    """Instances or queries as columns: int64 lemma codes (`lemma_ids`
+    maps each lemma to its code, -1 for one it lacks), the 5 x n float64
+    numeric block and int8 codes into `LABELS` (-1: no label).  Row slices
+    share the whole table's lemma codes, so a lemma that a slice lacks has
+    a code that no row of the slice holds.
     """
 
     lemma_ids: dict[str, int]
@@ -127,30 +125,21 @@ class FeatureTable:
     labels: np.ndarray
 
     @classmethod
-    def of(cls, instances: Iterable[FeatureVector]) -> "FeatureTable":
-        rows = tuple(instances)
-        return cls.of_columns([inst.lemma for inst in rows],
-                              [inst.numeric() for inst in rows],
-                              [inst.label for inst in rows])
-
-    @classmethod
     def of_columns(cls, lemmas: list[str], numeric: list[tuple[float, ...]],
-                   labels: list[Label | None]) -> "FeatureTable":
+                   labels: list[Label | None],
+                   lemma_ids: dict[str, int] | None = None) -> "FeatureTable":
         """The table of rows given as a lemma, a tuple of the numeric
-        features and a label each."""
-        if None in labels:
-            raise ValueError("training instances need labels")
-        lemma_ids: dict[str, int] = {}
-        codes = [lemma_ids.setdefault(lemma, len(lemma_ids)) for lemma in lemmas]
+        features and a label (or None) each.  Lemmas get codes of their
+        own, or those of `lemma_ids` if given."""
+        if lemma_ids is None:
+            lemma_ids = {}
+            codes = [lemma_ids.setdefault(lemma, len(lemma_ids)) for lemma in lemmas]
+        else:
+            codes = [lemma_ids.get(lemma, -1) for lemma in lemmas]
         block = np.array(numeric, dtype=np.float64).reshape(len(codes), len(_NUMERIC))
         return cls(lemma_ids, np.array(codes, dtype=np.int64), block.T.copy(),
-                   np.array([LABELS.index(label) for label in labels], dtype=np.int8))
-
-    def instances(self) -> tuple[FeatureVector, ...]:
-        """The rows as instances, in row order."""
-        lemmas = list(self.lemma_ids)
-        return tuple(FeatureVector(lemmas[code], *values, LABELS[label]) for code, values, label
-                     in zip(self.codes.tolist(), self.numeric.T.tolist(), self.labels.tolist()))
+                   np.array([-1 if label is None else LABELS.index(label) for label in labels],
+                            dtype=np.int8))
 
     def take(self, rows: np.ndarray) -> "FeatureTable":
         """The table of `rows`, in the order given."""
@@ -220,16 +209,15 @@ class InstanceStore:
 
     Weights and the per-feature value ranges used for distance scaling
     come from the stored instances only, never from queries.  The
-    instances are held as their `FeatureTable`, in store order, with one
-    boolean mask per label.  A store is built from instances or from a
-    table.
+    instances are held as the rows of their `FeatureTable`, in store order,
+    every row labelled, with one boolean mask per label.
     """
 
-    def __init__(self, instances: Iterable[FeatureVector] | FeatureTable):
-        table = (instances if isinstance(instances, FeatureTable)
-                 else FeatureTable.of(instances))
+    def __init__(self, table: FeatureTable):
         if not len(table.codes):
             raise ValueError("instance store cannot be empty")
+        if (table.labels < 0).any():
+            raise ValueError("training instances need labels")
         self.table = table
         self.weights = gain_ratio_weights(table)
         self.ranges = [(float(col.min()), float(col.max())) for col in table.numeric]
@@ -237,18 +225,15 @@ class InstanceStore:
             LABELS[code]: table.labels == code for code in np.unique(table.labels).tolist()
         }
 
-    @property
-    def instances(self) -> tuple[FeatureVector, ...]:
-        """The stored instances in store order, rebuilt from the columns."""
-        return self.table.instances()
-
 
 def knn_classify(
-    query: FeatureVector,
+    queries: FeatureTable,
+    row: int,
     store: InstanceStore,
     config: MblConfig = MblConfig(),
 ) -> Label:
-    """Vote of the nearest stored instances.
+    """Vote of the nearest stored instances on row `row` of `queries`,
+    whose lemma codes are those of the store's table.
 
     The distance is a weighted overlap: 0/1 mismatch on the lemma plus the
     range-scaled absolute difference on each numeric feature.  It is
@@ -261,9 +246,10 @@ def knn_classify(
     INANIMATE, the majority-class prior.
     """
     weights, table = store.weights, store.table
-    qid = table.lemma_ids.get(query.lemma, -1)
-    distances = weights[0] * (table.codes != qid)
-    for idx, value in enumerate(query.numeric()):
+    if queries.lemma_ids is not table.lemma_ids:
+        raise ValueError("query rows must be coded through the store's lemma_ids")
+    distances = weights[0] * (table.codes != queries.codes[row])
+    for idx, value in enumerate(queries.numeric[:, row].tolist()):
         lo, hi = store.ranges[idx]
         span = hi - lo
         # a zero weight adds nothing, and 0 * inf (a difference scaled by a
@@ -303,29 +289,34 @@ def knn_classify(
     return Label.INANIMATE if Label.INANIMATE in tied else tied[0]
 
 
-def _labelled_table(docs, senses, weightings):
-    """The corpus position of every gold-labelled NP of `docs`, in corpus
-    order, and the `FeatureTable` of their instances under the sense
-    table `senses`; `weightings` maps document ids to sense weightings.
-    The NPs are read from their columns (`np_columns`), with no
-    `NPRecord` or `FeatureVector` built per NP."""
+def feature_table(
+    docs: Sequence[Document],
+    senses: SenseTable,
+    weightings: dict[str, "SenseWeighting"] | None = None,
+    lemma_ids: dict[str, int] | None = None,
+) -> FeatureTable:
+    """The rows of `docs`' NPs in corpus order under the sense table
+    `senses`; `weightings` maps document ids to sense weightings.  These
+    are the gold-labelled NPs with lemma codes of their own, or, given a
+    store's `lemma_ids`, every NP coded through them.  The NPs are read
+    from their columns, with no `NPRecord` or `FeatureVector` per NP."""
     columns, counts = np_columns(docs)
     heads, subjects, verbs, golds = (
         columns.head_lemma, columns.is_subject, columns.verb_lemma, columns.gold)
-    positions, lemmas, numeric = [], [], []
+    lemmas, numeric, labels = [], [], []
     start = 0
     for doc, count in zip(docs, counts):
         ratio = pronoun_ratio(doc)
         weighting = weightings.get(doc.doc_id) if weightings else None
         for i in range(start, start + count):
-            if golds[i] is not None:
+            if lemma_ids is not None or golds[i] is not None:
                 lemma, values = _features(heads[i], verbs[i] if subjects[i] else None,
                                           ratio, senses, weighting)
-                positions.append(i)
                 lemmas.append(lemma)
                 numeric.append(values)
+                labels.append(golds[i])
         start += count
-    return positions, FeatureTable.of_columns(lemmas, numeric, [golds[i] for i in positions])
+    return FeatureTable.of_columns(lemmas, numeric, labels, lemma_ids)
 
 
 def build_store(
@@ -334,7 +325,7 @@ def build_store(
     weightings: dict[str, "SenseWeighting"] | None = None,
 ) -> InstanceStore:
     """Training store over every gold-labelled NP of a corpus."""
-    return InstanceStore(_labelled_table(list(docs), senses, weightings)[1])
+    return InstanceStore(feature_table(list(docs), senses, weightings))
 
 
 def cross_validate(
@@ -344,33 +335,30 @@ def cross_validate(
     config: MblConfig = MblConfig(),
     seed: int = 0,
     weightings: dict[str, "SenseWeighting"] | None = None,
-) -> tuple[EvalReport, list[tuple[NPRecord, Label]]]:
+) -> tuple[EvalReport, list[Label]]:
     """Seeded k-fold evaluation over the gold-labelled NPs.
 
     Instances are shuffled once and split into near-equal folds; each fold
     is predicted by a store built from the others, so feature weights never
-    see the held-out part.  Returns the pooled report plus per-NP
-    predictions in corpus order.
+    see the held-out part.  Returns the pooled report and the predicted
+    labels of the gold-labelled NPs, in corpus order.
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")
-    positions, table = _labelled_table(docs, senses, weightings)
-    every_np = [np_record for doc in docs for np_record in doc.nps]
-    labelled = [every_np[i] for i in positions]
-    if len(labelled) < folds:
-        raise ValueError(f"{len(labelled)} labelled instances cannot fill {folds} folds")
+    table = feature_table(docs, senses, weightings)
+    total = len(table.codes)
+    if total < folds:
+        raise ValueError(f"{total} labelled instances cannot fill {folds} folds")
 
-    features = table.instances()
-    rng = default_rng(seed)
-    order = rng.permutation(len(labelled))
-    predictions: list[Label | None] = [None] * len(labelled)
+    order = default_rng(seed).permutation(total)
+    predictions: list[Label | None] = [None] * total
     for fold_indices in np.array_split(order, folds):
-        held_out = np.zeros(len(labelled), dtype=bool)
+        held_out = np.zeros(total, dtype=bool)
         held_out[fold_indices] = True
         # the store keeps corpus order, without the held-out rows
         store = InstanceStore(table.take(np.flatnonzero(~held_out)))
         for idx in np.flatnonzero(held_out).tolist():
-            predictions[idx] = knn_classify(features[idx], store, config)
+            predictions[idx] = knn_classify(table, idx, store, config)
 
-    report = score([np_record.gold for np_record in labelled], predictions)
-    return report, list(zip(labelled, predictions))
+    report = score([LABELS[code] for code in table.labels.tolist()], predictions)
+    return report, predictions

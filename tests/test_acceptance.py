@@ -9,6 +9,7 @@ tie-break logic.
 
 import itertools
 from contextlib import contextmanager
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -23,7 +24,15 @@ from animacy.enrichment import (
     enrich,
 )
 from animacy.evaluation import as_percent, baseline, kappa, score
-from animacy.mbl import FeatureVector, InstanceStore, MblConfig, cross_validate, knn_classify
+from animacy.mbl import (
+    LABELS,
+    FeatureTable,
+    FeatureVector,
+    InstanceStore,
+    MblConfig,
+    cross_validate,
+    knn_classify,
+)
 from animacy.resolution import (
     gold_assignment,
     inject_errors,
@@ -194,13 +203,46 @@ def test_criterion_02_chi_square_decision_matches_oracle():
 
 # --- criterion 3: nearest-neighbour oracle ----------------------------------
 
+def numeric_of(inst):
+    """The five numeric features of a `FeatureVector`, in table order."""
+    return astuple(inst)[1:6]
+
+
+def table_of(instances, lemma_ids=None):
+    """The `FeatureTable` of a sequence of `FeatureVector`s, their lemmas
+    coded through `lemma_ids` if given."""
+    rows = tuple(instances)
+    return FeatureTable.of_columns([inst.lemma for inst in rows],
+                                   [numeric_of(inst) for inst in rows],
+                                   [inst.label for inst in rows], lemma_ids)
+
+
+def store_of(instances):
+    """The store of a sequence of labelled `FeatureVector`s, in order."""
+    return InstanceStore(table_of(instances))
+
+
+def instances_of(table):
+    """The labelled rows of a training `FeatureTable` as `FeatureVector`s,
+    in row order."""
+    lemmas = list(table.lemma_ids)
+    return tuple(FeatureVector(lemmas[code], *values, LABELS[label]) for code, values, label
+                 in zip(table.codes.tolist(), table.numeric.T.tolist(), table.labels.tolist()))
+
+
+def knn_of(query, store, config):
+    """`knn_classify` of one `FeatureVector`, as the one row of a table
+    coded through the store's lemma codes."""
+    return knn_classify(table_of([query], store.table.lemma_ids), 0, store, config)
+
+
 def oracle_knn(query, store, k):
     weights = store.weights
     ranges = store.ranges
     scored = []
-    for inst in store.instances:
+    for inst in instances_of(store.table):
         d = 0.0 if query.lemma == inst.lemma else weights[0]
-        qn, instn = query.numeric(), inst.numeric()
+        qn, instn = numeric_of(query), numeric_of(inst)
         for j in range(5):
             lo, hi = ranges[j]
             if hi > lo:
@@ -242,7 +284,7 @@ def test_criterion_03_knn_matches_exhaustive_oracle():
                 )
                 for _ in range(size)
             ]
-            store = InstanceStore(instances)
+            store = store_of(instances)
             query = FeatureVector(
                 lemma=lemma_pool[int(rng.integers(len(lemma_pool)))],
                 animate_senses=float(rng.integers(0, 5)),
@@ -252,9 +294,7 @@ def test_criterion_03_knn_matches_exhaustive_oracle():
                 pronoun_ratio=ratios_pool[int(rng.integers(len(ratios_pool)))],
             )
             k = int(rng.integers(1, 6))
-            assert knn_classify(query, store, MblConfig(k=k)) is oracle_knn(
-                query, store, k
-            )
+            assert knn_of(query, store, MblConfig(k=k)) is oracle_knn(query, store, k)
 
 
 def test_criterion_04_rule_cascade_branch_table():

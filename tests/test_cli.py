@@ -2,6 +2,7 @@ import hashlib
 import io
 import re
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -316,6 +317,66 @@ class TestPipeline:
         assert header.split("\t")[0] == "accuracy"
         assert float(row.split("\t")[0]) > 90.0  # trained and tested on itself
 
+    # heads the training corpus lacks (some under verbs it lacks), one
+    # out-of-vocabulary head, one unlabelled NP, and heads it holds
+    UNSEEN_TEST = [
+        "DOC\tt1\t6\t2",
+        "NP\tt1\t0\t0\tartifact\t1\taddress\t0\t0\tI\tn-artifact\tthe artifact",
+        "NP\tt1\t0\t1\tkid\t1\tgreet\t0\t0\tA\tn-child\tthe kid",
+        "NP\tt1\t0\t2\tfeline\t0\t-\t0\t0\tA\tn-cat-animal\ta feline",
+        "NP\tt1\t0\t3\twidget\t0\t-\t0\t0\tI\t-\ta widget",
+        "NP\tt1\t1\t0\tinstructor\t1\taddress\t0\t0\tA\tn-teacher\tthe instructor",
+        "NP\tt1\t1\t1\tthought\t0\t-\t0\t0\t-\t-\ta thought",
+        "NP\tt1\t1\t2\ttable\t0\t-\t0\t0\tI\tn-table\tthe table",
+        "DOC\tt2\t0\t3",
+        "NP\tt2\t0\t0\tcreature\t1\ttalk\t0\t0\tA\tn-animal\ta creature",
+        "NP\tt2\t0\t1\tlamp\t0\t-\t0\t0\tI\tn-lamp\tthe lamp",
+        "NP\tt2\t0\t2\tcat\t1\trun\t0\t0\tA\tn-cat-animal\tthe cat",
+        "NP\tt2\t0\t3\tanimal\t0\t-\t0\t0\tA\tn-animal\tan animal",
+    ]
+
+    @pytest.mark.parametrize("use_wsd", [False, True])
+    def test_ml_classify_on_another_corpus_matches_oracle(self, tmp_path, capsys, use_wsd):
+        """Test rows are coded through the training store's lemma codes:
+        each label equals the exhaustive oracle over per-NP instances.  At
+        k = 1, "artifact" (first, so a table coded afresh would give it
+        "teacher"'s code 0) and "animal" change label if their lemma
+        matches a stored one."""
+        from animacy import enrich, load_corpus, load_taxonomy
+        from animacy.mbl import OOV_LEMMA, extract_features
+        from animacy.wsd import document_weights, information_content
+        from tests.test_acceptance import oracle_knn, store_of
+
+        test_path = write_lines(tmp_path, self.UNSEEN_TEST)
+        outputs = {}
+        for k in (1, 3):
+            code, outputs[k], err = run(capsys, "classify", "--method", "ml", "--taxonomy", TAX,
+                                        "--train", CORPUS, "--test", test_path, "--k", str(k),
+                                        *(["--wsd"] if use_wsd else []))
+            assert (code, err) == (0, "")
+
+        taxonomy = load_taxonomy(TAX)
+        train_docs, test_docs = load_corpus(CORPUS), load_corpus(test_path)
+        senses = enrich(taxonomy, train_docs).sense_table()
+        weightings = {}
+        if use_wsd:
+            ic = information_content(train_docs, taxonomy)
+            weightings = {doc.doc_id: document_weights(doc, taxonomy, ic)
+                          for doc in (*train_docs, *test_docs)}
+        train = [extract_features(np, doc, senses, weightings.get(doc.doc_id))
+                 for doc in train_docs for np in doc.nps if np.gold is not None]
+        queries = [(np.key, extract_features(np, doc, senses, weightings.get(doc.doc_id)))
+                   for doc in test_docs for np in doc.nps]
+        stored = {inst.lemma for inst in train}
+        lemmas = {query.lemma for _, query in queries}
+        unseen = {"artifact", "kid", "feline", "instructor", "thought", "creature", "animal"}
+        assert OOV_LEMMA in lemmas & stored and {"table", "lamp", "cat"} <= lemmas & stored
+        assert unseen <= lemmas and unseen.isdisjoint(stored)
+        store = store_of(train)
+        for k, out in outputs.items():
+            assert out == "".join("%s\t%d\t%d\t%s\n" % (*key, oracle_knn(query, store, k).value)
+                                  for key, query in queries), k
+
     def test_xval_emits_report(self, capsys):
         code, out, _ = run(capsys, "xval", "--taxonomy", TAX, "--corpus", CORPUS,
                            "--folds", "5", "--seed", "3")
@@ -338,7 +399,7 @@ class TestPipeline:
     def test_enrich_reports_unresolved_sense_keys(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.tsv"
         corpus.write_text(
-            open(CORPUS, encoding="utf-8").read()
+            Path(CORPUS).read_text(encoding="utf-8")
             + "DOC\tghost\t0\t0\n"
             + "NP\tghost\t0\t0\tghost\t0\t-\t0\t0\tA\tn-ghost\ta ghost\n"
         )
@@ -554,7 +615,7 @@ class TestMalformedInput:
     @pytest.mark.parametrize("case", sorted(BAD_BYTE_CASES))
     def test_invalid_utf8_names_file_and_line(self, tmp_path, capsys, case):
         source, lineno, argv = self.BAD_BYTE_CASES[case]
-        text = source if "\n" in source else open(source, encoding="utf-8").read()
+        text = source if "\n" in source else Path(source).read_text(encoding="utf-8")
         lines = text.encode("utf-8").split(b"\n")
         lines[lineno - 1] += b"caf\xe9"
         bad = tmp_path / "bad.txt"

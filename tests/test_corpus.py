@@ -6,6 +6,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from animacy.cli import main
 from animacy.corpus import (
     CorpusError,
     Document,
@@ -18,10 +19,10 @@ from animacy.corpus import (
     pronoun_ratio,
     run_annotation_session,
 )
-from animacy.data import mini_corpus_path
+from animacy.data import mini_corpus_path, toy_taxonomy_path
 from animacy.enrichment import accumulate_counts
 from animacy.fileio import read_lines, write_atomic
-from animacy.mbl import build_store
+from animacy.mbl import build_store, cross_validate, feature_table
 from animacy.resolution import gold_assignment, sweep
 
 
@@ -204,15 +205,32 @@ def test_loaded_documents_build_records_on_first_read(built):
 
 
 def test_corpus_passes_build_no_records(built, toy_taxonomy, enriched):
-    """`gold_assignment`, `accumulate_counts`, `build_store` and `sweep`
-    read a loaded corpus from its NP columns."""
+    """`gold_assignment`, `accumulate_counts`, `build_store`,
+    `cross_validate`, `feature_table` (the query rows of `classify --method
+    ml`) and `sweep` read a loaded corpus from its NP columns."""
     docs = load_corpus(mini_corpus_path())
     labels = gold_assignment(docs)
     counts, _ = accumulate_counts(docs, toy_taxonomy)
     store = build_store(docs, enriched.sense_table())
+    _, predicted = cross_validate(docs, enriched.sense_table(), seed=7)
+    queries = feature_table(docs, enriched.sense_table(), lemma_ids=store.table.lemma_ids)
     grid = sweep(docs, [50, 100], [100], runs=2)
     assert built == []
-    assert labels and counts.observed_ids() and store.instances and grid.cells
+    assert labels and counts.observed_ids() and grid.cells
+    assert len(store.table.codes) == len(predicted) == 60 == len(queries.codes)
+
+
+@pytest.mark.parametrize("argv", [
+    ["xval", "--seed", "7", "--corpus", "{corpus}"],
+    ["classify", "--method", "ml", "--train", "{corpus}", "--test", "{corpus}"],
+])
+@pytest.mark.parametrize("wsd", [[], ["--wsd"]])
+def test_ml_commands_build_no_records(built, tmp_path, argv, wsd):
+    """`xval` and `classify --method ml` run on the corpus columns."""
+    out = tmp_path / "out.tsv"
+    argv = [arg.format(corpus=mini_corpus_path()) for arg in argv]
+    assert main([*argv, *wsd, "--taxonomy", toy_taxonomy_path(), "--out", str(out)]) == 0
+    assert built == [] and out.read_text()
 
 
 # --- the record-by-record loader, kept as an oracle for `load_corpus` --------

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -296,7 +297,7 @@ class TestEnrich:
 
         combined = tmp_path / "combined.tax"
         combined.write_text(
-            open(toy_taxonomy_path(), encoding="utf-8").read()
+            Path(toy_taxonomy_path()).read_text(encoding="utf-8")
             + dump_statuses(enriched)
         )
         assert load_taxonomy(combined) == toy_taxonomy

@@ -9,7 +9,6 @@ from animacy.enrichment import EnrichedTaxonomy, Status, enrich
 from animacy.evaluation import score
 from animacy.mbl import (
     OOV_LEMMA,
-    FeatureTable,
     FeatureVector,
     InstanceStore,
     MblConfig,
@@ -21,7 +20,14 @@ from animacy.mbl import (
 )
 from animacy.taxonomy import NOUN, VERB, BeginnerClass, Synset, Taxonomy
 from animacy.wsd import document_weights, information_content
-from tests.test_acceptance import oracle_knn
+from tests.test_acceptance import (
+    instances_of,
+    knn_of,
+    numeric_of,
+    oracle_knn,
+    store_of,
+    table_of,
+)
 from tests.test_corpus import make_np, reloaded
 from tests.test_taxonomy import sense_mass
 
@@ -35,7 +41,7 @@ A, I = Label.ANIMATE, Label.INANIMATE
 
 def gain_ratio_weights(instances):
     """The program's gain ratios of a list of instances."""
-    return table_gain_ratio(FeatureTable.of(instances))
+    return table_gain_ratio(table_of(instances))
 
 
 def _entropy(counts: dict) -> float:
@@ -150,24 +156,24 @@ class TestGainRatioMatchesOracle:
                                   max_size=len(instances), unique=True))
         if data.draw(st.booleans()):
             rows.sort()
-        table = FeatureTable.of(instances)
+        table = table_of(instances)
         sliced = InstanceStore(table.take(np.array(rows)))
-        direct = InstanceStore(instances[i] for i in rows)
+        direct = store_of(instances[i] for i in rows)
         assert sliced.weights == direct.weights
         assert sliced.ranges == direct.ranges
         assert list(sliced.label_masks) == list(direct.label_masks)
         for label, mask in direct.label_masks.items():
             assert np.array_equal(sliced.label_masks[label], mask)
-        assert sliced.instances == direct.instances
+        assert instances_of(sliced.table) == instances_of(direct.table)
         # every lemma of the table (stored in the slice or not) and one
         # outside it, against every stored numeric pattern
-        queries = [FeatureVector(lemma, *inst.numeric())
+        queries = [FeatureVector(lemma, *numeric_of(inst))
                    for inst in instances for lemma in (inst.lemma, "never-stored")]
         for k in (1, 2, 4):
             config = MblConfig(k=k)
             for query in queries:
-                assert (knn_classify(query, sliced, config)
-                        is knn_classify(query, direct, config)), (k, query)
+                assert (knn_of(query, sliced, config)
+                        is knn_of(query, direct, config)), (k, query)
 
 
 class TestExtractFeatures:
@@ -319,8 +325,8 @@ class TestBuildStoreMatchesOracle:
                     build_store(form, enriched.sense_table(), weightings=weightings)
                 continue
             store = build_store(form, enriched.sense_table(), weightings=weightings)
-            assert store.instances == expected
-            assert store.weights == InstanceStore(expected).weights
+            assert instances_of(store.table) == expected
+            assert store.weights == store_of(expected).weights
 
 
 class TestGainRatio:
@@ -351,7 +357,7 @@ class TestGainRatio:
         assert all(w == 0.0 for w in gain_ratio_weights(instances))
 
     def test_weights_non_negative(self, enriched, mini_corpus):
-        store = InstanceStore([
+        store = store_of([
             extract_features(np, doc, enriched.sense_table())
             for doc in mini_corpus for np in doc.nps if np.gold is not None
         ])
@@ -360,38 +366,38 @@ class TestGainRatio:
 
 class TestKnn:
     def test_identical_instance_k1(self):
-        store = InstanceStore([
+        store = store_of([
             vec(lemma="x", f2=1, label=A),
             vec(lemma="y", f3=1, label=I),
         ])
-        assert knn_classify(vec(lemma="x", f2=1), store, MblConfig(k=1)) is A
+        assert knn_of(vec(lemma="x", f2=1), store, MblConfig(k=1)) is A
 
     def test_majority_two_to_one(self):
-        store = InstanceStore([
+        store = store_of([
             vec(lemma="a", f2=1, label=A),
             vec(lemma="b", f2=1, label=A),
             vec(lemma="c", f3=1, label=I),
         ])
         # query matches nothing symbolically; three distinct distances
-        got = knn_classify(vec(lemma="q", f2=1), store, MblConfig(k=3))
+        got = knn_of(vec(lemma="q", f2=1), store, MblConfig(k=3))
         assert got is A
 
     def test_equidistant_tie_goes_inanimate(self):
-        store = InstanceStore([
+        store = store_of([
             vec(lemma="left", f2=0, label=A),
             vec(lemma="right", f2=2, label=I),
         ])
-        assert knn_classify(vec(lemma="q", f2=1), store, MblConfig(k=2)) is I
+        assert knn_of(vec(lemma="q", f2=1), store, MblConfig(k=2)) is I
 
     def test_instances_tied_at_kth_distance_all_vote(self):
-        store = InstanceStore([
+        store = store_of([
             vec(lemma="x", label=I),
             vec(lemma="x", label=I),
             vec(lemma="x", label=A),
             vec(lemma="far", f2=5, label=A),
         ])
         # k=1: the single nearest distance covers three instances
-        assert knn_classify(vec(lemma="x"), store, MblConfig(k=1)) is I
+        assert knn_of(vec(lemma="x"), store, MblConfig(k=1)) is I
 
     def test_leave_one_in(self, enriched, mini_corpus):
         instances = []
@@ -401,24 +407,24 @@ class TestKnn:
                 if np.gold is None:
                     continue
                 fv = extract_features(np, doc, enriched.sense_table())
-                key = (fv.lemma,) + fv.numeric()
+                key = (fv.lemma,) + numeric_of(fv)
                 if key not in seen:  # unique feature vectors only
                     seen.add(key)
                     instances.append(fv)
-        store = InstanceStore(instances)
+        store = store_of(instances)
         for fv in instances:
-            assert knn_classify(fv, store, MblConfig(k=1)) is fv.label
+            assert knn_of(fv, store, MblConfig(k=1)) is fv.label
 
     def test_weight_scaling_never_changes_labels(self, enriched, mini_corpus):
         instances = [
             extract_features(np, doc, enriched.sense_table())
             for doc in mini_corpus for np in doc.nps if np.gold is not None
         ]
-        store = InstanceStore(instances[:40])
+        store = store_of(instances[:40])
         queries = instances[40:]
-        before = [knn_classify(q, store, MblConfig(k=3)) for q in queries]
+        before = [knn_of(q, store, MblConfig(k=3)) for q in queries]
         store.weights = tuple(w * 7.5 for w in store.weights)
-        after = [knn_classify(q, store, MblConfig(k=3)) for q in queries]
+        after = [knn_of(q, store, MblConfig(k=3)) for q in queries]
         assert before == after
 
     def test_large_tied_stores_match_scalar_oracle(self):
@@ -446,76 +452,94 @@ class TestKnn:
                     flip = rng.random() < 0.1
                     labels = (A if (lemma == "ant") != flip else I,)
                 fv = draw(lemma)
-                instances += [FeatureVector(lemma, *fv.numeric(), label) for label in labels]
-            store = InstanceStore(instances[i] for i in rng.permutation(len(instances)))
+                instances += [FeatureVector(lemma, *numeric_of(fv), label) for label in labels]
+            store = store_of(instances[i] for i in rng.permutation(len(instances)))
             for k in range(1, 7):
                 query = draw(lemmas[(round_ + k) % 4])
-                got = knn_classify(query, store, MblConfig(k=k))
+                got = knn_of(query, store, MblConfig(k=k))
                 assert got is oracle_knn(query, store, k), (round_, k)
 
     def test_degenerate_all_zero_weights_fall_back_to_majority(self):
         # single-class training data gives zero weights and zero distances
-        store = InstanceStore([
+        store = store_of([
             vec(lemma="x", label=I), vec(lemma="y", label=I), vec(lemma="z", label=I),
         ])
-        assert knn_classify(vec(lemma="anything"), store, MblConfig(k=1)) is I
+        assert knn_of(vec(lemma="anything"), store, MblConfig(k=1)) is I
 
     def test_subnormal_span_under_zero_weight_is_ignored(self):
         # single-class data weighs every feature 0; the query's scaled
         # difference over the 1e-308 span overflows to inf, and 0 * inf
         # would make every distance NaN and leave no neighbour to vote
-        store = InstanceStore([vec(lemma="x", f5=0.0, label=A),
+        store = store_of([vec(lemma="x", f5=0.0, label=A),
                                vec(lemma="x", f5=1e-308, label=A)])
-        assert knn_classify(vec(lemma="x", f5=2.0), store, MblConfig(k=1)) is A
+        assert knn_of(vec(lemma="x", f5=2.0), store, MblConfig(k=1)) is A
 
     def test_empty_store_rejected(self):
-        with pytest.raises(ValueError):
-            InstanceStore([])
+        with pytest.raises(ValueError, match="empty"):
+            store_of([])
 
     def test_unlabelled_training_instance_rejected(self):
-        with pytest.raises(ValueError):
-            InstanceStore([vec()])
+        with pytest.raises(ValueError, match="labels"):
+            store_of([vec()])
+
+    def test_queries_coded_elsewhere_rejected(self):
+        store = store_of([vec(lemma="x", label=A), vec(lemma="y", label=I)])
+        queries = table_of([vec(lemma="x")])  # codes of its own, not the store's
+        with pytest.raises(ValueError, match="lemma_ids"):
+            knn_classify(queries, 0, store)
+
+
+def labelled_golds(docs):
+    """The gold labels of the labelled NPs of `docs`, in corpus order."""
+    return [record.gold for _, record in iter_nps(docs) if record.gold is not None]
 
 
 class TestCrossValidation:
     def test_every_instance_predicted_exactly_once(self, enriched, mini_corpus):
-        report, detailed = cross_validate(mini_corpus, enriched.sense_table(), folds=10, seed=3)
+        report, predicted = cross_validate(mini_corpus, enriched.sense_table(), folds=10, seed=3)
         labelled = [np for d in mini_corpus for np in d.nps if np.gold is not None]
         assert report.total == len(labelled)
-        assert len(detailed) == len(labelled)
-        assert all(pred is not None for _, pred in detailed)
+        assert len(predicted) == len(labelled)
+        assert all(pred is not None for pred in predicted)
 
     def test_same_seed_same_report(self, enriched, mini_corpus):
         first = cross_validate(mini_corpus, enriched.sense_table(), folds=10, seed=11)
         second = cross_validate(mini_corpus, enriched.sense_table(), folds=10, seed=11)
         assert first[0] == second[0]
-        assert [p for _, p in first[1]] == [p for _, p in second[1]]
+        assert first[1] == second[1]
 
     def test_report_is_score_of_pooled_streams(self, enriched, mini_corpus):
-        report, detailed = cross_validate(mini_corpus, enriched.sense_table(), folds=5, seed=1)
-        gold = [np.gold for np, _ in detailed]
-        predicted = [pred for _, pred in detailed]
-        assert score(gold, predicted) == report
+        report, predicted = cross_validate(mini_corpus, enriched.sense_table(), folds=5, seed=1)
+        assert score(labelled_golds(mini_corpus), predicted) == report
 
-    @pytest.mark.parametrize("seed", [1, 7, 11])
-    def test_predictions_match_oracle_fold_by_fold(self, enriched, mini_corpus, seed):
+    @pytest.mark.parametrize("seed, weighted", [
+        pytest.param(seed, weighted, id=f"{seed}-wsd" if weighted else str(seed))
+        for weighted in (False, True) for seed in (1, 7, 11)
+    ])
+    def test_predictions_match_oracle_fold_by_fold(self, toy_taxonomy, enriched, mini_corpus,
+                                                   seed, weighted):
+        weightings = None
+        if weighted:
+            ic = information_content(mini_corpus, toy_taxonomy)
+            weightings = {doc.doc_id: document_weights(doc, toy_taxonomy, ic)
+                          for doc in mini_corpus}
         features = [
-            extract_features(record, doc, enriched.sense_table())
+            extract_features(record, doc, enriched.sense_table(),
+                             weightings[doc.doc_id] if weighted else None)
             for doc, record in iter_nps(mini_corpus) if record.gold is not None
         ]
         order = np.random.default_rng(seed).permutation(len(features))
         for k in (1, 3, 5):
-            _, detailed = cross_validate(mini_corpus, enriched.sense_table(), folds=10,
-                                         config=MblConfig(k=k), seed=seed)
+            _, predicted = cross_validate(mini_corpus, enriched.sense_table(), folds=10,
+                                          config=MblConfig(k=k), seed=seed,
+                                          weightings=weightings)
             expected = [None] * len(features)
             for fold in np.array_split(order, 10):
                 held_out = set(fold.tolist())
-                store = InstanceStore(
-                    fv for i, fv in enumerate(features) if i not in held_out
-                )
+                store = store_of(fv for i, fv in enumerate(features) if i not in held_out)
                 for i in held_out:
                     expected[i] = oracle_knn(features[i], store, k)
-            assert [pred for _, pred in detailed] == expected, k
+            assert predicted == expected, k
 
     def test_too_few_instances(self, enriched, mini_corpus):
         with pytest.raises(ValueError, match="folds"):
