@@ -3,11 +3,12 @@
 Every sense-annotated occurrence counts toward its synset and all of its
 ancestors.  Unanimous nodes are decided outright; mixed nodes get two
 goodness-of-fit tests (is this subtree consistent with all-animate? with
-all-inanimate?), with low-frequency sibling senses merged first.
+all-inanimate?), both read from one table of the observed hyponyms in
+which low-frequency sibling senses are merged first.
 """
 
 from animacy import accumulate_counts, enrich, load_corpus, load_taxonomy
-from animacy.enrichment import Cell, Status, chi2_critical, chi_square
+from animacy.enrichment import Status, chi2_critical, chi_square
 from animacy.data import mini_corpus_path, toy_taxonomy_path
 
 taxonomy = load_taxonomy(toy_taxonomy_path())
@@ -23,17 +24,17 @@ for sid in ("n-person", "n-animal", "n-artifact", "n-device"):
           f"inanimate {counts.inanimate(sid):2d}")
 
 print("\nThe n-artifact table under the all-inanimate hypothesis:")
-cells = [
-    Cell(child, counts.inanimate(child), counts.total(child))
+children = [
+    (child, counts.animate(child), counts.inanimate(child))
     for child in taxonomy.hyponyms("n-artifact")
     if counts.total(child) > 0
 ]
-for cell in cells:
-    print(f"  {cell.sid:>12}: observed {cell.observed:2d}, expected {cell.expected:2d}")
-result = chi_square(cells)
-critical = chi2_critical(result.df)
-print(f"  statistic {result.statistic:.3f} vs critical {critical:.3f} "
-      f"(df {result.df}) -> {'passes' if result.statistic < critical else 'fails'}")
+for child, ani, inani in children:
+    print(f"  {child:>12}: observed {inani:2d}, expected {ani + inani:2d}")
+result = chi_square(children)  # both hypotheses' statistics from one merged table
+statistic, critical = result.inanimate_statistic, chi2_critical(result.df)
+print(f"  statistic {statistic:.3f} vs critical {critical:.3f} "
+      f"(df {result.df}) -> {'passes' if statistic < critical else 'fails'}")
 
 enriched = enrich(taxonomy, docs)
 print(f"\ncoverage: {enriched.coverage():.2%} of synsets decided")

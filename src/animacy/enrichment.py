@@ -10,21 +10,28 @@ over the taxonomy's hypernym columns then finds every (tally, synset)
 pair of the closures, each once, and sums the tallies per synset.
 
 A synset whose observed occurrences are all of one class takes that class
-outright.  A synset with mixed evidence is tested twice with a goodness-of
--fit statistic over its observed hyponyms: once against the hypothesis
-that every occurrence below it is animate, once against the inanimate
-mirror.  Passing exactly one test decides the synset; passing neither (or
-failing the expected-frequency validity rule) leaves it Undecided, as does
-having no observed evidence at all.
+outright.  A synset with mixed evidence is tested with a goodness-of-fit
+statistic over its observed hyponyms against two hypotheses: that every
+occurrence below it is animate, and the inanimate mirror.  Passing exactly
+one test decides the synset; passing neither (or failing the
+expected-frequency validity rule) leaves it Undecided, as does having no
+observed evidence at all.
+
+Low-frequency hyponyms are merged once per synset, and that one table
+gives both statistics.  The merge reads only each cell's total, its id and
+which of its counts is zero, never the hypothesis.  It joins only cells
+with the same zero count, which add either their total or nothing to a
+statistic, so merging leaves both statistics as they were and changes only
+the degrees of freedom and the validity, which depend on the totals alone.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from heapq import nsmallest
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -76,100 +83,78 @@ class SynsetCounts:
         return tuple(self._animate)
 
 
-@dataclass(frozen=True)
-class Cell:
-    """One contingency cell: a hyponym's observed count of the hypothesis
-    class against its total occurrence count (the expected value)."""
+class ChiSquareResult(NamedTuple):
+    """The goodness-of-fit statistics of both hypotheses over one merged
+    table: all-animate (the sum of inanimate squared over total) and
+    all-inanimate (animate squared over total)."""
 
-    sid: str
-    observed: int
-    expected: int
-
-    def __post_init__(self):
-        if self.expected < 1:
-            # an expected frequency below one would mean the sense never
-            # occurred, in which case it must not be a cell at all
-            raise ValueError(f"cell {self.sid}: expected frequency < 1")
-        if not 0 <= self.observed <= self.expected:
-            raise ValueError(f"cell {self.sid}: observed outside [0, expected]")
-
-
-@dataclass(frozen=True)
-class ChiSquareResult:
-    statistic: float
+    animate_statistic: float
+    inanimate_statistic: float
     df: int
     valid: bool
-    cells: tuple[Cell, ...]  # cells after low-frequency merging
 
 
-def _low_fraction(cells: Iterable[Cell]) -> float:
-    cells = list(cells)
-    low = sum(1 for c in cells if c.expected < LOW_EXPECTED_FLOOR)
-    return low / len(cells) if cells else 0.0
-
-
-def _mergeable_pair(cells: list[Cell]) -> tuple[int, int] | None:
-    """Indices of the two lowest-expected similar cells, if any.
-
-    Two cells are similar when they agree on which attribute is zero:
-    either both observed nothing of the hypothesis class, or both observed
-    nothing of its complement.  Ties are broken by cell id so merging is
-    deterministic.
-    """
-    groups = {
-        "zero_observed": [i for i, c in enumerate(cells) if c.observed == 0],
-        "zero_complement": [i for i, c in enumerate(cells) if c.observed == c.expected],
-    }
-    best: tuple[tuple[int, str, int, str], tuple[int, int]] | None = None
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        ranked = sorted(members, key=lambda i: (cells[i].expected, cells[i].sid))
-        a, b = ranked[0], ranked[1]
-        rank = (
-            cells[a].expected, cells[a].sid, cells[b].expected, cells[b].sid,
-        )
-        if best is None or rank < best[0]:
-            best = (rank, (a, b))
-    return best[1] if best else None
-
-
-def merge_low_frequency(cells: Iterable[Cell]) -> tuple[Cell, ...]:
+def merge_low_frequency(
+    children: Iterable[tuple[str, int, int]],
+) -> list[tuple[str, int, int]]:
     """Merge similar low-frequency cells until the validity rule is met.
 
-    While more than the allowed fraction of cells has an expected frequency
-    under the floor, the two lowest-expected similar cells are combined.
-    Stops as soon as the table complies or no similar pair remains.
+    A cell is one observed hyponym as (id, animate count, inanimate count);
+    its total is the expected frequency.  While more than the allowed
+    fraction of cells has a total under the floor, the two lowest-total
+    similar cells are combined in the place of the earlier one, their ids
+    joined by "+".  Two cells are similar when they agree on which count is
+    zero.  Each such group ranks its cells by (total, id), and the group
+    whose best pair ranks lower merges it (the group without animate counts
+    on an exact tie).  Stops as soon as the table complies or no similar
+    pair remains.  A negative count or a zero total is a `ValueError`.
     """
-    merged = list(cells)
-    while _low_fraction(merged) > MAX_LOW_EXPECTED_FRACTION:
-        pair = _mergeable_pair(merged)
-        if pair is None:
+    cells = []
+    for sid, ani, inani in children:
+        if ani < 0 or inani < 0:
+            raise ValueError(f"cell {sid}: negative count")
+        if ani + inani < 1:
+            # such a sense never occurred, so it must not be a cell at all
+            raise ValueError(f"cell {sid}: zero total")
+        cells.append((sid, ani, inani))
+    low = sum(1 for _, ani, inani in cells if ani + inani < LOW_EXPECTED_FLOOR)
+    while low and low / len(cells) > MAX_LOW_EXPECTED_FRACTION:
+        # each group's two lowest (total, id, index), the cells without
+        # animate counts first, so that `min` picks that group on a tie
+        pairs = [nsmallest(2, [(ani + inani, sid, i) for i, (sid, ani, inani)
+                               in enumerate(cells) if not (ani if no_animate else inani)])
+                 for no_animate in (True, False)]
+        pairs = [pair for pair in pairs if len(pair) == 2]
+        if not pairs:
             break
-        a, b = sorted(pair)
-        combined = Cell(
-            sid=f"{merged[a].sid}+{merged[b].sid}",
-            observed=merged[a].observed + merged[b].observed,
-            expected=merged[a].expected + merged[b].expected,
-        )
-        merged[a] = combined
-        del merged[b]
-    return tuple(merged)
+        (total_a, _, a), (total_b, _, b) = min(
+            pairs, key=lambda pair: (*pair[0][:2], *pair[1][:2]))
+        low -= ((total_a < LOW_EXPECTED_FLOOR) + (total_b < LOW_EXPECTED_FLOOR)
+                - (total_a + total_b < LOW_EXPECTED_FLOOR))
+        a, b = sorted((a, b))
+        (sid_a, ani_a, inani_a), (sid_b, ani_b, inani_b) = cells[a], cells[b]
+        cells[a] = (f"{sid_a}+{sid_b}", ani_a + ani_b, inani_a + inani_b)
+        del cells[b]
+    return cells
 
 
-def chi_square(cells: Iterable[Cell]) -> ChiSquareResult:
-    """Goodness-of-fit statistic over the (merged) contingency cells.
+def chi_square(children: Iterable[tuple[str, int, int]]) -> ChiSquareResult:
+    """Both hypotheses' statistics over the observed hyponyms, given as
+    (id, animate count, inanimate count), after `merge_low_frequency`.
 
     Validity is a result, not an error: the test is invalid when, even
     after merging, more than 20% of the expected frequencies fall below 5.
     """
-    merged = merge_low_frequency(cells)
-    statistic = 0.0
-    for cell in merged:
-        diff = cell.observed - cell.expected
-        statistic += diff * diff / cell.expected
-    valid = _low_fraction(merged) <= MAX_LOW_EXPECTED_FRACTION
-    return ChiSquareResult(statistic, len(merged) - 1, valid, merged)
+    cells = merge_low_frequency(children)
+    animate = inanimate = 0.0
+    low = 0
+    for _, ani, inani in cells:
+        total = ani + inani
+        animate += inani * inani / total
+        inanimate += ani * ani / total
+        low += total < LOW_EXPECTED_FLOOR
+    valid = not low or low / len(cells) <= MAX_LOW_EXPECTED_FRACTION
+    return ChiSquareResult(animate, inanimate, len(cells) - 1, valid)
 
 
 def _chi2_sf(x: float, df: int, log_gammas: list[tuple[float, float]]) -> float:
@@ -293,20 +278,6 @@ def accumulate_counts(
     return counts, skipped
 
 
-def _test_passes(children: list[tuple[str, int, int]], animate_hypothesis: bool,
-                 alpha: float) -> bool:
-    """The chi-square test of one hypothesis over the observed hyponyms,
-    given as (id, animate count, inanimate count)."""
-    # one cell, merged or not, leaves no degree of freedom
-    if len(children) < 2:
-        return False
-    result = chi_square([Cell(sid, ani if animate_hypothesis else inani, ani + inani)
-                         for sid, ani, inani in children])
-    if not result.valid or result.df < 1:
-        return False
-    return result.statistic < chi2_critical(result.df, alpha)
-
-
 def classify_node(
     node: str,
     counts: SynsetCounts,
@@ -331,8 +302,15 @@ def classify_node(
 
     children = [(child, counts.animate(child), counts.inanimate(child))
                 for child in taxonomy.hyponyms(node) if counts.total(child)]
-    animate_ok = _test_passes(children, True, alpha)
-    inanimate_ok = _test_passes(children, False, alpha)
+    # one cell, merged or not, leaves no degree of freedom
+    if len(children) < 2:
+        return Status.UNDECIDED
+    result = chi_square(children)
+    if not result.valid or result.df < 1:
+        return Status.UNDECIDED
+    critical = chi2_critical(result.df, alpha)
+    animate_ok = result.animate_statistic < critical
+    inanimate_ok = result.inanimate_statistic < critical
     if animate_ok and inanimate_ok:
         if ani > inani:
             return Status.ANIMATE
@@ -466,8 +444,10 @@ def enrich(
     Undecided and one with counts of a single class takes that class, as
     `classify_node` decides them; only the mixed synsets are tested.
     Records whose sense key is not in the taxonomy are kept on the result
-    as `skipped`.
+    as `skipped`.  An `alpha` outside (0, 1) is a `ValueError`, whatever
+    the corpus.
     """
+    chi2_critical(1, alpha)  # rejects an alpha outside (0, 1) before counting
     counts, skipped = accumulate_counts(docs, taxonomy)
     status = dict.fromkeys(taxonomy, Status.UNDECIDED)
     animate = counts._animate

@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 from numpy.random import default_rng
 
-from .corpus import Document, Label, iter_nps, pronoun_ratio
+from .corpus import Document, Label, np_columns, pronoun_ratio
 
 BASELINE_MODES = ("random", "weighted", "dummy")
 
@@ -144,26 +144,29 @@ def kappa(
 
 def baseline(
     mode: str,
-    docs: Iterable[Document],
+    docs: Sequence[Document],
     seed: int | None = None,
 ) -> list[Label]:
     """Reference prediction stream over a corpus, in NP order.
 
     random: fair coin per NP.  weighted: animate with probability equal to
     the document's animate pronoun ratio.  dummy: always inanimate.  The
-    stochastic modes require a seed so runs are reproducible.
+    stochastic modes require a seed so runs are reproducible.  Only the
+    documents' NP counts are read (`np_columns`).
     """
     if mode not in BASELINE_MODES:
         raise ValueError(f"unknown baseline mode {mode!r}")
-    if mode == "dummy":
-        return [Label.INANIMATE for _ in iter_nps(docs)]
-    if seed is None:
+    if seed is None and mode != "dummy":
         raise ValueError(f"baseline mode {mode!r} requires a seed")
+    _, counts = np_columns(docs)
+    if mode == "dummy":
+        return [Label.INANIMATE] * sum(counts)
     rng = default_rng(seed)
     out = []
-    for doc, _ in iter_nps(docs):
+    for doc, count in zip(docs, counts):
         threshold = 0.5 if mode == "random" else pronoun_ratio(doc)
-        out.append(Label.ANIMATE if rng.random() < threshold else Label.INANIMATE)
+        out += [Label.ANIMATE if rng.random() < threshold else Label.INANIMATE
+                for _ in range(count)]
     return out
 
 

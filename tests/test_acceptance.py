@@ -22,6 +22,7 @@ from animacy.enrichment import (
     accumulate_counts,
     classify_node,
     enrich,
+    merge_low_frequency,
 )
 from animacy.evaluation import as_percent, baseline, kappa, score
 from animacy.mbl import (
@@ -198,6 +199,38 @@ def test_criterion_02_chi_square_decision_matches_oracle():
                 counts.add("root", True, ani)
                 counts.add("root", False, inani)
             got = classify_node("root", counts, taxonomy)
+            assert got is oracle_classify(children), children
+
+
+def test_criterion_02_one_merge_matches_oracle_on_cross_group_tie():
+    with criterion(2, "one merge per node agrees with one merge per hypothesis on a tie"):
+        # x, y, a, b lack animate counts and merge into x+y and a+b, which
+        # then tie exactly on (total, id, total, id) with the original x+y
+        # and a+b that lack inanimate counts: the two hypotheses' merges
+        # take different groups first, and the one merge takes one of them
+        tie = [("x", 0, 1), ("y", 0, 1), ("a", 0, 2), ("b", 0, 2), ("x+y", 2, 0), ("a+b", 4, 0)]
+        rng = np.random.default_rng(20261020)
+        for _ in range(200):
+            # 7 to 15 mixed children of totals >= 5, the minority class light
+            # enough that the tables reach every decision
+            light = int(rng.integers(1, 16))
+            mixed = [(int(rng.integers(1, light + 1)), int(rng.integers(5, 51)))
+                     for _ in range(int(rng.integers(7, 16)))]
+            if rng.random() < 0.5:
+                mixed = [(inani, ani) for ani, inani in mixed]
+            children = tie + [(f"m{i}", ani, inani) for i, (ani, inani) in enumerate(mixed)]
+            children = [children[i] for i in rng.permutation(len(children))]
+            synsets = [Synset("root", "n", ("top",), (), 18)]
+            synsets += [Synset(cid, "n", (f"w{i}",), ("root",), 18)
+                        for i, (cid, _, _) in enumerate(children)]
+            counts = SynsetCounts()
+            for cid, ani, inani in children:
+                for sid in (cid, "root"):
+                    counts.add(sid, True, ani)
+                    counts.add(sid, False, inani)
+            # the third merge is the tied one
+            assert len(merge_low_frequency(children)) == len(children) - 3
+            got = classify_node("root", counts, Taxonomy(synsets))
             assert got is oracle_classify(children), children
 
 

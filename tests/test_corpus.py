@@ -233,6 +233,17 @@ def test_ml_commands_build_no_records(built, tmp_path, argv, wsd):
     assert built == [] and out.read_text()
 
 
+@pytest.mark.parametrize("method", [["dummy"], ["random", "--seed", "1"],
+                                    ["weighted", "--seed", "1"]])
+def test_baseline_commands_build_no_records(built, tmp_path, method):
+    """`classify --method dummy|random|weighted` read the NP counts from
+    the corpus columns."""
+    out = tmp_path / "out.tsv"
+    assert main(["classify", "--method", *method, "--corpus", mini_corpus_path(),
+                 "--out", str(out)]) == 0
+    assert built == [] and len(out.read_text().splitlines()) == 60
+
+
 # --- the record-by-record loader, kept as an oracle for `load_corpus` --------
 
 def oracle_flag(value, what):

@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from animacy import enrichment
 from animacy.corpus import Document, Label, iter_nps
 from animacy.enrichment import (
-    Cell,
     EnrichedTaxonomy,
     Status,
     SynsetCounts,
@@ -103,26 +103,41 @@ class TestCounts:
 
 class TestChiSquare:
     def test_hand_computed_example(self):
-        result = chi_square([Cell("a", 4, 5), Cell("b", 5, 5)])
-        assert result.statistic == pytest.approx(0.2)
+        result = chi_square([("a", 4, 1), ("b", 5, 0)])
+        assert result.animate_statistic == pytest.approx(0.2)
+        assert result.inanimate_statistic == pytest.approx(16 / 5 + 25 / 5)
         assert result.df == 1
         assert result.valid
 
     def test_exact_fit_is_zero(self):
-        result = chi_square([Cell("a", 3, 3), Cell("b", 7, 7)])
-        assert result.statistic == 0.0
+        result = chi_square([("a", 3, 0), ("b", 7, 0)])
+        assert result.animate_statistic == 0.0
+        assert result.inanimate_statistic == 10.0
 
     def test_unmergeable_low_cells_invalidate(self):
-        # two of three expected under 5 and with opposite zero attributes
-        cells = [Cell("a", 0, 2), Cell("b", 2, 2), Cell("c", 5, 10)]
+        # two of three totals under 5 and with opposite zero counts
+        cells = [("a", 0, 2), ("b", 2, 0), ("c", 5, 5)]
         result = chi_square(cells)
         assert not result.valid
 
     def test_statistic_invariant_under_permutation(self):
-        cells = [Cell("a", 4, 9), Cell("b", 7, 7), Cell("c", 0, 6)]
+        cells = [("a", 4, 5), ("b", 7, 0), ("c", 0, 6)]
         base = chi_square(cells)
         for perm in itertools.permutations(cells):
-            assert chi_square(list(perm)).statistic == pytest.approx(base.statistic)
+            result = chi_square(list(perm))
+            assert result.animate_statistic == pytest.approx(base.animate_statistic)
+            assert result.inanimate_statistic == pytest.approx(base.inanimate_statistic)
+
+    @given(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60))
+                    .filter(lambda counts: sum(counts) > 0), max_size=12))
+    def test_statistics_are_the_unmerged_sums(self, counts):
+        # merging joins only cells with the same zero count, so each
+        # statistic is the sum over the hyponyms before any merge
+        result = chi_square([(f"c{i}", ani, inani) for i, (ani, inani) in enumerate(counts)])
+        animate = sum(inani * inani / (ani + inani) for ani, inani in counts)
+        inanimate = sum(ani * ani / (ani + inani) for ani, inani in counts)
+        assert result.animate_statistic == pytest.approx(animate)
+        assert result.inanimate_statistic == pytest.approx(inanimate)
 
     @given(st.integers(1, 10))
     def test_critical_values_match_textbook_table(self, df):
@@ -134,8 +149,12 @@ class TestChiSquare:
             chi2_critical(1, alpha)
 
     def test_expected_below_one_asserted(self):
-        with pytest.raises(ValueError):
-            Cell("a", 0, 0)
+        with pytest.raises(ValueError, match="zero total"):
+            chi_square([("a", 0, 0)])
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="negative count"):
+            chi_square([("a", -1, 3), ("b", 2, 2)])
 
 
 class TestCriticalValue:
@@ -173,16 +192,15 @@ class TestCriticalValue:
 
 class TestMerging:
     def test_similar_low_cells_merge(self):
-        cells = [Cell("a", 0, 2), Cell("b", 0, 3), Cell("c", 8, 8)]
-        merged = merge_low_frequency(cells)
-        assert [(c.observed, c.expected) for c in merged] == [(0, 5), (8, 8)]
+        cells = [("a", 0, 2), ("b", 0, 3), ("c", 8, 0)]
+        assert merge_low_frequency(cells) == [("a+b", 0, 5), ("c", 8, 0)]
 
     def test_compliant_table_unchanged(self):
-        cells = (Cell("a", 4, 5), Cell("b", 5, 5))
+        cells = [("a", 4, 1), ("b", 5, 0)]
         assert merge_low_frequency(cells) == cells
 
     def test_opposite_attributes_do_not_merge(self):
-        cells = (Cell("a", 0, 2), Cell("b", 2, 2))
+        cells = [("a", 0, 2), ("b", 2, 0)]
         assert merge_low_frequency(cells) == cells
 
 
@@ -285,6 +303,34 @@ class TestEnrich:
         assert enriched.skipped == ()
         assert again.skipped == (("ghost", 0, 0, "n-ghost"),)
         assert again == enriched  # the record adds no evidence
+
+    def test_merges_each_mixed_synset_once(self, toy_taxonomy, mini_corpus, monkeypatch):
+        # one merged table gives both hypotheses' statistics
+        merged = []
+        merge = enrichment.merge_low_frequency
+
+        def counting(children):
+            children = list(children)
+            merged.append(tuple(sid for sid, _, _ in children))
+            return merge(children)
+
+        monkeypatch.setattr(enrichment, "merge_low_frequency", counting)
+        enrich(toy_taxonomy, mini_corpus)
+        counts, _ = accumulate_counts(mini_corpus, toy_taxonomy)
+        tested = []
+        for sid in counts.observed_ids():
+            children = tuple(child for child in toy_taxonomy.hyponyms(sid) if counts.total(child))
+            if counts.animate(sid) and counts.inanimate(sid) and len(children) >= 2:
+                tested.append(children)
+        assert len(tested) == 4
+        assert sorted(merged) == sorted(tested)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05, float("nan")])
+    @pytest.mark.parametrize("corpus", ["empty", "unanimous"])
+    def test_alpha_checked_before_counting(self, toy_taxonomy, alpha, corpus):
+        docs = [] if corpus == "empty" else [doc_of([("n-dog", Label.ANIMATE)])]
+        with pytest.raises(ValueError, match="alpha"):
+            enrich(toy_taxonomy, docs, alpha=alpha)
 
     def test_save_and_load_round_trip(self, enriched, toy_taxonomy, tmp_path):
         path = tmp_path / "statuses.tsv"
