@@ -99,22 +99,42 @@ def bounded(kind: type, low, high=math.inf, closed: bool = True):
     return parse
 
 
-def _wsd_weightings(args, taxonomy, ic_docs, *corpora):
-    """Per-document sense weightings for each corpus under --wsd, else Nones.
+def _ic_table(args, taxonomy, ic_docs, *corpora):
+    """The information-content table under --wsd, holding the sense
+    closures of every head lemma of `corpora`, else None.
 
     Information content comes from the --ic count file or from `ic_docs`.
     """
     if not args.wsd:
-        return [None] * len(corpora)
+        return None
     ic_table = (
         wsd.load_counts(args.ic, taxonomy)
         if args.ic
         else wsd.information_content(ic_docs, taxonomy)
     )
+    ic_table.prepare(chain.from_iterable(np_columns(docs)[0].head_lemma for docs in corpora))
+    return ic_table
+
+
+def _wsd_weightings(args, taxonomy, ic_docs, *corpora):
+    """Per-document sense weightings for each corpus under --wsd, else Nones."""
+    ic_table = _ic_table(args, taxonomy, ic_docs, *corpora)
+    if ic_table is None:
+        return [None] * len(corpora)
     return [
         {doc.doc_id: wsd.document_weights(doc, taxonomy, ic_table) for doc in docs}
         for docs in corpora
     ]
+
+
+def _rule_labels(docs, taxonomy, ic_table, senses, thresholds, reflexive_counts):
+    """The rule label of each NP of `docs`, in corpus order; under --wsd
+    each document is weighed just before its NPs and dropped after them."""
+    for doc in docs:
+        weighting = wsd.document_weights(doc, taxonomy, ic_table) if ic_table else None
+        for np in doc.nps:
+            yield rules.classify_np(np, senses, thresholds, weighting,
+                                    reflexive_counts=reflexive_counts)
 
 
 class UsageError(Exception):
@@ -211,12 +231,9 @@ def cmd_classify(args) -> int:
             default if given is None else given
             for given, default in zip((args.t1, args.t2, args.t3), astuple(rules.Thresholds()))])
         docs = load_corpus(args.corpus)
-        (weightings,) = _wsd_weightings(args, taxonomy, docs, docs)
-        senses = rules.sense_table(taxonomy, beginners)
-        labels = (rules.classify_np(np, senses, thresholds,
-                                    weightings[doc.doc_id] if weightings else None,
-                                    reflexive_counts=not args.no_reflexive)
-                  for doc in docs for np in doc.nps)
+        ic_table = _ic_table(args, taxonomy, docs, docs)
+        labels = _rule_labels(docs, taxonomy, ic_table, rules.sense_table(taxonomy, beginners),
+                              thresholds, not args.no_reflexive)
     else:
         # memory-based: train on --train, predict --test
         taxonomy = load_taxonomy(args.taxonomy)

@@ -27,7 +27,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .fileio import is_int, read_lines
 
@@ -249,13 +249,6 @@ def pronoun_ratio(doc: Document) -> float:
     if total == 0:
         return 0.0
     return doc.animate_pronoun_count / total
-
-
-def iter_nps(docs: Iterable[Document]) -> Iterator[tuple[Document, NPRecord]]:
-    """All NPs of a corpus in text order, paired with their document."""
-    for doc in docs:
-        for np in doc.nps:
-            yield doc, np
 
 
 def _flag(value: str, what: str) -> bool:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .corpus import Document, Label, np_columns
 from .fileio import read_lines
-from .taxonomy import VERB, BeginnerClass, SenseTable, Taxonomy, TaxonomyError, _gather
+from .taxonomy import VERB, BeginnerClass, SenseTable, Taxonomy, TaxonomyError, closure_pairs
 
 # Validity rule for the goodness-of-fit test: at most this fraction of
 # cells may have an expected frequency below the floor.
@@ -198,16 +198,6 @@ def chi2_critical(df: int, alpha: float = 0.05) -> float:
             hi = mid
 
 
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The distinct values of an int array, ascending: `np.unique` by one
-    sort, which on ints is several times faster than its hashing path."""
-    keys = np.sort(keys)
-    first = np.empty(keys.size, bool)
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return keys[first]
-
-
 def accumulate_counts(
     docs: Iterable[Document],
     taxonomy: Taxonomy,
@@ -256,17 +246,7 @@ def accumulate_counts(
     tallies = np.array([*by_sense.values(), *by_verb.values()], np.int64).reshape(-1, 2)
     owner = np.repeat(np.arange(len(starts)), [len(nodes) for nodes in starts])
     node = np.array([i for nodes in starts for i in nodes], np.intp)
-    up = np.frombuffer(taxonomy._up, np.int64)
-    links = np.frombuffer(taxonomy._up_links, np.int64)
-    level = _distinct(owner * n + node)
-    levels = [level]
-    while level.size:
-        owner, node = np.divmod(level, n)
-        owner = np.repeat(owner, up[node + 1] - up[node])
-        level = _distinct(owner * n + _gather(up, links, node))
-        levels.append(level)
-    # a synset reached at several depths is one pair of its owner
-    owner, node = np.divmod(_distinct(np.concatenate(levels)), n)
+    owner, node = closure_pairs(taxonomy, owner, node)
     # sums of whole numbers in float64 stay exact up to 2**53
     animate = np.bincount(node, tallies[owner, 0], n).astype(np.int64)
     inanimate = np.bincount(node, tallies[owner, 1], n).astype(np.int64)

@@ -392,6 +392,40 @@ def _gather(start: np.ndarray, links: np.ndarray, nodes: np.ndarray) -> np.ndarr
     return links[np.repeat(first - ends + sizes, sizes) + np.arange(ends[-1])]
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of an int array, ascending: `np.unique` by one
+    sort, which on ints is several times faster than its hashing path."""
+    keys = np.sort(keys)
+    first = np.empty(keys.size, bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
+def closure_pairs(taxonomy: Taxonomy, owner: np.ndarray,
+                  start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The hypernym closures, each synset included, of many owners at once.
+
+    Owner `owner[i]` starts at synset position `start[i]`; an owner may
+    start at several synsets.  One pass goes up the hypernym columns level
+    by level, and returns the distinct (owner, synset) pairs of the
+    closures as two int arrays, sorted by owner and then by synset
+    position: a synset reached along several paths or at several depths
+    is one pair of its owner.
+    """
+    n = len(taxonomy)
+    up = np.frombuffer(taxonomy._up, np.int64)
+    links = np.frombuffer(taxonomy._up_links, np.int64)
+    level = _distinct(np.asarray(owner, np.int64) * n + start)
+    levels = [level]
+    while level.size:
+        owner, node = np.divmod(level, n)
+        owner = np.repeat(owner, up[node + 1] - up[node])
+        level = _distinct(owner * n + _gather(up, links, node))
+        levels.append(level)
+    return np.divmod(_distinct(np.concatenate(levels)), n)
+
+
 def _int_column(values: np.ndarray) -> array:
     # an array of machine ints indexes and slices to plain Python ints
     # without keeping one int object per entry

@@ -8,13 +8,24 @@ sense of either noun that it subsumes.  Per-lemma support is normalized to
 a distribution; nouns with no pairwise support fall back to uniform
 weights.
 
-The common subsumers of all sense pairs of two nouns are the intersection
-of the nouns' closure unions.  The IC table memoizes, per lemma, each noun
-sense's closure and their union as sets of (-IC, id) rank keys, so a noun
-pair's subsumer is the smallest key the two unions share and a sense gets
-support when its closure holds that key.  Closures are built once per
-lemma for the table's lifetime; per document only the noun pairs are
-visited, each with one set intersection.
+Information content is a float column over the taxonomy.  Its counts and
+the noun sense closures to be weighed come from one level-wise pass up
+the hypernym columns (`taxonomy.closure_pairs`): once for the counts, and
+once per batch of lemmas not yet held (`ICTable.prepare`), so each
+lemma's closures are built once.
+
+The common subsumers of all sense pairs of two nouns are the keys shared
+by the unions of their sense closures, and the pair's subsumer is the
+shared key of smallest (-IC, id) rank.  Per document, the shared keys are
+ranked once, and each sense's closure and each noun's union become rows
+of bits packed into 64-bit words in rank order: a noun pair's subsumer is
+the lowest set bit of the first nonzero word of the AND of its rows.  A
+sense's support is its row of hits over the other nouns, in lemma order,
+summed left to right from 0.0, which are the additions of a loop over the
+noun pairs, so the weights are that loop's bit for bit.  The pairs are
+searched and summed for a block of nouns at a time, each block holding at
+most about `BLOCK_WORDS` elements, so a document needs memory for its
+packed rows and closures only, not for its noun pairs.
 """
 
 from __future__ import annotations
@@ -24,19 +35,25 @@ import re
 import sys
 from typing import Collection, Iterable, Mapping
 
+import numpy as np
+
 from .corpus import Document, np_columns
 from .fileio import read_lines
-from .taxonomy import NOUN, VERB, Taxonomy
+from .taxonomy import NOUN, VERB, Taxonomy, _distinct, closure_pairs
+
+# the most words (or floats) one block of noun pairs may hold
+BLOCK_WORDS = 1 << 16
 
 
 class ICTable:
     """Information content per synset of one taxonomy: -log p, with p
     estimated from propagated occurrence counts plus add-one smoothing.
 
-    Only the propagated counts and the per-pos norms are stored; `of`
-    evaluates a synset's IC on demand.  Each lemma's noun sense closures,
-    as frozensets of (-IC, id) rank keys, and their union are memoized on
-    first use, so they are built once per lemma, not once per document.
+    The propagated counts and the IC are float columns in taxonomy order;
+    `of` reads the IC of a synset.  Each lemma's noun sense closures, as
+    synset positions, are held once `prepare` (or `disambiguation_weights`)
+    has asked for the lemma, so they are built once per lemma, not once per
+    document.
     """
 
     def __init__(self, direct: Mapping[str, float], taxonomy: Taxonomy):
@@ -44,50 +61,54 @@ class ICTable:
         # smoothed root counts per part of speech
         if len(taxonomy) == 0:
             raise ValueError("cannot build an information-content table for an empty taxonomy")
-        raw: dict[str, float] = {}
-        for sid, count in direct.items():
-            for anc in taxonomy.ancestors(sid, include_self=True):
-                raw[anc] = raw.get(anc, 0.0) + count
-        self.taxonomy = taxonomy
-        self._raw = raw
-        self._norm = {
-            pos: sum(raw.get(root, 0.0) + 1.0
-                     for root in taxonomy.roots if taxonomy.pos_of(root) == pos)
+        index, n = taxonomy._index, len(taxonomy)
+        start = np.fromiter(map(index.__getitem__, direct), np.int64, len(direct))
+        owner, node = closure_pairs(taxonomy, np.arange(len(direct)), start)
+        # `bincount` adds in pair order, which is `direct`'s key order per
+        # synset, so each sum is the one a loop over `direct` would make
+        count = np.fromiter(direct.values(), np.float64, len(direct))
+        raw = np.bincount(node, count[owner], n)
+        smoothed = raw + 1.0
+        roots = [index[root] for root in taxonomy.roots]
+        norm = {
+            pos: sum(value for i, value in zip(roots, smoothed[roots].tolist())
+                     if taxonomy._pos[i] == pos)
             for pos in (NOUN, VERB)
         }
-        self._keys: dict[str, tuple[float, str]] = {}
-        self._lemmas: dict[str, tuple[tuple[tuple[str, frozenset], ...], frozenset]] = {}
+        # every synset lies below a root of its own pos, so its norm is at
+        # least its own smoothed count: p is in (0, 1]
+        pos = np.frombuffer(taxonomy._pos.encode("ascii"), np.uint8)
+        p = smoothed / np.where(pos == ord(NOUN), norm[NOUN], norm[VERB])
+        # `math.log` per distinct p: numpy's log may differ in the last bit
+        values, inverse = np.unique(p, return_inverse=True)
+        self.taxonomy = taxonomy
+        self._raw = raw
+        self._ic = np.array([-math.log(x) for x in values.tolist()])[inverse]
+        # lemma -> (noun senses, their closures' positions concatenated in
+        # sense order, the closure sizes)
+        self._closures: dict[str, tuple[tuple[str, ...], np.ndarray, np.ndarray]] = {}
 
     def of(self, sid: str) -> float:
-        norm = self._norm[self.taxonomy.pos_of(sid)]
-        return -math.log((self._raw.get(sid, 0.0) + 1.0) / norm) if norm > 0 else 0.0
+        return float(self._ic[self.taxonomy._position(sid)])
 
-    @property
-    def ic(self) -> dict[str, float]:
-        return {sid: self.of(sid) for sid in self.taxonomy}
-
-    @property
-    def counts(self) -> dict[str, float]:
-        return {sid: self._raw.get(sid, 0.0) + 1.0 for sid in self.taxonomy}
-
-    def _closures(self, lemma: str) -> tuple[tuple[tuple[str, frozenset], ...], frozenset]:
-        """(sense, closure keys) per noun sense of `lemma`, in sense order,
-        and the union of those closures; memoized per lemma."""
-        entry = self._lemmas.get(lemma)
-        if entry is None:
-            keys, taxonomy = self._keys, self.taxonomy
-            senses = []
-            for sid in taxonomy.senses(lemma, NOUN):
-                closure = []
-                for node in (sid, *taxonomy.ancestors(sid)):
-                    key = keys.get(node)
-                    if key is None:
-                        key = keys[node] = (-self.of(node), node)
-                    closure.append(key)
-                senses.append((sid, frozenset(closure)))
-            union = frozenset().union(*(closure for _, closure in senses))
-            entry = self._lemmas[lemma] = (tuple(senses), union)
-        return entry
+    def prepare(self, lemmas: Iterable[str]) -> None:
+        """Build the noun sense closures of the lemmas not held yet, in one
+        pass up the hypernym columns, and hold them."""
+        taxonomy, held = self.taxonomy, self._closures
+        new = [(lemma, senses) for lemma in dict.fromkeys(lemmas) if lemma not in held
+               for senses in (taxonomy.senses(lemma, NOUN),) if senses]
+        if not new:
+            return
+        index = taxonomy._index
+        start = np.array([index[sid] for _, senses in new for sid in senses], np.int64)
+        owner, node = closure_pairs(taxonomy, np.arange(start.size), start)
+        bounds = np.searchsorted(owner, np.arange(start.size + 1))
+        sizes = np.diff(bounds)
+        first = 0
+        for lemma, senses in new:
+            last = first + len(senses)
+            held[lemma] = (senses, node[bounds[first]:bounds[last]], sizes[first:last])
+            first = last
 
 
 def information_content(docs: Iterable[Document], taxonomy: Taxonomy) -> ICTable:
@@ -180,34 +201,95 @@ def disambiguation_weights(
     if ic.taxonomy is not taxonomy:
         raise ValueError("information-content table was built from another taxonomy")
     lemmas = sorted({x for x in nouns if taxonomy.senses(x, NOUN)})
-    # per lemma: (sense, closure keys) in sense order and their union U
-    closures, unions, support = {}, {}, {}
-    for lemma in lemmas:
-        closures[lemma], unions[lemma] = ic._closures(lemma)
-        support[lemma] = {sid: 0.0 for sid, _ in closures[lemma]}
+    ic.prepare(lemmas)
+    entries = [ic._closures[lemma] for lemma in lemmas]
+    support = _support(entries, ic)
+    weights, first = {}, 0
+    for lemma, (senses, _, _) in zip(lemmas, entries):
+        last = first + len(senses)
+        values = support[first:last]
+        first = last
+        total = sum(values)
+        weights[lemma] = (dict(zip(senses, [value / total for value in values]))
+                          if total > 0.0 else dict.fromkeys(senses, 1.0 / len(senses)))
+    return SenseWeighting(weights)
 
-    for i, lemma_a in enumerate(lemmas):
-        union_a = unions[lemma_a]
-        for lemma_b in lemmas[i + 1:]:
-            # the common subsumers of all sense pairs are exactly U_a & U_b,
-            # and the best one has the smallest (-IC, id) key
-            common = union_a & unions[lemma_b]
-            if not common:
-                continue
-            subsumer = min(common)
-            value = -subsumer[0]  # negation is exact: the subsumer's IC
-            for lemma in (lemma_a, lemma_b):
-                per_sense = support[lemma]
-                for sid, closure in closures[lemma]:
-                    if subsumer in closure:
-                        per_sense[sid] += value
 
-    # normalize in place: the per-lemma maps become the weighting
-    for per_sense in support.values():
-        total = sum(per_sense.values())
-        for sid, value in per_sense.items():
-            per_sense[sid] = value / total if total > 0.0 else 1.0 / len(per_sense)
-    return SenseWeighting(support)
+def _support(entries: list, ic: ICTable) -> list[float]:
+    """Each sense's summed support, in lemma and then sense order, over the
+    lemmas' entries of `ic._closures` (lemmas in ascending order)."""
+    counts = [len(senses) for senses, _, _ in entries]
+    if len(counts) < 2:
+        return [0.0] * sum(counts)
+    nodes = np.concatenate([closures for _, closures, _ in entries])
+    row = np.repeat(np.arange(sum(counts)), np.concatenate([sizes for _, _, sizes in entries]))
+    lemma_of = np.repeat(np.arange(len(entries)), counts)
+
+    # only a key in the unions of two lemmas can subsume a pair
+    keys = _distinct(nodes)
+    at = np.searchsorted(keys, nodes)
+    in_unions = _distinct(lemma_of[row] * keys.size + at) % keys.size
+    shared = np.flatnonzero(np.bincount(in_unions, minlength=keys.size) > 1)
+    if not shared.size:
+        return [0.0] * len(lemma_of)
+    # rank the shared keys by (-IC, id), ids in `str` order; a numpy string
+    # array drops trailing NULs, so ids holding a NUL are sorted in Python
+    ic_of = ic._ic[keys[shared]]
+    ids = ic.taxonomy._ids
+    names = [ids[key] for key in keys[shared].tolist()]
+    if "\x00" in "".join(names):
+        minus = (-ic_of).tolist()
+        order = np.array(sorted(range(len(names)), key=lambda k: (minus[k], names[k])), np.intp)
+    else:
+        order = np.lexsort((np.array(names), -ic_of))
+    rank = np.full(keys.size, -1)
+    rank[shared[order]] = np.arange(shared.size)
+    value = ic_of[order]
+
+    # each sense's closure and each lemma's union as rows of packed bits,
+    # bit r of a row set when it holds the key of rank r
+    nwords = (shared.size + 63) // 64
+    rank_at = rank[at]
+    kept = rank_at >= 0
+    row, rank_at = row[kept], rank_at[kept]
+    senses = np.zeros((len(lemma_of), nwords), np.uint64)
+    np.bitwise_or.at(senses, (row, rank_at >> 6),
+                     np.left_shift(np.uint64(1), (rank_at & 63).astype(np.uint64)))
+    bounds = np.cumsum([0] + counts)
+    unions = np.bitwise_or.reduceat(senses, bounds[:-1], axis=0)
+
+    # per block of lemmas: the rank of each pair's subsumer with every
+    # lemma, then each sense's hits over the other lemmas in lemma order,
+    # summed left to right after a leading 0.0, as a loop over the pairs
+    # would add them
+    n, support = len(entries), np.empty(len(lemma_of))
+    # a block's words, and its senses' terms, each stay within the budget
+    step = max(1, BLOCK_WORDS // (n * max(nwords, *counts)))
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        ranks = _subsumers(unions[start:stop], unions)
+        # a lemma is not its own pair
+        ranks[np.arange(stop - start), np.arange(start, stop)] = -1
+        first, last = bounds[start], bounds[stop]
+        r = ranks[lemma_of[first:last] - start]
+        word = senses[np.arange(first, last)[:, None], r >> 6]
+        hit = (word >> (r & 63).astype(np.uint64)) & np.uint64(1)
+        terms = np.zeros((last - first, n + 1))
+        np.copyto(terms[:, 1:], value[r], where=(r >= 0) & (hit != 0))
+        support[first:last] = np.cumsum(terms, axis=1)[:, -1]
+    return support.tolist()
+
+
+def _subsumers(rows: np.ndarray, unions: np.ndarray) -> np.ndarray:
+    """The rank of the first key each of `rows` shares with each lemma's
+    packed union row, or -1 where they share none."""
+    both = (rows[:, None, :] & unions[None, :, :]).reshape(-1, unions.shape[1])
+    first = (both != 0).argmax(axis=1)
+    word = both[np.arange(len(both)), first]
+    # the lowest set bit, a power of two, which float64 holds exactly
+    low = word & (~word + np.uint64(1))
+    bit = np.frexp(low.astype(np.float64))[1] - 1
+    return np.where(word != 0, first * 64 + bit, -1).reshape(len(rows), len(unions))
 
 
 def document_weights(doc: Document, taxonomy: Taxonomy, ic: ICTable) -> SenseWeighting:

@@ -26,6 +26,13 @@ from animacy.mbl import build_store, cross_validate, feature_table
 from animacy.resolution import gold_assignment, sweep
 
 
+def iter_nps(docs):
+    """All NPs of a corpus in text order, paired with their document."""
+    for doc in docs:
+        for np in doc.nps:
+            yield doc, np
+
+
 def make_np(doc="d", sent=0, np=0, head="thing", gold=None, **kwargs):
     defaults = dict(
         doc_id=doc, sent_id=sent, np_id=np, head_lemma=head,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from animacy import enrichment
-from animacy.corpus import Document, Label, iter_nps
+from animacy.corpus import Document, Label
 from animacy.enrichment import (
     EnrichedTaxonomy,
     Status,
@@ -27,7 +27,7 @@ from animacy.fileio import write_atomic
 from animacy.taxonomy import VERB, BeginnerClass, Synset, Taxonomy
 from tests.chi2_critical_table import CRITICAL, DFS
 from tests.test_cli import FREE_TEXT
-from tests.test_corpus import make_np, reloaded, write_lines
+from tests.test_corpus import iter_nps, make_np, reloaded, write_lines
 from tests.test_taxonomy import LEMMAS, random_taxonomies
 
 # Conventional 0.05 upper critical values (three-decimal table, df 1..10).

@@ -11,6 +11,7 @@ from animacy.enrichment import dump_statuses, enrich, load_enriched
 from animacy.fileio import read_lines, write_atomic
 from animacy.taxonomy import dump_taxonomy, load_taxonomy
 from animacy.wsd import load_counts
+from tests.test_wsd import table_counts
 
 OLD = "previous contents\n"
 
@@ -145,7 +146,7 @@ class TestReadLines:
             "statuses": (dump_statuses(enrich(taxonomy, load_corpus(mini_corpus_path()))),
                          lambda path: load_enriched(path, taxonomy)),
             "counts": ("COUNT\tn-cat-animal\t2\nCOUNT\tn-person\t1.5\n",
-                       lambda path: load_counts(path, taxonomy).counts),
+                       lambda path: table_counts(load_counts(path, taxonomy))),
             "predictions": ("d1\t0\t0\tA\nd1\t0\t1\tU\n", _labels_for),
         }[kind]
         plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from animacy.corpus import Document, Label, iter_nps, pronoun_ratio
+from animacy.corpus import Document, Label, pronoun_ratio
 from animacy.enrichment import EnrichedTaxonomy, Status, enrich
 from animacy.evaluation import score
 from animacy.mbl import (
@@ -28,7 +28,7 @@ from tests.test_acceptance import (
     store_of,
     table_of,
 )
-from tests.test_corpus import make_np, reloaded
+from tests.test_corpus import iter_nps, make_np, reloaded
 from tests.test_taxonomy import sense_mass
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from animacy.corpus import Document, Label, PronounRecord, iter_nps
+from animacy.corpus import Document, Label, PronounRecord
 from animacy.resolution import (
     CompiledCorpus,
     InfeasibleTargetError,
@@ -21,7 +21,7 @@ from animacy.resolution import (
     sweep,
     sweep_csv,
 )
-from tests.test_corpus import make_np, reloaded
+from tests.test_corpus import iter_nps, make_np, reloaded
 
 A, I, U = Label.ANIMATE, Label.INANIMATE, Label.UNKNOWN
 

@@ -1,6 +1,9 @@
 import math
+import random
 import re
 import sys
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +12,7 @@ from animacy.corpus import Document
 from animacy.enrichment import EnrichedTaxonomy, Status
 from animacy.mbl import extract_features
 from animacy.rules import noun_ratios, sense_table, verb_ratios
+from animacy import wsd
 from animacy.taxonomy import NOUN, BeginnerClass, Synset, Taxonomy
 from animacy.wsd import (
     ICTable,
@@ -107,13 +111,48 @@ def oracle_weights(nouns, taxonomy: Taxonomy, ic: ICTable) -> dict:
                 for sid in senses:
                     if subsumer in taxonomy.ancestors(sid, include_self=True):
                         support[lemma][sid] += value
+    return normalized(support)
+
+
+def normalized(support: dict) -> dict:
+    """Per-lemma support as weights keyed by (lemma, synset id)."""
     weights = {}
-    for lemma in lemmas:
-        per_sense = support[lemma]
+    for lemma, per_sense in support.items():
         total = sum(per_sense.values())
         for sid, value in per_sense.items():
             weights[(lemma, sid)] = value / total if total > 0.0 else 1.0 / len(per_sense)
     return weights
+
+
+def pair_loop_weights(nouns, taxonomy: Taxonomy, ic: ICTable) -> dict:
+    """A faster reference for large documents: one loop over the noun pairs.
+
+    The common subsumers of all sense pairs of two lemmas are the synsets
+    shared by the unions of their sense closures, so each pair takes one
+    set intersection of (-IC, id) keys, whose smallest is the subsumer.
+    `test_drawn_large_documents_match_the_oracle` holds it to
+    `oracle_weights`."""
+    lemmas = sorted({x for x in nouns if taxonomy.senses(x, NOUN)})
+    closures = {
+        lemma: [(sid, frozenset((-ic.of(node), node)
+                                for node in taxonomy.ancestors(sid, include_self=True)))
+                for sid in taxonomy.senses(lemma, NOUN)]
+        for lemma in lemmas
+    }
+    unions = {lemma: frozenset().union(*(closure for _, closure in per_sense))
+              for lemma, per_sense in closures.items()}
+    support = {lemma: {sid: 0.0 for sid, _ in closures[lemma]} for lemma in lemmas}
+    for i, lemma_a in enumerate(lemmas):
+        for lemma_b in lemmas[i + 1:]:
+            common = unions[lemma_a] & unions[lemma_b]
+            if not common:
+                continue
+            subsumer = min(common)
+            for lemma in (lemma_a, lemma_b):
+                for sid, closure in closures[lemma]:
+                    if subsumer in closure:
+                        support[lemma][sid] += -subsumer[0]
+    return normalized(support)
 
 
 POOL = ("fox", "vat", "oak", "imp", "cog", "elm")
@@ -154,6 +193,55 @@ def sense_documents(draw):
     taxonomy, direct = draw(sense_taxonomies())
     table = information_content(occurrences(direct), taxonomy)
     return taxonomy, table, draw(NOUN_LISTS)
+
+
+@st.composite
+def large_documents(draw):
+    """A seeded noun DAG of 80 to 400 synsets with one or two hypernyms
+    each, up to 200 lemmas of one to four senses, small direct counts (so
+    many synsets tie on IC) and ids shuffled against file order; then a
+    document naming every lemma.  Most documents share more than 64 keys,
+    several packed words."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(80, 400))
+    lemmas = [f"w{k:03d}" for k in range(draw(st.integers(2, 200)))]
+    ids = [f"s{i:03d}" for i in range(size)]
+    rng.shuffle(ids)
+    named = [[] for _ in range(size)]
+    for lemma in lemmas:
+        for i in rng.sample(range(size), rng.randint(1, 4)):
+            named[i].append(lemma)
+    roots = rng.randint(1, 3)
+    synsets = [
+        Synset(ids[i], "n", tuple(named[i]) or (f"only{i}",),
+               tuple(rng.sample(ids[:i], rng.choice((1, 1, 1, 2)) if i > 1 else 1))
+               if i >= roots else (), 6)
+        for i in range(size)
+    ]
+    taxonomy = Taxonomy(synsets)
+    direct = [(sid, rng.choice((0, 0, 0, 1, 2))) for sid in ids]
+    return taxonomy, information_content(occurrences(direct), taxonomy), lemmas
+
+
+def thousand_lemma_document():
+    """A four-level noun tree (1, 12, 144 and 1,728 synsets) with 1,100
+    lemmas of two or three senses at its leaves: 905 keys shared by two
+    lemmas or more, fifteen packed words per row."""
+    rng = random.Random(5)
+    synsets = [Synset("r", "n", ("root",), (), 6)]
+    levels = [["r"]]
+    for depth, width in enumerate((12, 144, 1728), 1):
+        level = [f"m{depth}-{i:04d}" for i in range(width)]
+        synsets += [Synset(sid, "n", (f"mid{depth}-{i}",), (rng.choice(levels[-1]),), 6)
+                    for i, sid in enumerate(level)]
+        levels.append(level)
+    lemmas = [f"n{k:04d}" for k in range(1100)]
+    for lemma in lemmas:
+        for j in range(rng.choice((2, 2, 3))):
+            synsets.append(Synset(f"{lemma}-{j}", "n", (lemma,), (rng.choice(levels[-1]),), 6))
+    taxonomy = Taxonomy(synsets)
+    direct = [(f"{lemma}-0", rng.choice((0, 1, 3))) for lemma in lemmas[::3]]
+    return taxonomy, information_content(occurrences(direct), taxonomy), lemmas
 
 
 def oracle_ic(direct: dict, taxonomy: Taxonomy) -> tuple[dict, dict]:
@@ -202,13 +290,24 @@ COUNT_LINES = st.one_of(
 )
 
 
+def table_ic(table: ICTable) -> dict:
+    """Every synset's information content, by synset id."""
+    return {sid: table.of(sid) for sid in table.taxonomy}
+
+
+def table_counts(table: ICTable) -> dict:
+    """Every synset's smoothed propagated count, read from the table's
+    count column."""
+    return dict(zip(table.taxonomy, (table._raw + 1.0).tolist()))
+
+
 def assert_same_table(table: ICTable, direct: dict, taxonomy: Taxonomy) -> None:
     ic, counts = oracle_ic(direct, taxonomy)
     for sid in taxonomy:
         # hex() tells -0.0 from 0.0, so this is bit equality
         assert table.of(sid).hex() == ic[sid].hex(), sid
-    assert table.ic == ic
-    assert table.counts == counts
+    assert table_ic(table) == ic
+    assert table_counts(table) == counts
 
 
 class TestInformationContent:
@@ -223,10 +322,10 @@ class TestInformationContent:
         assert 0.0 < table.of("s2b") < math.inf
 
     def test_parent_count_at_least_child_count(self, toy_taxonomy, mini_corpus):
-        table = information_content(mini_corpus, toy_taxonomy)
+        counts = table_counts(information_content(mini_corpus, toy_taxonomy))
         for sid in toy_taxonomy:
             for parent in toy_taxonomy.hypernyms(sid):
-                assert table.counts[parent] >= table.counts[sid]
+                assert counts[parent] >= counts[sid]
 
     def test_ic_monotone_up_the_hierarchy(self, toy_taxonomy, mini_corpus):
         table = information_content(mini_corpus, toy_taxonomy)
@@ -240,7 +339,7 @@ class TestInformationContent:
         path = tmp_path / "freq.tsv"
         path.write_text("COUNT\ts1a\t2\nCOUNT\ts2b\t3\n")
         from_file = load_counts(path, t)
-        assert from_file.ic == from_corpus.ic
+        assert table_ic(from_file) == table_ic(from_corpus)
 
     def test_empty_taxonomy_rejected(self):
         with pytest.raises(ValueError):
@@ -282,7 +381,7 @@ class TestInformationContent:
             assert named and 1 <= int(named.group(1)) <= len(lines), str(exc)
             return
         # an accepted file gives a finite information content everywhere
-        assert all(math.isfinite(value) for value in table.ic.values())
+        assert all(math.isfinite(value) for value in table_ic(table).values())
 
     @pytest.mark.parametrize("value", ["1_0", " 2 ", "+2"])
     def test_value_outside_the_decimal_grammar_is_rejected(self, value, tmp_path):
@@ -301,6 +400,15 @@ class TestInformationContent:
         path = tmp_path_factory.mktemp("counts") / "freq.count"
         path.write_text(f"COUNT\ts1a\t{value!r}\n")
         assert_same_table(load_counts(path, pair_taxonomy()), {"s1a": value}, pair_taxonomy())
+
+    # (c, T): -log((c + 1) / (T + 1)), from a leaf with count c beside one
+    # with count T - c, is a value where numpy's vectorized log has been
+    # seen to differ from `math.log` in the last bit
+    @pytest.mark.parametrize("count, total", [(33, 34), (13, 36), (44, 45), (67, 69), (27, 73)])
+    def test_information_content_is_math_log_bit_for_bit(self, count, total):
+        t = pair_taxonomy()
+        direct = {"s1a": float(count), "s2b": float(total - count)}
+        assert_same_table(ICTable(direct, t), direct, t)
 
     def test_unknown_synset_raises(self):
         table = information_content(occurrences([("s1a", 2)]), pair_taxonomy())
@@ -405,6 +513,82 @@ class TestDisambiguation:
             for lemma in POOL + ("only0",):
                 senses = taxonomy.senses(lemma, NOUN)
                 assert warm.for_lemma(lemma, senses) == fresh.for_lemma(lemma, senses)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=large_documents(), block=st.sampled_from([1, 5, 64, wsd.BLOCK_WORDS]))
+    def test_drawn_large_documents_match_the_oracle(self, case, block):
+        # small blocks split the pair search and the sums into many blocks
+        taxonomy, table, nouns = case
+        expected = oracle_weights(nouns, taxonomy, table)
+        assert pair_loop_weights(nouns, taxonomy, table) == expected
+        with mock.patch.object(wsd, "BLOCK_WORDS", block):
+            w = disambiguation_weights(nouns, taxonomy, table)
+        for (lemma, sid), value in expected.items():
+            assert w.weight(lemma, sid).hex() == value.hex(), (lemma, sid)
+
+    def test_equal_ic_subsumers_compare_ids_as_python_strings(self):
+        # "a" < "a\x00" as `str`, but a numpy string array drops a trailing
+        # NUL and holds the two equal; "a\x00" comes first in file order
+        t = Taxonomy([
+            Synset("root", "n", ("top",), (), 6),
+            Synset("a\x00", "n", ("nul",), ("root",), 6),
+            Synset("a", "n", ("plain",), ("root",), 6),
+            Synset("x1", "n", ("alpha",), ("a\x00",), 6),
+            Synset("x2", "n", ("alpha",), ("a",), 6),
+            Synset("y1", "n", ("beta",), ("a\x00",), 6),
+            Synset("y2", "n", ("beta",), ("a",), 6),
+        ])
+        table = information_content(
+            occurrences([("x1", 1), ("x2", 1), ("y1", 1), ("y2", 1)]), t
+        )
+        assert table.of("a") == table.of("a\x00") > table.of("root")
+        w = disambiguation_weights({"alpha", "beta"}, t, table)
+        assert (w.weight("alpha", "x1"), w.weight("alpha", "x2")) == (0.0, 1.0)
+        assert (w.weight("beta", "y1"), w.weight("beta", "y2")) == (0.0, 1.0)
+        for (lemma, sid), value in oracle_weights({"alpha", "beta"}, t, table).items():
+            assert w.weight(lemma, sid) == value, (lemma, sid)
+
+    def test_thousand_lemma_document_matches_the_oracle_in_bounded_memory(self):
+        taxonomy, table, nouns = thousand_lemma_document()
+        expected = pair_loop_weights(nouns, taxonomy, table)
+        table.prepare(nouns)
+        tracemalloc.start()
+        try:
+            w = disambiguation_weights(nouns, taxonomy, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for (lemma, sid), value in expected.items():
+            assert w.weight(lemma, sid).hex() == value.hex(), (lemma, sid)
+        # the pair search over all 1,100 x 1,100 rows of fifteen words at
+        # once would take 145 MB, and the subsumer ranks of all pairs 4.8 MB
+        # as int32; in blocks the peak is about 2 MB
+        assert peak < 6e6
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=sense_taxonomies(), documents=st.lists(NOUN_LISTS, min_size=2, max_size=6))
+    def test_unprepared_table_matches_one_prepare(self, case, documents):
+        # a table that gathers its lemmas document by document gives the
+        # weights of one prepared once for every lemma, and keeps each
+        # lemma's closures as it first built them
+        taxonomy, direct = case
+        lazy = information_content(occurrences(direct), taxonomy)
+        ready = information_content(occurrences(direct), taxonomy)
+        ready.prepare(noun for nouns in documents for noun in nouns)
+        held = {}
+        for nouns in documents:
+            got = disambiguation_weights(nouns, taxonomy, lazy)
+            want = disambiguation_weights(nouns, taxonomy, ready)
+            for lemma in POOL + ("only0",):
+                senses = taxonomy.senses(lemma, NOUN)
+                got_map, want_map = got.for_lemma(lemma, senses), want.for_lemma(lemma, senses)
+                assert (got_map is None) == (want_map is None), lemma
+                if got_map is not None:
+                    assert [got_map[sid].hex() for sid in senses] == [
+                        want_map[sid].hex() for sid in senses], lemma
+            for lemma, entry in held.items():
+                assert lazy._closures[lemma] is entry
+            held.update(lazy._closures)
 
     def test_table_of_another_taxonomy_is_rejected(self):
         t, table = self.ic()
