@@ -9,7 +9,7 @@ couple of context flags as tie-breakers.
 from animacy import load_corpus, load_taxonomy, score
 from animacy.corpus import Label
 from animacy.data import mini_corpus_path, toy_taxonomy_path
-from animacy.rules import classify_np, compute_ratios, noun_ratios, sense_table, verb_ratios
+from animacy.rules import classify_np, noun_ratios, sense_table, verb_ratios
 
 taxonomy = load_taxonomy(toy_taxonomy_path())
 docs = load_corpus(mini_corpus_path())
@@ -35,9 +35,10 @@ for doc in docs:
         gold.append(np.gold)
         predicted.append(label)
         if doc.doc_id == "d1" and np.sent_id <= 1:
-            r = compute_ratios(np, senses)
-            print(f"  {np.surface!r}: noun animacy {r.noun_animacy:.2f}, "
-                  f"verb animacy {r.verb_animacy:.2f} -> {label.name}")
+            noun, _, _ = noun_ratios(np.head_lemma, senses)
+            verb, _, _ = verb_ratios(np.verb_lemma, senses) if np.verb_lemma else (0.0, 0, 0)
+            print(f"  {np.surface!r}: noun animacy {noun:.2f}, "
+                  f"verb animacy {verb:.2f} -> {label.name}")
 
 report = score(gold, predicted)
 animate = report.scores(Label.ANIMATE)

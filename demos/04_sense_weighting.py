@@ -27,7 +27,7 @@ for sid in taxonomy.senses("cat", "n"):
     print(f"  {sid:>14}: {weights.weight('cat', sid):.3f}")
 
 senses = sense_table(taxonomy)
-plain = noun_ratios("cat", senses)
-weighted = noun_ratios("cat", senses, weighting=weights)
-print(f"\nanimate fraction for 'cat': {plain.animate:.2f} unweighted, "
-      f"{weighted.animate:.2f} with context weighting")
+plain, _, _ = noun_ratios("cat", senses)
+weighted, _, _ = noun_ratios("cat", senses, weighting=weights)
+print(f"\nanimate fraction for 'cat': {plain:.2f} unweighted, "
+      f"{weighted:.2f} with context weighting")

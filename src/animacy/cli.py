@@ -116,27 +116,6 @@ def _ic_table(args, taxonomy, ic_docs, *corpora):
     return ic_table
 
 
-def _wsd_weightings(args, taxonomy, ic_docs, *corpora):
-    """Per-document sense weightings for each corpus under --wsd, else Nones."""
-    ic_table = _ic_table(args, taxonomy, ic_docs, *corpora)
-    if ic_table is None:
-        return [None] * len(corpora)
-    return [
-        {doc.doc_id: wsd.document_weights(doc, taxonomy, ic_table) for doc in docs}
-        for docs in corpora
-    ]
-
-
-def _rule_labels(docs, taxonomy, ic_table, senses, thresholds, reflexive_counts):
-    """The rule label of each NP of `docs`, in corpus order; under --wsd
-    each document is weighed just before its NPs and dropped after them."""
-    for doc in docs:
-        weighting = wsd.document_weights(doc, taxonomy, ic_table) if ic_table else None
-        for np in doc.nps:
-            yield rules.classify_np(np, senses, thresholds, weighting,
-                                    reflexive_counts=reflexive_counts)
-
-
 class UsageError(Exception):
     pass
 
@@ -232,18 +211,18 @@ def cmd_classify(args) -> int:
             for given, default in zip((args.t1, args.t2, args.t3), astuple(rules.Thresholds()))])
         docs = load_corpus(args.corpus)
         ic_table = _ic_table(args, taxonomy, docs, docs)
-        labels = _rule_labels(docs, taxonomy, ic_table, rules.sense_table(taxonomy, beginners),
-                              thresholds, not args.no_reflexive)
+        labels = rules.classify_corpus(docs, rules.sense_table(taxonomy, beginners), thresholds,
+                                       not args.no_reflexive, ic_table)
     else:
         # memory-based: train on --train, predict --test
         taxonomy = load_taxonomy(args.taxonomy)
         train_docs = load_corpus(args.train)
         docs = load_corpus(args.test)
         senses = _statuses(args, taxonomy, train_docs).sense_table(beginners)
-        train_weightings, weightings = _wsd_weightings(args, taxonomy, train_docs, train_docs, docs)
-        store = mbl.build_store(train_docs, senses, train_weightings)
+        ic_table = _ic_table(args, taxonomy, train_docs, train_docs, docs)
+        store = mbl.build_store(train_docs, senses, ic_table)
         config = mbl.MblConfig() if args.k is None else mbl.MblConfig(k=args.k)
-        queries = mbl.feature_table(docs, senses, weightings, store.table.lemma_ids)
+        queries = mbl.feature_table(docs, senses, ic_table, store.table.lemma_ids)
         labels = (mbl.knn_classify(queries, row, store, config)
                   for row in range(len(queries.codes)))
 
@@ -259,10 +238,9 @@ def cmd_xval(args) -> int:
     taxonomy = load_taxonomy(args.taxonomy)
     docs = load_corpus(args.corpus)
     senses = _statuses(args, taxonomy, docs).sense_table(_beginners(args))
-    (weightings,) = _wsd_weightings(args, taxonomy, docs, docs)
     report, _ = mbl.cross_validate(
         docs, senses, folds=args.folds, config=mbl.MblConfig(k=args.k),
-        seed=args.seed, weightings=weightings,
+        seed=args.seed, ic=_ic_table(args, taxonomy, docs, docs),
     )
     _write_output(evaluation.format_report(report), args.out)
     return 0

@@ -20,25 +20,23 @@ sense counts under the enriched taxonomy, the same pair for the governing
 verb of subjects (zero otherwise), and the document's animate pronoun
 ratio.  The senses' animacy comes from the enriched taxonomy's
 `SenseTable` for one beginner class (`EnrichedTaxonomy.sense_table`),
-which resolves each sense once; only the weighted head-noun masses are
-added up per NP.
+which resolves each sense once; the rules read their masses from the
+same walk over the NP columns (`sense_masses`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.random import default_rng
 
+from . import wsd
 from .corpus import Document, Label, NPRecord, np_columns, pronoun_ratio
 from .evaluation import EvalReport, score
 from .taxonomy import NOUN, VERB, SenseTable
-
-if TYPE_CHECKING:
-    from .wsd import SenseWeighting
 
 OOV_LEMMA = "<oov>"
 
@@ -73,11 +71,58 @@ class MblConfig:
             raise ValueError("k must be >= 1")
 
 
+def lemma_mass(lemma: str, pos: str, table: SenseTable, weighting=None) -> tuple:
+    """The sense count, plain (animate, inanimate) counts and weighted
+    masses (None unless the weighting covers every sense) of `lemma`."""
+    senses = table.senses(lemma, pos)
+    weights = None if weighting is None else weighting.for_lemma(lemma, senses)
+    return (len(senses), table.mass(lemma, pos),
+            None if weights is None else table.mass(lemma, pos, weights))
+
+
+def np_masses(lemma: str, verb: str | None, table: SenseTable, weighting=None) -> tuple:
+    """The head noun's `lemma_mass`, then the plain counts of the governing
+    verb `verb` (a subject's, else None: zeros).  Document weights cover
+    noun senses only, and synset ids are unique across parts of speech, so
+    a verb always counts plainly."""
+    total, counts, weighted = lemma_mass(lemma, NOUN, table, weighting)
+    return total, counts, weighted, (0.0, 0.0) if verb is None else table.mass(verb, VERB)
+
+
+def sense_masses(docs: Sequence[Document], table: SenseTable,
+                 ic: "wsd.ICTable | None" = None) -> Iterator[tuple]:
+    """Each NP of `docs` in corpus order, read from the NP columns, as its
+    document's pronoun ratio followed by its `np_masses` under `table`.
+    Given `ic`, each document is weighed just before its NPs and dropped
+    after them."""
+    columns, counts = np_columns(docs)
+    heads, verbs = columns.head_lemma, columns.verb_lemma
+    start = 0
+    for doc, count in zip(docs, counts):
+        ratio = pronoun_ratio(doc)
+        weighting = None if ic is None else wsd.document_weights(doc, table.taxonomy, ic)
+        for i in range(start, start + count):
+            yield (ratio, *np_masses(heads[i], verbs[i], table, weighting))
+        start += count
+
+
+def _head_feature(lemma: str, senses: int, counts, weighted, table: SenseTable, weighing: bool):
+    """The lemma feature and the head-noun pair, under weights if `weighing`."""
+    if not senses:
+        return OOV_LEMMA, (0.0, 0.0)
+    if weighted is None and weighing:
+        # a lemma without stored weights takes uniform shares, so its
+        # counts stay on the scale of the weighted ones
+        ids = table.senses(lemma, NOUN)
+        return lemma, table.mass(lemma, NOUN, dict.fromkeys(ids, 1.0 / senses))
+    return lemma, weighted or counts
+
+
 def extract_features(
     np_record: NPRecord,
     doc: Document,
     senses: SenseTable,
-    weighting: "SenseWeighting | None" = None,
+    weighting: "wsd.SenseWeighting | None" = None,
 ) -> FeatureVector:
     """Build the instance for one NP occurrence, its senses judged by an
     enriched taxonomy's `senses` table.
@@ -85,29 +130,10 @@ def extract_features(
     Out-of-vocabulary heads get zero sense counts and a marker lemma.
     Verb counts apply to subjects with a known governing verb only.
     """
-    lemma, numeric = _features(
-        np_record.head_lemma, np_record.verb_lemma if np_record.is_subject else None,
-        pronoun_ratio(doc), senses, weighting,
-    )
-    return FeatureVector(lemma, *numeric, np_record.gold)
-
-
-def _features(lemma: str, verb: str | None, ratio: float, table: SenseTable,
-              weighting: "SenseWeighting | None"):
-    """The lemma feature and the numeric ones, as `extract_features` finds
-    them from an NP's head lemma, the governing verb of a subject (else
-    None) and the document's pronoun ratio."""
-    senses = table.senses(lemma, NOUN)
-    if not senses:
-        lemma, noun = OOV_LEMMA, (0.0, 0.0)
-    else:
-        # a lemma without stored weights takes uniform shares, so its
-        # counts stay on the scale of the weighted ones
-        weights = None if weighting is None else (
-            weighting.for_lemma(lemma, senses) or dict.fromkeys(senses, 1.0 / len(senses)))
-        noun = table.mass(lemma, NOUN, weights)
-    verb_mass = (0.0, 0.0) if verb is None else table.mass(verb, VERB)
-    return lemma, (*noun, *verb_mass, ratio)
+    head = np_record.head_lemma
+    total, counts, weighted, verb = np_masses(head, np_record.verb_lemma, senses, weighting)
+    lemma, noun = _head_feature(head, total, counts, weighted, senses, weighting is not None)
+    return FeatureVector(lemma, *noun, *verb, pronoun_ratio(doc), np_record.gold)
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,40 +318,33 @@ def knn_classify(
 def feature_table(
     docs: Sequence[Document],
     senses: SenseTable,
-    weightings: dict[str, "SenseWeighting"] | None = None,
+    ic: "wsd.ICTable | None" = None,
     lemma_ids: dict[str, int] | None = None,
 ) -> FeatureTable:
     """The rows of `docs`' NPs in corpus order under the sense table
-    `senses`; `weightings` maps document ids to sense weightings.  These
-    are the gold-labelled NPs with lemma codes of their own, or, given a
+    `senses`, weighted by `ic` if given (see `sense_masses`).  These are
+    the gold-labelled NPs with lemma codes of their own, or, given a
     store's `lemma_ids`, every NP coded through them.  The NPs are read
     from their columns, with no `NPRecord` or `FeatureVector` per NP."""
-    columns, counts = np_columns(docs)
-    heads, subjects, verbs, golds = (
-        columns.head_lemma, columns.is_subject, columns.verb_lemma, columns.gold)
+    columns, _ = np_columns(docs)
     lemmas, numeric, labels = [], [], []
-    start = 0
-    for doc, count in zip(docs, counts):
-        ratio = pronoun_ratio(doc)
-        weighting = weightings.get(doc.doc_id) if weightings else None
-        for i in range(start, start + count):
-            if lemma_ids is not None or golds[i] is not None:
-                lemma, values = _features(heads[i], verbs[i] if subjects[i] else None,
-                                          ratio, senses, weighting)
-                lemmas.append(lemma)
-                numeric.append(values)
-                labels.append(golds[i])
-        start += count
+    for head, gold, (ratio, total, counts, weighted, verb) in zip(
+            columns.head_lemma, columns.gold, sense_masses(docs, senses, ic)):
+        if lemma_ids is not None or gold is not None:
+            lemma, noun = _head_feature(head, total, counts, weighted, senses, ic is not None)
+            lemmas.append(lemma)
+            numeric.append((*noun, *verb, ratio))
+            labels.append(gold)
     return FeatureTable.of_columns(lemmas, numeric, labels, lemma_ids)
 
 
 def build_store(
     docs: Iterable[Document],
     senses: SenseTable,
-    weightings: dict[str, "SenseWeighting"] | None = None,
+    ic: "wsd.ICTable | None" = None,
 ) -> InstanceStore:
     """Training store over every gold-labelled NP of a corpus."""
-    return InstanceStore(feature_table(list(docs), senses, weightings))
+    return InstanceStore(feature_table(list(docs), senses, ic))
 
 
 def cross_validate(
@@ -334,9 +353,9 @@ def cross_validate(
     folds: int = 10,
     config: MblConfig = MblConfig(),
     seed: int = 0,
-    weightings: dict[str, "SenseWeighting"] | None = None,
+    ic: "wsd.ICTable | None" = None,
 ) -> tuple[EvalReport, list[Label]]:
-    """Seeded k-fold evaluation over the gold-labelled NPs.
+    """Seeded k-fold evaluation over the gold-labelled NPs, weighted by `ic` if given.
 
     Instances are shuffled once and split into near-equal folds; each fold
     is predicted by a store built from the others, so feature weights never
@@ -345,7 +364,7 @@ def cross_validate(
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")
-    table = feature_table(docs, senses, weightings)
+    table = feature_table(docs, senses, ic)
     total = len(table.codes)
     if total < folds:
         raise ValueError(f"{total} labelled instances cannot fill {folds} folds")

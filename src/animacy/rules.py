@@ -2,22 +2,29 @@
 
 For a head noun, the fraction of its senses rooted at animate unique
 beginners (and the same fraction for the governing verb of subject NPs)
-feeds a fixed threshold cascade.  Sense weighting can replace the raw
-counts with per-sense weights; everything else is unchanged.  Each sense's
-beginner class is decided once per run, by the `SenseTable` that
-`sense_table` builds.
+feeds a fixed threshold cascade.  The sense masses come from the walk
+over the NP columns that the memory-based learner reads too
+(`mbl.sense_masses`), under the `SenseTable` that `sense_table` builds;
+a weighted head noun falls back to its plain counts when the document's
+weights miss it or sum to zero.  The cascade is a few elementwise
+comparisons over a whole corpus's fraction columns (`classify_corpus`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Sequence
 
-from .corpus import Label, NPRecord
+import numpy as np
+
+from .corpus import Document, Label, NPRecord, np_columns
+from .mbl import lemma_mass, np_masses, sense_masses
 from .taxonomy import NOUN, VERB, BeginnerClass, SenseTable, Taxonomy
 
 if TYPE_CHECKING:
-    from .wsd import SenseWeighting
+    from .wsd import ICTable, SenseWeighting
+
+_LABELS = (Label.ANIMATE, Label.INANIMATE, Label.UNKNOWN)
 
 
 @dataclass(frozen=True)
@@ -34,29 +41,6 @@ class Thresholds:
                 raise ValueError(f"threshold {value} outside [0, 1]")
 
 
-class RatioResult(NamedTuple):
-    animate: float
-    inanimate: float
-    total: int
-
-
-@dataclass(frozen=True)
-class AnimacyRatios:
-    """Animate/inanimate sense fractions for one NP occurrence.
-
-    The fractions are complements whenever the corresponding sense total is
-    positive.  Verb fractions are zero for non-subjects and for unknown
-    verbs; a zero noun total marks an out-of-vocabulary head.
-    """
-
-    noun_animacy: float
-    noun_inanimacy: float
-    verb_animacy: float
-    verb_inanimacy: float
-    noun_sense_total: int
-    verb_sense_total: int
-
-
 def sense_table(taxonomy: Taxonomy, beginners: BeginnerClass = BeginnerClass()) -> SenseTable:
     """The senses of `taxonomy`, animate when rooted at an animate unique
     beginner of `beginners`."""
@@ -64,51 +48,47 @@ def sense_table(taxonomy: Taxonomy, beginners: BeginnerClass = BeginnerClass()) 
     return SenseTable(taxonomy, lambda sid: is_animate(beginner_of(sid), pos_of(sid)))
 
 
-def _ratios(lemma: str, pos: str, table: SenseTable,
-            weighting: "SenseWeighting | None") -> RatioResult:
-    senses = table.senses(lemma, pos)
-    if not senses:
-        return RatioResult(0.0, 0.0, 0)
-    weights = weighting.for_lemma(lemma, senses) if weighting is not None else None
-    animate_mass, inanimate_mass = table.mass(lemma, pos, weights)
-    if animate_mass + inanimate_mass == 0.0:
-        # every sense carried weight zero; fall back to plain counts
-        animate_mass, inanimate_mass = table.mass(lemma, pos)
-    animate = animate_mass / (animate_mass + inanimate_mass)
-    return RatioResult(animate, 1.0 - animate, len(senses))
+def _rule_mass(counts, weighted):
+    # every sense weighing zero counts as no weights at all
+    return counts if weighted is None or weighted[0] + weighted[1] == 0.0 else weighted
+
+
+def _fractions(masses, known) -> tuple[np.ndarray, np.ndarray]:
+    """Animate and inanimate fractions of (animate, inanimate) mass rows,
+    zeros where not `known`."""
+    masses = np.array(masses, dtype=np.float64).reshape(-1, 2)
+    animate = np.zeros(len(masses))
+    np.divide(masses[:, 0], masses[:, 0] + masses[:, 1], out=animate, where=known)
+    return animate, np.where(known, 1.0 - animate, 0.0)
+
+
+def _lemma_fractions(lemma: str, pos: str, table: SenseTable,
+                     weighting: "SenseWeighting | None") -> tuple[float, float, int]:
+    total, counts, weighted = lemma_mass(lemma, pos, table, weighting)
+    (animate,), (inanimate,) = _fractions([_rule_mass(counts, weighted)], [total > 0])
+    return float(animate), float(inanimate), total
 
 
 def noun_ratios(lemma: str, table: SenseTable,
-                weighting: "SenseWeighting | None" = None) -> RatioResult:
-    """Animate and inanimate fractions over a noun's senses.
+                weighting: "SenseWeighting | None" = None) -> tuple[float, float, int]:
+    """Animate and inanimate fractions over a noun's senses, and their number.
 
     A lemma with no noun senses yields (0, 0, 0); downstream that forces an
     UNKNOWN classification rather than an exception.
     """
-    return _ratios(lemma, NOUN, table, weighting)
+    return _lemma_fractions(lemma, NOUN, table, weighting)
 
 
 def verb_ratios(lemma: str, table: SenseTable,
-                weighting: "SenseWeighting | None" = None) -> RatioResult:
-    return _ratios(lemma, VERB, table, weighting)
+                weighting: "SenseWeighting | None" = None) -> tuple[float, float, int]:
+    return _lemma_fractions(lemma, VERB, table, weighting)
 
 
-def compute_ratios(np: NPRecord, table: SenseTable,
-                   weighting: "SenseWeighting | None" = None) -> AnimacyRatios:
-    noun = _ratios(np.head_lemma, NOUN, table, weighting)
-    verb = (_ratios(np.verb_lemma, VERB, table, weighting)
-            if np.is_subject and np.verb_lemma is not None else RatioResult(0.0, 0.0, 0))
-    return AnimacyRatios(noun.animate, noun.inanimate, verb.animate, verb.inanimate,
-                         noun.total, verb.total)
-
-
-def classify_rule(
-    np: NPRecord,
-    ratios: AnimacyRatios,
-    thresholds: Thresholds = Thresholds(),
-    reflexive_counts: bool = True,
-) -> Label:
-    """Threshold cascade over the sense fractions.
+def cascade(ratios: np.ndarray, noun_senses: Sequence[int], has_who: Sequence[bool],
+            has_reflexive: Sequence[bool], thresholds: Thresholds = Thresholds(),
+            reflexive_counts: bool = True) -> list[Label]:
+    """Threshold cascade over columns, one per NP: `ratios` holds the rows
+    of noun animacy, noun inanimacy, verb animacy and verb inanimacy.
 
     All comparisons are strict.  In order: high noun animacy wins, then
     high noun inanimacy, then joint noun+verb majority, then the contextual
@@ -120,21 +100,33 @@ def classify_rule(
     `reflexive_counts=False` restricts the contextual rule to the
     who-complementizer alone.
     """
-    if ratios.noun_animacy > thresholds.noun_animacy:
-        return Label.ANIMATE
-    if ratios.noun_inanimacy > thresholds.noun_inanimacy:
-        return Label.INANIMATE
-    if (
-        ratios.noun_animacy > ratios.noun_inanimacy
-        and ratios.verb_animacy > ratios.verb_inanimacy
-    ):
-        return Label.ANIMATE
-    contextual = np.has_who or (reflexive_counts and np.has_reflexive)
-    if contextual or ratios.verb_animacy > thresholds.verb_animacy:
-        return Label.ANIMATE
-    if ratios.noun_sense_total == 0:
-        return Label.UNKNOWN
-    return Label.INANIMATE
+    na, ni, va, vi = ratios
+    contextual = np.array(has_who, bool) | (np.array(has_reflexive, bool) & reflexive_counts)
+    codes = np.select(
+        [na > thresholds.noun_animacy, ni > thresholds.noun_inanimacy,
+         (na > ni) & (va > vi) | contextual | (va > thresholds.verb_animacy),
+         np.array(noun_senses, np.int64) == 0],
+        [0, 1, 0, 2], 1)
+    return [_LABELS[code] for code in codes.tolist()]
+
+
+def _classify(rows, has_who, has_reflexive, thresholds, reflexive_counts) -> list[Label]:
+    """The labels of NPs given as `mbl.sense_masses` rows."""
+    senses = np.array([total for _, total, _, _, _ in rows], np.int64)
+    nouns = [_rule_mass(counts, weighted) for _, _, counts, weighted, _ in rows]
+    verbs = np.array([verb for *_, verb in rows], np.float64).reshape(-1, 2)
+    ratios = np.array([*_fractions(nouns, senses > 0), *_fractions(verbs, verbs.sum(axis=1) > 0)])
+    return cascade(ratios, senses, has_who, has_reflexive, thresholds, reflexive_counts)
+
+
+def classify_corpus(docs: Sequence[Document], table: SenseTable,
+                    thresholds: Thresholds = Thresholds(), reflexive_counts: bool = True,
+                    ic: "ICTable | None" = None) -> list[Label]:
+    """The label of each NP of `docs` in corpus order, its senses judged by
+    `table` and weighted by `ic` if given; no `NPRecord` is built."""
+    columns, _ = np_columns(docs)
+    return _classify(list(sense_masses(docs, table, ic)),
+                     columns.has_who, columns.has_reflexive, thresholds, reflexive_counts)
 
 
 def classify_np(
@@ -146,5 +138,5 @@ def classify_np(
 ) -> Label:
     """The cascade's label for one NP, its senses judged by `table`
     (see `sense_table`)."""
-    ratios = compute_ratios(np, table, weighting)
-    return classify_rule(np, ratios, thresholds, reflexive_counts)
+    row = (None, *np_masses(np.head_lemma, np.verb_lemma, table, weighting))
+    return _classify([row], [np.has_who], [np.has_reflexive], thresholds, reflexive_counts)[0]

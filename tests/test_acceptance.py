@@ -41,12 +41,12 @@ from animacy.resolution import (
     sweep,
     sweep_csv,
 )
-from animacy.rules import Thresholds, classify_rule
+from animacy.rules import Thresholds
 from animacy.taxonomy import Synset, Taxonomy
 from animacy.wsd import disambiguation_weights, information_content
 from tests.test_corpus import make_np
 from tests.test_resolution import measured_precision_recall
-from tests.test_rules import ratios
+from tests.test_rules import cascade_of, classify_rule, ratios
 from tests.test_wsd import occurrences, pair_taxonomy, uniform_weighting
 
 A, I, U = Label.ANIMATE, Label.INANIMATE, Label.UNKNOWN
@@ -349,11 +349,14 @@ def test_criterion_04_rule_cascade_branch_table():
             (ratios(nouns=0), False, False, U),            # out of vocabulary
             (ratios(nouns=0), True, False, A),
         ]
-        for r, who, refl, expected in table:
-            np_ = make_np(has_who=who, has_reflexive=refl)
+        nps = [make_np(has_who=who, has_reflexive=refl) for _, who, refl, _ in table]
+        for (r, who, refl, expected), np_ in zip(table, nps):
             assert classify_rule(np_, r) is expected, (r, who, refl)
+        # the column cascade, over the whole table at once
+        assert cascade_of([row[0] for row in table], nps) == [row[3] for row in table]
         np_ = make_np(has_reflexive=True)
         assert classify_rule(np_, ratios(na=0.2, ni=0.8), reflexive_counts=False) is I
+        assert cascade_of([ratios(na=0.2, ni=0.8)], [np_], reflexive_counts=False) == [I]
 
 
 def test_criterion_05_enrichment_properties(toy_taxonomy):

@@ -739,6 +739,17 @@ class TestGoldenBytes:
         ("rule-lexfiles", ["classify", "--method", "rule", "--taxonomy", TAX,
                            "--corpus", CORPUS, "--animate-noun-lexfiles", "18",
                            "--no-reflexive"], None),
+        # every branch but the contextual one fires in these two rows (no
+        # contextual NP of the bundled corpus lacks an animate verb): t1 = 1.0
+        # leaves the joint-majority and verb-animacy branches to the noun-animate
+        # subjects, and under --wsd, where those t1 would give the plain row's
+        # bytes, 0.745 splits the weighted noun fractions
+        ("rule-thresholds", ["classify", "--method", "rule", "--taxonomy", TAX,
+                             "--corpus", CORPUS, "--t1", "1.0", "--t2", "0.6", "--t3", "0.3",
+                             "--no-reflexive"], None),
+        ("rule-wsd-thresholds", ["classify", "--method", "rule", "--wsd", "--taxonomy", TAX,
+                                 "--corpus", CORPUS, "--t1", "0.745", "--t2", "0.6",
+                                 "--t3", "0.3", "--no-reflexive"], None),
         ("ml-enriched", ["classify", "--method", "ml", "--taxonomy", TAX,
                          "--train", CORPUS, "--test", CORPUS,
                          "--enriched", "{tmp}/statuses.tsv"], "ml.tsv"),
@@ -783,6 +794,10 @@ class TestGoldenBytes:
             "023bc90b4b6dd7d81046e960cd4ac35b8849ffa0c730ff270c960a15b4643d41",
         "rule-lexfiles":
             "38aa7ba052f9dede840b360311f3e32daa90a00ffa79d3e7d6ff636e3df63269",
+        "rule-thresholds":
+            "5777c1eabb40beaa9b2a5c70f64f8011cb19ede3748e460a33863ee26bc4b4cc",
+        "rule-wsd-thresholds":
+            "bc44e6cf5c8c3c33610df333dc86dd39e684467a439b942a520261f58f0666f2",
         "ml-enriched":
             "b5f2981351c24b3e779330c9521cc3e603614fcd5cd0d20555a44a5e53bf3468",
         "ml-wsd":

@@ -24,6 +24,8 @@ from animacy.enrichment import accumulate_counts
 from animacy.fileio import read_lines, write_atomic
 from animacy.mbl import build_store, cross_validate, feature_table
 from animacy.resolution import gold_assignment, sweep
+from animacy.rules import classify_corpus, sense_table
+from animacy.wsd import information_content
 
 
 def iter_nps(docs):
@@ -214,26 +216,33 @@ def test_loaded_documents_build_records_on_first_read(built):
 def test_corpus_passes_build_no_records(built, toy_taxonomy, enriched):
     """`gold_assignment`, `accumulate_counts`, `build_store`,
     `cross_validate`, `feature_table` (the query rows of `classify --method
-    ml`) and `sweep` read a loaded corpus from its NP columns."""
+    ml`), the rule labels of `classify --method rule` and `sweep` read a
+    loaded corpus from its NP columns."""
     docs = load_corpus(mini_corpus_path())
     labels = gold_assignment(docs)
     counts, _ = accumulate_counts(docs, toy_taxonomy)
     store = build_store(docs, enriched.sense_table())
     _, predicted = cross_validate(docs, enriched.sense_table(), seed=7)
     queries = feature_table(docs, enriched.sense_table(), lemma_ids=store.table.lemma_ids)
+    ic = information_content(docs, toy_taxonomy)
+    rule_labels = [classify_corpus(docs, sense_table(toy_taxonomy), ic=weigh)
+                   for weigh in (None, ic)]
     grid = sweep(docs, [50, 100], [100], runs=2)
     assert built == []
     assert labels and counts.observed_ids() and grid.cells
     assert len(store.table.codes) == len(predicted) == 60 == len(queries.codes)
+    assert [len(labels) for labels in rule_labels] == [60, 60]
 
 
 @pytest.mark.parametrize("argv", [
     ["xval", "--seed", "7", "--corpus", "{corpus}"],
     ["classify", "--method", "ml", "--train", "{corpus}", "--test", "{corpus}"],
+    ["classify", "--method", "rule", "--corpus", "{corpus}"],
 ])
 @pytest.mark.parametrize("wsd", [[], ["--wsd"]])
 def test_ml_commands_build_no_records(built, tmp_path, argv, wsd):
-    """`xval` and `classify --method ml` run on the corpus columns."""
+    """`xval`, `classify --method ml` and `classify --method rule` run on
+    the corpus columns."""
     out = tmp_path / "out.tsv"
     argv = [arg.format(corpus=mini_corpus_path()) for arg in argv]
     assert main([*argv, *wsd, "--taxonomy", toy_taxonomy_path(), "--out", str(out)]) == 0

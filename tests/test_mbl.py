@@ -310,7 +310,7 @@ class TestBuildStoreMatchesOracle:
     def test_store_of_oracle_instances(self, toy_taxonomy, enriched, mini_corpus, data,
                                        weighted):
         docs = data.draw(drawn_corpora(mini_corpus))
-        weightings = None
+        ic = weightings = None
         if weighted:
             ic = information_content(mini_corpus, toy_taxonomy)
             weightings = {doc.doc_id: document_weights(doc, toy_taxonomy, ic) for doc in docs}
@@ -322,9 +322,9 @@ class TestBuildStoreMatchesOracle:
         for form in (docs, reloaded(docs)):
             if not expected:
                 with pytest.raises(ValueError, match="empty"):
-                    build_store(form, enriched.sense_table(), weightings=weightings)
+                    build_store(form, enriched.sense_table(), ic=ic)
                 continue
-            store = build_store(form, enriched.sense_table(), weightings=weightings)
+            store = build_store(form, enriched.sense_table(), ic=ic)
             assert instances_of(store.table) == expected
             assert store.weights == store_of(expected).weights
 
@@ -518,7 +518,7 @@ class TestCrossValidation:
     ])
     def test_predictions_match_oracle_fold_by_fold(self, toy_taxonomy, enriched, mini_corpus,
                                                    seed, weighted):
-        weightings = None
+        ic = weightings = None
         if weighted:
             ic = information_content(mini_corpus, toy_taxonomy)
             weightings = {doc.doc_id: document_weights(doc, toy_taxonomy, ic)
@@ -531,8 +531,7 @@ class TestCrossValidation:
         order = np.random.default_rng(seed).permutation(len(features))
         for k in (1, 3, 5):
             _, predicted = cross_validate(mini_corpus, enriched.sense_table(), folds=10,
-                                          config=MblConfig(k=k), seed=seed,
-                                          weightings=weightings)
+                                          config=MblConfig(k=k), seed=seed, ic=ic)
             expected = [None] * len(features)
             for fold in np.array_split(order, 10):
                 held_out = set(fold.tolist())
