@@ -37,7 +37,7 @@ import numpy as np
 
 from .corpus import Document, Label, np_columns
 from .fileio import read_lines
-from .taxonomy import VERB, BeginnerClass, SenseTable, Taxonomy, TaxonomyError, closure_pairs
+from .taxonomy import VERB, BeginnerClass, SenseTable, Taxonomy, chain_stops, closure_pairs
 
 # Validity rule for the goodness-of-fit test: at most this fraction of
 # cells may have an expected frequency below the floor.
@@ -54,16 +54,26 @@ class Status(str, enum.Enum):
         return self.value
 
 
+# A status column holds one int8 code per synset, the values a
+# `SenseTable` reads: 1 animate, -1 inanimate, 0 Undecided.  `_STATUS` is
+# indexed by code, so -1 picks its last entry.
+_CODE = {Status.ANIMATE: 1, Status.INANIMATE: -1, Status.UNDECIDED: 0}
+_STATUS = (Status.UNDECIDED, Status.ANIMATE, Status.INANIMATE)
+
+
 class SynsetCounts:
     """Per-synset animate/inanimate occurrence counts (direct + inherited).
 
     Two int columns with the same keys: in taxonomy order as
     `accumulate_counts` returns them, else in order of first `add`.
+    `accumulate_counts` also sets `columns`, the two counts of every
+    synset as int64 arrays in taxonomy order.
     """
 
     def __init__(self):
         self._animate: dict[str, int] = {}
         self._inanimate: dict[str, int] = {}
+        self.columns: tuple[np.ndarray, np.ndarray] | None = None
 
     def add(self, sid: str, animate: bool, amount: int = 1) -> None:
         ani, inani = self._animate, self._inanimate
@@ -255,6 +265,7 @@ def accumulate_counts(
     ids = [taxonomy._ids[i] for i in observed.tolist()]
     counts._animate = dict(zip(ids, animate[observed].tolist()))
     counts._inanimate = dict(zip(ids, inanimate[observed].tolist()))
+    counts.columns = animate, inanimate
     return counts, skipped
 
 
@@ -305,7 +316,8 @@ def classify_node(
 
 
 class EnrichedTaxonomy:
-    """A taxonomy plus one animacy status per synset.
+    """A taxonomy plus one animacy status per synset, held as an int8
+    column in taxonomy order (see `_CODE`).
 
     `skipped` lists the annotated records whose sense key the taxonomy did
     not know, as (doc, sent, np, sense); their noun evidence is missing
@@ -314,18 +326,18 @@ class EnrichedTaxonomy:
 
     def __init__(self, base: Taxonomy, status: dict[str, Status],
                  skipped: Iterable[tuple[str, int, int, str]] = ()):
-        column = dict.fromkeys(base, Status.UNDECIDED)
+        column, index = np.zeros(len(base), np.int8), base._index
         for sid, value in status.items():
-            if sid not in column:
+            if sid not in index:
                 raise ValueError(f"status for unknown synset {sid}")
-            column[sid] = value
+            column[index[sid]] = _CODE[value]
         self._adopt(base, column, skipped)
 
     @classmethod
-    def _from_column(cls, base: Taxonomy, column: dict[str, Status],
+    def _from_column(cls, base: Taxonomy, column: np.ndarray,
                      skipped: Iterable[tuple[str, int, int, str]] = ()) -> EnrichedTaxonomy:
-        """Wrap a status for every synset of `base`, keyed in its order,
-        without checking or copying it."""
+        """Wrap a status code for every synset of `base`, in its order,
+        without checking or copying them."""
         enriched = cls.__new__(cls)
         enriched._adopt(base, column, skipped)
         return enriched
@@ -336,44 +348,28 @@ class EnrichedTaxonomy:
         self._status = column
 
     def status(self, sid: str) -> Status:
-        try:
-            return self._status[sid]
-        except KeyError:
-            raise TaxonomyError(f"unknown synset id {sid}") from None
+        return _STATUS[self._status[self.base._position(sid)]]
 
     def coverage(self) -> float:
         """Fraction of synsets carrying a decided status."""
         if len(self.base) == 0:
             return 0.0
-        decided = sum(1 for s in self._status.values() if s is not Status.UNDECIDED)
-        return decided / len(self.base)
+        return np.count_nonzero(self._status) / len(self.base)
 
     def sense_table(self, beginners: BeginnerClass = BeginnerClass()) -> SenseTable:
         """The senses of the base taxonomy under `resolve_animate` with
-        `beginners`: each sense is resolved once per table.
+        `beginners`, as one column over the synsets.
 
         An Undecided sense with exactly one hypernym answers as that
-        hypernym does (see `resolve_animate`), so a chain of them is
-        climbed once and its answer kept for every node on it, in a memo
-        per table; only an Undecided root or multi-parent node walks.
+        hypernym does (see `resolve_animate`), so each sense's answer is
+        that of its nearest decided or not single-parent synset up the
+        chain (`chain_stops`).  A decided one gives its status; an
+        Undecided one is resolved when a looked-up sense first reaches it,
+        once per table.
         """
-        base, column, memo = self.base, self._status, {}
-
-        def is_animate(sid: str) -> bool:
-            chain = []
-            while column[sid] is Status.UNDECIDED and sid not in memo:
-                parents = base.hypernyms(sid)
-                if len(parents) != 1:
-                    memo[sid] = self.resolve_animate(sid, beginners)
-                    break
-                chain.append(sid)
-                sid = parents[0]
-            answer = memo[sid] if sid in memo else column[sid] is Status.ANIMATE
-            for sid in chain:
-                memo[sid] = answer
-            return answer
-
-        return SenseTable(base, is_animate)
+        column = self._status
+        return SenseTable(self.base, chain_stops(self.base, column != 0), column,
+                          lambda sid: self.resolve_animate(sid, beginners))
 
     def resolve_animate(self, sid: str, beginners: BeginnerClass) -> bool:
         """Animacy of one sense, with fallbacks for Undecided statuses.
@@ -383,33 +379,39 @@ class EnrichedTaxonomy:
         is decided, the unique-beginner class has the final say.  Each
         call walks.  Below a node with exactly one hypernym, the frontier
         is the hypernym's own shifted by one level and `beginner_of`
-        follows the chain, so that hypernym's answer is the node's too;
-        `sense_table` relies on it.  At a multi-parent node no parent's
+        follows the chain, so that hypernym's answer is the node's too:
+        `sense_table`'s column relies on it and asks only for the
+        Undecided stops of its chains.  At a multi-parent node no parent's
         answer can stand in for the merged frontier.
         """
-        status = self.status(sid)
-        if status is not Status.UNDECIDED:
-            return status is Status.ANIMATE
-        base, seen = self.base, {sid}
-        frontier = base.hypernyms(sid)
+        base, column = self.base, self._status
+        node = base._position(sid)
+        if column[node]:
+            return bool(column[node] > 0)
+        up, links = base._up, base._up_links
+        seen = {node}
+        frontier = list(links[up[node]:up[node + 1]])
         while frontier:
-            decided = [s for s in map(self._status.__getitem__, frontier)
-                       if s is not Status.UNDECIDED]
+            decided = [code for code in column[frontier].tolist() if code]
             if decided:
-                twice_animate = 2 * decided.count(Status.ANIMATE)
+                twice_animate = 2 * decided.count(1)
                 if twice_animate == len(decided):
                     break  # equally many decided ancestors on each side
                 return twice_animate > len(decided)
             seen.update(frontier)
             # the next level, each node once, in order of first reach
             frontier = list(dict.fromkeys(
-                hyp for node in frontier for hyp in base.hypernyms(node) if hyp not in seen))
+                hyp for at in frontier for hyp in links[up[at]:up[at + 1]] if hyp not in seen))
         return beginners.is_animate(base.beginner_of(sid), base.pos_of(sid))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EnrichedTaxonomy):
             return NotImplemented
-        return self.base == other.base and self._status == other._status
+        if self.base != other.base:
+            return False
+        # equal bases hold the same ids, perhaps in another order
+        order = np.array([other.base._index[sid] for sid in self.base], np.int64)
+        return np.array_equal(self._status, other._status[order])
 
 
 def enrich(
@@ -429,24 +431,26 @@ def enrich(
     """
     chi2_critical(1, alpha)  # rejects an alpha outside (0, 1) before counting
     counts, skipped = accumulate_counts(docs, taxonomy)
-    status = dict.fromkeys(taxonomy, Status.UNDECIDED)
-    animate = counts._animate
-    for sid, ani, inani in zip(animate, animate.values(), counts._inanimate.values()):
-        status[sid] = (Status.ANIMATE if not inani else Status.INANIMATE if not ani
-                       else classify_node(sid, counts, taxonomy, alpha))
-    return EnrichedTaxonomy._from_column(taxonomy, status, skipped)
+    animate, inanimate = counts.columns
+    column = (animate > 0).astype(np.int8) - (inanimate > 0)
+    ids = taxonomy._ids
+    for node in np.flatnonzero((animate > 0) & (inanimate > 0)).tolist():
+        column[node] = _CODE[classify_node(ids[node], counts, taxonomy, alpha)]
+    return EnrichedTaxonomy._from_column(taxonomy, column, skipped)
 
 
-_STATUS_SUFFIX = {status: f"\t{status.value}\n" for status in Status}
-_STATUS_OF = {status.value: status for status in Status}
+_SUFFIX = {code: f"\t{status.value}\n" for status, code in _CODE.items()}
+# a status as read from a file: its code plus 2, so that 0 is "no line yet"
+_READ = {status.value: code + 2 for status, code in _CODE.items()}
+_FROM_READ = np.array([0, -1, 0, 1], np.int8)
 
 
 def dump_statuses(enriched: EnrichedTaxonomy) -> str:
     # joined from each record's three pieces, so no string is built per line
-    statuses = enriched._status
-    parts = ["STATUS\t"] * (3 * len(statuses))
-    parts[1::3] = statuses
-    parts[2::3] = map(_STATUS_SUFFIX.__getitem__, statuses.values())
+    ids = enriched.base._ids
+    parts = ["STATUS\t"] * (3 * len(ids))
+    parts[1::3] = ids
+    parts[2::3] = map(_SUFFIX.__getitem__, enriched._status.tolist())
     return "".join(parts)
 
 
@@ -457,10 +461,8 @@ def load_enriched(path, base: Taxonomy) -> EnrichedTaxonomy:
     file loads with the same call.  Synsets without a STATUS line default
     to Undecided; a second STATUS line for a synset is an error.
     """
-    # None until the synset's STATUS line is read; a set of the ids seen
-    # would hold another 96k entries at paper scale
-    column: dict[str, Status | None] = dict.fromkeys(base)
-    status_of = _STATUS_OF
+    index = base._index
+    read = bytearray(len(base))
     for lineno, line in read_lines(path):
         if not line or line.startswith("#") or line.startswith("SYNSET\t"):
             continue
@@ -469,14 +471,12 @@ def load_enriched(path, base: Taxonomy) -> EnrichedTaxonomy:
             if fields[0] != "STATUS" or len(fields) != 3:
                 raise ValueError("expected STATUS record")
             sid, value = fields[1], fields[2]
-            if sid not in column:
+            node = index.get(sid)
+            if node is None:
                 raise ValueError(f"status for unknown synset {sid}")
-            if column[sid] is not None:
+            if read[node]:
                 raise ValueError(f"duplicate STATUS for synset {sid}")
-            column[sid] = status_of.get(value) or Status(value)
+            read[node] = _READ.get(value) or _CODE[Status(value)] + 2
         except ValueError as exc:
             raise ValueError(f"{path} line {lineno}: {exc}") from None
-    for sid, status in column.items():
-        if status is None:
-            column[sid] = Status.UNDECIDED
-    return EnrichedTaxonomy._from_column(base, column)
+    return EnrichedTaxonomy._from_column(base, _FROM_READ[np.frombuffer(read, np.uint8)])

@@ -19,16 +19,18 @@ The instance encodes the head lemma, the lemma's animate and inanimate
 sense counts under the enriched taxonomy, the same pair for the governing
 verb of subjects (zero otherwise), and the document's animate pronoun
 ratio.  The senses' animacy comes from the enriched taxonomy's
-`SenseTable` for one beginner class (`EnrichedTaxonomy.sense_table`),
-which resolves each sense once; the rules read their masses from the
-same walk over the NP columns (`sense_masses`).
+`SenseTable` for one beginner class (`EnrichedTaxonomy.sense_table`), a
+column over the synsets.  `sense_masses` reads a corpus's plain counts
+from it once per distinct lemma and gathers them to the NP rows; only
+weighted masses (`--wsd`) are summed per NP, one document at a time.  The
+rules read their masses from the same columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.random import default_rng
@@ -89,33 +91,63 @@ def np_masses(lemma: str, verb: str | None, table: SenseTable, weighting=None) -
     return total, counts, weighted, (0.0, 0.0) if verb is None else table.mass(verb, VERB)
 
 
+class SenseMasses(NamedTuple):
+    """The sense masses of a corpus's NPs as columns, entry i for NP i in
+    corpus order."""
+
+    ratio: np.ndarray  # the document's pronoun ratio
+    senses: np.ndarray  # the head noun's sense count
+    noun: np.ndarray  # 2 x n: the head noun's plain animate, inanimate counts
+    # the head noun's weighted masses, None where the document's weights
+    # miss the lemma; the column itself is None without weights
+    weighted: list[tuple[float, float] | None] | None
+    verb: np.ndarray  # 2 x n: a subject's verb's plain counts, else zeros
+
+
+def _row_counts(lemmas: Sequence[str | None], pos: str, table: SenseTable) -> np.ndarray:
+    """`SenseTable.counts` of each row's lemma under `pos` (zeros for
+    None), read once per distinct lemma and gathered to the rows."""
+    code = {None: 0}
+    rows = np.array([code.setdefault(lemma, len(code)) for lemma in lemmas], np.int64)
+    counts = np.zeros((3, len(code)))
+    counts[:, 1:] = table.counts(list(code)[1:], pos)
+    return counts[:, rows]
+
+
 def sense_masses(docs: Sequence[Document], table: SenseTable,
-                 ic: "wsd.ICTable | None" = None) -> Iterator[tuple]:
-    """Each NP of `docs` in corpus order, read from the NP columns, as its
-    document's pronoun ratio followed by its `np_masses` under `table`.
-    Given `ic`, each document is weighed just before its NPs and dropped
-    after them."""
+                 ic: "wsd.ICTable | None" = None) -> SenseMasses:
+    """The `SenseMasses` of `docs`' NPs under `table`, read from the NP
+    columns.  Document weights cover noun senses only, and synset ids are
+    unique across parts of speech, so a verb always counts plainly.  Given
+    `ic`, each document is weighed just before its NPs' weighted masses
+    are summed, and dropped after them."""
     columns, counts = np_columns(docs)
-    heads, verbs = columns.head_lemma, columns.verb_lemma
-    start = 0
-    for doc, count in zip(docs, counts):
-        ratio = pronoun_ratio(doc)
-        weighting = None if ic is None else wsd.document_weights(doc, table.taxonomy, ic)
-        for i in range(start, start + count):
-            yield (ratio, *np_masses(heads[i], verbs[i], table, weighting))
-        start += count
+    heads = columns.head_lemma
+    noun = _row_counts(heads, NOUN, table)
+    weighted = None
+    if ic is not None:
+        weighted, start = [], 0
+        for doc, count in zip(docs, counts):
+            weighting = wsd.document_weights(doc, table.taxonomy, ic)
+            weighted += [lemma_mass(heads[i], NOUN, table, weighting)[2]
+                         for i in range(start, start + count)]
+            start += count
+    ratio = np.repeat(np.array([pronoun_ratio(doc) for doc in docs], np.float64), counts)
+    return SenseMasses(ratio, noun[0], noun[1:], weighted,
+                       _row_counts(columns.verb_lemma, VERB, table)[1:])
 
 
-def _head_feature(lemma: str, senses: int, counts, weighted, table: SenseTable, weighing: bool):
-    """The lemma feature and the head-noun pair, under weights if `weighing`."""
+def _head_pair(lemma: str, senses: float, counts, weighted, table: SenseTable, weighing: bool):
+    """The head-noun pair of a lemma with `senses` senses, under weights
+    if `weighing`."""
     if not senses:
-        return OOV_LEMMA, (0.0, 0.0)
+        return 0.0, 0.0
     if weighted is None and weighing:
         # a lemma without stored weights takes uniform shares, so its
         # counts stay on the scale of the weighted ones
         ids = table.senses(lemma, NOUN)
-        return lemma, table.mass(lemma, NOUN, dict.fromkeys(ids, 1.0 / senses))
-    return lemma, weighted or counts
+        return table.mass(lemma, NOUN, dict.fromkeys(ids, 1.0 / senses))
+    return weighted or counts
 
 
 def extract_features(
@@ -132,8 +164,9 @@ def extract_features(
     """
     head = np_record.head_lemma
     total, counts, weighted, verb = np_masses(head, np_record.verb_lemma, senses, weighting)
-    lemma, noun = _head_feature(head, total, counts, weighted, senses, weighting is not None)
-    return FeatureVector(lemma, *noun, *verb, pronoun_ratio(doc), np_record.gold)
+    noun = _head_pair(head, total, counts, weighted, senses, weighting is not None)
+    return FeatureVector(head if total else OOV_LEMMA, *noun, *verb, pronoun_ratio(doc),
+                         np_record.gold)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,19 +184,19 @@ class FeatureTable:
     labels: np.ndarray
 
     @classmethod
-    def of_columns(cls, lemmas: list[str], numeric: list[tuple[float, ...]],
+    def of_columns(cls, lemmas: list[str], numeric: np.ndarray,
                    labels: list[Label | None],
                    lemma_ids: dict[str, int] | None = None) -> "FeatureTable":
-        """The table of rows given as a lemma, a tuple of the numeric
-        features and a label (or None) each.  Lemmas get codes of their
-        own, or those of `lemma_ids` if given."""
+        """The table of rows given as a lemma, a column of the 5 x n
+        numeric block and a label (or None) each.  Lemmas get codes of
+        their own, or those of `lemma_ids` if given."""
         if lemma_ids is None:
             lemma_ids = {}
             codes = [lemma_ids.setdefault(lemma, len(lemma_ids)) for lemma in lemmas]
         else:
             codes = [lemma_ids.get(lemma, -1) for lemma in lemmas]
-        block = np.array(numeric, dtype=np.float64).reshape(len(codes), len(_NUMERIC))
-        return cls(lemma_ids, np.array(codes, dtype=np.int64), block.T.copy(),
+        block = np.asarray(numeric, dtype=np.float64).reshape(len(_NUMERIC), len(codes))
+        return cls(lemma_ids, np.array(codes, dtype=np.int64), np.ascontiguousarray(block),
                    np.array([-1 if label is None else LABELS.index(label) for label in labels],
                             dtype=np.int8))
 
@@ -327,15 +360,18 @@ def feature_table(
     store's `lemma_ids`, every NP coded through them.  The NPs are read
     from their columns, with no `NPRecord` or `FeatureVector` per NP."""
     columns, _ = np_columns(docs)
-    lemmas, numeric, labels = [], [], []
-    for head, gold, (ratio, total, counts, weighted, verb) in zip(
-            columns.head_lemma, columns.gold, sense_masses(docs, senses, ic)):
-        if lemma_ids is not None or gold is not None:
-            lemma, noun = _head_feature(head, total, counts, weighted, senses, ic is not None)
-            lemmas.append(lemma)
-            numeric.append((*noun, *verb, ratio))
-            labels.append(gold)
-    return FeatureTable.of_columns(lemmas, numeric, labels, lemma_ids)
+    masses = sense_masses(docs, senses, ic)
+    heads, gold, known = columns.head_lemma, columns.gold, masses.senses.tolist()
+    noun = masses.noun
+    if ic is not None:
+        noun = np.array([_head_pair(head, total, counts, weighted, senses, True)
+                         for head, total, counts, weighted
+                         in zip(heads, known, noun.T.tolist(), masses.weighted)],
+                        np.float64).reshape(-1, 2).T
+    rows = [i for i, label in enumerate(gold) if lemma_ids is not None or label is not None]
+    block = np.concatenate([noun, masses.verb, masses.ratio[None]]).take(rows, axis=1)
+    return FeatureTable.of_columns([heads[i] if known[i] else OOV_LEMMA for i in rows], block,
+                                   [gold[i] for i in rows], lemma_ids)
 
 
 def build_store(

@@ -2,12 +2,14 @@
 
 For a head noun, the fraction of its senses rooted at animate unique
 beginners (and the same fraction for the governing verb of subject NPs)
-feeds a fixed threshold cascade.  The sense masses come from the walk
-over the NP columns that the memory-based learner reads too
-(`mbl.sense_masses`), under the `SenseTable` that `sense_table` builds;
-a weighted head noun falls back to its plain counts when the document's
-weights miss it or sum to zero.  The cascade is a few elementwise
-comparisons over a whole corpus's fraction columns (`classify_corpus`).
+feeds a fixed threshold cascade.  Each sense's animacy is a column over
+the synsets, read at its unique beginner (`sense_table`).  The sense
+masses come from the columns that the memory-based learner reads too
+(`mbl.sense_masses`): plain counts once per distinct lemma, weighted
+masses per NP.  A weighted head noun falls back to its plain counts when
+the document's weights miss it or sum to zero.  The cascade is a few
+elementwise comparisons over a whole corpus's fraction columns
+(`classify_corpus`).
 """
 
 from __future__ import annotations
@@ -43,9 +45,11 @@ class Thresholds:
 
 def sense_table(taxonomy: Taxonomy, beginners: BeginnerClass = BeginnerClass()) -> SenseTable:
     """The senses of `taxonomy`, animate when rooted at an animate unique
-    beginner of `beginners`."""
+    beginner of `beginners`: each beginner is asked once, when a looked-up
+    sense first reaches it."""
     beginner_of, pos_of, is_animate = taxonomy.beginner_of, taxonomy.pos_of, beginners.is_animate
-    return SenseTable(taxonomy, lambda sid: is_animate(beginner_of(sid), pos_of(sid)))
+    return SenseTable(taxonomy, taxonomy.beginner_stops(), np.zeros(len(taxonomy), np.int8),
+                      lambda sid: is_animate(beginner_of(sid), pos_of(sid)))
 
 
 def _rule_mass(counts, weighted):
@@ -54,18 +58,18 @@ def _rule_mass(counts, weighted):
 
 
 def _fractions(masses, known) -> tuple[np.ndarray, np.ndarray]:
-    """Animate and inanimate fractions of (animate, inanimate) mass rows,
-    zeros where not `known`."""
-    masses = np.array(masses, dtype=np.float64).reshape(-1, 2)
-    animate = np.zeros(len(masses))
-    np.divide(masses[:, 0], masses[:, 0] + masses[:, 1], out=animate, where=known)
+    """Animate and inanimate fractions of the (animate, inanimate) mass
+    columns `masses`, 2 x n, zeros where not `known`."""
+    masses = np.asarray(masses, dtype=np.float64).reshape(2, -1)
+    animate = np.zeros(masses.shape[1])
+    np.divide(masses[0], masses[0] + masses[1], out=animate, where=known)
     return animate, np.where(known, 1.0 - animate, 0.0)
 
 
 def _lemma_fractions(lemma: str, pos: str, table: SenseTable,
                      weighting: "SenseWeighting | None") -> tuple[float, float, int]:
     total, counts, weighted = lemma_mass(lemma, pos, table, weighting)
-    (animate,), (inanimate,) = _fractions([_rule_mass(counts, weighted)], [total > 0])
+    (animate,), (inanimate,) = _fractions(_rule_mass(counts, weighted), [total > 0])
     return float(animate), float(inanimate), total
 
 
@@ -110,12 +114,13 @@ def cascade(ratios: np.ndarray, noun_senses: Sequence[int], has_who: Sequence[bo
     return [_LABELS[code] for code in codes.tolist()]
 
 
-def _classify(rows, has_who, has_reflexive, thresholds, reflexive_counts) -> list[Label]:
-    """The labels of NPs given as `mbl.sense_masses` rows."""
-    senses = np.array([total for _, total, _, _, _ in rows], np.int64)
-    nouns = [_rule_mass(counts, weighted) for _, _, counts, weighted, _ in rows]
-    verbs = np.array([verb for *_, verb in rows], np.float64).reshape(-1, 2)
-    ratios = np.array([*_fractions(nouns, senses > 0), *_fractions(verbs, verbs.sum(axis=1) > 0)])
+def _classify(senses, noun, verb, has_who, has_reflexive, thresholds,
+              reflexive_counts) -> list[Label]:
+    """The labels of NPs given as columns: the head noun's sense count,
+    its rule masses and the verb's plain counts, each 2 x n."""
+    verb = np.asarray(verb, np.float64).reshape(2, -1)
+    senses = np.asarray(senses, np.int64)
+    ratios = np.array([*_fractions(noun, senses > 0), *_fractions(verb, verb[0] + verb[1] > 0)])
     return cascade(ratios, senses, has_who, has_reflexive, thresholds, reflexive_counts)
 
 
@@ -125,8 +130,13 @@ def classify_corpus(docs: Sequence[Document], table: SenseTable,
     """The label of each NP of `docs` in corpus order, its senses judged by
     `table` and weighted by `ic` if given; no `NPRecord` is built."""
     columns, _ = np_columns(docs)
-    return _classify(list(sense_masses(docs, table, ic)),
-                     columns.has_who, columns.has_reflexive, thresholds, reflexive_counts)
+    masses = sense_masses(docs, table, ic)
+    noun = masses.noun
+    if ic is not None:
+        noun = np.array([_rule_mass(counts, weighted) for counts, weighted
+                         in zip(noun.T.tolist(), masses.weighted)], np.float64).reshape(-1, 2).T
+    return _classify(masses.senses, noun, masses.verb, columns.has_who, columns.has_reflexive,
+                     thresholds, reflexive_counts)
 
 
 def classify_np(
@@ -138,5 +148,6 @@ def classify_np(
 ) -> Label:
     """The cascade's label for one NP, its senses judged by `table`
     (see `sense_table`)."""
-    row = (None, *np_masses(np.head_lemma, np.verb_lemma, table, weighting))
-    return _classify([row], [np.has_who], [np.has_reflexive], thresholds, reflexive_counts)[0]
+    total, counts, weighted, verb = np_masses(np.head_lemma, np.verb_lemma, table, weighting)
+    return _classify([total], _rule_mass(counts, weighted), verb, [np.has_who],
+                     [np.has_reflexive], thresholds, reflexive_counts)[0]

@@ -26,7 +26,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -112,45 +112,81 @@ class BeginnerClass:
 
 
 class SenseTable:
-    """Each sense's animacy under one predicate, decided once.
+    """Each sense's animacy under one per-synset column, for both classifiers.
 
     Both classifiers count a lemma's senses by animacy and differ only in
-    the predicate: the unique beginner for the rules, the resolved
-    enriched status for the memory-based learner.  The table asks
-    `is_animate` once per sense and keeps, per noun or verb lemma, its
-    senses in file order, their flags and the plain counts.  Each entry
-    is a pure function of the taxonomy and the predicate, so a table
-    built once serves a whole run.
+    which senses count as animate: those under an animate unique beginner
+    for the rules, those of animate resolved enriched status for the
+    memory-based learner.  Either answer is the value at the synset's
+    nearest stop up its single-parent chain, so the table takes each
+    synset's stop (`chain_stops`) and an int8 column of values, read at
+    the stops: 1 animate, -1 inanimate, 0 not yet known.  `resolve` is
+    asked for an unknown stop, by id, the first time a looked-up sense
+    reaches it, and its answer is kept in the table's copy of the column.
+
+    `counts` answers many distinct lemmas in one pass; `mass` one lemma,
+    with or without weights, keeping per noun or verb lemma its senses in
+    file order and their flags.  Every answer is a pure function of the
+    taxonomy, the stops and the column, so a table built once serves a
+    whole run.
     """
 
-    def __init__(self, taxonomy: Taxonomy, is_animate: Callable[[str], bool]):
+    def __init__(self, taxonomy: Taxonomy, stops: np.ndarray, values: np.ndarray,
+                 resolve: Callable[[str], bool]):
         self.taxonomy = taxonomy
-        self._is_animate = is_animate
-        self._flags: dict[str, bool] = {}
+        self._stops = stops
+        self._values = np.array(values, np.int8)
+        self._resolve = resolve
         # pos -> lemma -> (senses, flags, (animate count, inanimate count))
         self._lemmas: dict[str, dict[str, tuple]] = {NOUN: {}, VERB: {}}
 
-    def _add(self, lemma: str, pos: str) -> tuple:
-        senses, flags = self.taxonomy.senses(lemma, pos), self._flags
-        for sid in senses:
-            if sid not in flags:
-                flags[sid] = self._is_animate(sid)
-        animate = tuple([flags[sid] for sid in senses])
-        count = animate.count(True)
-        # a count is the sum of ones, exactly
-        entry = self._lemmas[pos][lemma] = (
-            senses, animate, (float(count), float(len(senses) - count)))
+    def _animate(self, positions: np.ndarray) -> np.ndarray:
+        """Whether each synset at `positions` is animate: its stop's value,
+        each unknown stop reached resolved once."""
+        stops, values = self._stops[positions], self._values
+        found = values[stops]
+        if not found.all():
+            ids = self.taxonomy._ids
+            for stop in np.unique(stops[found == 0]).tolist():
+                values[stop] = 1 if self._resolve(ids[stop]) else -1
+            found = values[stops]
+        return found > 0
+
+    def counts(self, lemmas: Sequence[str], pos: str) -> np.ndarray:
+        """The sense count and the animate and inanimate counts of each of
+        `lemmas` under `pos`, as the three rows of a float array: one
+        lemma-index lookup per lemma, the senses' flags gathered from the
+        column at once and summed per lemma.  A count is a sum of ones, so
+        it is exact, and equal to `mass(lemma, pos)`."""
+        senses, index = self.taxonomy.senses, self.taxonomy._index
+        groups = [senses(lemma, pos) for lemma in lemmas]
+        sizes = np.fromiter(map(len, groups), np.int64, len(groups))
+        positions = np.fromiter(map(index.__getitem__, chain.from_iterable(groups)),
+                                np.int64, int(sizes.sum()))
+        owner = np.repeat(np.arange(len(groups)), sizes)
+        animate = np.bincount(owner, self._animate(positions), len(groups))
+        return np.array([sizes, animate, sizes - animate], np.float64)
+
+    def _entry(self, lemma: str, pos: str) -> tuple:
+        entry = self._lemmas[pos].get(lemma)
+        if entry is None:
+            senses, index = self.taxonomy.senses(lemma, pos), self.taxonomy._index
+            flags = tuple(self._animate(np.array([index[sid] for sid in senses], np.int64))
+                          .tolist())
+            count = flags.count(True)
+            entry = self._lemmas[pos][lemma] = (
+                senses, flags, (float(count), float(len(senses) - count)))
         return entry
 
     def senses(self, lemma: str, pos: str) -> tuple[str, ...]:
         """The senses of `lemma` under `pos`, as `Taxonomy.senses` gives them."""
-        return (self._lemmas[pos].get(lemma) or self._add(lemma, pos))[0]
+        return self._entry(lemma, pos)[0]
 
     def mass(self, lemma: str, pos: str,
              weights: Mapping[str, float] | None = None) -> tuple[float, float]:
         """Animate and inanimate mass over the lemma's senses: each sense
         adds its weight, or 1 without weights, to its side, in sense order."""
-        senses, flags, counts = self._lemmas[pos].get(lemma) or self._add(lemma, pos)
+        senses, flags, counts = self._entry(lemma, pos)
         if weights is None:
             return counts
         animate = inanimate = 0.0
@@ -183,12 +219,13 @@ class Taxonomy:
     and leaves it holding about 45 MB; the load's own peak is a few MB
     above that, the flat hypernym ids being its largest transient.
 
-    The graph is immutable; `ancestors` and `beginner_of` memoize their
-    results in dicts filled on first use, and the columns and lemma index
-    are never written after construction.  Each memo entry is a pure
-    function of the graph, so threads sharing an instance can at worst
-    compute an entry twice and store equal values (a single dict store is
-    atomic in CPython).
+    The graph is immutable; `ancestors` memoizes its results in a dict
+    filled on first use, `beginner_of` reads a column of every synset's
+    beginner that its first call computes (`chain_stops`), and the columns
+    and lemma index are never written after construction.  Each memo is
+    a pure function of the graph, so threads sharing an instance can at
+    worst compute one twice and store equal values (a single dict or
+    attribute store is atomic in CPython).
     """
 
     def __init__(self, synsets: Iterable[Synset]):
@@ -262,7 +299,7 @@ class Taxonomy:
         self._down, self._down_links = _int_column(down), _int_column(below)
         self.roots: tuple[str, ...] = roots
         self._ancestor_cache: dict[str, frozenset[str]] = {}
-        self._beginners: dict[str, int] = {}
+        self._beginner_column: np.ndarray | None = None
 
     def _position(self, sid: str) -> int:
         try:
@@ -297,14 +334,6 @@ class Taxonomy:
         found = by_lemma.get(lemma, ()) if by_lemma is not None else ()
         return (found,) if found.__class__ is str else found
 
-    def lemmas(self, pos: str | None = None) -> tuple[str, ...]:
-        """Distinct lemmas in the taxonomy, optionally restricted by pos."""
-        found: set[str] = set()
-        for p, by_lemma in self._senses.items():
-            if pos is None or p == pos:
-                found.update(by_lemma)
-        return tuple(sorted(found))
-
     def hyponyms(self, sid: str) -> tuple[str, ...]:
         i, start, ids = self._position(sid), self._down, self._ids
         return tuple([ids[c] for c in self._down_links[start[i]:start[i + 1]]])
@@ -338,33 +367,19 @@ class Taxonomy:
             return cached | {sid}
         return cached
 
-    def beginner_of(self, sid: str) -> int:
-        """Lexicographer file of the unique beginner above a synset.
+    def beginner_stops(self) -> np.ndarray:
+        """The position of each synset's unique beginner, in taxonomy
+        order: single-parent chains are followed upward, and a synset with
+        several hypernyms is its own beginner, so DAG nodes resolve to
+        exactly one.  Found for every synset on first use (`chain_stops`)."""
+        column = self._beginner_column
+        if column is None:
+            column = self._beginner_column = chain_stops(self, np.zeros(len(self), bool))
+        return column
 
-        Single-parent chains are followed upward.  A synset with several
-        hypernyms keeps its own lexfile, so DAG nodes resolve to exactly
-        one beginner.  The result is memoized on every node of the chain
-        walked.
-        """
-        lexfile = self._beginners.get(sid)
-        if lexfile is None:
-            # walk up to the beginner or to a memoized node, then memoize
-            # the beginner's lexfile on every node walked
-            beginners, ids = self._beginners, self._ids
-            start, links = self._up, self._up_links
-            node = self._position(sid)
-            walked = [sid]
-            while start[node + 1] - start[node] == 1:
-                node = links[start[node]]
-                lexfile = beginners.get(ids[node])
-                if lexfile is not None:
-                    break
-                walked.append(ids[node])
-            else:
-                lexfile = self._lexfiles[node]
-            for name in walked:
-                beginners[name] = lexfile
-        return lexfile
+    def beginner_of(self, sid: str) -> int:
+        """Lexicographer file of the unique beginner above a synset."""
+        return self._lexfiles[self.beginner_stops()[self._position(sid)]]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Taxonomy):
@@ -424,6 +439,29 @@ def closure_pairs(taxonomy: Taxonomy, owner: np.ndarray,
         level = _distinct(owner * n + _gather(up, links, node))
         levels.append(level)
     return np.divmod(_distinct(np.concatenate(levels)), n)
+
+
+def chain_stops(taxonomy: Taxonomy, stop: np.ndarray) -> np.ndarray:
+    """The position of each synset's nearest stop up its single-parent
+    chain: a synset is a stop if `stop` marks it or it has other than one
+    hypernym, and any other synset answers as its one hypernym does.
+
+    Every stop is found at once by pointer jumping: each synset points at
+    itself if it is a stop and else at its hypernym, and every pointer is
+    then replaced by its target's until none changes, which takes about
+    log2 of the longest chain passes.
+    """
+    up = np.frombuffer(taxonomy._up, np.int64)
+    links = np.frombuffer(taxonomy._up_links, np.int64)
+    first = up[:-1]
+    single = (up[1:] - first == 1) & ~stop
+    target = np.arange(len(taxonomy))
+    target[single] = links[first[single]]
+    while True:
+        jumped = target[target]
+        if np.array_equal(jumped, target):
+            return target
+        target = jumped
 
 
 def _int_column(values: np.ndarray) -> array:

@@ -47,6 +47,7 @@ from animacy.wsd import disambiguation_weights, information_content
 from tests.test_corpus import make_np
 from tests.test_resolution import measured_precision_recall
 from tests.test_rules import cascade_of, classify_rule, ratios
+from tests.test_taxonomy import all_lemmas
 from tests.test_wsd import occurrences, pair_taxonomy, uniform_weighting
 
 A, I, U = Label.ANIMATE, Label.INANIMATE, Label.UNKNOWN
@@ -245,8 +246,8 @@ def table_of(instances, lemma_ids=None):
     """The `FeatureTable` of a sequence of `FeatureVector`s, their lemmas
     coded through `lemma_ids` if given."""
     rows = tuple(instances)
-    return FeatureTable.of_columns([inst.lemma for inst in rows],
-                                   [numeric_of(inst) for inst in rows],
+    numeric = np.array([numeric_of(inst) for inst in rows], np.float64).reshape(-1, 5).T
+    return FeatureTable.of_columns([inst.lemma for inst in rows], numeric,
                                    [inst.label for inst in rows], lemma_ids)
 
 
@@ -453,11 +454,11 @@ def test_criterion_09_sense_weighting_consistency(toy_taxonomy, mini_corpus):
 
         uniform = uniform_weighting(toy_taxonomy)
         senses = sense_table(toy_taxonomy)
-        for lemma in toy_taxonomy.lemmas("n"):
+        for lemma in all_lemmas(toy_taxonomy, "n"):
             assert noun_ratios(lemma, senses) == noun_ratios(lemma, senses, weighting=uniform)
 
         table = information_content(mini_corpus, toy_taxonomy)
-        lemmas = set(toy_taxonomy.lemmas("n"))
+        lemmas = set(all_lemmas(toy_taxonomy, "n"))
         weighting = disambiguation_weights(lemmas, toy_taxonomy, table)
         for lemma in lemmas:
             senses = toy_taxonomy.senses(lemma, "n")

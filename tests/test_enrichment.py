@@ -5,10 +5,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from animacy import enrichment
+from animacy import enrichment, rules
 from animacy.corpus import Document, Label
 from animacy.enrichment import (
     EnrichedTaxonomy,
@@ -28,7 +29,7 @@ from animacy.taxonomy import VERB, BeginnerClass, Synset, Taxonomy
 from tests.chi2_critical_table import CRITICAL, DFS
 from tests.test_cli import FREE_TEXT
 from tests.test_corpus import iter_nps, make_np, reloaded, write_lines
-from tests.test_taxonomy import LEMMAS, random_taxonomies
+from tests.test_taxonomy import LEMMAS, OracleTaxonomy, random_taxonomies
 
 # Conventional 0.05 upper critical values (three-decimal table, df 1..10).
 TEXTBOOK_CRITICAL = {
@@ -455,8 +456,129 @@ class TestResolutionMemo:
             assert undecided.resolve_animate(sid, device_animate) is True
 
 
+def column_flags(table, sids):
+    """The animacy that `table`'s column gives each synset of `sids`."""
+    index = table.taxonomy._index
+    return tuple(table._animate(np.array([index[sid] for sid in sids], np.int64)).tolist())
+
+
+def oracle_sense_flags(enriched, beginners):
+    """The per-sense walk the column replaced: an Undecided sense with one
+    hypernym climbs to it, until a decided sense, a memoized one or one
+    with other than one hypernym, which `oracle_resolve` decides; the
+    answer is memoized on every sense climbed."""
+    base, memo = enriched.base, {}
+
+    def is_animate(sid):
+        chain = []
+        while enriched.status(sid) is Status.UNDECIDED and sid not in memo:
+            parents = base.hypernyms(sid)
+            if len(parents) != 1:
+                memo[sid] = oracle_resolve(enriched, sid, beginners)
+                break
+            chain.append(sid)
+            sid = parents[0]
+        answer = memo[sid] if sid in memo else enriched.status(sid) is Status.ANIMATE
+        for sid in chain:
+            memo[sid] = answer
+        return answer
+
+    return is_animate
+
+
+@st.composite
+def chained_synsets(draw):
+    """Synsets of a random DAG of nouns and verbs, each after its
+    hypernyms: a synset often continues the latest one of its part of
+    speech, so single-parent chains grow long, and else is a root or has
+    one to three earlier hypernyms.  Lexfiles come from both beginner
+    classes of either part of speech."""
+    synsets = []
+    for i in range(draw(st.integers(1, 30))):
+        pos = draw(st.sampled_from("nv"))
+        earlier = [syn.id for syn in synsets if syn.pos == pos]
+        shape = draw(st.sampled_from(["chain", "chain", "root", "parents"]))
+        if not earlier or shape == "root":
+            parents = ()
+        elif shape == "chain":
+            parents = (earlier[-1],)
+        else:
+            parents = tuple(draw(st.lists(st.sampled_from(earlier), min_size=1, max_size=3,
+                                          unique=True)))
+        lemmas = draw(st.lists(st.sampled_from(LEMMAS), min_size=1, max_size=2, unique=True))
+        lexfile = draw(st.sampled_from((5, 6, 18, 24) if pos == "n" else (30, 31, 32, 38)))
+        synsets.append(Synset(f"s{i}", pos, tuple(lemmas), parents, lexfile))
+    return synsets
+
+
+# Undecided drawn most often, for long Undecided chains and roots
+DRAWN_STATUS = st.sampled_from([Status.ANIMATE, Status.INANIMATE] + [Status.UNDECIDED] * 3)
+# beginner classes that split nouns and verbs differently
+COLUMN_CLASSES = (BeginnerClass(), BeginnerClass(animate_noun_lexfiles=frozenset({6, 18}),
+                                                 animate_verb_lexfiles=frozenset({30, 38})))
+
+
+class TestSenseColumnMatchesOracle:
+    """Both sense tables' per-synset columns against the walks they replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(synsets=chained_synsets(), data=st.data())
+    def test_enriched_column_matches_walk_and_resolution(self, synsets, data):
+        taxonomy = Taxonomy(synsets)
+        ids = list(taxonomy)
+        statuses = data.draw(st.lists(DRAWN_STATUS, min_size=len(ids), max_size=len(ids)))
+        enriched = EnrichedTaxonomy(taxonomy, dict(zip(ids, statuses)))
+        walked = TestSenseTableMatchesOracle.walked(enriched)
+        for beginners in COLUMN_CLASSES:
+            table = enriched.sense_table(beginners)
+            walk = oracle_sense_flags(enriched, beginners)
+            order = data.draw(st.permutations(ids))
+            expected = tuple(walk(sid) for sid in order)
+            assert column_flags(table, order) == expected
+            assert expected == tuple(oracle_resolve(enriched, sid, beginners) for sid in order)
+            # asked again, the column answers without resolving anew
+            calls = len(walked)
+            assert column_flags(table, ids) == tuple(walk(sid) for sid in ids)
+            assert len(walked) == calls
+        # each table resolves each Undecided stop once
+        stops = [sid for sid in ids if enriched.status(sid) is Status.UNDECIDED
+                 and len(taxonomy.hypernyms(sid)) != 1]
+        assert sorted(walked) == sorted(stops * len(COLUMN_CLASSES))
+
+    @settings(max_examples=150, deadline=None)
+    @given(synsets=chained_synsets(), data=st.data())
+    def test_rule_column_matches_walking_beginner(self, synsets, data):
+        taxonomy, oracle = Taxonomy(synsets), OracleTaxonomy(synsets)
+        order = data.draw(st.permutations(list(taxonomy)))
+        for sid in order:
+            assert taxonomy.beginner_of(sid) == oracle.beginner_of(sid), sid
+        for beginners in COLUMN_CLASSES:
+            table = rules.sense_table(taxonomy, beginners)
+            assert column_flags(table, order) == tuple(
+                beginners.is_animate(oracle.beginner_of(sid), oracle.get(sid).pos)
+                for sid in order)
+
+    @settings(max_examples=100, deadline=None)
+    @given(synsets=chained_synsets(), data=st.data())
+    def test_bulk_triples_equal_mass(self, synsets, data):
+        """Each lemma's triple of one `counts` call, OOV lemmas included,
+        is its sense count and `mass`, on tables of both kinds."""
+        taxonomy = Taxonomy(synsets)
+        ids = list(taxonomy)
+        statuses = data.draw(st.lists(DRAWN_STATUS, min_size=len(ids), max_size=len(ids)))
+        enriched = EnrichedTaxonomy(taxonomy, dict(zip(ids, statuses)))
+        lemmas = data.draw(st.permutations([*LEMMAS, "ghost"]))
+        for beginners in COLUMN_CLASSES:
+            for make in (enriched.sense_table, lambda b: rules.sense_table(taxonomy, b)):
+                bulk, single = make(beginners), make(beginners)
+                for pos in ("n", "v"):
+                    got = [tuple(row) for row in bulk.counts(lemmas, pos).T.tolist()]
+                    assert got == [(float(len(taxonomy.senses(lemma, pos))),
+                                    *single.mass(lemma, pos)) for lemma in lemmas]
+
+
 class TestSenseTableMatchesOracle:
-    """The single-parent memo of `sense_table` answers as the walk does."""
+    """The column of `sense_table` answers as the walk does."""
 
     BEGINNERS = TestResolutionMemo.BEGINNERS
 
@@ -489,7 +611,7 @@ class TestSenseTableMatchesOracle:
             [(k, lemma, pos) for k in range(2) for lemma in LEMMAS for pos in "nv"]))
         for k, lemma, pos in queries:
             senses = tables[k].senses(lemma, pos)
-            flags = tables[k]._lemmas[pos][lemma][1]
+            flags = column_flags(tables[k], senses)
             assert flags == tuple(
                 oracle_resolve(enriched, sid, self.BEGINNERS[k]) for sid in senses), lemma
         for sid in walked:
@@ -512,9 +634,9 @@ class TestSenseTableMatchesOracle:
         walked = self.walked(e)
         for beginners, expected in zip(self.BEGINNERS, (True, False)):
             table = e.sense_table(beginners)
-            # the leaf first, so the chain above it is memoized from below
+            # the leaf first, so its stop is resolved before the chain above it is read
             for sid in ("c3", "c1", "c2", "m"):
-                assert table._is_animate(sid) is expected, sid
+                assert column_flags(table, [sid]) == (expected,), sid
                 assert oracle_resolve(e, sid, beginners) is expected, sid
             assert table.mass("em", "n") == (float(2 * expected), float(2 * (not expected)))
         assert walked == ["m", "m"]
@@ -696,8 +818,9 @@ class TestEnrichMatchesOracle:
         docs = data.draw(annotated_corpora(taxonomy))
         counts, _ = accumulate_counts(docs, taxonomy)  # pinned by TestCountsMatchOracle
         expected = {sid: classify_node(sid, counts, taxonomy, alpha) for sid in taxonomy}
-        got = enrich(taxonomy, docs, alpha)._status
-        assert list(got.items()) == list(expected.items())
+        got = enrich(taxonomy, docs, alpha)
+        assert got._status.dtype == np.int8 and len(got._status) == len(taxonomy)
+        assert [(sid, got.status(sid)) for sid in taxonomy] == list(expected.items())
 
 
 def test_coverage_boundaries(toy_taxonomy):
@@ -748,4 +871,4 @@ class TestStatusLoaderFuzz:
                 assert isinstance(expected, int), exc
                 assert str(exc).startswith(f"{path} line {expected}: ")
             else:
-                assert [(sid, got.status(sid)) for sid in got._status] == expected
+                assert [(sid, got.status(sid)) for sid in toy_taxonomy] == expected

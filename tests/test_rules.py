@@ -1,4 +1,5 @@
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import NamedTuple
 from unittest import mock
 
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from animacy import wsd
 from animacy.cli import main
-from animacy.corpus import Document, Label, NPRecord, dump_corpus
+from animacy.corpus import Document, Label, NPRecord, dump_corpus, load_corpus
+from animacy.data import toy_taxonomy_path
 from animacy.mbl import sense_masses
 from animacy.rules import (
     Thresholds,
@@ -22,6 +24,7 @@ from animacy.rules import (
 from animacy.taxonomy import NOUN, VERB, SenseTable, dump_taxonomy
 from animacy.wsd import SenseWeighting, document_weights, information_content
 from tests.test_corpus import make_np
+from tests.test_taxonomy import all_lemmas
 from tests.test_wsd import LEMMA_SENSES, RULE_CLASSES, beginner_taxonomy, drawn_beginners
 
 
@@ -142,14 +145,14 @@ class TestRatios:
 
     def test_non_subject_has_zero_verb_ratios(self, senses):
         np_ = make_np(head="head", is_subject=False)
-        ((*_, verb),) = sense_masses([Document("d", (np_,), 0, 0)], senses)
-        assert verb == (0.0, 0.0)
+        verb = sense_masses([Document("d", (np_,), 0, 0)], senses).verb
+        assert verb.T.tolist() == [[0.0, 0.0]]
         r = compute_ratios(np_, senses)
         assert r.verb_animacy == 0.0 and r.verb_inanimacy == 0.0
         assert r.verb_sense_total == 0
 
     def test_complement_identity_holds_exactly(self, toy_taxonomy, senses):
-        for lemma in toy_taxonomy.lemmas("n"):
+        for lemma in all_lemmas(toy_taxonomy, "n"):
             animate, inanimate, total = noun_ratios(lemma, senses)
             if total > 0:
                 assert animate + inanimate == 1.0
@@ -217,7 +220,7 @@ class TestProperties:
 
     def test_degenerate_thresholds_make_any_animate_sense_decisive(self, toy_taxonomy, senses):
         th = Thresholds(0.0, 1.0, 1.0)
-        for lemma in toy_taxonomy.lemmas("n"):
+        for lemma in all_lemmas(toy_taxonomy, "n"):
             animate, _, _ = noun_ratios(lemma, senses)
             np_ = make_np(head=lemma)
             label = classify_np(np_, senses, thresholds=th)
@@ -344,3 +347,31 @@ def test_verb_lemma_that_is_a_weighted_noun_keeps_plain_counts(tmp_path, capsys)
     got = [Label(line.split("\t")[3]) for line in capsys.readouterr().out.splitlines()]
     assert got == expected
     assert set(got) == {Label.ANIMATE, Label.INANIMATE}
+
+
+CONTEXTUAL = Path(__file__).with_name("contextual.tsv")
+
+
+@pytest.mark.parametrize("reflexive_counts, flips", [(True, 9), (False, 5)])
+def test_contextual_rule_fixture(toy_taxonomy, capsys, reflexive_counts, flips):
+    """`classify --method rule` on the contextual fixture gives the labels
+    of the record oracle, and the contextual rule alone turns `flips` of
+    its NPs animate: each NP with a who-complementizer (or, unless
+    --no-reflexive, an animate reflexive) but the all-inanimate table."""
+    docs = load_corpus(CONTEXTUAL)
+    table = sense_table(toy_taxonomy)
+    expected = oracle_labels(docs, table, Thresholds(), reflexive_counts)
+    argv = ["classify", "--method", "rule", "--taxonomy", toy_taxonomy_path(),
+            "--corpus", str(CONTEXTUAL)]
+    assert main(argv + ([] if reflexive_counts else ["--no-reflexive"])) == 0
+    got = [Label(line.split("\t")[3]) for line in capsys.readouterr().out.splitlines()]
+    assert got == expected
+
+    plain = [Document(doc.doc_id, tuple(replace(np_, has_who=False, has_reflexive=False)
+                                        for np_ in doc.nps),
+                      doc.animate_pronoun_count, doc.inanimate_pronoun_count)
+             for doc in docs]
+    without = oracle_labels(plain, table, Thresholds(), reflexive_counts)
+    changed = [(label, before) for label, before in zip(got, without) if label != before]
+    assert len(changed) == flips
+    assert {label for label, _ in changed} == {Label.ANIMATE}

@@ -4,6 +4,7 @@ import tempfile
 import tracemalloc
 from typing import Iterator
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,11 +15,21 @@ from animacy.taxonomy import (
     Synset,
     Taxonomy,
     TaxonomyError,
+    chain_stops,
     dump_taxonomy,
     load_taxonomy,
 )
 
 LEMMAS = ["fox", "vat", "oak", "imp", "cog", "elm"]
+
+
+def all_lemmas(taxonomy: Taxonomy, pos: str | None = None) -> tuple[str, ...]:
+    """Distinct lemmas in the taxonomy, optionally restricted by pos."""
+    found: set[str] = set()
+    for p, by_lemma in taxonomy._senses.items():
+        if pos is None or p == pos:
+            found.update(by_lemma)
+    return tuple(sorted(found))
 
 
 @st.composite
@@ -405,6 +416,17 @@ def sense_mass(senses, is_animate, weights=None):
     return animate, inanimate
 
 
+def own_column(taxonomy, animate):
+    """The stops and values of a `SenseTable` in which each synset is its
+    own stop, animate iff it is in `animate`."""
+    return (np.arange(len(taxonomy)),
+            np.array([1 if sid in animate else -1 for sid in taxonomy], np.int8))
+
+
+def unasked(sid):
+    raise AssertionError(f"{sid} has a value and must not be resolved")
+
+
 class TestSenseTable:
     def test_each_sense_is_judged_once(self):
         t = Taxonomy([
@@ -413,19 +435,36 @@ class TestSenseTable:
             Synset("c", "v", ("fox",), (), 31),
         ])
         asked = []
-        table = SenseTable(t, lambda sid: asked.append(sid) or sid != "b")
+        table = SenseTable(t, np.arange(3), np.zeros(3, np.int8),
+                           lambda sid: asked.append(sid) or sid != "b")
         for _ in range(2):
             assert table.mass("fox", "n") == (1.0, 1.0)
             assert table.mass("oak", "n", {"a": 0.25}) == (0.25, 0.0)
             assert table.mass("fox", "v") == (1.0, 0.0)
             assert table.senses("elm", "n") == ()
+            assert table.counts(["fox", "elm", "oak"], "n").tolist() == [
+                [2.0, 0.0, 1.0], [1.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
         assert asked == ["a", "b", "c"]
+
+    def test_a_chain_answers_as_its_stop(self):
+        # c2 -> c1 -> r is one chain, whose stop r is resolved once for all
+        t = Taxonomy([
+            Synset("r", "n", ("top",), (), 5),
+            Synset("c1", "n", ("mid",), ("r",), 6),
+            Synset("c2", "n", ("fox",), ("c1",), 6),
+        ])
+        asked = []
+        table = SenseTable(t, chain_stops(t, np.zeros(3, bool)), np.zeros(3, np.int8),
+                           lambda sid: asked.append(sid) or True)
+        assert table.counts(["fox", "mid", "top"], "n").tolist() == [
+            [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]
+        assert asked == ["r"]
 
     @settings(max_examples=100, deadline=None)
     @given(taxonomy=random_taxonomies(mixed_pos=True), data=st.data())
     def test_masses_match_oracle_exactly(self, taxonomy, data):
         animate = data.draw(st.sets(st.sampled_from(list(taxonomy))))
-        table = SenseTable(taxonomy, animate.__contains__)
+        table = SenseTable(taxonomy, *own_column(taxonomy, animate), unasked)
         weight = st.sampled_from([0.0, 1.0, 0.1, 1 / 3]) | st.floats(0.0, 1.0)
         for lemma in (*LEMMAS, "ghost"):
             for pos in ("n", "v"):
@@ -436,6 +475,24 @@ class TestSenseTable:
                     got = table.mass(lemma, pos, given_weights)
                     expected = sense_mass(senses, animate.__contains__, given_weights)
                     assert [x.hex() for x in got] == [x.hex() for x in expected]
+
+    @settings(max_examples=100, deadline=None)
+    @given(taxonomy=random_taxonomies(mixed_pos=True), data=st.data())
+    def test_bulk_counts_equal_mass(self, taxonomy, data):
+        """The per-lemma triples of one `counts` call, OOV lemmas and
+        repeats included, are each lemma's sense count and `mass`."""
+        animate = data.draw(st.sets(st.sampled_from(list(taxonomy))))
+        lemmas = data.draw(st.lists(st.sampled_from([*LEMMAS, "ghost", "quux"]), max_size=10))
+        for pos in ("n", "v"):
+            # one table answers in bulk before any single lemma, one after
+            fresh = SenseTable(taxonomy, *own_column(taxonomy, animate), unasked)
+            bulk = fresh.counts(lemmas, pos)
+            warm = SenseTable(taxonomy, *own_column(taxonomy, animate), unasked)
+            singles = [(float(len(taxonomy.senses(lemma, pos))), *warm.mass(lemma, pos))
+                       for lemma in lemmas]
+            assert bulk.shape == (3, len(lemmas))
+            assert [tuple(row) for row in bulk.T.tolist()] == singles
+            assert warm.counts(lemmas, pos).tolist() == bulk.tolist()
 
 
 class TestGeneratedTaxonomies:
@@ -465,7 +522,7 @@ class TestGeneratedTaxonomies:
             syn = taxonomy.get(sid)
             for lemma in syn.lemmas:
                 assert sid in taxonomy.senses(lemma, syn.pos)
-        for lemma in taxonomy.lemmas("n"):
+        for lemma in all_lemmas(taxonomy, "n"):
             for sid in taxonomy.senses(lemma, "n"):
                 assert lemma in taxonomy.get(sid).lemmas
 
@@ -511,7 +568,7 @@ def assert_same_taxonomy(taxonomy, oracle):
         for lemma in LEMMAS + ["quux"]:
             assert taxonomy.senses(lemma, pos) == oracle.senses(lemma, pos)
     for pos in (None, "n", "v", "x"):
-        assert taxonomy.lemmas(pos) == oracle.lemmas(pos)
+        assert all_lemmas(taxonomy, pos) == oracle.lemmas(pos)
     with pytest.raises(TaxonomyError) as new_err:
         taxonomy.get("nowhere")
     with pytest.raises(TaxonomyError) as old_err:
@@ -540,8 +597,8 @@ class TestColumnStoreMatchesOracle:
     @settings(max_examples=150, deadline=None)
     @given(synsets=shuffled_synsets(), data=st.data())
     def test_memoized_beginners_match_oracle_in_any_order(self, synsets, data):
-        # the memo fills along each walked chain, so a later query may start
-        # below, on or above an already memoized node
+        # the column of beginners is filled on the first query, whichever
+        # synset it names, and read by every later one
         taxonomy = Taxonomy(synsets)
         oracle = OracleTaxonomy(synsets)
         for _ in range(2):
@@ -871,3 +928,41 @@ class TestCycleReport:
         assert cycle_edge(lambda: Taxonomy(synsets)) in self.ON_CYCLE
         loaded = cycle_edge(load_text(tmp_path, synset_lines(synsets)))
         assert loaded in self.ON_CYCLE
+
+
+def oracle_stops(synsets, stop):
+    """Each synset's nearest stop up its single-parent chain, walked: a
+    synset is a stop if `stop` holds its id or it has other than one
+    hypernym."""
+    by_id = {syn.id: syn for syn in synsets}
+
+    def walk(sid):
+        while sid not in stop and len(by_id[sid].hypernyms) == 1:
+            sid = by_id[sid].hypernyms[0]
+        return sid
+
+    return {sid: walk(sid) for sid in by_id}
+
+
+class TestChainStops:
+    @settings(max_examples=150, deadline=None)
+    @given(synsets=shuffled_synsets(), data=st.data())
+    def test_pointer_jumping_matches_walk(self, synsets, data):
+        taxonomy = Taxonomy(synsets)
+        stop = data.draw(st.sets(st.sampled_from([syn.id for syn in synsets])))
+        got = chain_stops(taxonomy, np.array([sid in stop for sid in taxonomy], bool))
+        ids = list(taxonomy)
+        assert {sid: ids[at] for sid, at in zip(ids, got.tolist())} == oracle_stops(
+            synsets, stop)
+
+    def test_long_chain(self):
+        synsets = [Synset("s0", "n", ("fox",), (), 5)] + [
+            Synset(f"s{i}", "n", ("fox",), (f"s{i - 1}",), 6) for i in range(1, 100)]
+        taxonomy = Taxonomy(synsets)
+        assert chain_stops(taxonomy, np.zeros(100, bool)).tolist() == [0] * 100
+        stop = np.zeros(100, bool)
+        stop[50] = True
+        assert chain_stops(taxonomy, stop).tolist() == [0] * 50 + [50] * 50
+
+    def test_empty_taxonomy(self):
+        assert chain_stops(Taxonomy([]), np.zeros(0, bool)).tolist() == []

@@ -23,7 +23,7 @@ from animacy.wsd import (
     load_counts,
 )
 from tests.test_corpus import make_np
-from tests.test_taxonomy import random_taxonomies, sense_mass
+from tests.test_taxonomy import all_lemmas, random_taxonomies, sense_mass
 
 
 def pair_taxonomy():
@@ -43,7 +43,7 @@ def uniform_weighting(taxonomy):
     """Equal weight on every sense of every lemma (nouns and verbs)."""
     weights = {}
     for pos in ("n", "v"):
-        for lemma in taxonomy.lemmas(pos):
+        for lemma in all_lemmas(taxonomy, pos):
             senses = taxonomy.senses(lemma, pos)
             for sid in senses:
                 weights.setdefault(lemma, {})[sid] = 1.0 / len(senses)
@@ -448,7 +448,7 @@ class TestDisambiguation:
 
     def test_normalization_within_tolerance(self, toy_taxonomy, mini_corpus):
         table = information_content(mini_corpus, toy_taxonomy)
-        lemmas = set(toy_taxonomy.lemmas("n"))
+        lemmas = set(all_lemmas(toy_taxonomy, "n"))
         w = disambiguation_weights(lemmas, toy_taxonomy, table)
         for lemma in lemmas:
             senses = toy_taxonomy.senses(lemma, "n")
@@ -603,7 +603,7 @@ class TestDisambiguation:
 
     def test_toy_taxonomy_matches_oracle_exactly(self, toy_taxonomy, mini_corpus):
         table = information_content(mini_corpus, toy_taxonomy)
-        lemmas = toy_taxonomy.lemmas("n")
+        lemmas = all_lemmas(toy_taxonomy, "n")
         expected = oracle_weights(lemmas, toy_taxonomy, table)
         w = disambiguation_weights(lemmas, toy_taxonomy, table)
         assert expected
@@ -638,7 +638,7 @@ class TestWeightedCounts:
     def test_uniform_equals_unweighted_ratios_everywhere(self, toy_taxonomy, enriched):
         uniform = uniform_weighting(toy_taxonomy)
         beginners = BeginnerClass()
-        for lemma in toy_taxonomy.lemmas("n"):
+        for lemma in all_lemmas(toy_taxonomy, "n"):
             senses = toy_taxonomy.senses(lemma, "n")
             hard_animate = sum(
                 1 for sid in senses if enriched.resolve_animate(sid, beginners)
@@ -653,9 +653,9 @@ class TestWeightedCounts:
     def test_uniform_reproduces_rule_ratios_exactly(self, toy_taxonomy):
         uniform = uniform_weighting(toy_taxonomy)
         senses = sense_table(toy_taxonomy)
-        for lemma in toy_taxonomy.lemmas("n"):
+        for lemma in all_lemmas(toy_taxonomy, "n"):
             assert noun_ratios(lemma, senses) == noun_ratios(lemma, senses, weighting=uniform)
-        for lemma in toy_taxonomy.lemmas("v"):
+        for lemma in all_lemmas(toy_taxonomy, "v"):
             assert verb_ratios(lemma, senses) == verb_ratios(lemma, senses, weighting=uniform)
 
     def test_fallback_chain_covers_undecided_senses(self, toy_taxonomy):
