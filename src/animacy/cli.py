@@ -75,20 +75,27 @@ def _beginners(args) -> BeginnerClass:
 
 
 def lexfile_list(text: str) -> frozenset[int]:
-    """argparse type of the --animate-*-lexfiles flags."""
-    return frozenset(int(x) for x in text.split(",")) if text else frozenset()
+    """argparse type of the --animate-*-lexfiles flags: integers spelled
+    as in files (`is_int`), each stripped of surrounding spaces first."""
+    items = [x.strip() for x in text.split(",")] if text else []
+    if not all(map(is_int, items)):
+        raise ValueError(text)
+    return frozenset(map(int, items))
 
 
 def bounded(kind: type, low, high=math.inf, closed: bool = True):
     """argparse type: a finite `kind` number from `low` to `high`.
 
     The bounds are included unless `closed` is false; NaN and infinities
-    never pass.
+    never pass.  An int must be spelled as in files (`is_int`); `int`
+    alone would also take "1_0", " +1" or "١٠".
     """
     span = f">= {low}" if high == math.inf else (
         f"in [{low}, {high}]" if closed else f"in ({low}, {high})")
 
     def parse(text: str):
+        if kind is int and not is_int(text):
+            raise ValueError(text)  # argparse reports an invalid int value
         value = kind(text)
         inside = low <= value <= high if closed else low < value < high
         if not inside or abs(value) == math.inf:  # NaN is never inside

@@ -7,7 +7,9 @@ subjects governed by the verb; with no verb sense annotation available,
 each occurrence credits every sense of the verb lemma.  Occurrences are
 first tallied per distinct sense key and verb lemma; one level-wise pass
 over the taxonomy's hypernym columns then finds every (tally, synset)
-pair of the closures, each once, and sums the tallies per synset.
+pair of the closures, each once, and sums the tallies per synset into
+two count columns, animate and inanimate, in taxonomy order.  Every later
+step reads the counts, and the statuses, by position in those columns.
 
 A synset whose observed occurrences are all of one class takes that class
 outright.  A synset with mixed evidence is tested with a goodness-of-fit
@@ -59,38 +61,6 @@ class Status(str, enum.Enum):
 # indexed by code, so -1 picks its last entry.
 _CODE = {Status.ANIMATE: 1, Status.INANIMATE: -1, Status.UNDECIDED: 0}
 _STATUS = (Status.UNDECIDED, Status.ANIMATE, Status.INANIMATE)
-
-
-class SynsetCounts:
-    """Per-synset animate/inanimate occurrence counts (direct + inherited).
-
-    Two int columns with the same keys: in taxonomy order as
-    `accumulate_counts` returns them, else in order of first `add`.
-    `accumulate_counts` also sets `columns`, the two counts of every
-    synset as int64 arrays in taxonomy order.
-    """
-
-    def __init__(self):
-        self._animate: dict[str, int] = {}
-        self._inanimate: dict[str, int] = {}
-        self.columns: tuple[np.ndarray, np.ndarray] | None = None
-
-    def add(self, sid: str, animate: bool, amount: int = 1) -> None:
-        ani, inani = self._animate, self._inanimate
-        ani[sid] = ani.get(sid, 0) + (amount if animate else 0)
-        inani[sid] = inani.get(sid, 0) + (0 if animate else amount)
-
-    def animate(self, sid: str) -> int:
-        return self._animate.get(sid, 0)
-
-    def inanimate(self, sid: str) -> int:
-        return self._inanimate.get(sid, 0)
-
-    def total(self, sid: str) -> int:
-        return self._animate.get(sid, 0) + self._inanimate.get(sid, 0)
-
-    def observed_ids(self) -> tuple[str, ...]:
-        return tuple(self._animate)
 
 
 class ChiSquareResult(NamedTuple):
@@ -211,7 +181,7 @@ def chi2_critical(df: int, alpha: float = 0.05) -> float:
 def accumulate_counts(
     docs: Iterable[Document],
     taxonomy: Taxonomy,
-) -> tuple[SynsetCounts, list[tuple[str, int, int, str]]]:
+) -> tuple[tuple[np.ndarray, np.ndarray], list[tuple[str, int, int, str]]]:
     """Count annotated occurrences into the taxonomy.
 
     Nouns need both a gold label and a sense key; the key's synset and all
@@ -222,9 +192,10 @@ def accumulate_counts(
     synsets it credits: one pass up the hypernym columns, level by level,
     collects the (owner, synset) pairs, each once however many paths or
     depths reach it, and the tallies are summed per synset.  Returns the
-    counts, observed synsets in taxonomy order, plus a list of skipped
-    records whose sense key did not resolve, as (doc, sent, np, sense), in
-    corpus order.  The NPs are read from their columns (`np_columns`).
+    animate and inanimate counts of every synset as two int64 columns in
+    taxonomy order, plus a list of skipped records whose sense key did not
+    resolve, as (doc, sent, np, sense), in corpus order.  The NPs are read
+    from their columns (`np_columns`).
     """
     # [animate, inanimate] occurrences per sense key and per verb lemma
     by_sense: dict[str, list[int]] = {}
@@ -260,30 +231,30 @@ def accumulate_counts(
     # sums of whole numbers in float64 stay exact up to 2**53
     animate = np.bincount(node, tallies[owner, 0], n).astype(np.int64)
     inanimate = np.bincount(node, tallies[owner, 1], n).astype(np.int64)
-    observed = np.flatnonzero(animate + inanimate)
-    counts = SynsetCounts()
-    ids = [taxonomy._ids[i] for i in observed.tolist()]
-    counts._animate = dict(zip(ids, animate[observed].tolist()))
-    counts._inanimate = dict(zip(ids, inanimate[observed].tolist()))
-    counts.columns = animate, inanimate
-    return counts, skipped
+    return (animate, inanimate), skipped
 
 
 def classify_node(
     node: str,
-    counts: SynsetCounts,
+    counts: tuple[np.ndarray, np.ndarray],
     taxonomy: Taxonomy,
     alpha: float = 0.05,
 ) -> Status:
-    """Status of one synset from the accumulated counts.
+    """Status of one synset from the accumulated counts: the animate and
+    inanimate columns of `accumulate_counts`, in taxonomy order.
 
     Unanimous observations settle the node directly.  Otherwise the animate
-    and inanimate hypotheses are tested over the observed hyponyms; if both
-    pass (possible at tiny counts) the larger observed proportion wins and
-    an exact tie stays Undecided.
+    and inanimate hypotheses are tested over the observed hyponyms, read
+    by position in file order; if both pass (possible at tiny counts) the
+    larger observed proportion wins and an exact tie stays Undecided.
+    Columns of another length than the taxonomy are a `ValueError`.
     """
-    ani = counts.animate(node)
-    inani = counts.inanimate(node)
+    # memoryviews index to plain ints, without a numpy scalar per read
+    animate, inanimate = map(memoryview, counts)
+    if len(animate) != len(taxonomy) or len(inanimate) != len(taxonomy):
+        raise ValueError(f"count columns must hold {len(taxonomy)} synsets")
+    i = taxonomy._position(node)
+    ani, inani = animate[i], inanimate[i]
     if ani == 0 and inani == 0:
         return Status.UNDECIDED
     if inani == 0:
@@ -291,8 +262,10 @@ def classify_node(
     if ani == 0:
         return Status.INANIMATE
 
-    children = [(child, counts.animate(child), counts.inanimate(child))
-                for child in taxonomy.hyponyms(node) if counts.total(child)]
+    down, ids = taxonomy._down, taxonomy._ids
+    children = [(ids[child], animate[child], inanimate[child])
+                for child in taxonomy._down_links[down[i]:down[i + 1]]
+                if animate[child] or inanimate[child]]
     # one cell, merged or not, leaves no degree of freedom
     if len(children) < 2:
         return Status.UNDECIDED
@@ -316,33 +289,19 @@ def classify_node(
 
 
 class EnrichedTaxonomy:
-    """A taxonomy plus one animacy status per synset, held as an int8
-    column in taxonomy order (see `_CODE`).
+    """A taxonomy plus one animacy status per synset.
+
+    `column` holds the int8 status code (see `_CODE`) of every synset of
+    `base`, in its order, as `enrich` and `load_enriched` build it; it is
+    kept as it is, neither checked nor copied.
 
     `skipped` lists the annotated records whose sense key the taxonomy did
     not know, as (doc, sent, np, sense); their noun evidence is missing
     from the statuses.  It is empty for statuses loaded from a file.
     """
 
-    def __init__(self, base: Taxonomy, status: dict[str, Status],
+    def __init__(self, base: Taxonomy, column: np.ndarray,
                  skipped: Iterable[tuple[str, int, int, str]] = ()):
-        column, index = np.zeros(len(base), np.int8), base._index
-        for sid, value in status.items():
-            if sid not in index:
-                raise ValueError(f"status for unknown synset {sid}")
-            column[index[sid]] = _CODE[value]
-        self._adopt(base, column, skipped)
-
-    @classmethod
-    def _from_column(cls, base: Taxonomy, column: np.ndarray,
-                     skipped: Iterable[tuple[str, int, int, str]] = ()) -> EnrichedTaxonomy:
-        """Wrap a status code for every synset of `base`, in its order,
-        without checking or copying them."""
-        enriched = cls.__new__(cls)
-        enriched._adopt(base, column, skipped)
-        return enriched
-
-    def _adopt(self, base, column, skipped) -> None:
         self.base = base
         self.skipped = tuple(skipped)
         self._status = column
@@ -431,12 +390,12 @@ def enrich(
     """
     chi2_critical(1, alpha)  # rejects an alpha outside (0, 1) before counting
     counts, skipped = accumulate_counts(docs, taxonomy)
-    animate, inanimate = counts.columns
+    animate, inanimate = counts
     column = (animate > 0).astype(np.int8) - (inanimate > 0)
     ids = taxonomy._ids
     for node in np.flatnonzero((animate > 0) & (inanimate > 0)).tolist():
         column[node] = _CODE[classify_node(ids[node], counts, taxonomy, alpha)]
-    return EnrichedTaxonomy._from_column(taxonomy, column, skipped)
+    return EnrichedTaxonomy(taxonomy, column, skipped)
 
 
 _SUFFIX = {code: f"\t{status.value}\n" for status, code in _CODE.items()}
@@ -479,4 +438,4 @@ def load_enriched(path, base: Taxonomy) -> EnrichedTaxonomy:
             read[node] = _READ.get(value) or _CODE[Status(value)] + 2
         except ValueError as exc:
             raise ValueError(f"{path} line {lineno}: {exc}") from None
-    return EnrichedTaxonomy._from_column(base, _FROM_READ[np.frombuffer(read, np.uint8)])
+    return EnrichedTaxonomy(base, _FROM_READ[np.frombuffer(read, np.uint8)])

@@ -8,9 +8,11 @@ tab-separated record per line:
     SYNSET <TAB> id <TAB> pos(n|v) <TAB> lexfile <TAB> lemma,... <TAB> hyp,...
 
 with the hypernym field left empty for roots and ``#`` starting a comment
-line.  ``STATUS`` lines (animacy statuses appended by the enrichment step)
-are tolerated and skipped so that a combined file can be loaded as a plain
-taxonomy.
+line.  A lemma may hold a comma (WordNet's ``2,4-d``), so inside a lemma
+``%`` is written ``%25`` and ``,`` is written ``%2c``; the loader reads
+both back, and any other ``%`` as it stands.  ``STATUS`` lines (animacy
+statuses appended by the enrichment step) are tolerated and skipped so
+that a combined file can be loaded as a plain taxonomy.
 
 `load_taxonomy` reads the file once, line by line, adding each synset's
 fields to flat columns.  A SYNSET line that passes a few cheap tests goes
@@ -205,7 +207,8 @@ class Taxonomy:
     part of speech (one character each, in one string), lexfile, and the
     lemmas as one tab-joined string per synset, split only by `get` and
     `dump_taxonomy`.  No file field or WordNet database token holds a tab,
-    while a WordNet lemma may hold a comma (``2,4-d``).
+    while a WordNet lemma may hold a comma (``2,4-d``), which the file
+    escapes.
     Hypernym and hyponym links are CSR int columns: a start offset per
     synset and one flat array of positions, so the hypernyms of position
     i are ``up_links[up[i]:up[i + 1]]`` in field order, and its hyponyms
@@ -514,6 +517,13 @@ def _cycle_edge(start: np.ndarray, links: np.ndarray, pending: np.ndarray) -> tu
         node = parent
 
 
+def _unescape(lemma: str) -> str:
+    """One lemma as `dump_taxonomy` escaped it: "%2c" is a comma and "%25"
+    a percent sign, and any other "%" stands for itself."""
+    # no "%2c" overlaps a "%25", and a restored comma starts none
+    return lemma.replace("%2c", ",").replace("%25", "%")
+
+
 def _split_list(field: str) -> tuple[str, ...]:
     items = tuple(field.split(",")) if field else ()
     return tuple(x for x in items if x) if "" in items else items
@@ -530,7 +540,7 @@ def _parse_synset_line(line: str) -> tuple:
     if not is_int(lexfile):
         raise TaxonomyError(f"bad lexfile number {lexfile!r}")
     lex = int(lexfile)
-    lemma_tuple = _split_list(lemmas)
+    lemma_tuple = tuple([_unescape(lemma) for lemma in _split_list(lemmas)])
     hyper_tuple = _split_list(hypernyms)
     _check_fields(sid, pos, lemma_tuple, hyper_tuple)
     return sid, pos, lex, lemma_tuple, hyper_tuple
@@ -545,7 +555,8 @@ def load_taxonomy(path) -> Taxonomy:
     passes a few cheap tests, which together imply `_check_fields`, adds
     its fields to the columns as they are; any other record line goes
     through `_parse_synset_line`, which cleans it (a lost trailing tab,
-    an empty list item) or names what is wrong with it.
+    an empty list item) or names what is wrong with it.  Lemmas holding a
+    ``%`` are unescaped on either path.
     """
     ids: list[str] = []
     pos: list[str] = []
@@ -559,6 +570,8 @@ def load_taxonomy(path) -> Taxonomy:
         if clean:
             _, sid, p, lexfile, names, links = fields
             items, links = names.split(","), links.split(",") if links else []
+            if "%" in names:
+                items = [_unescape(item) for item in items]
             clean = (sid and p in _POS and lexfile.isdecimal() and lexfile.isascii()
                      and "" not in items and "" not in links and names == names.lower()
                      and (len(items) == 1 or len(set(items)) == len(items))
@@ -591,7 +604,7 @@ def dump_taxonomy(taxonomy: Taxonomy) -> str:
     ids, start, links = taxonomy._ids, taxonomy._up, taxonomy._up_links
     lines = [
         "SYNSET\t%s\t%s\t%d\t%s\t%s"
-        % (sid, p, lexfile, names.replace("\t", ","),
+        % (sid, p, lexfile, names.replace("%", "%25").replace(",", "%2c").replace("\t", ","),
            ",".join([ids[x] for x in links[start[i]:start[i + 1]]]))
         for i, (sid, p, lexfile, names) in enumerate(zip(
             ids, taxonomy._pos, taxonomy._lexfiles, taxonomy._lemmas

@@ -18,7 +18,6 @@ from hypothesis import given, strategies as st
 from animacy.corpus import Document, Label
 from animacy.enrichment import (
     Status,
-    SynsetCounts,
     accumulate_counts,
     classify_node,
     enrich,
@@ -45,6 +44,7 @@ from animacy.rules import Thresholds
 from animacy.taxonomy import Synset, Taxonomy
 from animacy.wsd import disambiguation_weights, information_content
 from tests.test_corpus import make_np
+from tests.test_enrichment import count_columns, counts_at
 from tests.test_resolution import measured_precision_recall
 from tests.test_rules import cascade_of, classify_rule, ratios
 from tests.test_taxonomy import all_lemmas
@@ -192,13 +192,9 @@ def test_criterion_02_chi_square_decision_matches_oracle():
                 Synset(f"c{i}", "n", (f"w{i}",), ("root",), 18) for i in range(n)
             ]
             taxonomy = Taxonomy(synsets)
-            counts = SynsetCounts()
             children = _random_child_counts(rng, n)
-            for cid, ani, inani in children:
-                counts.add(cid, True, ani)
-                counts.add(cid, False, inani)
-                counts.add("root", True, ani)
-                counts.add("root", False, inani)
+            counts = count_columns(taxonomy, [
+                (sid, ani, inani) for cid, ani, inani in children for sid in (cid, "root")])
             got = classify_node("root", counts, taxonomy)
             assert got is oracle_classify(children), children
 
@@ -224,14 +220,12 @@ def test_criterion_02_one_merge_matches_oracle_on_cross_group_tie():
             synsets = [Synset("root", "n", ("top",), (), 18)]
             synsets += [Synset(cid, "n", (f"w{i}",), ("root",), 18)
                         for i, (cid, _, _) in enumerate(children)]
-            counts = SynsetCounts()
-            for cid, ani, inani in children:
-                for sid in (cid, "root"):
-                    counts.add(sid, True, ani)
-                    counts.add(sid, False, inani)
+            taxonomy = Taxonomy(synsets)
+            counts = count_columns(taxonomy, [
+                (sid, ani, inani) for cid, ani, inani in children for sid in (cid, "root")])
             # the third merge is the tied one
             assert len(merge_low_frequency(children)) == len(children) - 3
-            got = classify_node("root", counts, Taxonomy(synsets))
+            got = classify_node("root", counts, taxonomy)
             assert got is oracle_classify(children), children
 
 
@@ -383,17 +377,16 @@ def test_criterion_05_enrichment_properties(toy_taxonomy):
         assert all(enriched.status(sid) is not Status.UNDECIDED for sid in forest)
 
         counts, _ = accumulate_counts(docs, forest)
-        assert counts.animate("p") == 4      # one occurrence per animate synset
-        assert counts.inanimate("s") == 4
+        assert counts_at(counts, forest, "p")[0] == 4      # one occurrence per animate synset
+        assert counts_at(counts, forest, "s")[1] == 4
 
         # diamond: one n-lamp occurrence reaches n-artifact exactly once
         lamp_docs = [Document("d", (
             make_np(head="lamp", gold=I, sense_key="n-lamp"),
         ), 0, 0)]
         lamp_counts, _ = accumulate_counts(lamp_docs, toy_taxonomy)
-        assert lamp_counts.inanimate("n-artifact") == 1
-        assert lamp_counts.inanimate("n-device") == 1
-        assert lamp_counts.inanimate("n-furniture") == 1
+        for sid in ("n-artifact", "n-device", "n-furniture"):
+            assert counts_at(lamp_counts, toy_taxonomy, sid)[1] == 1, sid
 
 
 def test_criterion_06_injection_accuracy(mini_corpus):

@@ -94,7 +94,7 @@ class TestExitCodes:
         assert out == ""
 
     @pytest.mark.parametrize("flag", ["--animate-noun-lexfiles", "--animate-verb-lexfiles"])
-    @pytest.mark.parametrize("value", ["x", "5,,18", "5;18"])
+    @pytest.mark.parametrize("value", ["x", "5,,18", "5;18", "1_8", "5, +18", "\u0661\u0668"])
     def test_bad_lexfile_list_is_usage_error(self, capsys, flag, value):
         code, out, err = run(capsys, "classify", "--method", "rule",
                              "--taxonomy", TAX, "--corpus", CORPUS, flag, value)
@@ -151,6 +151,11 @@ class TestExitCodes:
         (["xval", "--corpus", CORPUS, "--seed", "1"], "--k", "0"),
         (["xval", "--corpus", CORPUS, "--seed", "1"], "--folds", "1"),
         (["xval", "--corpus", CORPUS, "--seed", "1"], "--folds", "0"),
+        (["classify", "--method", "ml", "--train", CORPUS, "--test", CORPUS], "--k", " +1"),
+        (["xval", "--corpus", CORPUS, "--seed", "1"], "--k", "1_0"),
+        (["xval", "--corpus", CORPUS], "--seed", "1_0"),
+        (["xval", "--corpus", CORPUS], "--seed", "\u0661\u0660"),
+        (["xval", "--corpus", CORPUS, "--seed", "1"], "--folds", "+3"),
     ])
     def test_bad_learner_number_is_usage_error(self, capsys, command, flag, value):
         code, out, err = run(capsys, *command, "--taxonomy", TAX, flag, value)

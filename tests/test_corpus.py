@@ -229,7 +229,7 @@ def test_corpus_passes_build_no_records(built, toy_taxonomy, enriched):
                    for weigh in (None, ic)]
     grid = sweep(docs, [50, 100], [100], runs=2)
     assert built == []
-    assert labels and counts.observed_ids() and grid.cells
+    assert labels and (counts[0] + counts[1]).any() and grid.cells
     assert len(store.table.codes) == len(predicted) == 60 == len(queries.codes)
     assert [len(labels) for labels in rule_labels] == [60, 60]
 

@@ -14,7 +14,6 @@ from animacy.corpus import Document, Label
 from animacy.enrichment import (
     EnrichedTaxonomy,
     Status,
-    SynsetCounts,
     accumulate_counts,
     chi2_critical,
     chi_square,
@@ -47,6 +46,39 @@ def doc_of(senses_and_labels, doc_id="d"):
     return Document(doc_id, nps, 0, 0)
 
 
+def counts_at(counts, taxonomy, sid):
+    """The (animate, inanimate) counts of `sid` in `accumulate_counts`'
+    two columns."""
+    i = taxonomy._index[sid]
+    return int(counts[0][i]), int(counts[1][i])
+
+
+def observed(counts, taxonomy):
+    """The synsets with a count in either column, in taxonomy order."""
+    animate, inanimate = counts
+    return tuple(taxonomy._ids[i] for i in np.flatnonzero(animate + inanimate).tolist())
+
+
+def count_columns(taxonomy, credits):
+    """Count columns in `accumulate_counts`' form, from (synset, animate,
+    inanimate) credits summed per synset."""
+    columns = np.zeros((2, len(taxonomy)), np.int64)
+    for sid, ani, inani in credits:
+        columns[:, taxonomy._index[sid]] += (ani, inani)
+    return columns[0], columns[1]
+
+
+def enriched_of(base, status):
+    """An `EnrichedTaxonomy` from a status per synset id, Undecided where
+    none is given; an id that `base` does not hold is a `ValueError`."""
+    column = np.zeros(len(base), np.int8)
+    for sid, value in status.items():
+        if sid not in base:
+            raise ValueError(f"status for unknown synset {sid}")
+        column[base._index[sid]] = enrichment._CODE[value]
+    return EnrichedTaxonomy(base, column)
+
+
 def chain():
     return Taxonomy([
         Synset("r", "n", ("thing",), (), 18),
@@ -60,26 +92,24 @@ class TestCounts:
         t = chain()
         counts, skipped = accumulate_counts([doc_of([("l", Label.ANIMATE)])], t)
         assert not skipped
-        assert counts.animate("l") == counts.animate("m") == counts.animate("r") == 1
+        assert [counts_at(counts, t, sid)[0] for sid in ("l", "m", "r")] == [1, 1, 1]
 
     def test_diamond_counts_once_per_ancestor(self, toy_taxonomy):
         # n-lamp reaches n-artifact via n-device and n-furniture
         docs = [doc_of([("n-lamp", Label.INANIMATE)])]
         counts, _ = accumulate_counts(docs, toy_taxonomy)
-        assert counts.inanimate("n-lamp") == 1
-        assert counts.inanimate("n-device") == 1
-        assert counts.inanimate("n-furniture") == 1
-        assert counts.inanimate("n-artifact") == 1
+        for sid in ("n-lamp", "n-device", "n-furniture", "n-artifact"):
+            assert counts_at(counts, toy_taxonomy, sid)[1] == 1, sid
 
     def test_empty_corpus_all_zero(self, toy_taxonomy):
         counts, _ = accumulate_counts([], toy_taxonomy)
-        assert counts.observed_ids() == ()
+        assert observed(counts, toy_taxonomy) == ()
 
     def test_unresolvable_sense_is_skipped_and_reported(self, toy_taxonomy):
         docs = [doc_of([("n-ghost", Label.ANIMATE), ("n-dog", Label.ANIMATE)])]
         counts, skipped = accumulate_counts(docs, toy_taxonomy)
         assert skipped == [("d", 0, 0, "n-ghost")]
-        assert counts.animate("n-dog") == 1
+        assert counts_at(counts, toy_taxonomy, "n-dog")[0] == 1
 
     def test_verb_occurrences_credit_all_senses_once(self, toy_taxonomy):
         doc = Document("d", (
@@ -87,19 +117,18 @@ class TestCounts:
                     verb_lemma="run", gold=Label.ANIMATE),
         ), 0, 0)
         counts, _ = accumulate_counts([doc], toy_taxonomy)
-        assert counts.animate("v-run-motion") == 1
-        assert counts.animate("v-run-social") == 1
+        assert counts_at(counts, toy_taxonomy, "v-run-motion")[0] == 1
+        assert counts_at(counts, toy_taxonomy, "v-run-social")[0] == 1
         # shared nothing, but each root once
-        assert counts.animate("v-motion") == 1
-        assert counts.animate("v-social") == 1
+        assert counts_at(counts, toy_taxonomy, "v-motion")[0] == 1
+        assert counts_at(counts, toy_taxonomy, "v-social")[0] == 1
 
     def test_count_conservation_at_root_of_a_tree(self):
         t = chain()
         docs = [doc_of([("l", Label.ANIMATE), ("m", Label.ANIMATE),
                         ("l", Label.INANIMATE)])]
         counts, _ = accumulate_counts(docs, t)
-        assert counts.animate("r") == 2
-        assert counts.inanimate("r") == 1
+        assert counts_at(counts, t, "r") == (2, 1)
 
 
 class TestChiSquare:
@@ -212,48 +241,51 @@ def star_taxonomy(n_children):
     return Taxonomy(synsets)
 
 
-def counts_for(children):
-    """children: list of (ani, inani) per child of `star_taxonomy`."""
-    counts = SynsetCounts()
-    for i, (ani, inani) in enumerate(children):
-        counts.add(f"c{i}", True, ani)
-        counts.add(f"c{i}", False, inani)
-        counts.add("root", True, ani)
-        counts.add("root", False, inani)
-    return counts
+def counts_for(taxonomy, children):
+    """Count columns over `star_taxonomy`; children: list of (ani, inani)
+    per child, each also credited to the root."""
+    return count_columns(taxonomy, [
+        (sid, ani, inani) for i, (ani, inani) in enumerate(children)
+        for sid in (f"c{i}", "root")])
 
 
 class TestClassifyNode:
     def test_unanimous_animate(self):
         t = star_taxonomy(2)
-        assert classify_node("root", counts_for([(3, 0), (2, 0)]), t) is Status.ANIMATE
+        assert classify_node("root", counts_for(t, [(3, 0), (2, 0)]), t) is Status.ANIMATE
 
     def test_unanimous_inanimate(self):
         t = star_taxonomy(2)
-        assert classify_node("root", counts_for([(0, 3), (0, 4)]), t) is Status.INANIMATE
+        assert classify_node("root", counts_for(t, [(0, 3), (0, 4)]), t) is Status.INANIMATE
 
     def test_chi_square_accepts_small_deviation(self):
         # animate table (4,5),(5,5): statistic 0.2 < 3.841
         t = star_taxonomy(2)
-        status = classify_node("root", counts_for([(4, 1), (5, 0)]), t)
+        status = classify_node("root", counts_for(t, [(4, 1), (5, 0)]), t)
         assert status is Status.ANIMATE
 
     def test_heavily_mixed_is_undecided(self):
         # both hypotheses give statistic 10 on df 1
         t = star_taxonomy(2)
-        status = classify_node("root", counts_for([(10, 10), (10, 10)]), t)
+        status = classify_node("root", counts_for(t, [(10, 10), (10, 10)]), t)
         assert status is Status.UNDECIDED
 
     def test_no_evidence_is_undecided(self):
         t = star_taxonomy(2)
-        assert classify_node("root", SynsetCounts(), t) is Status.UNDECIDED
+        assert classify_node("root", count_columns(t, []), t) is Status.UNDECIDED
 
     def test_mixed_terminal_is_undecided(self):
         t = star_taxonomy(1)
-        counts = SynsetCounts()
-        counts.add("c0", True, 4)
-        counts.add("c0", False, 2)
+        counts = count_columns(t, [("c0", 4, 2)])
         assert classify_node("c0", counts, t) is Status.UNDECIDED
+
+    @pytest.mark.parametrize("short", ["animate", "inanimate"])
+    def test_columns_of_another_length_are_rejected(self, short):
+        t = star_taxonomy(2)
+        animate, inanimate = counts_for(t, [(3, 1), (2, 2)])
+        counts = (animate[:-1], inanimate) if short == "animate" else (animate, inanimate[:-1])
+        with pytest.raises(ValueError, match="3 synsets"):
+            classify_node("root", counts, t)
 
 
 class TestEnrich:
@@ -319,9 +351,10 @@ class TestEnrich:
         enrich(toy_taxonomy, mini_corpus)
         counts, _ = accumulate_counts(mini_corpus, toy_taxonomy)
         tested = []
-        for sid in counts.observed_ids():
-            children = tuple(child for child in toy_taxonomy.hyponyms(sid) if counts.total(child))
-            if counts.animate(sid) and counts.inanimate(sid) and len(children) >= 2:
+        for sid in observed(counts, toy_taxonomy):
+            children = tuple(child for child in toy_taxonomy.hyponyms(sid)
+                             if sum(counts_at(counts, toy_taxonomy, child)))
+            if all(counts_at(counts, toy_taxonomy, sid)) and len(children) >= 2:
                 tested.append(children)
         assert len(tested) == 4
         assert sorted(merged) == sorted(tested)
@@ -360,7 +393,7 @@ class TestResolution:
         ])
         status = {sid: Status.UNDECIDED for sid in t}
         status.update(overrides)
-        return EnrichedTaxonomy(t, status)
+        return enriched_of(t, status)
 
     def test_decided_sense_wins(self):
         e = self.statuses(leaf=Status.ANIMATE)
@@ -418,7 +451,7 @@ class TestResolutionMemo:
         statuses = data.draw(st.lists(
             st.sampled_from(list(Status)), min_size=len(ids), max_size=len(ids),
         ))
-        enriched = EnrichedTaxonomy(taxonomy, dict(zip(ids, statuses)))
+        enriched = enriched_of(taxonomy, dict(zip(ids, statuses)))
         queries = data.draw(st.permutations(
             [(sid, b) for sid in ids for b in self.BEGINNERS] * 2
         ))
@@ -439,7 +472,7 @@ class TestResolutionMemo:
             Synset("p3", "n", ("pthree",), ("i1", "i2"), 6),
             Synset("x", "n", ("ex",), ("p1", "p2", "p3"), 6),
         ])
-        e = EnrichedTaxonomy(t, {"a": Status.ANIMATE, "i1": Status.INANIMATE,
+        e = enriched_of(t, {"a": Status.ANIMATE, "i1": Status.INANIMATE,
                                  "i2": Status.INANIMATE})
         beginners = BeginnerClass()
         assert [e.resolve_animate(p, beginners) for p in ("p1", "p2", "p3")] == [
@@ -447,7 +480,7 @@ class TestResolutionMemo:
         assert e.resolve_animate("x", beginners) is False
 
     def test_memo_is_kept_per_beginner_class(self, toy_taxonomy):
-        undecided = EnrichedTaxonomy(toy_taxonomy, {})
+        undecided = enriched_of(toy_taxonomy, {})
         default = BeginnerClass()
         device_animate = BeginnerClass(animate_noun_lexfiles=frozenset({6}))
         sid = "n-mouse-device"
@@ -527,7 +560,7 @@ class TestSenseColumnMatchesOracle:
         taxonomy = Taxonomy(synsets)
         ids = list(taxonomy)
         statuses = data.draw(st.lists(DRAWN_STATUS, min_size=len(ids), max_size=len(ids)))
-        enriched = EnrichedTaxonomy(taxonomy, dict(zip(ids, statuses)))
+        enriched = enriched_of(taxonomy, dict(zip(ids, statuses)))
         walked = TestSenseTableMatchesOracle.walked(enriched)
         for beginners in COLUMN_CLASSES:
             table = enriched.sense_table(beginners)
@@ -566,7 +599,7 @@ class TestSenseColumnMatchesOracle:
         taxonomy = Taxonomy(synsets)
         ids = list(taxonomy)
         statuses = data.draw(st.lists(DRAWN_STATUS, min_size=len(ids), max_size=len(ids)))
-        enriched = EnrichedTaxonomy(taxonomy, dict(zip(ids, statuses)))
+        enriched = enriched_of(taxonomy, dict(zip(ids, statuses)))
         lemmas = data.draw(st.permutations([*LEMMAS, "ghost"]))
         for beginners in COLUMN_CLASSES:
             for make in (enriched.sense_table, lambda b: rules.sense_table(taxonomy, b)):
@@ -604,7 +637,7 @@ class TestSenseTableMatchesOracle:
             st.sampled_from([Status.ANIMATE, Status.INANIMATE] + [Status.UNDECIDED] * 3),
             min_size=len(ids), max_size=len(ids),
         ))
-        enriched = EnrichedTaxonomy(taxonomy, dict(zip(ids, statuses)))
+        enriched = enriched_of(taxonomy, dict(zip(ids, statuses)))
         walked = self.walked(enriched)
         tables = [enriched.sense_table(b) for b in self.BEGINNERS]
         queries = data.draw(st.permutations(
@@ -630,7 +663,7 @@ class TestSenseTableMatchesOracle:
             Synset("c2", "n", ("ctwo",), ("c1",), 24),
             Synset("c3", "n", ("cthree", "em"), ("c2",), 6),
         ])
-        e = EnrichedTaxonomy(t, {"a": Status.ANIMATE, "i": Status.INANIMATE})
+        e = enriched_of(t, {"a": Status.ANIMATE, "i": Status.INANIMATE})
         walked = self.walked(e)
         for beginners, expected in zip(self.BEGINNERS, (True, False)):
             table = e.sense_table(beginners)
@@ -669,8 +702,7 @@ class TestCountPropagationProperty:
                 1 for sid, animate in events
                 if not animate and node in taxonomy.ancestors(sid, include_self=True)
             )
-            assert counts.animate(node) == expected_animate
-            assert counts.inanimate(node) == expected_inanimate
+            assert counts_at(counts, taxonomy, node) == (expected_animate, expected_inanimate)
 
 
 def oracle_accumulate_counts(docs, taxonomy):
@@ -733,10 +765,12 @@ class TestCountsMatchOracle:
         for form in (docs, reloaded(docs)):
             counts, skipped = accumulate_counts(form, taxonomy)
             assert skipped == expected_skipped
-            assert set(counts.observed_ids()) == animate.keys() | inanimate.keys()
+            assert [(len(column), column.dtype) for column in counts] == [
+                (len(taxonomy), np.int64)] * 2
+            assert set(observed(counts, taxonomy)) == animate.keys() | inanimate.keys()
             for sid in taxonomy:
-                assert counts.animate(sid) == animate.get(sid, 0), sid
-                assert counts.inanimate(sid) == inanimate.get(sid, 0), sid
+                assert counts_at(counts, taxonomy, sid) == (
+                    animate.get(sid, 0), inanimate.get(sid, 0)), sid
 
 
 def subject_doc(*events):
@@ -756,11 +790,11 @@ class TestCountEdgeCases:
         (animate, inanimate), expected_skipped = oracle_accumulate_counts(docs, taxonomy)
         counts, skipped = accumulate_counts(docs, taxonomy)
         assert skipped == expected_skipped
-        assert counts.observed_ids() == tuple(
+        assert observed(counts, taxonomy) == tuple(
             sid for sid in taxonomy if sid in animate or sid in inanimate)
         for sid in taxonomy:
-            assert counts.animate(sid) == animate.get(sid, 0), sid
-            assert counts.inanimate(sid) == inanimate.get(sid, 0), sid
+            assert counts_at(counts, taxonomy, sid) == (
+                animate.get(sid, 0), inanimate.get(sid, 0)), sid
         return counts, skipped
 
     def test_node_reached_at_two_depths(self):
@@ -775,7 +809,7 @@ class TestCountEdgeCases:
         docs = subject_doc(("x", None, Label.ANIMATE), ("x", None, Label.INANIMATE),
                            ("b", None, Label.ANIMATE))
         counts, _ = self.assert_oracle_counts(docs, t)
-        assert (counts.animate("r"), counts.inanimate("r")) == (2, 1)
+        assert counts_at(counts, t, "r") == (2, 1)
 
     def test_verb_senses_sharing_ancestors(self):
         # both senses of "go" lie under "v-move", which is credited once
@@ -788,24 +822,136 @@ class TestCountEdgeCases:
         docs = subject_doc((None, "go", Label.ANIMATE), (None, "go", Label.ANIMATE),
                            (None, "ride", Label.INANIMATE))
         counts, _ = self.assert_oracle_counts(docs, t)
-        assert counts.animate("v-act") == counts.animate("v-move") == 2
-        assert counts.inanimate("v-act") == 1
+        assert counts_at(counts, t, "v-act")[0] == counts_at(counts, t, "v-move")[0] == 2
+        assert counts_at(counts, t, "v-act")[1] == 1
 
     def test_verb_lemma_without_senses(self, toy_taxonomy):
         docs = subject_doc(("n-dog", "unseen", Label.ANIMATE), (None, "unseen", Label.ANIMATE))
         counts, _ = self.assert_oracle_counts(docs, toy_taxonomy)
-        assert not any(toy_taxonomy.pos_of(sid) == VERB for sid in counts.observed_ids())
+        assert not any(toy_taxonomy.pos_of(sid) == VERB
+                       for sid in observed(counts, toy_taxonomy))
 
     def test_empty_corpus(self, toy_taxonomy):
         counts, skipped = self.assert_oracle_counts([], toy_taxonomy)
-        assert counts.observed_ids() == () and skipped == []
+        assert observed(counts, toy_taxonomy) == () and skipped == []
 
     def test_every_key_skipped(self, toy_taxonomy):
         docs = subject_doc(("n-ghost", None, Label.ANIMATE), ("ghost", None, Label.INANIMATE),
                            ("n-ghost", None, None))
         counts, skipped = self.assert_oracle_counts(docs, toy_taxonomy)
-        assert counts.observed_ids() == ()
+        assert observed(counts, toy_taxonomy) == ()
         assert skipped == [("d", 0, 0, "n-ghost"), ("d", 0, 1, "ghost")]
+
+
+class OracleCounts:
+    """The dict form the count columns replaced: animate and inanimate
+    occurrence counts per synset id, with the same keys, in order of first
+    `add`."""
+
+    def __init__(self):
+        self._animate: dict[str, int] = {}
+        self._inanimate: dict[str, int] = {}
+
+    def add(self, sid, animate, amount=1):
+        self._animate[sid] = self._animate.get(sid, 0) + (amount if animate else 0)
+        self._inanimate[sid] = self._inanimate.get(sid, 0) + (0 if animate else amount)
+
+    def animate(self, sid):
+        return self._animate.get(sid, 0)
+
+    def inanimate(self, sid):
+        return self._inanimate.get(sid, 0)
+
+    def total(self, sid):
+        return self.animate(sid) + self.inanimate(sid)
+
+    def observed_ids(self):
+        return tuple(self._animate)
+
+
+def oracle_classify_node(node, counts, taxonomy, alpha=0.05):
+    """Status of one synset as the dict form decided it: its counts and
+    its observed hyponyms' looked up by id, the hyponyms walked by
+    `Taxonomy.hyponyms`."""
+    ani, inani = counts.animate(node), counts.inanimate(node)
+    if ani == 0 and inani == 0:
+        return Status.UNDECIDED
+    if inani == 0:
+        return Status.ANIMATE
+    if ani == 0:
+        return Status.INANIMATE
+    children = [(child, counts.animate(child), counts.inanimate(child))
+                for child in taxonomy.hyponyms(node) if counts.total(child)]
+    if len(children) < 2:
+        return Status.UNDECIDED
+    result = chi_square(children)
+    if not result.valid or result.df < 1:
+        return Status.UNDECIDED
+    critical = chi2_critical(result.df, alpha)
+    animate_ok = result.animate_statistic < critical
+    inanimate_ok = result.inanimate_statistic < critical
+    if animate_ok and inanimate_ok:
+        if ani > inani:
+            return Status.ANIMATE
+        if inani > ani:
+            return Status.INANIMATE
+        return Status.UNDECIDED
+    if animate_ok:
+        return Status.ANIMATE
+    if inanimate_ok:
+        return Status.INANIMATE
+    return Status.UNDECIDED
+
+
+def oracle_counts(animate, inanimate):
+    """The dict form of `oracle_accumulate_counts`' two dicts."""
+    counts = OracleCounts()
+    for column, is_animate in ((animate, True), (inanimate, False)):
+        for sid, amount in column.items():
+            counts.add(sid, is_animate, amount)
+    return counts
+
+
+# mostly zero, so that many synsets are unobserved or unanimous, and up to
+# 40, so that chi-square tables reach every decision
+DRAWN_COUNT = st.one_of(st.just(0), st.just(0), st.integers(1, 40))
+
+
+class TestClassifyNodeMatchesOracle:
+    """`classify_node` on the count columns decides every observed synset
+    as the dict form did, on DAGs with multi-parent nodes and long chains."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(synsets=chained_synsets(), data=st.data(), alpha=st.sampled_from([0.05, 0.01]))
+    def test_on_accumulated_counts(self, synsets, data, alpha):
+        # corpora with verb subjects, repeated and unresolved sense keys
+        taxonomy = Taxonomy(synsets)
+        docs = data.draw(annotated_corpora(taxonomy))
+        oracle = oracle_counts(*oracle_accumulate_counts(docs, taxonomy)[0])
+        counts, _ = accumulate_counts(docs, taxonomy)
+        assert set(observed(counts, taxonomy)) == set(oracle.observed_ids())
+        for sid in oracle.observed_ids():
+            assert classify_node(sid, counts, taxonomy, alpha) is oracle_classify_node(
+                sid, oracle, taxonomy, alpha), sid
+
+    @settings(max_examples=150, deadline=None)
+    @given(synsets=chained_synsets(), data=st.data(), alpha=st.sampled_from([0.05, 0.01]))
+    def test_on_drawn_counts(self, synsets, data, alpha):
+        # counts drawn per synset, not summed up the hierarchy, so that
+        # large mixed tables are common
+        taxonomy = Taxonomy(synsets)
+        drawn = data.draw(st.lists(st.tuples(DRAWN_COUNT, DRAWN_COUNT),
+                                   min_size=len(taxonomy), max_size=len(taxonomy)))
+        credits = [(sid, ani, inani) for sid, (ani, inani) in zip(taxonomy, drawn)]
+        oracle = OracleCounts()
+        for sid, ani, inani in credits:
+            if ani or inani:
+                oracle.add(sid, True, ani)
+                oracle.add(sid, False, inani)
+        counts = count_columns(taxonomy, credits)
+        for sid in oracle.observed_ids():
+            assert classify_node(sid, counts, taxonomy, alpha) is oracle_classify_node(
+                sid, oracle, taxonomy, alpha), sid
 
 
 class TestEnrichMatchesOracle:
@@ -824,11 +970,11 @@ class TestEnrichMatchesOracle:
 
 
 def test_coverage_boundaries(toy_taxonomy):
-    all_animate = EnrichedTaxonomy(
+    all_animate = enriched_of(
         toy_taxonomy, {sid: Status.ANIMATE for sid in toy_taxonomy}
     )
     assert all_animate.coverage() == 1.0
-    none_decided = EnrichedTaxonomy(toy_taxonomy, {})
+    none_decided = enriched_of(toy_taxonomy, {})
     assert none_decided.coverage() == 0.0
 
 

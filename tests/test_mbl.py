@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from animacy.corpus import Document, Label, pronoun_ratio
-from animacy.enrichment import EnrichedTaxonomy, Status, enrich
+from animacy.enrichment import Status, enrich
 from animacy.evaluation import score
 from animacy.mbl import (
     OOV_LEMMA,
@@ -29,6 +29,7 @@ from tests.test_acceptance import (
     table_of,
 )
 from tests.test_corpus import iter_nps, make_np, reloaded
+from tests.test_enrichment import enriched_of
 from tests.test_taxonomy import sense_mass
 
 
@@ -198,7 +199,7 @@ class TestExtractFeatures:
             Synset("p", "n", ("parent",), (), 6),
             Synset("c", "n", ("word",), ("p",), 6),
         ])
-        e = EnrichedTaxonomy(t, {"p": Status.ANIMATE, "c": Status.UNDECIDED})
+        e = enriched_of(t, {"p": Status.ANIMATE, "c": Status.UNDECIDED})
         doc = Document("d", (make_np(head="word"),), 0, 0)
         fv = extract_features(doc.nps[0], doc, e.sense_table())
         assert (fv.animate_senses, fv.inanimate_senses) == (1.0, 0.0)
@@ -253,7 +254,7 @@ class TestFeaturesMatchOracle:
         # with no synset decided, every sense falls back to the beginner
         # class, so the two classes disagree on many lemmas
         enriched = (enrich(toy_taxonomy, mini_corpus) if decided
-                    else EnrichedTaxonomy(toy_taxonomy, {}))
+                    else enriched_of(toy_taxonomy, {}))
         tables = [enriched.sense_table(b) for b in self.CLASSES]
         differs = False
         for doc, np_record in iter_nps(mini_corpus):

@@ -21,6 +21,9 @@ from animacy.taxonomy import (
 )
 
 LEMMAS = ["fox", "vat", "oak", "imp", "cog", "elm"]
+# lemmas holding a comma or the file's escape character, the escapes'
+# own spellings among them
+ESCAPED_LEMMAS = ["2,4-d", "2,4,5-t", "50%", "%2c", "%25", "%,"]
 
 
 def all_lemmas(taxonomy: Taxonomy, pos: str | None = None) -> tuple[str, ...]:
@@ -33,8 +36,9 @@ def all_lemmas(taxonomy: Taxonomy, pos: str | None = None) -> tuple[str, ...]:
 
 
 @st.composite
-def random_synsets(draw, mixed_pos=False):
-    """Synsets of a small random DAG, each listed after its hypernyms.
+def random_synsets(draw, mixed_pos=False, lemmas=tuple(LEMMAS)):
+    """Synsets of a small random DAG, each listed after its hypernyms,
+    with one or two of `lemmas` each.
 
     With `mixed_pos`, each synset is a noun or a verb and takes hypernyms
     of its own part of speech only, so there are several roots per pos.
@@ -49,11 +53,11 @@ def random_synsets(draw, mixed_pos=False):
             st.sampled_from(earlier) if earlier else st.nothing(),
             min_size=parent_count, max_size=parent_count, unique=True,
         )) if parent_count else []
-        lemmas = draw(st.lists(
-            st.sampled_from(LEMMAS), min_size=1, max_size=2, unique=True,
+        names = draw(st.lists(
+            st.sampled_from(lemmas), min_size=1, max_size=2, unique=True,
         ))
         synsets.append(Synset(
-            f"s{i}", pos, tuple(lemmas), tuple(parents),
+            f"s{i}", pos, tuple(names), tuple(parents),
             draw(st.sampled_from([5, 6, 18, 24])),
         ))
     return synsets
@@ -74,20 +78,20 @@ def accepted(**fields) -> bool:
     return True
 
 
-# any text, with the separators of the file format drawn often
-FIELD_TEXT = st.text(st.sampled_from("\t\r\n, #") | st.characters(), max_size=4)
+# any text, with the separators and the escape character of the file
+# format drawn often
+FIELD_TEXT = st.text(st.sampled_from("\t\r\n, #%") | st.characters(), max_size=4)
 
 
 @st.composite
 def text_synsets(draw):
-    """A random DAG over drawn text ids and lemmas that `Synset` accepts.
-
-    Only a lemma holding a comma is left out, since the file's lemma list
-    cannot carry one yet.  Synsets come in any order.
+    """A random DAG over drawn text ids and lemmas that `Synset` accepts,
+    commas and escapes in lemmas included.  Synsets come in any order.
     """
     ids = draw(st.lists(FIELD_TEXT.filter(lambda t: accepted(id=t)),
                         min_size=1, max_size=6, unique=True))
-    lemma = FIELD_TEXT.filter(lambda t: "," not in t and accepted(lemmas=(t,)))
+    lemma = (FIELD_TEXT | st.sampled_from(ESCAPED_LEMMAS)).filter(
+        lambda t: accepted(lemmas=(t,)))
     synsets = []
     for i, sid in enumerate(ids):
         pos = draw(st.sampled_from(["n", "v"]))
@@ -214,6 +218,15 @@ class OracleTaxonomy:
         return syn.lexfile
 
 
+ESCAPE = re.compile("%(2c|25)")
+
+
+def oracle_unescape(lemma):
+    """A lemma field item read left to right: "%2c" is a comma, "%25" a
+    percent sign, and any other "%" itself."""
+    return ESCAPE.sub(lambda match: "," if match[1] == "2c" else "%", lemma)
+
+
 def oracle_synset(line):
     """The loader's line parse and field checks as they were written out."""
     fields = line.split("\t")
@@ -226,7 +239,7 @@ def oracle_synset(line):
     if not re.fullmatch(r"-?[0-9]+", lexfile, re.ASCII):
         raise TaxonomyError(f"bad lexfile number {lexfile!r}")
     lex = int(lexfile)
-    lemmas = tuple(x for x in lemmas.split(",") if x)
+    lemmas = tuple(oracle_unescape(x) for x in lemmas.split(",") if x)
     hypernyms = tuple(x for x in hypernyms.split(",") if x)
     if not sid:
         raise TaxonomyError("synset id must be non-empty")
@@ -336,6 +349,16 @@ class TestLoading:
                 Synset("r", "n", ("thing",), (), 18),
                 Synset("v1", "v", ("do",), ("r",), 31),
             ])
+
+    def test_comma_lemma_round_trips(self, tmp_path):
+        t = Taxonomy([Synset("n1", "n", ("2,4-d", "herbicide"), (), 3)])
+        assert dump_taxonomy(t) == "SYNSET\tn1\tn\t3\t2%2c4-d,herbicide\t\n"
+        path = tmp_path / "comma.tax"
+        write_atomic(path, dump_taxonomy(t))
+        loaded = load_taxonomy(path)
+        assert loaded == t
+        assert loaded.senses("2,4-d", "n") == ("n1",)
+        assert loaded.senses("2", "n") == ()
 
     def test_round_trip(self, toy_taxonomy, tmp_path):
         path = tmp_path / "copy.tax"
@@ -565,7 +588,7 @@ def assert_same_taxonomy(taxonomy, oracle):
             sid, include_self=True)
         assert taxonomy.beginner_of(sid) == oracle.beginner_of(sid)
     for pos in ("n", "v", "x"):
-        for lemma in LEMMAS + ["quux"]:
+        for lemma in LEMMAS + ESCAPED_LEMMAS + ["quux", "2", "4-d"]:
             assert taxonomy.senses(lemma, pos) == oracle.senses(lemma, pos)
     for pos in (None, "n", "v", "x"):
         assert all_lemmas(taxonomy, pos) == oracle.lemmas(pos)
@@ -577,8 +600,10 @@ def assert_same_taxonomy(taxonomy, oracle):
 
 
 def shuffled_synsets():
-    """Random DAG synsets in an order where hypernyms may come later."""
-    return random_synsets(mixed_pos=True).flatmap(st.permutations)
+    """Random DAG synsets in an order where hypernyms may come later, some
+    of their lemmas holding a comma or the escape character."""
+    return random_synsets(mixed_pos=True, lemmas=(*LEMMAS, *ESCAPED_LEMMAS)).flatmap(
+        st.permutations)
 
 
 class TestColumnStoreMatchesOracle:
@@ -593,6 +618,19 @@ class TestColumnStoreMatchesOracle:
             loaded = load_taxonomy(path)
             assert loaded == Taxonomy(synsets)
             assert_same_taxonomy(loaded, oracle_load(path))
+
+    @settings(max_examples=100, deadline=None)
+    @given(synsets=shuffled_synsets())
+    def test_escaped_lemmas_round_trip(self, synsets):
+        taxonomy = Taxonomy(synsets)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/roundtrip.tax"
+            write_atomic(path, dump_taxonomy(taxonomy))
+            loaded = load_taxonomy(path)
+        assert loaded == taxonomy
+        for lemma in ESCAPED_LEMMAS:
+            assert loaded.senses(lemma, "n") == taxonomy.senses(lemma, "n")
+            assert loaded.senses(lemma, "v") == taxonomy.senses(lemma, "v")
 
     @settings(max_examples=150, deadline=None)
     @given(synsets=shuffled_synsets(), data=st.data())
@@ -717,6 +755,7 @@ class TestLoaderErrorsMatchOracle:
             assert load_outcome(load_taxonomy, path) == expected
             if expected is None:
                 assert_same_taxonomy(load_taxonomy(path), oracle_load(path))
+                assert_dump_reloads(path)
 
 
 EDGE_CASES = {
@@ -787,6 +826,11 @@ EDGE_CASES = {
         "SYNSET\tr\tn\t18\tthing\t\nSYNSET\ta\tn\t5\tx\tc,r\n"
         "SYNSET\tb\tn\t5\ty\ta\nSYNSET\tc\tn\t5\tz\tb\n"
     ),
+    "escaped comma and percent lemmas": "SYNSET\tr\tn\t18\t2%2c4-d,50%25,%252c,%25%2c\t\n",
+    "percent signs that escape nothing": "SYNSET\tr\tn\t18\t50%,%2,%zz,%%2c\t\n",
+    "uppercase escape": "SYNSET\tr\tn\t18\t2%2C4-d\t\n",
+    "escaped lemmas that read the same": "SYNSET\tr\tn\t18\t%,%25\t\n",
+    "escaped lemma on a line to clean": "SYNSET\tr\tn\t18\t2%2c4-d,,herbicide\n",
     "polysemous lemmas": (
         "SYNSET\tr\tn\t18\tfox,oak\t\nSYNSET\tc\tn\t5\toak,fox,elm\tr\n"
         "SYNSET\td\tv\t31\tfox\t\nSYNSET\te\tn\t5\tfox\tc,r\n"
@@ -802,6 +846,7 @@ def test_hand_written_files_load_as_oracle(tmp_path, case):
     assert load_outcome(load_taxonomy, path) == expected
     if expected is None:
         assert_same_taxonomy(load_taxonomy(path), oracle_load(path))
+        assert_dump_reloads(path)
 
 
 def generated_lines(size=6000, seed=15):
@@ -854,6 +899,7 @@ class TestGeneratedFile:
         assert load_outcome(load_taxonomy, path) == expected
         if expected is None:
             assert_same_taxonomy(load_taxonomy(path), oracle_load(path))
+            assert_dump_reloads(path)
 
     def test_load_holds_one_block_of_fields_at_a_time(self, generated_path):
         # Measured here: the loaded taxonomy keeps 1.7 MB, and the load
@@ -867,6 +913,14 @@ class TestGeneratedFile:
             tracemalloc.stop()
         assert len(taxonomy) == 6000
         assert peak < 1.5 * retained
+
+
+def assert_dump_reloads(path):
+    """load(dump(load(f))) == load(f) for a file `f` that loads."""
+    loaded = load_taxonomy(path)
+    again = f"{path}.again"
+    write_atomic(again, dump_taxonomy(loaded))
+    assert load_taxonomy(again) == loaded
 
 
 def load_outcome(load, path):

@@ -4,7 +4,8 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from animacy.taxonomy import TaxonomyError, dump_taxonomy
+from animacy.fileio import write_atomic
+from animacy.taxonomy import TaxonomyError, dump_taxonomy, load_taxonomy
 from animacy.wndb import import_wndb, read_data_file
 
 DATA_NOUN = (
@@ -118,7 +119,11 @@ def test_word_with_a_comma_imports_whole(tmp_path):
     assert taxonomy.get("n00001900").lemmas == ("2,4-d", "herbicide")
     assert taxonomy.senses("2,4-d", "n") == ("n00001900",)
     assert taxonomy.senses("2", "n") == ()
-    assert "SYNSET\tn00001900\tn\t3\t2,4-d,herbicide\t\n" in dump_taxonomy(taxonomy)
+    # the file escapes the comma inside the lemma, and reads it back
+    assert "SYNSET\tn00001900\tn\t3\t2%2c4-d,herbicide\t\n" in dump_taxonomy(taxonomy)
+    saved = tmp_path / "wndb.tax"
+    write_atomic(saved, dump_taxonomy(taxonomy))
+    assert load_taxonomy(saved) == taxonomy
 
 
 # Corruptions that make a drawn data line unreadable, whatever else it holds.

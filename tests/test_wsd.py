@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from animacy.corpus import Document
-from animacy.enrichment import EnrichedTaxonomy, Status
+from animacy.enrichment import Status
 from animacy.mbl import extract_features
 from animacy.rules import noun_ratios, sense_table, verb_ratios
 from animacy import wsd
@@ -23,6 +23,7 @@ from animacy.wsd import (
     load_counts,
 )
 from tests.test_corpus import make_np
+from tests.test_enrichment import enriched_of
 from tests.test_taxonomy import all_lemmas, random_taxonomies, sense_mass
 
 
@@ -659,7 +660,7 @@ class TestWeightedCounts:
             assert verb_ratios(lemma, senses) == verb_ratios(lemma, senses, weighting=uniform)
 
     def test_fallback_chain_covers_undecided_senses(self, toy_taxonomy):
-        undecided = EnrichedTaxonomy(
+        undecided = enriched_of(
             toy_taxonomy, {sid: Status.UNDECIDED for sid in toy_taxonomy}
         )
         uniform = uniform_weighting(toy_taxonomy)
