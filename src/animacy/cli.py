@@ -53,13 +53,14 @@ def _load_predictions(path) -> dict[tuple[str, int, int], Label]:
 
 
 def _labels_for(path) -> dict[tuple[str, int, int], Label]:
-    """Label assignment from either a prediction TSV or an annotated corpus."""
-    first = ""
-    for _, line in read_lines(path):
-        if line.strip() and not line.startswith("#"):
-            first = line
-            break
-    if first.split("\t", 1)[0] in ("DOC", "NP", "PRON"):
+    """Label assignment from either a prediction TSV or an annotated corpus.
+
+    A corpus's first record starts with DOC, NP or PRON, and so does a
+    prediction for a document of that name; but a prediction has 4
+    fields, the last a label, and no corpus record has that shape."""
+    fields = next((line.split("\t") for _, line in read_lines(path)
+                   if line.strip() and not line.startswith("#")), [""])
+    if fields[0] in ("DOC", "NP", "PRON") and not (len(fields) == 4 and not is_int(fields[3])):
         docs = load_corpus(path)
         return resolution.gold_assignment(docs)
     return _load_predictions(path)

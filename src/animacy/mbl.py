@@ -22,8 +22,9 @@ ratio.  The senses' animacy comes from the enriched taxonomy's
 `SenseTable` for one beginner class (`EnrichedTaxonomy.sense_table`), a
 column over the synsets.  `sense_masses` reads a corpus's plain counts
 from it once per distinct lemma and gathers them to the NP rows; only
-weighted masses (`--wsd`) are summed per NP, one document at a time.  The
-rules read their masses from the same columns.
+weighted masses (`--wsd`) are summed per NP, one document at a time.  One
+weighing rule (`lemma_mass`) decides whether a lemma's sense weights
+count, and the rules read their masses from the same columns as they are.
 """
 
 from __future__ import annotations
@@ -73,22 +74,15 @@ class MblConfig:
             raise ValueError("k must be >= 1")
 
 
-def lemma_mass(lemma: str, pos: str, table: SenseTable, weighting=None) -> tuple:
-    """The sense count, plain (animate, inanimate) counts and weighted
-    masses (None unless the weighting covers every sense) of `lemma`."""
-    senses = table.senses(lemma, pos)
-    weights = None if weighting is None else weighting.for_lemma(lemma, senses)
-    return (len(senses), table.mass(lemma, pos),
-            None if weights is None else table.mass(lemma, pos, weights))
-
-
-def np_masses(lemma: str, verb: str | None, table: SenseTable, weighting=None) -> tuple:
-    """The head noun's `lemma_mass`, then the plain counts of the governing
-    verb `verb` (a subject's, else None: zeros).  Document weights cover
-    noun senses only, and synset ids are unique across parts of speech, so
-    a verb always counts plainly."""
-    total, counts, weighted = lemma_mass(lemma, NOUN, table, weighting)
-    return total, counts, weighted, (0.0, 0.0) if verb is None else table.mass(verb, VERB)
+def lemma_mass(lemma: str, pos: str, table: SenseTable,
+               weighting: "wsd.SenseWeighting | None" = None) -> tuple[float, float]:
+    """The (animate, inanimate) mass of `lemma`'s senses under `pos`: their
+    weights if `weighting` weighs every one (`SenseWeighting.for_lemma`)
+    and not all zero, else their plain counts.  This is the one weighing
+    rule of both classifiers."""
+    weights = None if weighting is None else weighting.for_lemma(lemma, table.senses(lemma, pos))
+    mass = table.mass(lemma, pos, weights)
+    return mass if mass[0] + mass[1] != 0.0 else table.mass(lemma, pos)
 
 
 class SenseMasses(NamedTuple):
@@ -97,10 +91,7 @@ class SenseMasses(NamedTuple):
 
     ratio: np.ndarray  # the document's pronoun ratio
     senses: np.ndarray  # the head noun's sense count
-    noun: np.ndarray  # 2 x n: the head noun's plain animate, inanimate counts
-    # the head noun's weighted masses, None where the document's weights
-    # miss the lemma; the column itself is None without weights
-    weighted: list[tuple[float, float] | None] | None
+    noun: np.ndarray  # 2 x n: the head noun's animate, inanimate `lemma_mass`
     verb: np.ndarray  # 2 x n: a subject's verb's plain counts, else zeros
 
 
@@ -117,37 +108,25 @@ def _row_counts(lemmas: Sequence[str | None], pos: str, table: SenseTable) -> np
 def sense_masses(docs: Sequence[Document], table: SenseTable,
                  ic: "wsd.ICTable | None" = None) -> SenseMasses:
     """The `SenseMasses` of `docs`' NPs under `table`, read from the NP
-    columns.  Document weights cover noun senses only, and synset ids are
-    unique across parts of speech, so a verb always counts plainly.  Given
-    `ic`, each document is weighed just before its NPs' weighted masses
-    are summed, and dropped after them."""
+    columns, as both classifiers read them.  Given `ic`, each document is
+    weighed just before its head nouns' `lemma_mass` is taken, and
+    dropped after it.  Document weights cover noun senses only, and
+    synset ids are unique across parts of speech, so a verb always counts
+    plainly."""
     columns, counts = np_columns(docs)
     heads = columns.head_lemma
     noun = _row_counts(heads, NOUN, table)
-    weighted = None
     if ic is not None:
-        weighted, start = [], 0
+        masses, start = [], 0
         for doc, count in zip(docs, counts):
             weighting = wsd.document_weights(doc, table.taxonomy, ic)
-            weighted += [lemma_mass(heads[i], NOUN, table, weighting)[2]
-                         for i in range(start, start + count)]
+            masses += [lemma_mass(heads[i], NOUN, table, weighting)
+                       for i in range(start, start + count)]
             start += count
+        noun[1:] = np.array(masses, np.float64).reshape(-1, 2).T
     ratio = np.repeat(np.array([pronoun_ratio(doc) for doc in docs], np.float64), counts)
-    return SenseMasses(ratio, noun[0], noun[1:], weighted,
+    return SenseMasses(ratio, noun[0], noun[1:],
                        _row_counts(columns.verb_lemma, VERB, table)[1:])
-
-
-def _head_pair(lemma: str, senses: float, counts, weighted, table: SenseTable, weighing: bool):
-    """The head-noun pair of a lemma with `senses` senses, under weights
-    if `weighing`."""
-    if not senses:
-        return 0.0, 0.0
-    if weighted is None and weighing:
-        # a lemma without stored weights takes uniform shares, so its
-        # counts stay on the scale of the weighted ones
-        ids = table.senses(lemma, NOUN)
-        return table.mass(lemma, NOUN, dict.fromkeys(ids, 1.0 / senses))
-    return weighted or counts
 
 
 def extract_features(
@@ -157,16 +136,18 @@ def extract_features(
     weighting: "wsd.SenseWeighting | None" = None,
 ) -> FeatureVector:
     """Build the instance for one NP occurrence, its senses judged by an
-    enriched taxonomy's `senses` table.
+    enriched taxonomy's `senses` table and its head noun weighed by
+    `lemma_mass`.
 
     Out-of-vocabulary heads get zero sense counts and a marker lemma.
-    Verb counts apply to subjects with a known governing verb only.
+    Verb counts, always plain, apply to subjects with a known governing
+    verb only.
     """
-    head = np_record.head_lemma
-    total, counts, weighted, verb = np_masses(head, np_record.verb_lemma, senses, weighting)
-    noun = _head_pair(head, total, counts, weighted, senses, weighting is not None)
-    return FeatureVector(head if total else OOV_LEMMA, *noun, *verb, pronoun_ratio(doc),
-                         np_record.gold)
+    head, verb = np_record.head_lemma, np_record.verb_lemma
+    return FeatureVector(head if senses.senses(head, NOUN) else OOV_LEMMA,
+                         *lemma_mass(head, NOUN, senses, weighting),
+                         *((0.0, 0.0) if verb is None else senses.mass(verb, VERB)),
+                         pronoun_ratio(doc), np_record.gold)
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,14 +343,8 @@ def feature_table(
     columns, _ = np_columns(docs)
     masses = sense_masses(docs, senses, ic)
     heads, gold, known = columns.head_lemma, columns.gold, masses.senses.tolist()
-    noun = masses.noun
-    if ic is not None:
-        noun = np.array([_head_pair(head, total, counts, weighted, senses, True)
-                         for head, total, counts, weighted
-                         in zip(heads, known, noun.T.tolist(), masses.weighted)],
-                        np.float64).reshape(-1, 2).T
     rows = [i for i, label in enumerate(gold) if lemma_ids is not None or label is not None]
-    block = np.concatenate([noun, masses.verb, masses.ratio[None]]).take(rows, axis=1)
+    block = np.concatenate([masses.noun, masses.verb, masses.ratio[None]]).take(rows, axis=1)
     return FeatureTable.of_columns([heads[i] if known[i] else OOV_LEMMA for i in rows], block,
                                    [gold[i] for i in rows], lemma_ids)
 

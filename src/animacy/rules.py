@@ -5,11 +5,11 @@ beginners (and the same fraction for the governing verb of subject NPs)
 feeds a fixed threshold cascade.  Each sense's animacy is a column over
 the synsets, read at its unique beginner (`sense_table`).  The sense
 masses come from the columns that the memory-based learner reads too
-(`mbl.sense_masses`): plain counts once per distinct lemma, weighted
-masses per NP.  A weighted head noun falls back to its plain counts when
-the document's weights miss it or sum to zero.  The cascade is a few
-elementwise comparisons over a whole corpus's fraction columns
-(`classify_corpus`).
+(`mbl.sense_masses`), under the one weighing rule of both classifiers
+(`mbl.lemma_mass`): a lemma counts its senses' weights only when the
+weights cover every sense and are not all zero, else it counts plainly.
+The cascade is a few elementwise comparisons over a whole corpus's
+fraction columns (`classify_corpus`).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .corpus import Document, Label, NPRecord, np_columns
-from .mbl import lemma_mass, np_masses, sense_masses
+from .mbl import lemma_mass, sense_masses
 from .taxonomy import NOUN, VERB, BeginnerClass, SenseTable, Taxonomy
 
 if TYPE_CHECKING:
@@ -52,11 +52,6 @@ def sense_table(taxonomy: Taxonomy, beginners: BeginnerClass = BeginnerClass()) 
                       lambda sid: is_animate(beginner_of(sid), pos_of(sid)))
 
 
-def _rule_mass(counts, weighted):
-    # every sense weighing zero counts as no weights at all
-    return counts if weighted is None or weighted[0] + weighted[1] == 0.0 else weighted
-
-
 def _fractions(masses, known) -> tuple[np.ndarray, np.ndarray]:
     """Animate and inanimate fractions of the (animate, inanimate) mass
     columns `masses`, 2 x n, zeros where not `known`."""
@@ -68,14 +63,15 @@ def _fractions(masses, known) -> tuple[np.ndarray, np.ndarray]:
 
 def _lemma_fractions(lemma: str, pos: str, table: SenseTable,
                      weighting: "SenseWeighting | None") -> tuple[float, float, int]:
-    total, counts, weighted = lemma_mass(lemma, pos, table, weighting)
-    (animate,), (inanimate,) = _fractions(_rule_mass(counts, weighted), [total > 0])
+    total = len(table.senses(lemma, pos))
+    (animate,), (inanimate,) = _fractions(lemma_mass(lemma, pos, table, weighting), [total > 0])
     return float(animate), float(inanimate), total
 
 
 def noun_ratios(lemma: str, table: SenseTable,
                 weighting: "SenseWeighting | None" = None) -> tuple[float, float, int]:
-    """Animate and inanimate fractions over a noun's senses, and their number.
+    """Animate and inanimate fractions of a noun's `lemma_mass`, and its
+    number of senses.
 
     A lemma with no noun senses yields (0, 0, 0); downstream that forces an
     UNKNOWN classification rather than an exception.
@@ -117,7 +113,7 @@ def cascade(ratios: np.ndarray, noun_senses: Sequence[int], has_who: Sequence[bo
 def _classify(senses, noun, verb, has_who, has_reflexive, thresholds,
               reflexive_counts) -> list[Label]:
     """The labels of NPs given as columns: the head noun's sense count,
-    its rule masses and the verb's plain counts, each 2 x n."""
+    its `lemma_mass` and the verb's plain counts, each 2 x n."""
     verb = np.asarray(verb, np.float64).reshape(2, -1)
     senses = np.asarray(senses, np.int64)
     ratios = np.array([*_fractions(noun, senses > 0), *_fractions(verb, verb[0] + verb[1] > 0)])
@@ -131,12 +127,8 @@ def classify_corpus(docs: Sequence[Document], table: SenseTable,
     `table` and weighted by `ic` if given; no `NPRecord` is built."""
     columns, _ = np_columns(docs)
     masses = sense_masses(docs, table, ic)
-    noun = masses.noun
-    if ic is not None:
-        noun = np.array([_rule_mass(counts, weighted) for counts, weighted
-                         in zip(noun.T.tolist(), masses.weighted)], np.float64).reshape(-1, 2).T
-    return _classify(masses.senses, noun, masses.verb, columns.has_who, columns.has_reflexive,
-                     thresholds, reflexive_counts)
+    return _classify(masses.senses, masses.noun, masses.verb, columns.has_who,
+                     columns.has_reflexive, thresholds, reflexive_counts)
 
 
 def classify_np(
@@ -148,6 +140,7 @@ def classify_np(
 ) -> Label:
     """The cascade's label for one NP, its senses judged by `table`
     (see `sense_table`)."""
-    total, counts, weighted, verb = np_masses(np.head_lemma, np.verb_lemma, table, weighting)
-    return _classify([total], _rule_mass(counts, weighted), verb, [np.has_who],
+    head, verb = np.head_lemma, np.verb_lemma
+    return _classify([len(table.senses(head, NOUN))], lemma_mass(head, NOUN, table, weighting),
+                     (0.0, 0.0) if verb is None else table.mass(verb, VERB), [np.has_who],
                      [np.has_reflexive], thresholds, reflexive_counts)[0]

@@ -482,6 +482,34 @@ class TestPipeline:
         assert len(load_taxonomy(out_tax)) == 4
 
 
+@pytest.mark.parametrize("doc_id", ["DOC", "NP", "PRON"])
+@pytest.mark.parametrize("argv", [
+    ["eval", "--gold", "{corpus}", "--pred", "{pred}"],
+    ["kappa", "--a", "{pred}", "--b", "{corpus}"],
+    ["simulate", "--corpus", "{corpus}", "--labels", "{pred}"],
+])
+def test_prediction_for_a_document_named_like_a_record_kind(tmp_path, capsys, doc_id, argv):
+    """A prediction line `NP<TAB>0<TAB>0<TAB>I` is read as a prediction, not
+    as a short corpus record: each command prints what it prints for the
+    same corpus under a plain document id."""
+    outputs = []
+    for name in (doc_id, "plain"):
+        corpus, pred = tmp_path / f"{name}.tsv", tmp_path / f"{name}-pred.tsv"
+        corpus.write_text(
+            f"DOC\t{name}\t1\t0\n"
+            f"NP\t{name}\t0\t0\tman\t1\tspeak\t0\t0\tA\t-\tthe man\n"
+            f"NP\t{name}\t0\t1\trock\t0\t-\t0\t0\tI\t-\ta rock\n"
+            f"PRON\t{name}\t1\the\t1\t0\t0\n")
+        code, _, err = run(capsys, "classify", "--method", "dummy", "--corpus", str(corpus),
+                           "--out", str(pred))
+        assert (code, err) == (0, "")
+        assert pred.read_text().startswith(f"{name}\t0\t0\t")
+        code, out, err = run(capsys, *(arg.format(corpus=corpus, pred=pred) for arg in argv))
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
 class TestMalformedInput:
     """Bad input exits 1 with one `error:` line naming the file and line."""
 
@@ -518,6 +546,26 @@ class TestMalformedInput:
         pred.write_text("\n".join(lines))
         code, _, err = run(capsys, "eval", "--gold", CORPUS, "--pred", str(pred))
         self.assert_error(code, err, f"{pred} line 3: {message}")
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--gold", CORPUS, "--pred", "{pred}"],
+        ["kappa", "--a", CORPUS, "--b", "{pred}"],
+        ["simulate", "--corpus", CORPUS, "--labels", "{pred}"],
+    ])
+    @pytest.mark.parametrize("text, message", [
+        ("DOC\td1\t0\n", "line 1: DOC record needs 4 fields"),
+        ("NP\td1\t0\t0\tman\n", "line 1: NP record needs 12 fields"),
+    ])
+    def test_short_first_corpus_record_is_a_corpus_error(self, tmp_path, capsys, argv, text,
+                                                         message):
+        """Only a line of 4 fields whose last is not an integer reads as
+        a prediction; a short corpus record keeps the corpus loader's
+        error."""
+        pred = tmp_path / "bad.tsv"
+        pred.write_text(text)
+        code, out, err = run(capsys, *(arg.format(pred=pred) for arg in argv))
+        assert out == ""
+        self.assert_error(code, err, f"{pred} {message}")
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--gold", CORPUS, "--pred", "{pred}"],
@@ -760,6 +808,12 @@ class TestGoldenBytes:
                          "--enriched", "{tmp}/statuses.tsv"], "ml.tsv"),
         ("ml-wsd", ["classify", "--method", "ml", "--wsd", "--k", "5",
                     "--taxonomy", TAX, "--train", CORPUS, "--test", CORPUS], None),
+        # information content from a count file, some synsets counted zero
+        ("rule-wsd-ic", ["classify", "--method", "rule", "--wsd", "--taxonomy", TAX,
+                         "--corpus", CORPUS, "--ic", "{tmp}/counts.count"], None),
+        ("ml-wsd-ic", ["classify", "--method", "ml", "--wsd", "--taxonomy", TAX,
+                       "--train", CORPUS, "--test", CORPUS, "--ic", "{tmp}/counts.count"],
+         None),
         ("dummy", ["classify", "--method", "dummy", "--corpus", CORPUS],
          "dummy.tsv"),
         ("eval", ["eval", "--gold", CORPUS, "--pred", "{tmp}/rule.tsv"], None),
@@ -788,6 +842,12 @@ class TestGoldenBytes:
                       "--seed", "7", "--enriched", "{tmp}/statuses.tsv"], None),
     ]
 
+    # direct counts for --ic: the machine senses lead, and some synsets
+    # count zero
+    COUNTS = "".join(f"COUNT\t{sid}\t{value}\n" for sid, value in [
+        ("n-mouse-device", "5"), ("n-cat-machine", "3"), ("n-head-top", "2.5"),
+        ("n-star-body", "1"), ("n-person", "0"), ("n-dog", "0"), ("n-teacher", "4")])
+
     DIGESTS = {
         "enrich-0.05":
             "61c8fa5a71eae9b25d6f70e2f74a383344baaa37b0b9a917dc1ed285d8d31ae4",
@@ -807,6 +867,10 @@ class TestGoldenBytes:
             "b5f2981351c24b3e779330c9521cc3e603614fcd5cd0d20555a44a5e53bf3468",
         "ml-wsd":
             "3193c996c4ecaf124f0edd1e5a5ce7929413f29efe0fa948a40fd2371669d8d8",
+        "rule-wsd-ic":
+            "f74e2c0086abd0d49891b4729046cd216361b9768b1772b650f1b647d9b344e3",
+        "ml-wsd-ic":
+            "7f06c7cf3c59a379859867681660164d4995d89e945d531c1828c2f3b5ab9030",
         "dummy":
             "e3c27bcb59ffd807443785807e533700a32d9231757190034686a12664654580",
         "eval":
@@ -853,6 +917,7 @@ class TestGoldenBytes:
             return hashlib.sha256(data).hexdigest()
 
         (tmp_path / "data.noun").write_text(DATA_NOUN)
+        (tmp_path / "counts.count").write_text(self.COUNTS)
         got = {}
         for name, argv, out_name in self.CASES:
             argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]

@@ -4,7 +4,7 @@ import re
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from animacy.cli import main
 from animacy.corpus import (
@@ -454,6 +454,20 @@ def reloaded(docs):
             write_atomic(path, dump_corpus(run))
             loaded += load_corpus(path)
     return loaded
+
+
+class TestDumpRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(lines=corpus_lines(unique_docs=True) | corpus_lines())
+    def test_any_accepted_corpus_round_trips(self, lines):
+        """`load_corpus(dump_corpus(load_corpus(f))) == load_corpus(f)` for
+        every drawn corpus file that the loader accepts."""
+        with tempfile.TemporaryDirectory() as tmp:
+            docs = load_outcome(load_corpus, write_lines(tmp, lines))
+            assume(not isinstance(docs, str))
+            path = f"{tmp}/dumped.tsv"
+            write_atomic(path, dump_corpus(docs))
+            assert_same_documents(load_corpus(path), docs)
 
 
 class TestLoaderMatchesOracle:

@@ -366,6 +366,19 @@ class TestEnrich:
         with pytest.raises(ValueError, match="alpha"):
             enrich(toy_taxonomy, docs, alpha=alpha)
 
+    @settings(max_examples=100, deadline=None)
+    @given(base=random_taxonomies(mixed_pos=True), data=st.data())
+    def test_drawn_statuses_round_trip(self, base, data):
+        """`load_enriched(dump_statuses(e), base) == e` over drawn
+        taxonomies and status columns, and the file's bytes come back."""
+        e = enriched_of(base, {sid: data.draw(st.sampled_from(list(Status))) for sid in base})
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/statuses.tsv"
+            write_atomic(path, dump_statuses(e))
+            loaded = load_enriched(path, base)
+        assert loaded == e
+        assert dump_statuses(loaded) == dump_statuses(e)
+
     def test_save_and_load_round_trip(self, enriched, toy_taxonomy, tmp_path):
         path = tmp_path / "statuses.tsv"
         write_atomic(path, dump_statuses(enriched))

@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from animacy import wsd
 from animacy.corpus import Document, Label, pronoun_ratio
 from animacy.enrichment import Status, enrich
 from animacy.evaluation import score
@@ -15,6 +17,7 @@ from animacy.mbl import (
     build_store,
     cross_validate,
     extract_features,
+    feature_table,
     gain_ratio_weights as table_gain_ratio,
     knn_classify,
 )
@@ -31,6 +34,13 @@ from tests.test_acceptance import (
 from tests.test_corpus import iter_nps, make_np, reloaded
 from tests.test_enrichment import enriched_of
 from tests.test_taxonomy import sense_mass
+from tests.test_wsd import (
+    LEMMA_SENSES,
+    RULE_CLASSES,
+    beginner_taxonomy,
+    drawn_beginners,
+    weighted_documents,
+)
 
 
 def vec(lemma="w", f2=0.0, f3=0.0, f4=0.0, f5=0.0, f6=0.0, label=None):
@@ -221,20 +231,18 @@ class TestExtractFeatures:
 
 def oracle_features(np_record, doc, enriched, beginners, weighting=None):
     """Reference instance: every sense of the head and verb resolved anew
-    for this NP, with no per-lemma memo."""
+    for this NP, with no per-lemma memo.  The head counts plainly unless
+    `weighting` weighs every sense and not all of them zero."""
     def is_animate(sid):
         return enriched.resolve_animate(sid, beginners)
 
     lemma = np_record.head_lemma
     senses = enriched.base.senses(lemma, NOUN)
-    noun = (0.0, 0.0)
-    if senses:
-        weights = None
-        if weighting is not None:
-            weights = (weighting.for_lemma(lemma, senses)
-                       or dict.fromkeys(senses, 1.0 / len(senses)))
+    noun = sense_mass(senses, is_animate)
+    weights = None if weighting is None else weighting.for_lemma(lemma, senses)
+    if weights is not None and any(weights[sid] for sid in senses):
         noun = sense_mass(senses, is_animate, weights)
-    else:
+    if not senses:
         lemma = OOV_LEMMA
     verb = (0.0, 0.0)
     if np_record.is_subject and np_record.verb_lemma is not None:
@@ -279,6 +287,37 @@ class TestFeaturesMatchOracle:
                     np_record, doc, enriched, beginners, weighting), np_record.key
                 differs |= plain != weighted
         assert differs
+
+
+class TestFeatureTableUnderDrawnWeightings:
+    """Under weights, `feature_table`'s rows are the instances of
+    `extract_features` and of the oracle, whatever a document's weights
+    cover: every sense, some of them, or every sense at zero weight."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), beginners=drawn_beginners())
+    def test_drawn_documents_and_weightings(self, data, beginners):
+        taxonomy = beginner_taxonomy(beginners)
+        enriched = enriched_of(taxonomy, {
+            sid: data.draw(st.sampled_from(list(Status)))
+            for noun, verb in LEMMA_SENSES.values() for sid in noun + verb})
+        docs, weightings = data.draw(weighted_documents())
+
+        def weigh(doc, taxonomy_, ic):
+            assert taxonomy_ is taxonomy and ic == "ic"
+            return weightings[doc.doc_id]
+
+        labelled = [(doc, np_record) for doc, np_record in iter_nps(docs)
+                    if np_record.gold is not None]
+        for beginners_ in RULE_CLASSES:
+            table = enriched.sense_table(beginners_)
+            with mock.patch.object(wsd, "document_weights", weigh):
+                got = instances_of(feature_table(docs, table, ic="ic"))
+            assert got == tuple(extract_features(np_record, doc, table, weightings[doc.doc_id])
+                                for doc, np_record in labelled)
+            assert got == tuple(oracle_features(np_record, doc, enriched, beginners_,
+                                                weightings[doc.doc_id])
+                                for doc, np_record in labelled)
 
 
 @st.composite

@@ -22,10 +22,15 @@ from animacy.rules import (
     verb_ratios,
 )
 from animacy.taxonomy import NOUN, VERB, SenseTable, dump_taxonomy
-from animacy.wsd import SenseWeighting, document_weights, information_content
+from animacy.wsd import document_weights, information_content
 from tests.test_corpus import make_np
 from tests.test_taxonomy import all_lemmas
-from tests.test_wsd import LEMMA_SENSES, RULE_CLASSES, beginner_taxonomy, drawn_beginners
+from tests.test_wsd import (
+    RULE_CLASSES,
+    beginner_taxonomy,
+    drawn_beginners,
+    weighted_documents,
+)
 
 
 # --- the record path, kept as an oracle for the column cascade --------------
@@ -274,30 +279,11 @@ class TestColumnCascadeMatchesRecordOracle:
     @given(data=st.data(), beginners=drawn_beginners(), thresholds=THRESHOLDS,
            reflexive_counts=st.booleans())
     def test_drawn_documents_and_weightings(self, data, beginners, thresholds, reflexive_counts):
-        """Each document weighs a drawn subset of the head lemmas over
-        their noun senses (as `disambiguation_weights` does), some senses
-        left out and some lemmas weighing every sense zero."""
+        """Each document weighs a drawn subset of the head lemmas
+        (`weighted_documents`), some senses left out and some lemmas
+        weighing every sense zero."""
         taxonomy = beginner_taxonomy(beginners)
-        lemmas = st.sampled_from(sorted(LEMMA_SENSES) + ["ghost"])
-        docs, weightings = [], {}
-        for d in range(data.draw(st.integers(1, 3))):
-            # a subject's verb may be missing, unknown, or a noun lemma too
-            verbs = st.none() | lemmas
-            nps = tuple(
-                make_np(doc=f"d{d}", np=i, head=data.draw(lemmas), is_subject=verb is not None,
-                        verb_lemma=verb, has_who=data.draw(st.booleans()),
-                        has_reflexive=data.draw(st.booleans()))
-                for i, verb in enumerate(data.draw(st.lists(verbs, max_size=6))))
-            docs.append(Document(f"d{d}", nps, 0, 0))
-            weights = {}
-            for lemma in data.draw(st.lists(st.sampled_from(sorted(LEMMA_SENSES)), unique=True)):
-                nouns = LEMMA_SENSES[lemma][0]
-                kind = data.draw(st.sampled_from(["all", "zero", "partial"]))
-                chosen = nouns if kind != "partial" else data.draw(
-                    st.lists(st.sampled_from(nouns), unique=True))
-                weights[lemma] = {sid: 0.0 if kind == "zero" else data.draw(
-                    st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)) for sid in chosen}
-            weightings[f"d{d}"] = SenseWeighting(weights)
+        docs, weightings = data.draw(weighted_documents())
 
         def weigh(doc, taxonomy_, ic):
             assert taxonomy_ is taxonomy and ic == "ic"

@@ -2,13 +2,14 @@ import math
 import random
 import re
 import sys
+import tempfile
 import tracemalloc
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from animacy.corpus import Document
+from animacy.corpus import Document, Label
 from animacy.enrichment import Status
 from animacy.mbl import extract_features
 from animacy.rules import noun_ratios, sense_table, verb_ratios
@@ -648,8 +649,12 @@ class TestWeightedCounts:
             assert animate == hard_animate / len(senses)
             assert inanimate == (len(senses) - hard_animate) / len(senses)
             assert animate + inanimate == 1.0
-            # a lemma without stored weights takes the same uniform shares
-            assert head_mass(lemma, SenseWeighting({}), enriched) == (animate, inanimate)
+            # a lemma without stored weights, or whose weights are all zero,
+            # counts plainly, as in the rules
+            plain = (float(hard_animate), float(len(senses) - hard_animate))
+            assert head_mass(lemma, SenseWeighting({}), enriched) == plain
+            zero = SenseWeighting({lemma: dict.fromkeys(senses, 0.0)})
+            assert head_mass(lemma, zero, enriched) == plain
 
     def test_uniform_reproduces_rule_ratios_exactly(self, toy_taxonomy):
         uniform = uniform_weighting(toy_taxonomy)
@@ -716,6 +721,37 @@ def beginner_taxonomy(beginners):
     return Taxonomy(synsets)
 
 
+@st.composite
+def weighted_documents(draw):
+    """One to three documents over the lemmas of LEMMA_SENSES and an
+    unknown one, with drawn gold labels, and each document id's
+    `SenseWeighting`.  Each document weighs a drawn subset of the head
+    lemmas over their noun senses (as `disambiguation_weights` does), some
+    senses left out and some lemmas weighing every sense zero."""
+    lemmas = st.sampled_from(sorted(LEMMA_SENSES) + ["ghost"])
+    docs, weightings = [], {}
+    for d in range(draw(st.integers(1, 3))):
+        # a subject's verb may be missing, unknown, or a noun lemma too
+        verbs = st.none() | lemmas
+        nps = tuple(
+            make_np(doc=f"d{d}", np=i, head=draw(lemmas), is_subject=verb is not None,
+                    verb_lemma=verb, has_who=draw(st.booleans()),
+                    has_reflexive=draw(st.booleans()),
+                    gold=draw(st.sampled_from([Label.ANIMATE, Label.INANIMATE, None])))
+            for i, verb in enumerate(draw(st.lists(verbs, max_size=6))))
+        docs.append(Document(f"d{d}", nps, draw(st.integers(0, 3)), draw(st.integers(0, 3))))
+        weights = {}
+        for lemma in draw(st.lists(st.sampled_from(sorted(LEMMA_SENSES)), unique=True)):
+            nouns = LEMMA_SENSES[lemma][0]
+            kind = draw(st.sampled_from(["all", "zero", "partial"]))
+            chosen = nouns if kind != "partial" else draw(
+                st.lists(st.sampled_from(nouns), unique=True))
+            weights[lemma] = {sid: 0.0 if kind == "zero" else draw(
+                st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)) for sid in chosen}
+        weightings[f"d{d}"] = SenseWeighting(weights)
+    return docs, weightings
+
+
 def oracle_rule_ratios(senses, is_animate, weights):
     """The rule method's fractions over `senses`: weighted masses, or
     plain counts when there are no weights or they sum to zero."""
@@ -767,3 +803,59 @@ class TestWeightTableMatchesFlatOracle:
                         assert got[2] == expected[2], (lemma, pos)
                         assert [x.hex() for x in got[:2]] == [
                             x.hex() for x in expected[:2]], (lemma, pos, classes)
+
+
+class TestDocumentWeightsCoverEveryHead:
+    """`document_weights` weighs every head lemma of its document that has
+    noun senses, over all of those senses, and not every weight is zero.
+    So the one weighing rule (`mbl.lemma_mass`) never counts a head noun
+    plainly under `--wsd`, and the CLI's bytes do not depend on that
+    fallback."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["toy", "beginners", "one-root"]),
+           from_file=st.booleans())
+    def test_every_head_weighed_above_zero(self, toy_taxonomy, data, kind, from_file):
+        if kind == "toy":
+            taxonomy = toy_taxonomy
+            lemmas = sorted({*all_lemmas(taxonomy, "n"), *all_lemmas(taxonomy, "v")})
+        else:
+            beginners = data.draw(drawn_beginners()) if kind == "beginners" else {
+                sid: 18 if sid[0] == "n" else 30
+                for noun, verb in LEMMA_SENSES.values() for sid in noun + verb}
+            taxonomy = beginner_taxonomy(beginners)
+            lemmas = sorted(LEMMA_SENSES)
+        heads = st.sampled_from(lemmas + ["ghost"])
+        docs = []
+        for d in range(data.draw(st.integers(1, 3))):
+            nps = []
+            for i, head in enumerate(data.draw(st.lists(heads, max_size=6))):
+                senses = taxonomy.senses(head, NOUN)
+                sense = data.draw(st.none() | st.sampled_from(senses)) if senses else None
+                nps.append(make_np(doc=f"d{d}", np=i, head=head, sense_key=sense))
+            docs.append(Document(f"d{d}", tuple(nps), 0, 0))
+        if from_file:
+            # direct counts for a drawn subset of the synsets, some of them zero
+            counted = data.draw(st.lists(st.sampled_from(sorted(taxonomy)), unique=True))
+            lines = [f"COUNT\t{sid}\t{data.draw(st.sampled_from(['0', '1', '2.5']))}\n"
+                     for sid in counted]
+            with tempfile.TemporaryDirectory() as tmp:
+                path = f"{tmp}/counts.count"
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write("".join(lines))
+                ic = load_counts(path, taxonomy)
+        else:
+            ic = information_content(docs, taxonomy)
+        if kind == "one-root":
+            # the one noun root holds all the noun mass: its IC is 0, so a
+            # pair of senses that shares only the root gives no support
+            assert ic.of("root-n18") == 0.0
+        for doc in docs:
+            weighting = document_weights(doc, taxonomy, ic)
+            for head in {np_record.head_lemma for np_record in doc.nps}:
+                senses = taxonomy.senses(head, NOUN)
+                if not senses:
+                    continue
+                weights = weighting.for_lemma(head, senses)
+                assert weights is not None, head
+                assert sum(weights[sid] for sid in senses) > 0.0, head
